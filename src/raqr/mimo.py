@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "crossover_threshold",
     "monte_carlo_terms",
     "monte_carlo_rate",
+    "monte_carlo_rates",
     "bound_violation_alarm",
 ]
 
@@ -143,6 +145,7 @@ class RateResult:
 
     ``capped`` flags users whose sampled denominator was exactly zero
     (noiseless inversion), where the SINR and rate are reported as inf.
+    ``terms`` holds the five sampled term moments the rate is built from.
     """
 
     sinr: np.ndarray
@@ -152,6 +155,7 @@ class RateResult:
     standard_error: np.ndarray
     capped: bool
     method: str
+    terms: dict
 
 
 def large_scale_fading(distance_m: float, carrier_freq_hz: float) -> float:
@@ -220,12 +224,18 @@ def combiner(
         return a
     if method != "ZF":
         raise ValueError(f"unknown detection method {method!r}")
-    if scenario.n_sensors <= scenario.n_users:
+    return a @ _zf_inverse(a.conj().T @ a, scenario.n_sensors)
+
+
+def _zf_inverse(gram, n_sensors):
+    """Inverse of one Gram matrix or a stack of them, under the one ZF rank
+    policy: more sensors than users, 1-norm condition number at most 1e12."""
+    if n_sensors <= gram.shape[-1]:
         raise DimensionError("zero-forcing needs more sensors than users")
-    gram = a.conj().T @ a
-    if np.linalg.cond(gram) > 1e12:
+    # cond() reports an exactly singular matrix as inf
+    if not np.all(np.linalg.cond(gram, 1) <= 1e12):
         raise RankDeficient("channel Gram matrix is numerically singular")
-    return a @ np.linalg.inv(gram)
+    return np.linalg.inv(gram)
 
 
 def detect(
@@ -431,15 +441,16 @@ def crossover_threshold(
         return value - 4.0 * sigma_rf_sq
 
     grid = np.geomspace(bounds[0], bounds[1], 128)
-    signs = np.array([math.copysign(1.0, excess(x)) if excess(x) != 0.0 else 0.0
-                      for x in grid])
+    values = [excess(x) for x in grid]
+    signs = np.array([math.copysign(1.0, v) if v != 0.0 else 0.0
+                      for v in values])
     flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
     if flips.size == 0:
         raise NoCrossing("noise-floor excess has one sign across the sweep range")
     upward = [i for i in flips if signs[i] < 0 < signs[i + 1]]
     i = upward[-1] if upward else flips[0]
     a, b = grid[i], grid[i + 1]
-    fa = excess(a)
+    fa = values[i]
     while (b - a) > 1e-3 * 0.5 * (a + b):
         mid = math.sqrt(a * b)
         fm = excess(mid)
@@ -454,9 +465,11 @@ def crossover_threshold(
 # Monte-Carlo engine
 
 
-def _chunk_stats(scenario, gains, budget, method, chunk_index, n):
-    """Term accumulators over one substream: fixed draw order (channel,
-    symbols, shot diagonal, AWGN), so the stream splits are reproducible."""
+def _chunk_stats(scenario, method, chunk_index, n):
+    """Gain-free term accumulators over one substream: fixed draw order
+    (channel, symbols, shot diagonal, AWGN), so the stream splits are
+    reproducible. The shot diagonal and the AWGN are drawn at unit variance
+    and the combiners carry no front-end gain; ``_scale`` supplies both."""
     rng = np.random.Generator(np.random.Philox(key=[scenario.seed, chunk_index]))
     m, k = scenario.n_sensors, scenario.n_users
     h_re = rng.standard_normal((n, m, k))
@@ -465,69 +478,56 @@ def _chunk_stats(scenario, gains, budget, method, chunk_index, n):
     s_re = rng.standard_normal((n, k))
     s_im = rng.standard_normal((n, k))
     s = (s_re + 1j * s_im) / math.sqrt(2.0)
-    b = rng.standard_normal((n, m)) * math.sqrt(budget.sigma_sq_sn)
+    b = rng.standard_normal((n, m))
     w_re = rng.standard_normal((n, m))
     w_im = rng.standard_normal((n, m))
-    w = (w_re + 1j * w_im) * math.sqrt(budget.n_sum / 2.0)
+    w = (w_re + 1j * w_im) / math.sqrt(2.0)
 
-    d = lo_phase_progression(scenario)
-    a = d[None, :, None] * h
-    gram = np.einsum("nmk,nml->nkl", a.conj(), a)
-    ps = np.sqrt(scenario.p) * s
-    v = np.einsum("nmk,nk->nm", a, ps)
-
+    a = lo_phase_progression(scenario)[:, None] * h
+    a_h = a.conj().swapaxes(1, 2)
+    gram = a_h @ a
+    ps = (np.sqrt(scenario.p) * s)[..., None]
+    # shot and AWGN columns side by side, combined in one product
+    z = a_h @ np.stack([b * (a @ ps)[..., 0], w], axis=-1)
     if method == "MRC":
-        t = np.conj(gains.phi) * gram
-
-        def comb(z):
-            return np.conj(gains.phi) * np.einsum("nmk,nm->nk", a.conj(), z)
+        t_diag = np.diagonal(gram, axis1=1, axis2=2)
+        ui = (gram @ ps)[..., 0] - t_diag * ps[..., 0]
     elif method == "ZF":
-        try:
-            g_inv = np.linalg.inv(gram)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(str(exc)) from None
-        t = np.broadcast_to(np.eye(k) / gains.phi, (n, k, k))
-        scale = np.conj(gains.phi) / abs(gains.phi) ** 2
-
-        def comb(z):
-            q = np.einsum("nmk,nm->nk", a.conj(), z)
-            return scale * np.einsum("nkl,nl->nk", g_inv, q)
+        z = _zf_inverse(gram, m) @ z
+        t_diag, ui = np.ones((n, k)), np.zeros((n, k))
     else:
         raise ValueError(f"unknown detection method {method!r}")
 
-    t_diag = np.diagonal(t, axis1=1, axis2=2)
-    amp = gains.phi * np.einsum("nkl,nl->nk", t, ps)
-    ui = math.sqrt(gains.rho) * (amp - gains.phi * t_diag * ps)
-    sn = math.sqrt(gains.rho_sn) * gains.phi_sn * comb(b * v)
-    wn = comb(w)
-
-    return np.concatenate([
-        t_diag.sum(axis=0),                     # complex mean accumulator
-        _abs_sq(t_diag).sum(axis=0),
-        _abs_sq(ui).sum(axis=0),
-        _abs_sq(sn).sum(axis=0),
-        _abs_sq(wn).sum(axis=0),
-    ]).reshape(5, k), n
+    # mean accumulator; self-coupling, interference, shot and AWGN energies
+    energy = _abs_sq(np.stack([t_diag, ui, z[..., 0], z[..., 1]])).sum(axis=1)
+    return np.vstack([t_diag.sum(axis=0), energy]), n
 
 
-def _run_chunks(scenario, gains, budget, method, threads):
-    if scenario.n_realizations < 100:
-        raise ValueError("need at least 100 realizations")
-    sizes = []
-    remaining = scenario.n_realizations
-    while remaining > 0:
-        sizes.append(min(CHUNK, remaining))
-        remaining -= CHUNK
-
-    def work(i):
-        return _chunk_stats(scenario, gains, budget, method, i, sizes[i])
-
-    if threads is None or threads <= 1:
-        results = [work(i) for i in range(len(sizes))]
+def _scale(method, gains, budget):
+    """Per-accumulator factors that turn gain-free sums into a gain table's."""
+    phi2 = abs(gains.phi) ** 2
+    shot = gains.rho_sn * abs(gains.phi_sn) ** 2 * budget.sigma_sq_sn
+    if method == "MRC":
+        factors = [np.conj(gains.phi), phi2, gains.rho * phi2**2,
+                   shot * phi2, budget.n_sum * phi2]
+    elif method == "ZF":
+        factors = [1.0 / gains.phi, 1.0 / phi2, 0.0,
+                   shot / phi2, budget.n_sum / phi2]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(len(sizes))))
-    return results
+        raise ValueError(f"unknown detection method {method!r}")
+    return np.array(factors, dtype=complex)[:, None]
+
+
+def _run_chunks(scenario, method, threads):
+    n = scenario.n_realizations
+    if n < 100:
+        raise ValueError("need at least 100 realizations")
+    sizes = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
+    work = partial(_chunk_stats, scenario, method)
+    if threads is None or threads <= 1:
+        return list(map(work, range(len(sizes)), sizes))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, range(len(sizes)), sizes))
 
 
 def _terms_from_sums(scenario, gains, sums, count):
@@ -545,6 +545,48 @@ def _terms_from_sums(scenario, gains, sums, count):
     }
 
 
+def _rate_from_terms(terms):
+    den = terms["ls"] + terms["ui"] + terms["sn"] + terms["n"]
+    with np.errstate(divide="ignore"):
+        sinr = np.where(den > 0.0, terms["ds"] / np.where(den > 0, den, 1.0),
+                        np.inf)
+    return sinr, np.log2(1.0 + sinr), bool(np.any(den == 0.0))
+
+
+def monte_carlo_rates(
+    scenario: MimoScenario,
+    tables: list[tuple[BasebandGains, NoiseBudget]],
+    method: str,
+    threads: int | None = None,
+) -> list[RateResult]:
+    """One ``RateResult`` per ``(gains, budget)`` table from a single set of
+    draws: the term moments are homogeneous in the gain table, so each table
+    rescales the same gain-free sums. Entry i is identical to
+    ``monte_carlo_rate(scenario, *tables[i], method)``."""
+    results = _run_chunks(scenario, method, threads)
+    sums = np.stack([r[0] for r in results], axis=1)  # (5, chunks, users)
+    counts = np.array([[r[1]] for r in results])
+    total, count = sums.sum(axis=1), int(counts.sum())
+    out = []
+    for gains, budget in tables:
+        factors = _scale(method, gains, budget)
+        terms = _terms_from_sums(scenario, gains, factors * total, count)
+        sinr, rate, capped = _rate_from_terms(terms)
+        se = np.zeros(scenario.n_users)
+        if len(counts) >= 2 and not capped:
+            # batch means: the rate of each chunk on its own
+            batch = _rate_from_terms(_terms_from_sums(
+                scenario, gains, factors[:, None] * sums, counts))[1]
+            se = batch.std(axis=0, ddof=1) / math.sqrt(len(counts))
+        bound = (sinr_lb_mrc(scenario, gains, budget) if method == "MRC"
+                 else sinr_lb_zf(scenario, gains, budget, form="moment"))
+        out.append(RateResult(
+            sinr=sinr, rate=rate, bound=bound.rate, n_samples=count,
+            standard_error=se, capped=capped, method=method, terms=terms,
+        ))
+    return out
+
+
 def monte_carlo_terms(
     scenario: MimoScenario,
     gains: BasebandGains,
@@ -553,18 +595,7 @@ def monte_carlo_terms(
     threads: int | None = None,
 ) -> dict:
     """Sample-averaged second moments of the five detection terms."""
-    results = _run_chunks(scenario, gains, budget, method, threads)
-    total = np.sum(np.stack([r[0] for r in results]), axis=0)
-    count = sum(r[1] for r in results)
-    return _terms_from_sums(scenario, gains, total, count)
-
-
-def _rate_from_terms(terms):
-    den = terms["ls"] + terms["ui"] + terms["sn"] + terms["n"]
-    with np.errstate(divide="ignore"):
-        sinr = np.where(den > 0.0, terms["ds"] / np.where(den > 0, den, 1.0),
-                        np.inf)
-    return sinr, np.log2(1.0 + sinr), bool(np.any(den == 0.0))
+    return monte_carlo_rates(scenario, [(gains, budget)], method, threads)[0].terms
 
 
 def monte_carlo_rate(
@@ -576,35 +607,7 @@ def monte_carlo_rate(
 ) -> RateResult:
     """Rate from sample-averaged term moments, with a batch-means standard
     error and the matching closed-form lower bound."""
-    results = _run_chunks(scenario, gains, budget, method, threads)
-    total = np.sum(np.stack([r[0] for r in results]), axis=0)
-    count = sum(r[1] for r in results)
-    sinr, rate, capped = _rate_from_terms(
-        _terms_from_sums(scenario, gains, total, count)
-    )
-
-    if len(results) >= 2 and not capped:
-        batch = np.stack([
-            _rate_from_terms(_terms_from_sums(scenario, gains, r[0], r[1]))[1]
-            for r in results
-        ])
-        se = batch.std(axis=0, ddof=1) / math.sqrt(len(results))
-    else:
-        se = np.zeros(scenario.n_users)
-
-    if method == "MRC":
-        bound = sinr_lb_mrc(scenario, gains, budget)
-    else:
-        bound = sinr_lb_zf(scenario, gains, budget, form="moment")
-    return RateResult(
-        sinr=sinr,
-        rate=rate,
-        bound=bound.rate,
-        n_samples=count,
-        standard_error=se,
-        capped=capped,
-        method=method,
-    )
+    return monte_carlo_rates(scenario, [(gains, budget)], method, threads)[0]
 
 
 def bound_violation_alarm(result: RateResult, bound_rate=None) -> bool:

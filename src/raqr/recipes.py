@@ -436,20 +436,16 @@ def rate_vs_parameter(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     attr = _SWEEP_TO_POWER[cfg.sweep.variable]
     beta = place_users(cfg)
     sc = _scenario(cfg, cfg.n_sensors, beta)
-    base = mimo.rf_baseline(sc, cfg.rf_noise_w)["mrc"]
-    base_gains, base_budget = mimo.rf_gains(cfg.rf_noise_w)
-    base_mc = mimo.monte_carlo_rate(sc, base_gains, base_budget, "MRC",
-                                    threads=threads)
+    xs = [float(x) for x in cfg.sweep.values()]
+    # the baseline and every sweep point share one set of channel draws
+    tables = [mimo.rf_gains(cfg.rf_noise_w)] + [
+        _gains_budget(cfg, with_powers(cfg.op, **{attr: x})) for x in xs]
+    base_mc, *results = mimo.monte_carlo_rates(sc, tables, "MRC", threads)
     base_rate = float(base_mc.rate.mean())
-    base_bound = float(base.rate.mean())
-    rows = []
-    for x in cfg.sweep.values():
-        op = with_powers(cfg.op, **{attr: float(x)})
-        gains, budget = _gains_budget(cfg, op)
-        res = mimo.monte_carlo_rate(sc, gains, budget, "MRC", threads=threads)
-        rows.append((float(x), float(res.rate.mean()),
-                     _mean_se(res.standard_error), float(res.bound.mean()),
-                     base_rate, base_bound))
+    base_bound = float(base_mc.bound.mean())
+    rows = [(x, float(res.rate.mean()), _mean_se(res.standard_error),
+             float(res.bound.mean()), base_rate, base_bound)
+            for x, res in zip(xs, results)]
     annotations = []
     summary = {"baseline_bound_bpshz": base_bound}
     if attr in ("p_lo", "p0"):

@@ -378,3 +378,25 @@ def test_criterion_11_thread_determinism(tmp_path, capsys):
     _finish(11, t0, 120.0,
             f"recipe CSV byte-identical at 1 vs 4 threads "
             f"({len(blobs[0])} bytes)")
+
+
+def test_rate_vs_parameter_thread_determinism(tmp_path, capsys):
+    # the sweep shares one set of draws across every gain table; the thread
+    # count must not change the CSV either
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "recipe: rate-vs-parameter\n"
+        "array:\n  realizations: 300\n"
+        "sweep:\n  variable: lo_power_w\n  start: 1.0e-07\n"
+        "  stop: 1.0e-04\n  points: 3\n  scale: log\n",
+        encoding="utf-8",
+    )
+    blobs = []
+    for threads, sub in (("1", "a"), ("4", "b")):
+        rc = cli.main(["run", "rate-vs-parameter", "--config", str(cfg),
+                       "--out", str(tmp_path / sub), "--threads", threads])
+        assert rc == 0
+        blobs.append((tmp_path / sub / "rate-vs-parameter.csv").read_bytes())
+    capsys.readouterr()
+    assert blobs[0].count(b"\n") == 5  # fingerprint, header, three points
+    assert blobs[0] == blobs[1]

@@ -1,11 +1,14 @@
 """Array model: channel statistics, detection decomposition, closed-form
 bounds, Monte-Carlo agreement, baseline, and the crossover threshold."""
 
+import cmath
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raqr import defaults, mimo
 from raqr.frontend import baseband_gains, noise_budget, with_powers
@@ -176,6 +179,17 @@ class TestCombiner:
         h = mimo.gen_channel(sc, rng)
         with pytest.raises(ValueError):
             mimo.combiner(h, sc, gains, "MMSE")
+
+    def test_one_rank_policy_for_snapshot_and_engine(self, gains, budget, rng):
+        # a user 140 dB below the other: invertible in exact arithmetic,
+        # refused by both zero-forcing paths alike
+        sc = defaults.default_scenario(16, 2, n_realizations=256,
+                                       beta=[1.0, 1e-14])
+        h = mimo.gen_channel(sc, rng)
+        with pytest.raises(mimo.RankDeficient):
+            mimo.combiner(h, sc, gains, "ZF")
+        with pytest.raises(mimo.RankDeficient):
+            mimo.monte_carlo_rate(sc, gains, budget, "ZF")
 
 
 class TestDetect:
@@ -403,6 +417,21 @@ class TestCrossover:
                 defaults.bcod_point(), chain, system, self.SIGMA, sweep="pc"
             )
 
+    def test_each_grid_point_evaluated_once(self, monkeypatch):
+        from raqr.optimize import normalized_noise
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return normalized_noise(*args)
+
+        monkeypatch.setattr(mimo, "normalized_noise", counted)
+        mimo.crossover_threshold(defaults.bcod_point(), defaults.default_chain(),
+                                 defaults.cesium_system(), self.SIGMA)
+        # 128 grid points plus the bisection steps
+        assert 128 < len(calls) <= 136
+
 
 class TestMonteCarlo:
     def test_moments_match_closed_forms_mrc(self, gains, budget):
@@ -474,3 +503,70 @@ class TestMonteCarlo:
             ratios.append(float(((mc["ls"] + mc["ui"]) / mc["ds"])[0]))
         slope = np.polyfit(np.log(sizes), np.log(ratios), 1)[0]
         assert abs(slope + 1.0) < 0.05
+
+
+# The engine reads five numbers from a gain table, so the draws cover the
+# whole complex plane for phi and phi_sn, not only the box BasebandGains
+# enforces for physical chains (|phi| <= 1, |phi_sn| = 1).
+_MAG = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+_NONNEG = st.one_of(st.just(0.0), _MAG)
+_ANGLE = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def gain_tables(draw):
+    gains = SimpleNamespace(
+        rho=draw(_NONNEG), rho_sn=draw(_NONNEG),
+        phi=draw(_MAG) * cmath.exp(1j * draw(_ANGLE)),
+        phi_sn=draw(_NONNEG) * cmath.exp(1j * draw(_ANGLE)),
+    )
+    budget = SimpleNamespace(sigma_sq_sn=draw(_NONNEG), n_sum=draw(_NONNEG))
+    return gains, budget
+
+
+UNIT_TABLE = (SimpleNamespace(rho=1.0, rho_sn=1.0, phi=1.0 + 0j, phi_sn=1.0 + 0j),
+              SimpleNamespace(sigma_sq_sn=1.0, n_sum=1.0))
+# two chunks, so the batch-means standard error is exercised too
+TABLE_SCENARIO = defaults.default_scenario(8, 2, n_realizations=300, seed=11,
+                                           beta=1.0)
+
+
+# an all-zero table makes the closed-form bound 0/0
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestGainTables:
+    @settings(max_examples=40, deadline=None)
+    @given(tables=st.lists(gain_tables(), min_size=1, max_size=4),
+           method=st.sampled_from(["MRC", "ZF"]), data=st.data())
+    def test_each_table_matches_a_single_table_run(self, tables, method, data):
+        order = data.draw(st.permutations(range(len(tables))))
+        batch = mimo.monte_carlo_rates(TABLE_SCENARIO,
+                                       [tables[i] for i in order], method)
+        assert len(batch) == len(tables)
+        for i, res in zip(order, batch):
+            one = mimo.monte_carlo_rate(TABLE_SCENARIO, *tables[i], method)
+            for name in ("sinr", "rate", "bound", "standard_error"):
+                assert np.array_equal(getattr(res, name), getattr(one, name),
+                                      equal_nan=True), name
+            assert (res.capped, res.n_samples) == (one.capped, one.n_samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=gain_tables(), method=st.sampled_from(["MRC", "ZF"]))
+    def test_terms_scale_as_closed_form_exponents(self, table, method):
+        gains, budget = table
+        ref = mimo.monte_carlo_terms(TABLE_SCENARIO, *UNIT_TABLE, method)
+        got = mimo.monte_carlo_terms(TABLE_SCENARIO, gains, budget, method)
+        phi2 = abs(gains.phi) ** 2
+        shot = gains.rho_sn * abs(gains.phi_sn) ** 2 * budget.sigma_sq_sn
+        if method == "MRC":
+            signal = gains.rho * phi2**2
+            scale = {"ds": signal, "ls": signal, "ui": signal,
+                     "sn": shot * phi2, "n": budget.n_sum * phi2}
+        else:
+            scale = {"ds": gains.rho, "sn": shot / phi2,
+                     "n": budget.n_sum / phi2}
+            # exact interference cancellation: only rounding is left
+            assert np.all(got["ls"] <= 1e-12 * got["ds"])
+            assert np.all(got["ui"] == 0.0)
+        for key, factor in scale.items():
+            expected = factor * ref[key]
+            assert np.all(np.abs(got[key] - expected) <= 1e-12 * expected), key
