@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.constants import elementary_charge, hbar, speed_of_light
 
 from .atomic import AtomicSystem
+from .defaults import E_A0, n_atoms, responsivity
 from .frontend import DetectionChain, OperatingPoint
 
 _CONFIG_DIR = Path(__file__).with_name("configs")
@@ -264,7 +264,6 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
             raise ValidationError(name, "required section missing")
 
     atomic = si["atomic"]
-    ea0 = 8.478353625e-30
     lambda_p = _require(atomic, "atomic", "probe_wavelength_nm")
     l_cell = _require(atomic, "atomic", "cell_length_mm")
     n0 = _require(atomic, "atomic", "density_per_m3")
@@ -287,12 +286,10 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
         raise ValidationError("operating_point.beat_freq_khz",
                               "must sit between zero and the carrier")
 
-    # atom count illuminated by the probe column, derived not configured
-    n_atoms = n0 * math.pi * (fwhm_p / 2.0) ** 2 * l_cell
     system = AtomicSystem(
-        mu12=_require(atomic, "atomic", "probe_dipole_ea0") * ea0,
+        mu12=_require(atomic, "atomic", "probe_dipole_ea0") * E_A0,
         mu23=_require(atomic, "atomic", "dressing_dipole_cm"),
-        mu34=_require(atomic, "atomic", "rf_dipole_ea0") * ea0,
+        mu34=_require(atomic, "atomic", "rf_dipole_ea0") * E_A0,
         gamma2=2.0 * math.pi * _require(atomic, "atomic", "probe_linewidth_mhz") * 1e6,
         gamma3=0.0,
         gamma4=0.0,
@@ -302,7 +299,8 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
         l_cell=l_cell,
         lambda_p=lambda_p,
         t2=_require(atomic, "atomic", "dephasing_time_us"),
-        n_atoms=n_atoms,
+        # atom count illuminated by the probe column, derived not configured
+        n_atoms=n_atoms(n0, fwhm_p, l_cell),
     )
 
     op = OperatingPoint(
@@ -321,10 +319,9 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
     eta = _require(det, "detection", "quantum_efficiency")
     if not 0.0 < eta <= 1.0:
         raise ValidationError("detection.quantum_efficiency", "must be in (0, 1]")
-    f_probe = speed_of_light / lambda_p
     chain = DetectionChain(
         g=_require(det, "detection", "gain"),
-        alpha=eta * elementary_charge / (2.0 * math.pi * hbar * f_probe),
+        alpha=responsivity(eta, lambda_p),
         z0=_require(det, "detection", "impedance_ohm"),
         bw=_require(det, "detection", "bandwidth_khz"),
         temperature=_require(det, "detection", "temperature_k"),

@@ -12,12 +12,24 @@ from __future__ import annotations
 
 import math
 
-from scipy.constants import elementary_charge, hbar
+from scipy.constants import elementary_charge, hbar, speed_of_light
 
 from .atomic import AtomicSystem, DriveConfig
 from .frontend import DetectionChain, OperatingPoint, UserSignal, rabi_coefficients
 
 E_A0 = 8.478353625e-30  # one atomic unit of dipole moment, C*m
+
+
+def n_atoms(n0: float, fwhm_p: float, l_cell: float) -> float:
+    """Atoms in the probe-illuminated column of the cell."""
+    return n0 * math.pi * (fwhm_p / 2.0) ** 2 * l_cell
+
+
+def responsivity(eta: float, lambda_p: float) -> float:
+    """Photodetector responsivity eta q / (h f) in A/W."""
+    f_probe = speed_of_light / lambda_p
+    return eta * elementary_charge / (2.0 * math.pi * hbar * f_probe)
+
 
 MU12 = 4.4786 * E_A0            # Cs D2 cycling transition
 MU23 = 4.0e-31                  # 6P3/2 -> 47D5/2, weak Rydberg excitation
@@ -30,11 +42,10 @@ T2 = 1.0e-5                     # EIT coherence time, s
 FWHM_P = 2.0e-3
 FWHM_C = 2.6e-3
 A_E = 1.5e-4                    # effective RF aperture, m^2
-N_ATOMS = N0 * math.pi * (FWHM_P / 2.0) ** 2 * L_CELL  # probe-illuminated atoms
+N_ATOMS = n_atoms(N0, FWHM_P, L_CELL)
 
 ETA1 = 0.8                      # photodetector quantum efficiency
-F_PROBE = 2.99792458e8 / LAMBDA_P
-ALPHA = ETA1 * elementary_charge / (2.0 * math.pi * hbar * F_PROBE)  # ~0.55 A/W
+ALPHA = responsivity(ETA1, LAMBDA_P)  # ~0.55 A/W
 
 F_CARRIER = 6.9458e9            # user carrier / LO frequency, Hz
 BANDWIDTH = 1.5e5               # detection bandwidth, Hz
@@ -149,7 +160,7 @@ def weak_user(ratio_db: float, op: OperatingPoint, *, theta_x: float = 0.0,
     )
 
 
-LAMBDA_LO = 2.99792458e8 / F_CARRIER   # free-space LO wavelength, ~4.3 cm
+LAMBDA_LO = speed_of_light / F_CARRIER  # free-space LO wavelength, ~4.3 cm
 
 USER_DISTANCE = 1500.0                 # base-station-to-user range, m
 

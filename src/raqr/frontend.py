@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import Boltzmann, epsilon_0, hbar, speed_of_light
+from scipy.constants import Boltzmann, elementary_charge, epsilon_0, hbar, speed_of_light
 
 from .atomic import AtomicSystem, ZeroProbe, chi_prime_resonant
 
@@ -86,8 +86,7 @@ class DetectionChain:
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.sigma_sq_sn is None:
-            q = 1.602176634e-19
-            object.__setattr__(self, "sigma_sq_sn", 2.0 * q * self.bw)
+            object.__setattr__(self, "sigma_sq_sn", 2.0 * elementary_charge * self.bw)
         elif self.sigma_sq_sn < 0:
             raise ValueError("sigma_sq_sn must be >= 0")
 
@@ -343,43 +342,57 @@ def envelope_approx_error(ratio_db: float, f_delta: float, n_periods: int) -> fl
 # gain table and noise budget
 
 
+def scheme_powers(op: OperatingPoint, p1):
+    """The scheme's gain, signal-dependent shot-noise and DC shot-noise
+    powers at transmitted probe power p1 (a float, or an array of samples).
+
+    Returns (p_g^2, p_sn^2, p_cn); p_sn^2 / p_g^2 as a reduced fraction
+    (num, den), left undivided so callers can rule out p_g^2 = 0 first; and
+    the elasticities e = d ln / d ln p1 as (e_g, e_sn - e_g, e_cn - e_g):
+
+                  p_g^2   p_sn^2           p_cn     num  den          e
+        direct    p1^2    p1               p1       1    p1           2, -1, -1
+        balanced  pl p1   p1^2/(pl + p1)   pl + p1  p1   pl (pl+p1)   1, g, -g
+
+    with the load factor g = pl / (pl + p1), unrounded by 1 +- g.
+    """
+    if op.scheme == "DIOD":
+        return (p1**2, p1, p1), (1.0, p1), (2.0, -1.0, -1.0)
+    p_cn = op.pl + p1
+    gamma = op.pl / p_cn
+    return (op.pl * p1, p1**2 / p_cn, p_cn), (p1, op.pl * p_cn), (1.0, gamma, -gamma)
+
+
 def baseband_gains(
     op: OperatingPoint, chain: DetectionChain, system: AtomicSystem
 ) -> BasebandGains:
     """Scheme-dependent complex-baseband gain table.
 
-    rho   = 4 G Z0 alpha^2 * {P1^2 k^2          | Pl P1 k^2}
-    rho_sn =  G Z0 alpha   * {P1 k^2            | P1^2 k^2 / (Pl + P1)}
-    Phi   = e^{-j theta_LO} * {1                | cos(varphi)}
-    with varphi = phi_l - phi_p(Omega_LO) + psi_p (0 for the direct scheme;
-    psi_p = 0 at resonance where Re chi' = 0).
+    rho    = 4 G Z0 alpha^2 p_g^2 k^2,  rho_sn = G Z0 alpha p_sn^2 k^2,
+    Phi    = e^{-j theta_LO} cos(varphi),
+    with the powers from ``scheme_powers`` and varphi = phi_l - phi_p(Omega_LO)
+    + psi_p (0 for the direct scheme; psi_p = 0 at resonance where
+    Re chi' = 0).
     """
-    if op.scheme == "BCOD" and op.pl <= 0.0:
-        raise MissingLocalBeam("balanced detection requires pl > 0")
-    p1 = p1_of_lo(op, system)
-    kap = kappa_of_point(op, system)
     phi_sn = cmath.exp(-1j * op.theta_lo)
-    gz = chain.g * chain.z0
     if op.scheme == "DIOD":
-        varphi = 0.0
-        p_g = p1
-        p_sn_sq = p1
-        p_cn = p1
-        phi = phi_sn
+        varphi, phi = 0.0, phi_sn
+    elif op.pl <= 0.0:
+        raise MissingLocalBeam("balanced detection requires pl > 0")
     else:
         # phi_p(Omega_LO) = phi0 at resonance (Re chi = 0 for any RF level).
         varphi = op.phi_l - op.phi0
-        p_g = math.sqrt(op.pl * p1)
-        p_sn_sq = p1**2 / (op.pl + p1)
-        p_cn = op.pl + p1
         phi = math.cos(varphi) * phi_sn
+    (p_g_sq, p_sn_sq, p_cn), _, _ = scheme_powers(op, p1_of_lo(op, system))
+    kap = kappa_of_point(op, system)
+    gz = chain.g * chain.z0
     return BasebandGains(
-        rho=4.0 * gz * chain.alpha**2 * p_g**2 * kap**2,
+        rho=4.0 * gz * chain.alpha**2 * p_g_sq * kap**2,
         rho_sn=gz * chain.alpha * p_sn_sq * kap**2,
         phi=phi,
         phi_sn=phi_sn,
         kappa=kap,
-        p_g=p_g,
+        p_g=math.sqrt(p_g_sq),
         p_sn_bar_sq=p_sn_sq,
         p_cn_bar=p_cn,
         varphi=varphi,

@@ -143,8 +143,9 @@ class BoundResult:
 class RateResult:
     """Monte-Carlo rate with its closed-form lower bound.
 
-    ``capped`` flags users whose sampled denominator was exactly zero
-    (noiseless inversion), where the SINR and rate are reported as inf.
+    ``capped`` flags users whose positive desired signal meets an exactly
+    zero denominator (noiseless inversion): SINR, rate (and, for a capped
+    chunk, the standard error) are inf there; no desired signal gives 0.
     ``terms`` holds the five sampled term moments the rate is built from.
     """
 
@@ -320,6 +321,15 @@ def closed_form_moments(
     }
 
 
+def _sinr(num, den):
+    """(num / den, any capped): no desired signal is SINR 0, and a positive
+    signal over a zero denominator is inf (capped)."""
+    capped = (num > 0.0) & (den == 0.0)
+    ratio = num / np.where(den > 0.0, den, 1.0)
+    sinr = np.where(num > 0.0, np.where(capped, np.inf, ratio), 0.0)
+    return sinr, bool(np.any(capped))
+
+
 def sinr_lb_mrc(
     scenario: MimoScenario, gains: BasebandGains, budget: NoiseBudget
 ) -> BoundResult:
@@ -331,7 +341,7 @@ def sinr_lb_mrc(
     shot = budget.sigma_sq_sn * gains.rho_sn * phi_sn2
     num = scenario.n_sensors * gains.rho * phi2 * pb
     den = pb.sum() * (gains.rho * phi2 + shot) + shot * pb + budget.n_sum
-    sinr = num / den
+    sinr, _ = _sinr(num, den)
     return BoundResult(sinr=sinr, rate=np.log2(1.0 + sinr))
 
 
@@ -360,8 +370,7 @@ def sinr_lb_zf(
     shot = budget.sigma_sq_sn * gains.rho_sn * phi_sn2 / m
     num = 4.0 * (m - k) * gains.rho * phi2 * pb
     den = shot * (pb * (m - k) + pb.sum() * (m - 1)) + budget.n_sum
-    with np.errstate(divide="ignore"):
-        sinr = num / den
+    sinr, _ = _sinr(num, den)
     if form == "moment":
         sinr = sinr / 4.0
     return BoundResult(sinr=sinr, rate=np.log2(1.0 + sinr))
@@ -547,10 +556,8 @@ def _terms_from_sums(scenario, gains, sums, count):
 
 def _rate_from_terms(terms):
     den = terms["ls"] + terms["ui"] + terms["sn"] + terms["n"]
-    with np.errstate(divide="ignore"):
-        sinr = np.where(den > 0.0, terms["ds"] / np.where(den > 0, den, 1.0),
-                        np.inf)
-    return sinr, np.log2(1.0 + sinr), bool(np.any(den == 0.0))
+    sinr, capped = _sinr(terms["ds"], den)
+    return sinr, np.log2(1.0 + sinr), capped
 
 
 def monte_carlo_rates(
@@ -577,7 +584,9 @@ def monte_carlo_rates(
             # batch means: the rate of each chunk on its own
             batch = _rate_from_terms(_terms_from_sums(
                 scenario, gains, factors[:, None] * sums, counts))[1]
-            se = batch.std(axis=0, ddof=1) / math.sqrt(len(counts))
+            with np.errstate(invalid="ignore"):
+                se = batch.std(axis=0, ddof=1) / math.sqrt(len(counts))
+            se[np.isinf(batch).any(axis=0)] = np.inf
         bound = (sinr_lb_mrc(scenario, gains, budget) if method == "MRC"
                  else sinr_lb_zf(scenario, gains, budget, form="moment"))
         out.append(RateResult(

@@ -5,7 +5,7 @@ power: four mechanism terms (signal-dependent shot, DC shot, thermal,
 atom-projection), each weighted by a NoiseWeights coefficient and divided
 by the squared demodulation gain, with the field-independent mechanisms
 also divided by the squared transduction slope. The scheme-dependent
-gain-table powers enter through baseband_gains.
+optical powers and their elasticities come from frontend.scheme_powers.
 Each single-mechanism term admits a closed-form stationary point in the
 coupling power and in the LO power; the probe power is solved by Newton on
 the analytic derivative. Grid oracles in the test suite validate every
@@ -30,6 +30,7 @@ from .frontend import (
     p1_of_lo,
     absorption_strength,
     rabi_coefficients,
+    scheme_powers,
     with_powers,
 )
 
@@ -45,7 +46,8 @@ class SaturatedAtZero(Exception):
 
 
 class MaxIterations(Exception):
-    """Neither Newton nor the bisection fallback converged."""
+    """Newton with its bisection fallback, or the load-factor fixed point,
+    did not converge."""
 
 
 @dataclass(frozen=True)
@@ -112,36 +114,23 @@ class DesignResult:
 # the functional
 
 
-def _gain_table_powers(op, system):
-    p1 = p1_of_lo(op, system)
-    if op.scheme == "DIOD":
-        return p1**2, p1, p1
-    return op.pl * p1, p1**2 / (op.pl + p1), op.pl + p1
-
-
 def normalized_noise(
-    op: OperatingPoint,
-    weights: NoiseWeights,
-    system: AtomicSystem,
-    chain: DetectionChain | None = None,
+    op: OperatingPoint, weights: NoiseWeights, system: AtomicSystem
 ) -> float:
-    """Evaluate the noise functional at an operating point.
-
-    ``chain`` is accepted for call-site parity with the budget functions;
-    the functional itself depends only on the optical state and weights.
-    """
+    """Evaluate the noise functional at an operating point:
+    W = w_sn p_sn^2/p_g^2 + (w_cn p_cn + w_tn) / (p_g^2 kappa^2) + w_qpn."""
     kappa = kappa_of_point(op, system)
     if kappa == 0.0 and (weights.dc_shot + weights.thermal) > 0.0:
         raise DivergentNoise("transduction slope is zero; DC-shot and thermal "
                              "terms are unbounded")
-    pg_sq, psn_sq, pcn = _gain_table_powers(op, system)
+    (pg_sq, _, pcn), (num, den), _ = scheme_powers(op, p1_of_lo(op, system))
     if pg_sq == 0.0:
         # probe fully absorbed (or no local beam): infinitely noisy, not an
         # error, so grids and line searches can step through opaque regions
         if (weights.sig_shot + weights.dc_shot + weights.thermal) > 0.0:
             return math.inf
         return weights.projection
-    w = weights.sig_shot * psn_sq / pg_sq + weights.projection
+    w = weights.sig_shot * (num / den) + weights.projection
     if kappa > 0.0:
         w += (weights.dc_shot * pcn + weights.thermal) / (pg_sq * kappa**2)
     return w
@@ -163,31 +152,26 @@ def _power_invariants(op, system):
     return a12, a23, a34, s, u, ell, strength, sat
 
 
-def _gamma_factor(op, system):
-    if op.scheme == "DIOD":
-        return 1.0
-    return op.pl / (op.pl + p1_of_lo(op, system))
-
-
 def _fixed_point(op, system, candidate_of_gamma, update):
-    """Iterate the load factor to self-consistency.
-
-    The balanced scheme's load factor depends on the transmitted probe
-    power at the optimum being solved for, so the closed form is refined
-    by fixed-point iteration (relative change < 1e-8, at most 50 passes).
+    """Iterate the load factor e_g - e_cn (1 direct, pl / (pl + p1)
+    balanced) to self-consistency: it depends on the transmitted probe power
+    at the optimum being solved for, so the closed form is refined until the
+    relative change is < 1e-8, or MaxIterations after 50 passes.
     """
-    gamma = _gamma_factor(op, system)
-    result = candidate_of_gamma(gamma)
+    def load(o):
+        return -scheme_powers(o, p1_of_lo(o, system))[2][2]
+
+    gamma = load(op)
     for _ in range(50):
+        result = candidate_of_gamma(gamma)
         if result.clamped:
             return result
-        gamma_new = _gamma_factor(update(op, result.power), system)
-        converged = abs(gamma_new - gamma) <= 1e-8 * gamma
+        gamma_new = load(update(op, result.power))
+        if abs(gamma_new - gamma) <= 1e-8 * gamma:
+            return candidate_of_gamma(gamma_new)
         gamma = gamma_new
-        result = candidate_of_gamma(gamma)
-        if converged:
-            break
-    return result
+    raise MaxIterations(
+        f"load factor not self-consistent after 50 passes; last {gamma:.6e}")
 
 
 def optimal_pc_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
@@ -271,35 +255,22 @@ def optimal_pl(chain: DetectionChain, p1_at_lo: float, pl_max: float) -> float:
 # probe power by Newton on the analytic derivative
 
 
-def _w_terms(op, weights, system):
-    p1 = p1_of_lo(op, system)
+def _dw_dp0(op, weights, system):
+    """Analytic derivative of the noise functional in p0: the log-slope of
+    each ratio p_sn^2/p_g^2, p_cn/(p_g^2 kappa^2), 1/(p_g^2 kappa^2) is its
+    p1-elasticity times d ln p1/d p0, less 2 d ln kappa/d p0 where kappa
+    enters."""
     kappa = kappa_of_point(op, system)
     if kappa == 0.0:
         raise DivergentNoise("transduction slope is zero at p_lo = 0")
-    if op.scheme == "DIOD":
-        f1 = 1.0 / p1
-        f2 = 1.0 / (p1 * kappa**2)
-        f3 = 1.0 / (p1**2 * kappa**2)
-    else:
-        f1 = p1 / (op.pl * (op.pl + p1))
-        f2 = (op.pl + p1) / (op.pl * p1 * kappa**2)
-        f3 = 1.0 / (op.pl * p1 * kappa**2)
-    return p1, f1, f2, f3
-
-
-def _dw_dp0(op, weights, system):
-    """Analytic derivative of the noise functional in p0, from the
-    log-derivative tables."""
-    p1, f1, f2, f3 = _w_terms(op, weights, system)
+    powers, (num, den), (e_g, de_sn, de_cn) = scheme_powers(op, p1_of_lo(op, system))
+    pg_sq, _, pcn = powers
+    gk_sq = pg_sq * kappa**2
     _, _, l1 = dlnp1(op, system)
     _, _, lk = dlnkappa(op, system)
-    if op.scheme == "DIOD":
-        g1, g2, g3 = -l1, -(l1 + 2.0 * lk), -(2.0 * l1 + 2.0 * lk)
-    else:
-        gamma = op.pl / (op.pl + p1)
-        g1, g2, g3 = gamma * l1, -(gamma * l1 + 2.0 * lk), -(l1 + 2.0 * lk)
-    return (weights.sig_shot * f1 * g1 + weights.dc_shot * f2 * g2
-            + weights.thermal * f3 * g3)
+    return (weights.sig_shot * (num / den) * (de_sn * l1)
+            + weights.dc_shot * (pcn / gk_sq) * (de_cn * l1 - 2.0 * lk)
+            + weights.thermal * (1.0 / gk_sq) * (-e_g * l1 - 2.0 * lk))
 
 
 def _penalty_slope(penalty, p0):

@@ -38,6 +38,7 @@ from .frontend import (
     p1_of_lo,
     rabi_coefficients,
     rf_field_amplitude,
+    scheme_powers,
 )
 
 
@@ -115,14 +116,6 @@ def _detector_current(p1_t, phase_t, op, chain):
     return 2.0 * chain.alpha * np.sqrt(op.pl * p1_t) * np.cos(op.phi_l - phase_t)
 
 
-def _noise_envelope_current(p1_t, op, chain):
-    """Current whose square root scales the shot noise (summed over both
-    detectors for the balanced scheme)."""
-    if op.scheme == "DIOD":
-        return chain.alpha * p1_t
-    return chain.alpha * (op.pl + p1_t)
-
-
 def simulate_waveform(
     op: OperatingPoint,
     chain: DetectionChain,
@@ -174,19 +167,13 @@ def simulate_waveform(
     p1_t, phase_t = _exact_transmission(omega_rf_t, op, system, rho_solver)
     i_exact = _detector_current(p1_t, phase_t, op, chain)
 
-    # linearized chain around the LO-only level
+    # linearized chain around the LO-only level; e_g: d ln p_g^2 / d ln p1
     p1_lo = p1_of_lo(op, system)
-    kappa = kappa_of_point(op, system)
-    if op.scheme == "DIOD":
-        i_approx = chain.alpha * p1_lo * (1.0 - 2.0 * kappa * u_x * cos_b)
-        i_dc = chain.alpha * p1_lo
-    else:
-        i_dc = 2.0 * chain.alpha * math.sqrt(op.pl * p1_lo) * math.cos(
-            op.phi_l - op.phi0
-        )
-        i_approx = i_dc * (1.0 - kappa * u_x * cos_b)
+    (_, _, p_cn_lo), _, (e_g, _, _) = scheme_powers(op, p1_lo)
+    i_dc = _detector_current(p1_lo, op.phi0, op, chain)
+    i_approx = i_dc * (1.0 - e_g * kappa_of_point(op, system) * u_x * cos_b)
 
-    i_env = _noise_envelope_current(p1_t, op, chain)
+    i_env = chain.alpha * scheme_powers(op, p1_t)[0][2]  # shot-noise current
     if np.max(i_env) > chain.i_sat:
         raise Saturation(
             f"photocurrent {np.max(i_env):.3e} A exceeds i_sat {chain.i_sat:.3e} A"
@@ -199,8 +186,7 @@ def simulate_waveform(
     xi_minus = rng.normal(0.0, sigma_xi, n)
     xi = xi_plus if op.scheme == "DIOD" else (xi_plus - xi_minus) / math.sqrt(2.0)
 
-    i_env_lo = _noise_envelope_current(np.array(p1_lo), op, chain)
-    cn = xi * math.sqrt(g_eff * float(i_env_lo))
+    cn = xi * math.sqrt(g_eff * (chain.alpha * p_cn_lo))
     sn = xi * np.sqrt(g_eff * i_env) - cn
 
     sqrt_g = math.sqrt(g_eff)

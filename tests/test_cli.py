@@ -206,6 +206,21 @@ class TestDerivedQuantities:
                 getattr(chain, name), rel=1e-12
             )
 
+    def test_builds_equal_objects_through_the_factories(self, default_cfg):
+        # the config derives e*a0, the atom count and the responsivity with
+        # the defaults helpers, so only the two values that pass through a
+        # unit scale (nm -> m, us -> s) need handing over for exact equality
+        lambda_p, t2 = default_cfg.system.lambda_p, default_cfg.system.t2
+        assert default_cfg.system == defaults.cesium_system(
+            lambda_p=lambda_p, t2=t2
+        )
+        assert default_cfg.chain == defaults.default_chain(
+            alpha=defaults.responsivity(defaults.ETA1, lambda_p)
+        )
+        assert default_cfg.system.n_atoms == defaults.n_atoms(
+            defaults.N0, default_cfg.op.fwhm_p, defaults.L_CELL
+        )
+
 
 class TestGeometry:
     def test_zero_radius_pins_users(self, tmp_path):

@@ -22,6 +22,7 @@ from raqr.frontend import (
     probe_output,
     rabi_coefficients,
     rf_field_amplitude,
+    scheme_powers,
     sn_reference_term,
     with_powers,
 )
@@ -263,6 +264,35 @@ class TestGainTable:
             else:
                 rhs = (p1**2 / (op.pl + p1)) / (4.0 * chain.alpha * op.pl * p1)
             assert rel_err(lhs, rhs) <= 1e-12
+
+
+_LOG_POWER = st.floats(-100.0, -1.0).map(lambda e: 10.0**e)
+
+
+class TestSchemePowers:
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.sampled_from(["DIOD", "BCOD"]), p1=_LOG_POWER,
+           pl=st.floats(-6.0, -1.0).map(lambda e: 10.0**e))
+    def test_elasticities_match_finite_differences(self, scheme, p1, pl):
+        op = defaults.default_point(scheme, **({"pl": pl} if scheme == "BCOD" else {}))
+        powers, (num, den), (e_g, de_sn, de_cn) = scheme_powers(op, p1)
+        tau = 1e-4
+        up = scheme_powers(op, p1 * math.exp(tau))[0]
+        dn = scheme_powers(op, p1 * math.exp(-tau))[0]
+        for e, u, d in zip((e_g, e_g + de_sn, e_g + de_cn), up, dn):
+            fd = (math.log(u) - math.log(d)) / (2.0 * tau)
+            assert abs(e - fd) <= 1e-7  # elasticities lie in [0, 2]
+        assert rel_err(num / den, powers[1] / powers[0]) <= 1e-15
+
+    @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
+    def test_arrays_match_scalars(self, scheme):
+        op = defaults.default_point(scheme)
+        p1 = np.geomspace(1e-9, 1e-1, 7)
+        powers, fraction, elasticities = scheme_powers(op, p1)
+        for i, x in enumerate(p1):
+            one = scheme_powers(op, float(x))
+            for got, want in zip((powers, fraction, elasticities), one):
+                assert [np.broadcast_to(g, p1.shape)[i] for g in got] == list(want)
 
 
 class TestNoiseBudget:

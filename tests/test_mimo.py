@@ -531,8 +531,6 @@ TABLE_SCENARIO = defaults.default_scenario(8, 2, n_realizations=300, seed=11,
                                            beta=1.0)
 
 
-# an all-zero table makes the closed-form bound 0/0
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestGainTables:
     @settings(max_examples=40, deadline=None)
     @given(tables=st.lists(gain_tables(), min_size=1, max_size=4),
@@ -570,3 +568,18 @@ class TestGainTables:
         for key, factor in scale.items():
             expected = factor * ref[key]
             assert np.all(np.abs(got[key] - expected) <= 1e-12 * expected), key
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["MRC", "ZF"])
+    def test_zero_signal_table_has_zero_rate(self, method):
+        # no desired signal and a zero denominator: SINR 0, not inf or NaN,
+        # on the sampled and the closed-form path alike
+        gains = SimpleNamespace(rho=0.0, rho_sn=0.0, phi=1.0 + 0j, phi_sn=1.0 + 0j)
+        budget = SimpleNamespace(sigma_sq_sn=0.0, n_sum=0.0)
+        res = mimo.monte_carlo_rate(TABLE_SCENARIO, gains, budget, method)
+        assert not res.capped
+        for values in (res.sinr, res.rate, res.bound, res.standard_error):
+            assert np.array_equal(values, np.zeros(TABLE_SCENARIO.n_users))
+        bound = (mimo.sinr_lb_mrc(TABLE_SCENARIO, gains, budget) if method == "MRC"
+                 else mimo.sinr_lb_zf(TABLE_SCENARIO, gains, budget))
+        assert np.array_equal(bound.sinr, np.zeros(TABLE_SCENARIO.n_users))

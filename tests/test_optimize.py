@@ -4,26 +4,31 @@ search, regime classification, and the report generator."""
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from raqr import defaults
+from raqr import defaults, optimize
 from raqr.frontend import (
     NoiseBudget,
     baseband_gains,
+    kappa_of_point,
     noise_budget,
     p1_of_lo,
+    scheme_powers,
     sn_reference_term,
     with_powers,
 )
 from raqr.optimize import (
     DivergentNoise,
+    MaxIterations,
     NoiseWeights,
     SaturatedAtZero,
+    StationaryPower,
     classify_at,
     classify_regime,
     design_report,
@@ -280,6 +285,18 @@ class TestStationaryFormulas:
         star = optimal_pc_cn(thin_diod(), THIN)
         assert float(star) == star.power
 
+    def test_fixed_point_raises_when_load_factor_oscillates(self, bcod, system):
+        # a local beam of 10 p1 has load factor 10/11 and one of p1/10 has
+        # 1/11; a candidate that answers each with the other never settles
+        p1 = p1_of_lo(bcod, system)
+
+        def candidate(gamma):
+            return StationaryPower(p1 / 10.0 if gamma > 0.5 else 10.0 * p1)
+
+        with pytest.raises(MaxIterations):
+            optimize._fixed_point(bcod, system, candidate,
+                                  lambda o, v: with_powers(o, pl=v))
+
 
 class TestOptimalPl:
     def test_saturation_headroom(self, chain, diod, system):
@@ -312,6 +329,50 @@ class TestOptimalPl:
             w_up = normalized_noise(with_powers(op, pl=op.pl + h), wts, system)
             w_dn = normalized_noise(with_powers(op, pl=op.pl - h), wts, system)
             assert w_up < w_dn
+
+
+# the whole design box (W): the default Newton bracket in p0, the crossover
+# sweep range in p_lo, 0.1-100 mW of coupling and 1 uW-100 mW of local beam
+_BOX = {"p0": (-6.0, -1.0), "pc": (-4.0, -1.0), "p_lo": (-9.0, -3.0),
+        "pl": (-6.0, -1.0)}
+
+
+@st.composite
+def box_points(draw):
+    scheme = draw(st.sampled_from(["DIOD", "BCOD"]))
+    names = ("p0", "pc", "p_lo") + (("pl",) if scheme == "BCOD" else ())
+    return defaults.default_point(
+        scheme, **{k: 10.0 ** draw(st.floats(*_BOX[k])) for k in names})
+
+
+def _finite_ratios(op, system):
+    """p1 > 0 and p_g^2 kappa^2 a normal float, so every ratio of W is
+    finite and carries full precision."""
+    p1 = p1_of_lo(op, system)
+    if p1 <= 0.0:
+        return False
+    pg_sq = scheme_powers(op, p1)[0][0]
+    return pg_sq * kappa_of_point(op, system) ** 2 >= sys.float_info.min
+
+
+class TestDerivativeProperty:
+    SYSTEM = defaults.cesium_system()
+    WEIGHTS = NoiseWeights.from_chain(defaults.default_chain(), SYSTEM)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(op=box_points())
+    def test_dw_dp0_matches_central_differences(self, op):
+        system, wts = self.SYSTEM, self.WEIGHTS
+        h = 1e-6 * op.p0
+        up, dn = with_powers(op, p0=op.p0 + h), with_powers(op, p0=op.p0 - h)
+        assume(all(_finite_ratios(o, system) for o in (op, up, dn)))
+        fd = (normalized_noise(up, wts, system)
+              - normalized_noise(dn, wts, system)) / (2.0 * h)
+        got = optimize._dw_dp0(op, wts, system)
+        # relative to the slope, or to W / p0 where the terms cancel
+        scale = max(abs(fd), normalized_noise(op, wts, system) / op.p0)
+        assert abs(got - fd) <= 1e-5 * scale
 
 
 class TestNewtonProbe:
