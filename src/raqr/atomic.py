@@ -124,10 +124,6 @@ class DensityMatrix:
     def rho21(self) -> complex:
         return complex(self.matrix[1, 0])
 
-    @property
-    def populations(self) -> np.ndarray:
-        return np.diag(self.matrix).real.copy()
-
 
 def _hamiltonian(drive: DriveConfig) -> np.ndarray:
     """Rotating-frame Hamiltonian over hbar, rad/s, for the ladder chain."""
@@ -256,7 +252,7 @@ def _finalize(v: np.ndarray) -> DensityMatrix:
     rho = v.reshape(4, 4)
     rho = (rho + rho.conj().T) / 2.0  # strip solver round-off asymmetry
     eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -1e-6:
+    if eigs.min() < DensityMatrix.EIG_FLOOR:
         raise NonPhysical(f"steady state has eigenvalue {eigs.min():.3e}")
     return DensityMatrix(rho)
 
@@ -273,10 +269,6 @@ def rho21_resonant(omega_p: float, omega_c: float, omega_rf, gamma2: float):
     """
     orf2 = np.square(omega_rf)
     den = (2.0 * omega_p**2 + gamma2**2) * orf2 + 2.0 * omega_c**2 * omega_p**2 + 2.0 * omega_p**4
-    if np.ndim(den) == 0:
-        if den == 0.0:
-            raise ZeroDenominator("omega_p = omega_rf = 0")
-        return -1j * gamma2 * omega_p * orf2 / den
     if np.any(den == 0.0):
         raise ZeroDenominator("omega_p = omega_rf = 0 somewhere in the input")
     return -1j * gamma2 * omega_p * orf2 / den

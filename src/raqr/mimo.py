@@ -181,51 +181,42 @@ def lo_phase_progression(scenario: MimoScenario) -> np.ndarray:
     return np.exp(-1j * phase * m)
 
 
-def gen_channel(scenario: MimoScenario, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. Rayleigh columns, per-user variance beta_k per sensor."""
-    shape = (scenario.n_sensors, scenario.n_users)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * np.sqrt(scenario.beta / 2.0)
+def _draw(rng, batch, scenario, parts="hsbw"):
+    """Unit-variance draws for a batch of snapshots in the one fixed order:
+    channel h (..., M, K; variance beta per user), symbols s (..., K), shot
+    diagonal b (..., M), AWGN w (..., M). ``parts`` picks a subset."""
+    m, k = scenario.n_sensors, scenario.n_users
+    shapes = {"h": (m, k), "s": (k,), "b": (m,), "w": (m,)}
+    out = []
+    for part in (p for p in "hsbw" if p in parts):
+        x = rng.standard_normal(batch + shapes[part])
+        if part != "b":
+            x = x + 1j * rng.standard_normal(batch + shapes[part])
+            x = x * np.sqrt(scenario.beta / 2.0) if part == "h" else x / math.sqrt(2.0)
+        out.append(x)
+    return out
 
 
-def build_received(
-    h: np.ndarray,
-    scenario: MimoScenario,
-    gains: BasebandGains,
-    budget: NoiseBudget,
-    s: np.ndarray,
-    rng: np.random.Generator,
-) -> ReceivedSignal:
-    """Assemble one array snapshot for unit-variance symbols ``s``."""
-    d = lo_phase_progression(scenario)
-    v = d * (h @ (np.sqrt(scenario.p) * s))
-    signal = math.sqrt(gains.rho) * gains.phi * v
-    b = rng.standard_normal(scenario.n_sensors) * math.sqrt(budget.sigma_sq_sn)
-    shot = math.sqrt(gains.rho_sn) * gains.phi_sn * (b * v)
-    wn = rng.standard_normal((2, scenario.n_sensors))
-    noise = (wn[0] + 1j * wn[1]) * math.sqrt(budget.n_sum / 2.0)
-    return ReceivedSignal(
-        y=signal + shot + noise,
-        signal=signal,
-        shot=shot,
-        noise=noise,
-        symbols=np.asarray(s, dtype=complex),
-    )
+def _phased(scenario, h, phi=1.0):
+    """Phased channel phi·D·H of one snapshot (M, K) or a batch (..., M, K);
+    the Monte-Carlo engine keeps phi = 1 and scales afterwards."""
+    return phi * lo_phase_progression(scenario)[:, None] * h
 
 
-def combiner(
-    h: np.ndarray, scenario: MimoScenario, gains: BasebandGains, method: str
-) -> np.ndarray:
-    """Per-user combining vectors as columns; MRC matches the phased
-    channel, ZF inverts it."""
-    d = lo_phase_progression(scenario)
-    a = gains.phi * d[:, None] * h
+def _project(a, method, *cols):
+    """The one combining kernel on a phased channel ``a`` (..., M, K):
+    ``(cᴴa, cᴴ·col for each col)`` for column blocks (..., M, n), with
+    combiners c = a (MRC) or a·G⁻¹ (ZF), G = aᴴa. The ZF coupling is the
+    identity by construction, so ZF leakage and interference are exactly 0."""
+    a_h = a.conj().swapaxes(-1, -2)
+    gram = a_h @ a
+    z = [a_h @ col for col in cols]
     if method == "MRC":
-        return a
+        return gram, *z
     if method != "ZF":
         raise ValueError(f"unknown detection method {method!r}")
-    return a @ _zf_inverse(a.conj().T @ a, scenario.n_sensors)
+    g_inv = _zf_inverse(gram, a.shape[-2])
+    return np.broadcast_to(np.eye(gram.shape[-1]), gram.shape), *(g_inv @ x for x in z)
 
 
 def _zf_inverse(gram, n_sensors):
@@ -239,6 +230,41 @@ def _zf_inverse(gram, n_sensors):
     return np.linalg.inv(gram)
 
 
+def gen_channel(scenario: MimoScenario, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. Rayleigh columns, per-user variance beta_k per sensor."""
+    return _draw(rng, (), scenario, "h")[0]
+
+
+def build_received(
+    h: np.ndarray,
+    scenario: MimoScenario,
+    gains: BasebandGains,
+    budget: NoiseBudget,
+    s: np.ndarray,
+    rng: np.random.Generator,
+) -> ReceivedSignal:
+    """Assemble an array snapshot for unit-variance symbols ``s``; a leading
+    axis on ``h`` or ``s`` makes a batch of snapshots."""
+    s = np.asarray(s, dtype=complex)
+    v = (_phased(scenario, h) @ (np.sqrt(scenario.p) * s)[..., None])[..., 0]
+    b, w = _draw(rng, v.shape[:-1], scenario, "bw")
+    signal = math.sqrt(gains.rho) * gains.phi * v
+    shot = math.sqrt(gains.rho_sn * budget.sigma_sq_sn) * gains.phi_sn * (b * v)
+    noise = w * math.sqrt(budget.n_sum)
+    return ReceivedSignal(
+        y=signal + shot + noise, signal=signal, shot=shot, noise=noise, symbols=s
+    )
+
+
+def combiner(
+    h: np.ndarray, scenario: MimoScenario, gains: BasebandGains, method: str
+) -> np.ndarray:
+    """Per-user combining vectors as columns; MRC matches the phased
+    channel, ZF inverts it. A leading axis on ``h`` makes a batch."""
+    a = _phased(scenario, h, gains.phi)
+    return _project(a, method, np.eye(scenario.n_sensors))[1].conj().swapaxes(-1, -2)
+
+
 def detect(
     received: ReceivedSignal | np.ndarray,
     h: np.ndarray,
@@ -249,34 +275,27 @@ def detect(
     """Apply a combiner; with a full snapshot, also split the statistic.
 
     A bare received vector yields only ``r`` (the component fields are
-    None): the split needs the snapshot's separately stored addends.
+    None): the split needs the snapshot's separately stored addends. A
+    leading axis on ``h`` and the snapshot makes a batch.
     """
-    c = combiner(h, scenario, gains, method)
-    d = lo_phase_progression(scenario)
-    if isinstance(received, np.ndarray):
-        return DetectionResult(
-            r=c.conj().T @ received,
-            ds=None, ls=None, ui=None, sn=None, n=None,
-            method=method,
-        )
+    bare = isinstance(received, np.ndarray)
+    cols = [received] if bare else [received.y, received.shot, received.noise]
+    a = _phased(scenario, h, gains.phi)
+    t, *z = _project(a, method, *(col[..., None] for col in cols))
+    r, *noise = [col[..., 0] for col in z]  # statistic, then shot and AWGN
+    if bare:
+        return DetectionResult(r, None, None, None, None, None, method)
 
-    s = received.symbols
-    amp = np.sqrt(gains.rho * scenario.p)
-    t = c.conj().T @ (d[:, None] * h)  # (K, K) cross-coupling after combining
-    if method == "MRC":
-        # hardening mean of the self-coupling entry
-        t_mean = np.conj(gains.phi) * scenario.n_sensors * scenario.beta
-    else:
-        t_mean = np.full(scenario.n_users, 1.0 / gains.phi)
-    ds = amp * gains.phi * t_mean * s
-    ls = amp * gains.phi * np.diagonal(t) * s - ds
+    x = np.sqrt(gains.rho * scenario.p) * received.symbols
+    t_mean = 1.0  # ZF: the self-coupling is exactly 1
+    if method == "MRC":  # hardening mean of the self-coupling entry
+        t_mean = abs(gains.phi) ** 2 * scenario.n_sensors * scenario.beta
+    t_diag = np.diagonal(t, axis1=-2, axis2=-1)
+    ds = t_mean * x
+    ls = t_diag * x - ds
     # off-diagonal leakage only; the diagonal entry is ds + ls
-    ui = gains.phi * (t @ (amp * s)) - gains.phi * np.diagonal(t) * amp * s
-    sn = c.conj().T @ received.shot
-    n = c.conj().T @ received.noise
-    return DetectionResult(
-        r=c.conj().T @ received.y, ds=ds, ls=ls, ui=ui, sn=sn, n=n, method=method
-    )
+    ui = (t @ x[..., None])[..., 0] - t_diag * x
+    return DetectionResult(r, ds, ls, ui, *noise, method)
 
 
 def _abs_sq(x):
@@ -475,37 +494,17 @@ def crossover_threshold(
 
 
 def _chunk_stats(scenario, method, chunk_index, n):
-    """Gain-free term accumulators over one substream: fixed draw order
-    (channel, symbols, shot diagonal, AWGN), so the stream splits are
-    reproducible. The shot diagonal and the AWGN are drawn at unit variance
-    and the combiners carry no front-end gain; ``_scale`` supplies both."""
+    """Gain-free term accumulators over one Philox substream, drawn by
+    ``_draw`` and combined by ``_project`` as a snapshot batch; ``_scale``
+    supplies the front-end gains and noise variances."""
     rng = np.random.Generator(np.random.Philox(key=[scenario.seed, chunk_index]))
-    m, k = scenario.n_sensors, scenario.n_users
-    h_re = rng.standard_normal((n, m, k))
-    h_im = rng.standard_normal((n, m, k))
-    h = (h_re + 1j * h_im) * np.sqrt(scenario.beta / 2.0)
-    s_re = rng.standard_normal((n, k))
-    s_im = rng.standard_normal((n, k))
-    s = (s_re + 1j * s_im) / math.sqrt(2.0)
-    b = rng.standard_normal((n, m))
-    w_re = rng.standard_normal((n, m))
-    w_im = rng.standard_normal((n, m))
-    w = (w_re + 1j * w_im) / math.sqrt(2.0)
-
-    a = lo_phase_progression(scenario)[:, None] * h
-    a_h = a.conj().swapaxes(1, 2)
-    gram = a_h @ a
+    h, s, b, w = _draw(rng, (n,), scenario)
+    a = _phased(scenario, h)
     ps = (np.sqrt(scenario.p) * s)[..., None]
     # shot and AWGN columns side by side, combined in one product
-    z = a_h @ np.stack([b * (a @ ps)[..., 0], w], axis=-1)
-    if method == "MRC":
-        t_diag = np.diagonal(gram, axis1=1, axis2=2)
-        ui = (gram @ ps)[..., 0] - t_diag * ps[..., 0]
-    elif method == "ZF":
-        z = _zf_inverse(gram, m) @ z
-        t_diag, ui = np.ones((n, k)), np.zeros((n, k))
-    else:
-        raise ValueError(f"unknown detection method {method!r}")
+    t, z = _project(a, method, np.stack([b * (a @ ps)[..., 0], w], axis=-1))
+    t_diag = np.diagonal(t, axis1=-2, axis2=-1)
+    ui = (t @ ps)[..., 0] - t_diag * ps[..., 0]
 
     # mean accumulator; self-coupling, interference, shot and AWGN energies
     energy = _abs_sq(np.stack([t_diag, ui, z[..., 0], z[..., 1]])).sum(axis=1)

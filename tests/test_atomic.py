@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raqr import defaults
+from raqr import atomic, defaults
 from raqr.atomic import (
     AtomicSystem,
     DegenerateNullSpace,
     DensityMatrix,
     DriveConfig,
+    NonPhysical,
     ZeroDenominator,
     ZeroProbe,
     build_liouvillian,
@@ -298,6 +299,16 @@ class TestDensityMatrixValidation:
 
     def test_accepts_pure_ground(self):
         DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)).validate()
+
+    def test_steady_state_uses_the_same_eigenvalue_floor(self):
+        # a solver vector whose smallest eigenvalue lies between the floor
+        # (-1e-8) and the looser -1e-6 that the steady state once accepted
+        def vector(low):
+            return np.diag([1.0 - low, 0.0, 0.0, low]).astype(complex).ravel()
+
+        with pytest.raises(NonPhysical):
+            atomic._finalize(vector(-1e-7))
+        assert atomic._finalize(vector(-1e-9)).matrix[3, 3] == -1e-9
 
 
 class TestValidation:

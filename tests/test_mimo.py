@@ -229,6 +229,16 @@ class TestDetect:
         assert np.all(np.abs(det.ls) ** 2 <= 1e-20 * np.abs(det.ds) ** 2)
         assert np.all(np.abs(det.ui) ** 2 <= 1e-20 * np.abs(det.ds).max() ** 2)
 
+    def test_zf_leakage_and_interference_are_exact_zeros(self, gains, budget, rng):
+        # the ZF coupling is the identity by construction, not a computed
+        # G^-1 G, in the snapshot split and in the Monte-Carlo moments alike
+        sc = small_scenario(n_realizations=256)
+        h, snap = self._snapshot(gains, budget, rng, sc)
+        det = mimo.detect(snap, h, sc, gains, "ZF")
+        assert np.all(det.ls == 0.0) and np.all(det.ui == 0.0)
+        terms = mimo.monte_carlo_terms(sc, gains, budget, "ZF")
+        assert np.all(terms["ls"] == 0.0) and np.all(terms["ui"] == 0.0)
+
     def test_energy_balance(self, gains, budget, rng):
         # sample mean of |r|^2 against the sum of the five closed-form
         # moments; cross terms must average out
@@ -260,6 +270,66 @@ class TestDetect:
             a, b = name.split("_")
             scale = np.sqrt(moments[a] / n * moments[b] / n)
             assert np.all(np.abs(acc / n) < 0.1 * scale), name
+
+
+@st.composite
+def channel_stacks(draw, min_users=1):
+    """A stack of channels (n, M, K) with M > K, and matching symbols."""
+    k = draw(st.integers(min_users, 4))
+    sc = defaults.default_scenario(
+        draw(st.integers(k + 1, k + 12)), k,
+        theta_arrival=draw(st.floats(-math.pi / 2, math.pi / 2)),
+        beta=draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    h = np.stack([mimo.gen_channel(sc, rng) for _ in range(n)])
+    s_raw = rng.standard_normal((2, n, k))
+    s = (s_raw[0] + 1j * s_raw[1]) / math.sqrt(2.0)
+    return sc, h, s, rng
+
+
+def _close(got, want):
+    return np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+
+class TestSnapshotBatch:
+    """A leading axis on the channel makes a batch of independent snapshots."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=channel_stacks(), method=st.sampled_from(["MRC", "ZF"]))
+    def test_each_member_matches_its_own_snapshot(
+        self, gains, budget, stack, method
+    ):
+        sc, h, s, rng = stack
+        snap = mimo.build_received(h, sc, gains, budget, s, rng)
+        assert snap.y.shape == h.shape[:2]
+        fields = ("y", "signal", "shot", "noise", "symbols")
+        c = mimo.combiner(h, sc, gains, method)
+        det = mimo.detect(snap, h, sc, gains, method)
+        bare = mimo.detect(snap.y, h, sc, gains, method)
+        for i in range(len(h)):
+            one = mimo.ReceivedSignal(**{f: getattr(snap, f)[i] for f in fields})
+            assert _close(c[i], mimo.combiner(h[i], sc, gains, method))
+            ref = mimo.detect(one, h[i], sc, gains, method)
+            for term in ("r", "ds", "ls", "ui", "sn", "n"):
+                assert _close(getattr(det, term)[i], getattr(ref, term)), term
+            assert _close(bare.r[i], mimo.detect(one.y, h[i], sc, gains, method).r)
+
+    @settings(max_examples=30, deadline=None)
+    @given(stack=channel_stacks(min_users=2), data=st.data())
+    def test_one_ill_conditioned_member_fails_the_stack(
+        self, gains, budget, stack, data
+    ):
+        sc, h, s, rng = stack
+        snap = mimo.build_received(h, sc, gains, budget, s, rng)
+        bad = data.draw(st.integers(0, len(h) - 1))
+        h = h.copy()
+        h[bad, :, 1] = h[bad, :, 0]
+        with pytest.raises(mimo.RankDeficient):
+            mimo.combiner(h, sc, gains, "ZF")
+        with pytest.raises(mimo.RankDeficient):
+            mimo.detect(snap, h, sc, gains, "ZF")
 
 
 class TestClosedFormBounds:
