@@ -78,24 +78,25 @@ class AtomicSystem:
 
 @dataclass(frozen=True, kw_only=True)
 class DriveConfig:
-    """Rabi frequencies and detunings of the three drives, rad/s."""
+    """Rabi frequencies and detunings of the three drives, rad/s; array
+    fields broadcast to a stack of drives, whose shape leads every result."""
 
-    omega_p: float
-    omega_c: float
-    omega_rf: float
-    delta_p: float = 0.0
-    delta_c: float = 0.0
-    delta_rf: float = 0.0
+    omega_p: float | np.ndarray
+    omega_c: float | np.ndarray
+    omega_rf: float | np.ndarray
+    delta_p: float | np.ndarray = 0.0
+    delta_c: float | np.ndarray = 0.0
+    delta_rf: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         for name in ("omega_p", "omega_c", "omega_rf"):
-            if getattr(self, name) < 0:
+            if np.any(np.less(getattr(self, name), 0)):
                 raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """4x4 steady-state density matrix with physicality checks."""
+    """4x4 steady-state density matrix, or a stack of them, with physicality checks."""
 
     matrix: np.ndarray
 
@@ -121,139 +122,148 @@ class DensityMatrix:
         return self
 
     @property
-    def rho21(self) -> complex:
-        return complex(self.matrix[1, 0])
+    def rho21(self) -> complex | np.ndarray:
+        """Probe coherence: a complex for one drive, an array for a stack."""
+        r21 = self.matrix[..., 1, 0]
+        return complex(r21) if r21.ndim == 0 else r21
 
 
 def _hamiltonian(drive: DriveConfig) -> np.ndarray:
-    """Rotating-frame Hamiltonian over hbar, rad/s, for the ladder chain."""
-    op, oc, orf = drive.omega_p, drive.omega_c, drive.omega_rf
-    d2 = drive.delta_p
+    """Rotating-frame Hamiltonian over hbar, rad/s, for the ladder chain;
+    (..., 4, 4) for a stack of drives."""
     d3 = drive.delta_p + drive.delta_c
-    d4 = d3 + drive.delta_rf
-    return 0.5 * np.array(
-        [
-            [0.0, op, 0.0, 0.0],
-            [op, -2.0 * d2, oc, 0.0],
-            [0.0, oc, -2.0 * d3, orf],
-            [0.0, 0.0, orf, -2.0 * d4],
-        ],
-        dtype=complex,
-    )
+    h = np.zeros(np.broadcast(*vars(drive).values()).shape + (4, 4), dtype=complex)
+    h[..., 0, 1] = h[..., 1, 0] = drive.omega_p
+    h[..., 1, 2] = h[..., 2, 1] = drive.omega_c
+    h[..., 2, 3] = h[..., 3, 2] = drive.omega_rf
+    h[..., 1, 1] = -2.0 * drive.delta_p
+    h[..., 2, 2] = -2.0 * d3
+    h[..., 3, 3] = -2.0 * (d3 + drive.delta_rf)
+    return 0.5 * h
 
 
-def _rhs(system: AtomicSystem, drive: DriveConfig, rho: np.ndarray) -> np.ndarray:
-    """d(rho)/dt = -j[H, rho] - 1/2 {G, rho} + repump(rho), as a linear map."""
-    h = _hamiltonian(drive)
-    g = np.diag(
-        [
-            system.gamma,
-            system.gamma + system.gamma2,
-            system.gamma + system.gamma3 + system.gamma_c,
-            system.gamma + system.gamma4,
-        ]
-    ).astype(complex)
-    out = -1j * (h @ rho - rho @ h) - 0.5 * (g @ rho + rho @ g)
+def _rhs(system: AtomicSystem, h: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """d(rho)/dt = -j[H, rho] - 1/2 {G, rho} + repump(rho), as a linear map;
+    ``h`` and ``rho`` are 4x4 matrices or stacks of them that broadcast."""
+    g = system.gamma + np.array([0.0, system.gamma2, system.gamma3, system.gamma4])
+    g[2] += system.gamma_c
+    out = -1j * (h @ rho - rho @ h) - 0.5 * (g[:, None] * rho + rho * g)
     # Population feedback: decayed/transit population re-enters the chain.
     # The transit term is gamma * tr(rho) (linear, conserves trace); see the
     # module docstring for why this beats carrying an affine offset.
-    out[0, 0] += (
-        system.gamma * rho.trace()
-        + system.gamma2 * rho[1, 1]
-        + system.gamma4 * rho[3, 3]
+    out[..., 0, 0] += (
+        system.gamma * np.trace(rho, axis1=-2, axis2=-1)
+        + system.gamma2 * rho[..., 1, 1]
+        + system.gamma4 * rho[..., 3, 3]
     )
-    out[3, 3] += system.gamma3 * rho[2, 2]
+    out[..., 3, 3] += system.gamma3 * rho[..., 2, 2]
     return out
+
+
+_TRACE_ROW = np.eye(4).ravel()  # vec(identity): _TRACE_ROW @ vec(rho) = tr(rho)
+BLOCK = 64  # drives per batched solve: bounds the working set of a long stack
+RESIDUAL_RTOL = 1e-10
 
 
 def build_liouvillian(system: AtomicSystem, drive: DriveConfig) -> np.ndarray:
     """16x16 complex superoperator L with vec(d rho/dt) = L @ vec(rho).
 
-    vec() is the row-major flatten of the 4x4 matrix. Built column by column
-    from the action on basis matrices E_ij, which keeps the vectorization
-    identities out of the code entirely.
+    vec() is the row-major flatten of the 4x4 matrix. Column 4i + j is the
+    action on the basis matrix E_ij, all 16 taken in one broadcast, which
+    keeps the vectorization identities out of the code entirely. A stack of
+    drives gives (..., 16, 16).
     """
-    cols = []
-    for i in range(4):
-        for j in range(4):
-            e = np.zeros((4, 4), dtype=complex)
-            e[i, j] = 1.0
-            cols.append(_rhs(system, drive, e).ravel())
-    return np.array(cols).T
+    basis = np.eye(16).reshape(16, 4, 4)  # E_ij at index 4i + j
+    out = _rhs(system, _hamiltonian(drive)[..., None, :, :], basis)
+    return out.reshape(out.shape[:-3] + (16, 16)).swapaxes(-1, -2)
 
 
-_TRACE_ROW = np.zeros(16)
-_TRACE_ROW[[0, 5, 10, 15]] = 1.0
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Norm over the last axis, summed as np.linalg.norm sums one vector, so
+    each member of a stack gets its single-vector value bit for bit."""
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
-def steady_state_numeric(
-    system: AtomicSystem,
-    drive: DriveConfig,
-    *,
-    residual_rtol: float = 1e-10,
-) -> DensityMatrix:
+def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMatrix:
     """Unique physical null vector of the Liouvillian, as a density matrix.
 
     Replaces one row of L with the vectorized trace constraint and solves the
     square system (deterministic, no iteration to convergence), then applies
-    one iterative-refinement pass. If the relative residual ||L v|| / ||L||
-    still exceeds ``residual_rtol``, an SVD diagnostic decides between a
-    genuinely degenerate null space and plain failure.
+    two iterative-refinement passes. Where the relative residual
+    ||L v|| / ||L|| still exceeds ``RESIDUAL_RTOL``, an SVD diagnostic
+    decides between a genuinely degenerate null space and plain failure.
+
+    A stack of drives is solved in blocks of at most ``BLOCK`` and gives a
+    stack of density matrices, each bit-identical to its own single-drive
+    solve; one member that fails raises for the whole stack.
     """
-    liou = build_liouvillian(system, drive)
-    a = liou.astype(complex).copy()
-    scale = np.linalg.norm(liou)
-    if scale == 0.0:
+    shape = np.broadcast(*vars(drive).values()).shape
+    flat = {k: np.broadcast_to(x, shape).ravel() for k, x in vars(drive).items()}
+    v = np.empty((np.prod(shape, dtype=int), 16), dtype=complex)
+    for lo in range(0, len(v), BLOCK):
+        block = DriveConfig(**{k: x[lo:lo + BLOCK] for k, x in flat.items()})
+        v[lo:lo + BLOCK] = _null_vectors(build_liouvillian(system, block))
+    return _finalize(v.reshape(shape + (16,)))
+
+
+def _null_vectors(liou: np.ndarray) -> np.ndarray:
+    """Trace-one null vectors of an (n, 16, 16) stack of Liouvillians."""
+    # ||L||_F over L's memory order, the order np.linalg.norm reads one L in
+    scale = _norm(liou.swapaxes(-1, -2).reshape(-1, 256))
+    if np.any(scale == 0.0):
         raise DegenerateNullSpace("zero generator: every state is steady")
+    a = liou.copy()
     # Trace row scaled to the operator norm so it does not unbalance the solve.
-    a[0, :] = _TRACE_ROW * scale
-    b = np.zeros(16, dtype=complex)
-    b[0] = scale
+    a[:, 0, :] = _TRACE_ROW * scale[:, None]
+    b = np.zeros((len(a), 16, 1), dtype=complex)
+    b[:, 0, 0] = scale
 
     try:
         v = np.linalg.solve(a, b)
-        # One refinement pass: cheap, and recovers ~3 digits when the slow
-        # population-exchange mode makes the system ill-conditioned.
-        r = b - a @ v
-        v = v + np.linalg.solve(a, r)
-        r = b - a @ v
-        v = v + np.linalg.solve(a, r)
+        # Two refinement passes: cheap, and they recover ~3 digits when the
+        # slow population-exchange mode makes the system ill-conditioned.
+        for _ in range(2):
+            v = v + np.linalg.solve(a, b - a @ v)
     except np.linalg.LinAlgError:
-        v = None
+        # A member is exactly singular and the solve does not say which; the
+        # diagnostic raises for it, as it has no unique trace-one null vector.
+        v = np.full_like(b, np.nan)
+    v = v[..., 0]
+    failed = ~(_norm((liou @ v[..., None])[..., 0]) / scale <= RESIDUAL_RTOL)
+    if not failed.any():
+        return v
 
-    if v is not None:
-        residual = np.linalg.norm(liou @ v) / scale
-        if residual <= residual_rtol:
-            return _finalize(v)
-
-    # Diagnostic path: inspect the spectrum of L itself.
-    svals = np.linalg.svd(liou, compute_uv=False)
-    nullity = int(np.sum(svals < residual_rtol * svals[0]))
-    if nullity != 1:
+    # Diagnostic path: inspect the spectrum of each failed member's L.
+    liou, scale = liou[failed], scale[failed]
+    _, svals, vh = np.linalg.svd(liou)
+    nullity = np.sum(svals < RESIDUAL_RTOL * svals[:, :1], axis=-1)
+    if np.any(nullity != 1):
         raise DegenerateNullSpace(
-            f"null space dimension {nullity} at tolerance {residual_rtol:g}"
+            f"null space dimension {nullity[nullity != 1][0]} "
+            f"at tolerance {RESIDUAL_RTOL:g}"
         )
     # Unique null direction exists; take it from the SVD and normalize trace.
-    _, _, vh = np.linalg.svd(liou)
-    v = vh[-1].conj()
-    tr = v[[0, 5, 10, 15]].sum()
-    if abs(tr) < 1e-12:
+    null = vh[:, -1].conj()
+    tr = np.trace(null.reshape(-1, 4, 4), axis1=-2, axis2=-1)
+    if np.any(np.abs(tr) < 1e-12):
         raise DegenerateNullSpace("null vector is traceless; cannot normalize")
-    v = v / tr
-    residual = np.linalg.norm(liou @ v) / scale
-    if residual > residual_rtol:
+    null = null / tr[:, None]
+    residual = _norm((liou @ null[..., None])[..., 0]) / scale
+    if np.any(residual > RESIDUAL_RTOL):
         raise DegenerateNullSpace(
-            f"steady-state residual {residual:.3e} exceeds {residual_rtol:g}"
+            f"steady-state residual {residual.max():.3e} exceeds {RESIDUAL_RTOL:g}"
         )
-    return _finalize(v)
+    v[failed] = null
+    return v
 
 
 def _finalize(v: np.ndarray) -> DensityMatrix:
-    rho = v.reshape(4, 4)
-    rho = (rho + rho.conj().T) / 2.0  # strip solver round-off asymmetry
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < DensityMatrix.EIG_FLOOR:
-        raise NonPhysical(f"steady state has eigenvalue {eigs.min():.3e}")
+    rho = v.reshape(v.shape[:-1] + (4, 4))
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0  # strip solver round-off asymmetry
+    low = np.linalg.eigvalsh(rho).min(initial=np.inf)
+    if low < DensityMatrix.EIG_FLOOR:
+        raise NonPhysical(f"steady state has eigenvalue {low:.3e}")
     return DensityMatrix(rho)
 
 

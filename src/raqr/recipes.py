@@ -318,17 +318,13 @@ def detuning_loss(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     on-resonance coherence magnitude. Qualitative: peak location, symmetry,
     and half width."""
     _expect_variable(cfg, ("detuning_khz",), "detuning-loss")
-    drive0 = defaults.drive_for(cfg.op, cfg.system)
-    ref = abs(steady_state_numeric(cfg.system, drive0).rho21)
     detunings = cfg.sweep.values() * 1e3  # kHz -> Hz
-    rows = []
-    response = []
-    for delta in detunings:
-        drive = dataclasses.replace(drive0, delta_rf=2.0 * math.pi * float(delta))
-        mag = abs(steady_state_numeric(cfg.system, drive).rho21) / ref
-        response.append(mag)
-        rows.append((float(delta), float(mag)))
-    response = np.array(response)
+    # the on-resonance reference is member 0 of the same stack
+    drive = defaults.drive_for(
+        cfg.op, cfg.system, delta_rf=np.append(0.0, 2.0 * math.pi * detunings))
+    mag = np.abs(steady_state_numeric(cfg.system, drive).rho21)
+    response = mag[1:] / mag[0]
+    rows = list(zip(detunings.tolist(), response.tolist()))
     summary = {}
     if len(response):
         peak = int(np.argmax(response))

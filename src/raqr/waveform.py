@@ -28,7 +28,8 @@ import numpy as np
 from scipy.constants import c, epsilon_0, hbar
 from scipy.signal import firwin2, lfilter
 
-from .atomic import DriveConfig, rho21_resonant, steady_state_numeric, susceptibility
+from . import defaults
+from .atomic import rho21_resonant, steady_state_numeric, susceptibility
 from .frontend import (
     AtomicSystem,
     DetectionChain,
@@ -36,7 +37,6 @@ from .frontend import (
     UserSignal,
     kappa_of_point,
     p1_of_lo,
-    rabi_coefficients,
     rf_field_amplitude,
     scheme_powers,
 )
@@ -86,27 +86,18 @@ class Waveform:
 
 def _exact_transmission(omega_rf, op, system, rho_solver):
     """Instantaneous probe transmission: power P1 and accumulated phase."""
-    omega_p, omega_c = _probe_coupling_rabi(op, system)
+    drive = defaults.drive_for(op, system, omega_rf=omega_rf)
     if rho_solver == "closed-form":
-        r21 = rho21_resonant(omega_p, omega_c, omega_rf, system.gamma2)
+        r21 = rho21_resonant(drive.omega_p, drive.omega_c, omega_rf, system.gamma2)
     elif rho_solver == "liouvillian":
-        vals = []
-        for w in np.atleast_1d(omega_rf):
-            drive = DriveConfig(omega_p=omega_p, omega_c=omega_c, omega_rf=float(w))
-            vals.append(steady_state_numeric(system, drive).rho21)
-        r21 = np.array(vals)
+        r21 = steady_state_numeric(system, drive).rho21
     else:
         raise ValueError(f"unknown rho_solver {rho_solver!r}")
-    chi = susceptibility(r21, system, omega_p)
+    chi = susceptibility(r21, system, drive.omega_p)
     half_exponent = math.pi * system.l_cell / system.lambda_p
     p1_t = op.p0 * np.exp(-2.0 * half_exponent * chi.imag)
     phase_t = op.phi0 + half_exponent * chi.real
     return p1_t, phase_t
-
-
-def _probe_coupling_rabi(op, system):
-    a12, a23, _ = rabi_coefficients(op, system)
-    return math.sqrt(a12 * op.p0), math.sqrt(a23 * op.pc)
 
 
 def _detector_current(p1_t, phase_t, op, chain):

@@ -286,6 +286,121 @@ class TestOracleEquivalence:
         assert worst <= 1e-9
 
 
+def _members(drive, n):
+    """The single drives of a 1-D stack of n drives."""
+    return [
+        DriveConfig(**{k: float(np.broadcast_to(x, (n,))[i])
+                       for k, x in vars(drive).items()})
+        for i in range(n)
+    ]
+
+
+class TestDriveStack:
+    """A stack of drives is the solver's batch: each member must be
+    bit-identical to its own single-drive call, and one bad member must
+    fail the whole stack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        drives=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e9),
+                st.floats(0.0, 1e8),
+                st.floats(0.0, 1e9),
+                st.floats(-1e8, 1e8),
+                st.floats(-1e8, 1e8),
+                st.floats(-1e8, 1e8),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        gamma=st.floats(0.0, 1e6),
+    )
+    def test_each_member_matches_its_own_call(self, drives, gamma):
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=1e4, gamma4=2e4)
+        cols = np.array(drives).T
+        stack = DriveConfig(
+            omega_p=cols[0], omega_c=cols[1], omega_rf=cols[2],
+            delta_p=cols[3], delta_c=cols[4], delta_rf=cols[5],
+        )
+        members = _members(stack, len(drives))
+        liou = build_liouvillian(sys_, stack)
+        assert liou.shape == (len(drives), 16, 16)
+        for i, drive in enumerate(members):
+            assert np.array_equal(liou[i], build_liouvillian(sys_, drive))
+
+        singles = []
+        for drive in members:
+            try:
+                singles.append(steady_state_numeric(sys_, drive).matrix)
+            except (DegenerateNullSpace, NonPhysical):
+                singles.append(None)
+        if any(m is None for m in singles):
+            with pytest.raises((DegenerateNullSpace, NonPhysical)):
+                steady_state_numeric(sys_, stack)
+            return
+        rho = steady_state_numeric(sys_, stack)
+        assert rho.matrix.shape == (len(drives), 4, 4)
+        for i, single in enumerate(singles):
+            assert np.array_equal(rho.matrix[i], single)
+            assert rho.rho21[i] == complex(single[1, 0])
+
+    def test_stack_across_block_edges(self, system, diod):
+        n = 2 * atomic.BLOCK + 1
+        drive = defaults.drive_for(
+            diod, system,
+            omega_rf=np.geomspace(1e5, 1e11, n),
+            delta_rf=np.linspace(-2e7, 2e7, n),
+        )
+        rho = steady_state_numeric(system, drive)
+        assert rho.matrix.shape == (n, 4, 4)
+        for i, single in enumerate(_members(drive, n)):
+            assert np.array_equal(
+                rho.matrix[i], steady_state_numeric(system, single).matrix
+            )
+
+    def test_diagnostic_path_recovers_each_member(self, diod, monkeypatch):
+        """With the direct solve failing, every member goes to the SVD
+        diagnostic, which must still give each member its own single-drive
+        result and the direct solve's state. Transit and Rydberg decay keep
+        L well conditioned, so the two routes can be held to 1e-9."""
+        system = defaults.cesium_system(gamma=2e3, gamma3=1e4, gamma4=2e4)
+        n = 9
+        drive = defaults.drive_for(
+            diod, system, omega_rf=np.geomspace(1e6, 1e10, n),
+            delta_rf=np.linspace(-1e6, 1e6, n),
+        )
+        direct = steady_state_numeric(system, drive).rho21
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rho = steady_state_numeric(system, drive)
+        for i, single in enumerate(_members(drive, n)):
+            assert np.array_equal(
+                rho.matrix[i], steady_state_numeric(system, single).matrix
+            )
+        assert np.max(np.abs(rho.rho21 - direct) / np.abs(direct)) <= 1e-9
+
+    def test_one_degenerate_member_fails_the_stack(self, system):
+        # the case of test_degenerate_null_space_detected as the middle member
+        drive = DriveConfig(
+            omega_p=1e7, omega_c=1e6, omega_rf=np.array([1e6, 0.0, 2e6])
+        )
+        with pytest.raises(DegenerateNullSpace):
+            steady_state_numeric(system, drive)
+
+    def test_one_negative_rabi_rate_rejected(self):
+        DriveConfig(omega_p=1e7, omega_c=np.array([1e6, 0.0]), omega_rf=0.0)
+        with pytest.raises(ValueError, match="omega_c must be >= 0"):
+            DriveConfig(omega_p=1e7, omega_c=np.array([1e6, -1.0]), omega_rf=0.0)
+
+    def test_empty_stack(self, system):
+        drive = DriveConfig(omega_p=1e7, omega_c=1e6, omega_rf=np.zeros(0))
+        assert steady_state_numeric(system, drive).matrix.shape == (0, 4, 4)
+
+
 class TestDensityMatrixValidation:
     def test_rejects_bad_trace(self):
         with pytest.raises(Exception):
