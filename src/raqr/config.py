@@ -21,12 +21,25 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from scipy.constants import elementary_charge, hbar, speed_of_light
 
 from .atomic import AtomicSystem
-from .defaults import E_A0, n_atoms, responsivity
 from .frontend import DetectionChain, OperatingPoint
 
 _CONFIG_DIR = Path(__file__).with_name("configs")
+
+E_A0 = 8.478353625e-30  # one atomic unit of dipole moment, C*m
+
+
+def n_atoms(n0: float, fwhm_p: float, l_cell: float) -> float:
+    """Atoms in the probe-illuminated column of the cell."""
+    return n0 * math.pi * (fwhm_p / 2.0) ** 2 * l_cell
+
+
+def responsivity(eta: float, lambda_p: float) -> float:
+    """Photodetector responsivity eta q / (h f) in A/W."""
+    f_probe = speed_of_light / lambda_p
+    return eta * elementary_charge / (2.0 * math.pi * hbar * f_probe)
 
 
 class ParseError(Exception):
@@ -49,9 +62,11 @@ class ValidationError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-# Per-section scalar schema: key -> (expected type, SI scale factor).
-# A scale of None means the value passes through untouched (dimensionless,
-# strings, counts). Floats accept ints; bools are never numbers.
+# Per-section scalar schema: key -> (expected type, SI power-of-ten exponent).
+# An exponent of None means the value passes through untouched
+# (dimensionless, strings, counts). Floats accept ints; bools are never
+# numbers. A negative exponent divides by the exact power of ten, so a
+# written decimal lands on the double nearest its SI value.
 
 _ATOMIC = {
     "probe_dipole_ea0": (float, None),
@@ -59,9 +74,9 @@ _ATOMIC = {
     "rf_dipole_ea0": (float, None),
     "probe_linewidth_mhz": (float, None),
     "density_per_m3": (float, None),
-    "cell_length_mm": (float, 1e-3),
-    "probe_wavelength_nm": (float, 1e-9),
-    "dephasing_time_us": (float, 1e-6),
+    "cell_length_mm": (float, -3),
+    "probe_wavelength_nm": (float, -9),
+    "dephasing_time_us": (float, -6),
 }
 
 _OPERATING_POINT = {
@@ -70,20 +85,20 @@ _OPERATING_POINT = {
     "coupling_power_w": (float, None),
     "lo_power_w": (float, None),
     "local_beam_power_w": (float, None),
-    "carrier_freq_ghz": (float, 1e9),
-    "beat_freq_khz": (float, 1e3),
-    "probe_fwhm_mm": (float, 1e-3),
-    "coupling_fwhm_mm": (float, 1e-3),
-    "effective_area_cm2": (float, 1e-4),
+    "carrier_freq_ghz": (float, 9),
+    "beat_freq_khz": (float, 3),
+    "probe_fwhm_mm": (float, -3),
+    "coupling_fwhm_mm": (float, -3),
+    "effective_area_cm2": (float, -4),
 }
 
 _DETECTION = {
     "gain": (float, None),
     "quantum_efficiency": (float, None),
     "impedance_ohm": (float, None),
-    "bandwidth_khz": (float, 1e3),
+    "bandwidth_khz": (float, 3),
     "temperature_k": (float, None),
-    "saturation_current_ma": (float, 1e-3),
+    "saturation_current_ma": (float, -3),
 }
 
 _ARRAY = {
@@ -209,12 +224,14 @@ def _merge(base: dict, overlay: dict) -> dict:
     return merged
 
 
-def _check_value(dotted: str, value, kind, scale):
+def _check_value(dotted: str, value, kind, exp):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(dotted, f"expected a number, got {value!r}")
         value = float(value)
-        return value if scale is None else value * scale
+        if exp is None:
+            return value
+        return value * 10.0**exp if exp >= 0 else value / 10.0**-exp
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(dotted, f"expected an integer, got {value!r}")
@@ -238,15 +255,15 @@ def _validate_raw(raw: dict) -> dict:
                     raise ValidationError(dotted, "unknown key")
                 if sub_value is None:
                     continue  # explicit null falls back to "absent"
-                kind, scale = schema[sub]
-                out[sub] = _check_value(dotted, sub_value, kind, scale)
+                kind, exp = schema[sub]
+                out[sub] = _check_value(dotted, sub_value, kind, exp)
             converted[key] = out
         elif key in _TOP_SCALARS:
             if key == "recipe" and value is None:
                 converted[key] = None
                 continue
-            kind, scale = _TOP_SCALARS[key]
-            converted[key] = _check_value(key, value, kind, scale)
+            kind, exp = _TOP_SCALARS[key]
+            converted[key] = _check_value(key, value, kind, exp)
         else:
             raise ValidationError(key, "unknown key")
     return converted

@@ -1,127 +1,56 @@
 """Shipped default parameter set: cesium ladder 6S1/2 -> 6P3/2 -> 47D5/2 -> 48P3/2.
 
-Quantum constants are transcribed from public literature (external
-provenance): the D2 cycling-transition dipole 4.4786 e*a0 and 852.35 nm
-wavelength from standard cesium D-line data; the Rydberg 47D5/2 -> 48P3/2
-dipole from n^2-scaling ARC-style calculations (~2240 e*a0); vapor density
-2e17 m^-3 for a warm (~50 C) cell. Chain and geometry values are routine
-bench figures. Everything here is overridable through the experiment config.
+The numbers and their provenance live in the packaged
+``configs/default.yaml``. This module builds that config once at import,
+through the same merge, validation and SI conversion as any user file, and
+hands out copies of its objects with keyword overrides.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from scipy.constants import elementary_charge, hbar, speed_of_light
+from scipy.constants import speed_of_light
 
 from .atomic import AtomicSystem, DriveConfig
+from .config import _from_raw
 from .frontend import DetectionChain, OperatingPoint, UserSignal, rabi_coefficients
 
-E_A0 = 8.478353625e-30  # one atomic unit of dipole moment, C*m
+# No recipe is selected: validating one imports ``recipes``, which imports
+# this module.
+_SHIPPED = _from_raw({"recipe": None})
 
-
-def n_atoms(n0: float, fwhm_p: float, l_cell: float) -> float:
-    """Atoms in the probe-illuminated column of the cell."""
-    return n0 * math.pi * (fwhm_p / 2.0) ** 2 * l_cell
-
-
-def responsivity(eta: float, lambda_p: float) -> float:
-    """Photodetector responsivity eta q / (h f) in A/W."""
-    f_probe = speed_of_light / lambda_p
-    return eta * elementary_charge / (2.0 * math.pi * hbar * f_probe)
-
-
-MU12 = 4.4786 * E_A0            # Cs D2 cycling transition
-MU23 = 4.0e-31                  # 6P3/2 -> 47D5/2, weak Rydberg excitation
-MU34 = 2241.0 * E_A0            # 47D5/2 -> 48P3/2 microwave transition
-GAMMA2 = 2.0 * math.pi * 5.22e6  # D2 natural linewidth, rad/s
-LAMBDA_P = 852.35e-9
-N0 = 2.0e17                     # vapor density, m^-3
-L_CELL = 0.03
-T2 = 1.0e-5                     # EIT coherence time, s
-FWHM_P = 2.0e-3
-FWHM_C = 2.6e-3
-A_E = 1.5e-4                    # effective RF aperture, m^2
-N_ATOMS = n_atoms(N0, FWHM_P, L_CELL)
-
-ETA1 = 0.8                      # photodetector quantum efficiency
-ALPHA = responsivity(ETA1, LAMBDA_P)  # ~0.55 A/W
-
-F_CARRIER = 6.9458e9            # user carrier / LO frequency, Hz
-BANDWIDTH = 1.5e5               # detection bandwidth, Hz
-F_DELTA = BANDWIDTH / 2.0       # beat frequency placed inside the band
+F_CARRIER = _SHIPPED.f_carrier            # user carrier frequency, Hz
+F_DELTA = _SHIPPED.f_delta                # beat frequency inside the band, Hz
+USER_DISTANCE = _SHIPPED.region_center_m  # base-station-to-user range, m
+LAMBDA_LO = speed_of_light / F_CARRIER    # free-space LO wavelength, ~4.3 cm
 
 
 def cesium_system(**overrides) -> AtomicSystem:
-    kwargs = dict(
-        mu12=MU12,
-        mu23=MU23,
-        mu34=MU34,
-        gamma2=GAMMA2,
-        gamma3=0.0,
-        gamma4=0.0,
-        gamma=0.0,
-        gamma_c=0.0,
-        n0=N0,
-        l_cell=L_CELL,
-        lambda_p=LAMBDA_P,
-        t2=T2,
-        n_atoms=N_ATOMS,
-    )
-    kwargs.update(overrides)
-    return AtomicSystem(**kwargs)
+    return replace(_SHIPPED.system, **overrides)
 
 
 def default_chain(**overrides) -> DetectionChain:
-    kwargs = dict(
-        g=1.0e4,
-        alpha=ALPHA,
-        z0=50.0,
-        bw=BANDWIDTH,
-        temperature=300.0,
-        i_sat=5.0e-2,
-    )
-    kwargs.update(overrides)
-    return DetectionChain(**kwargs)
+    # None re-derives the shot-noise prefactor 2 q B from the chain's bandwidth
+    return replace(_SHIPPED.chain, **{"sigma_sq_sn": None, **overrides})
 
 
 def diod_point(**overrides) -> OperatingPoint:
     """Direct-detection default: deliberately past the kappa peak in P_LO,
     which lands the noise composition in the thermal-dominant regime while
     keeping the strong-LO linearization good to under 1% at a 20 dB
-    LO-to-user ratio."""
-    kwargs = dict(
-        p0=0.040,
-        pc=0.060,
-        p_lo=1.5e-5,
-        pl=0.0,
-        scheme="DIOD",
-        f_lo=F_CARRIER - F_DELTA,
-        fwhm_p=FWHM_P,
-        fwhm_c=FWHM_C,
-        a_e=A_E,
-    )
-    kwargs.update(overrides)
-    return OperatingPoint(**kwargs)
+    LO-to-user ratio. It is the shipped point with the direct scheme and
+    its own powers."""
+    return replace(_SHIPPED.op, **{"scheme": "DIOD", "p0": 0.040, "p_lo": 1.5e-5,
+                                   "pl": 0.0, **overrides})
 
 
 def bcod_point(**overrides) -> OperatingPoint:
-    """Balanced-detection default: P_LO at the kappa peak (a34 P_LO = a12 P0 / 3
-    for the default coupling), strong local beam. Signal-dependent shot noise
-    dominates here."""
-    kwargs = dict(
-        p0=0.030,
-        pc=0.060,
-        p_lo=1.32e-6,
-        pl=5.0e-3,
-        scheme="BCOD",
-        f_lo=F_CARRIER - F_DELTA,
-        fwhm_p=FWHM_P,
-        fwhm_c=FWHM_C,
-        a_e=A_E,
-    )
-    kwargs.update(overrides)
-    return OperatingPoint(**kwargs)
+    """Balanced-detection default, the shipped operating point: P_LO at the
+    kappa peak (a34 P_LO = a12 P0 / 3 for the default coupling), strong
+    local beam. Signal-dependent shot noise dominates here."""
+    return replace(_SHIPPED.op, **overrides)
 
 
 def default_point(scheme: str = "DIOD", **overrides) -> OperatingPoint:
@@ -160,14 +89,9 @@ def weak_user(ratio_db: float, op: OperatingPoint, *, theta_x: float = 0.0,
     )
 
 
-LAMBDA_LO = speed_of_light / F_CARRIER  # free-space LO wavelength, ~4.3 cm
-
-USER_DISTANCE = 1500.0                 # base-station-to-user range, m
-
-
 def default_scenario(n_sensors: int, n_users: int = 10, **overrides):
     """Array scenario at the shipped carrier: half-wave spacing, all users
-    at the nominal range with unit transmit power."""
+    at the nominal range with the shipped transmit power."""
     from .mimo import MimoScenario, large_scale_fading
 
     kwargs = dict(
@@ -176,8 +100,8 @@ def default_scenario(n_sensors: int, n_users: int = 10, **overrides):
         lambda_lo=LAMBDA_LO,
         theta_arrival=0.0,
         beta=large_scale_fading(USER_DISTANCE, F_CARRIER),
-        p=1.0,
-        seed=0,
+        p=_SHIPPED.transmit_power,
+        seed=_SHIPPED.seed,
         n_realizations=10_000,
     )
     kwargs.update(overrides)

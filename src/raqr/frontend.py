@@ -45,10 +45,10 @@ class OperatingPoint:
     phi0: float = 0.0
     phi_l: float = 0.0
     theta_lo: float = 0.0
-    f_lo: float = 6.9458e9
-    fwhm_p: float = 2.0e-3
-    fwhm_c: float = 2.6e-3
-    a_e: float = 1.5e-4
+    f_lo: float
+    fwhm_p: float
+    fwhm_c: float
+    a_e: float
 
     def __post_init__(self) -> None:
         if self.scheme not in ("DIOD", "BCOD"):
@@ -71,12 +71,12 @@ class DetectionChain:
     default 2 q B. ``alpha`` is the responsivity in A/W.
     """
 
-    g: float = 1.0e4
-    alpha: float = 0.55
-    z0: float = 50.0
-    bw: float = 1.5e5
-    temperature: float = 300.0
-    i_sat: float = 5.0e-2
+    g: float
+    alpha: float
+    z0: float
+    bw: float
+    temperature: float
+    i_sat: float
     sigma_sq_sn: float | None = None
 
     def __post_init__(self) -> None:
@@ -96,7 +96,7 @@ class UserSignal:
     """Weak plane-wave user field: amplitude (V/m), carrier (Hz), phase."""
 
     u_x: float
-    f_c: float = 6.9458e9
+    f_c: float
     theta_x: float = 0.0
 
     def __post_init__(self) -> None:

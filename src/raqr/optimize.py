@@ -174,6 +174,30 @@ def _fixed_point(op, system, candidate_of_gamma, update):
         f"load factor not self-consistent after 50 passes; last {gamma:.6e}")
 
 
+def _pc_stationary(invariants, gamma):
+    """Coupling power stationary for a term c(p1) / kappa^2 whose power
+    factor c has p1-elasticity -gamma: e_g - e_cn for the DC-shot term,
+    e_g for the thermal term."""
+    _, a23, _, s, _, ell, strength, sat = invariants
+    w_star = ell * (gamma * strength
+                    + math.hypot(gamma * strength, 4.0 * sat)) / (8.0 * s)
+    pc = (w_star - s) / a23
+    return StationaryPower(max(pc, 0.0), clamped=pc <= 0.0)
+
+
+def _plo_stationary(invariants, gamma):
+    """LO power stationary for the same family of terms. The discriminant
+    exceeds the square of (gamma * strength + 2 * sat) by exactly 12 sat^2,
+    so the stationary point is always interior-positive."""
+    _, _, a34, s, u, _, strength, sat = invariants
+    disc = (gamma * strength) ** 2 + 4.0 * gamma * strength * sat + 16.0 * sat**2
+    ell_star = (
+        2.0 * s * (u + s) * (math.sqrt(disc) - gamma * strength - 2.0 * sat)
+        / (6.0 * sat**2)
+    )
+    return StationaryPower(ell_star / a34, clamped=False)
+
+
 def optimal_pc_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     """Coupling power that minimizes the DC-shot term.
 
@@ -181,60 +205,39 @@ def optimal_pc_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     is refined to self-consistency and the formula is accurate in the
     strong-local-beam regime.
     """
-    _, a23, _, s, _, ell, strength, sat = _power_invariants(op, system)
-
-    def candidate(gamma):
-        w_star = ell * (gamma * strength
-                        + math.hypot(gamma * strength, 4.0 * sat)) / (8.0 * s)
-        pc = (w_star - s) / a23
-        return StationaryPower(max(pc, 0.0), clamped=pc <= 0.0)
-
-    return _fixed_point(op, system, candidate, lambda o, v: with_powers(o, pc=v))
+    invariants = _power_invariants(op, system)
+    return _fixed_point(op, system, lambda g: _pc_stationary(invariants, g),
+                        lambda o, v: with_powers(o, pc=v))
 
 
 def optimal_plo_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
-    """LO power that minimizes the DC-shot term.
+    """LO power that minimizes the DC-shot term."""
+    invariants = _power_invariants(op, system)
+    return _fixed_point(op, system, lambda g: _plo_stationary(invariants, g),
+                        lambda o, v: with_powers(o, p_lo=v))
 
-    The discriminant exceeds the square of (gamma * strength + 2 * sat) by
-    exactly 12 sat^2, so the stationary point is always interior-positive.
-    """
-    _, _, a34, s, u, _, strength, sat = _power_invariants(op, system)
-    w = u + s
 
-    def candidate(gamma):
-        disc = ((gamma * strength) ** 2 + 4.0 * gamma * strength * sat
-                + 16.0 * sat**2)
-        ell_star = (
-            2.0 * s * w * (math.sqrt(disc) - gamma * strength - 2.0 * sat)
-            / (6.0 * sat**2)
-        )
-        return StationaryPower(ell_star / a34, clamped=False)
-
-    return _fixed_point(op, system, candidate, lambda o, v: with_powers(o, p_lo=v))
+def _gain_elasticity(op, system):
+    return scheme_powers(op, p1_of_lo(op, system))[2][0]
 
 
 def optimal_pc_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     """Coupling power that minimizes the thermal term (maximizes the
-    demodulated signal). The balanced scheme routes to the DC-shot
-    formula."""
+    demodulated signal). For the direct scheme that term, 1/(p_g^2 kappa^2),
+    has p1-elasticity -e_g, so the DC-shot formula applies at load factor
+    e_g; the balanced scheme routes to the DC-shot optimum."""
     if op.scheme == "BCOD":
         return optimal_pc_cn(op, system)
-    _, a23, _, s, _, ell, strength, sat = _power_invariants(op, system)
-    w_star = ell * (strength + math.hypot(strength, 2.0 * sat)) / (4.0 * s)
-    pc = (w_star - s) / a23
-    return StationaryPower(max(pc, 0.0), clamped=pc <= 0.0)
+    return _pc_stationary(_power_invariants(op, system), _gain_elasticity(op, system))
 
 
 def optimal_plo_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
-    """LO power that minimizes the thermal term; balanced scheme routes to
-    the DC-shot formula."""
+    """LO power that minimizes the thermal term; as ``optimal_pc_tn``, the
+    DC-shot formula at load factor e_g for the direct scheme, and the
+    DC-shot optimum for the balanced scheme."""
     if op.scheme == "BCOD":
         return optimal_plo_cn(op, system)
-    _, _, a34, s, u, _, strength, sat = _power_invariants(op, system)
-    w = u + s
-    root = math.sqrt((strength + sat) ** 2 + 3.0 * sat**2) - strength - sat
-    ell_star = 2.0 * s * w * root / (3.0 * sat**2)
-    return StationaryPower(ell_star / a34, clamped=False)
+    return _plo_stationary(_power_invariants(op, system), _gain_elasticity(op, system))
 
 
 def optimal_pl(chain: DetectionChain, p1_at_lo: float, pl_max: float) -> float:

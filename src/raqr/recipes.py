@@ -216,8 +216,9 @@ def sn_vs_ratio(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     n_samples = 40_000
     rows, series = [], []
     worst, worst_strong = 0.0, 0.0
-    for offset, op in ((0, defaults.diod_point(f_lo=cfg.op.f_lo, a_e=cfg.op.a_e)),
-                       (1000, defaults.bcod_point(f_lo=cfg.op.f_lo, a_e=cfg.op.a_e))):
+    geometry = {k: getattr(cfg.op, k) for k in ("f_lo", "a_e", "fwhm_p", "fwhm_c")}
+    for offset, op in ((0, defaults.diod_point(**geometry)),
+                       (1000, defaults.bcod_point(**geometry))):
         label = op.scheme.lower()
         series.append({"label": label, "filter": {"series": label}})
         gains = baseband_gains(op, cfg.chain, cfg.system)

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from raqr import cli, defaults, mimo
+import raqr
+from raqr import cli, config, defaults, mimo
 from raqr.config import (
     ParseError,
     ValidationError,
@@ -15,7 +20,9 @@ from raqr.config import (
     load_config,
     serialize,
 )
+from raqr.frontend import baseband_gains
 from raqr.recipes import RecipeError, list_recipes, place_users, run_recipe
+from raqr.waveform import effective_gain
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):
@@ -207,19 +214,58 @@ class TestDerivedQuantities:
             )
 
     def test_builds_equal_objects_through_the_factories(self, default_cfg):
-        # the config derives e*a0, the atom count and the responsivity with
-        # the defaults helpers, so only the two values that pass through a
-        # unit scale (nm -> m, us -> s) need handing over for exact equality
-        lambda_p, t2 = default_cfg.system.lambda_p, default_cfg.system.t2
-        assert default_cfg.system == defaults.cesium_system(
-            lambda_p=lambda_p, t2=t2
-        )
-        assert default_cfg.chain == defaults.default_chain(
-            alpha=defaults.responsivity(defaults.ETA1, lambda_p)
-        )
-        assert default_cfg.system.n_atoms == defaults.n_atoms(
-            defaults.N0, default_cfg.op.fwhm_p, defaults.L_CELL
-        )
+        assert default_cfg.system == defaults.cesium_system()
+        assert default_cfg.chain == defaults.default_chain()
+        assert default_cfg.op == defaults.bcod_point()
+
+    def test_scaled_units_land_on_the_nearest_double(self):
+        raw = config._defaults_raw()
+        si = config._validate_raw(raw)
+        scaled = [(section, key, exp)
+                  for section, schema in config._SECTIONS.items()
+                  for key, (_, exp) in schema.items() if exp is not None]
+        assert len(scaled) == 10
+        for section, key, exp in scaled:
+            written = raw[section][key]
+            assert si[section][key] == float(f"{written}e{exp}"), key
+
+    @pytest.mark.parametrize(
+        "module", ["raqr.defaults", "raqr.config", "raqr.recipes", "raqr.cli"]
+    )
+    def test_imports_first_in_a_fresh_interpreter(self, module):
+        # defaults builds the shipped config at import, and config imports
+        # recipes lazily; neither edge may meet a half-initialised module
+        src = str(Path(raqr.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", f"import {module}"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_sn_vs_ratio_reads_the_configured_beams(self, tmp_path):
+        import dataclasses
+
+        cfg = load_config(write_config(
+            tmp_path,
+            "recipe: sn-vs-ratio\n"
+            "operating_point:\n  probe_fwhm_mm: 2.5\n  coupling_fwhm_mm: 3.0\n"
+            "sweep:\n  variable: ratio_db\n  start: 20.0\n  stop: 20.0\n"
+            "  points: 1\n  scale: linear\n",
+        ))
+        cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
+        rows = run_recipe(cfg)["csv"].read_text().splitlines()[2:]
+        closed = {row.split(",")[0]: float(row.split(",")[3]) for row in rows}
+        for op in (defaults.diod_point(fwhm_p=2.5e-3, fwhm_c=3.0e-3),
+                   defaults.bcod_point(fwhm_p=2.5e-3, fwhm_c=3.0e-3)):
+            gains = baseband_gains(op, cfg.chain, cfg.system)
+            user = defaults.weak_user(20.0, op)
+            expected = (0.5 * cfg.chain.sigma_sq_sn * effective_gain(op, cfg.chain)
+                        * cfg.chain.alpha * gains.p_sn_bar_sq * gains.kappa**2
+                        * user.u_x**2)
+            assert closed[op.scheme.lower()] == pytest.approx(
+                expected, rel=1e-11, abs=0.0)
 
 
 class TestGeometry:

@@ -343,11 +343,12 @@ class TestUserSignal:
         p = 1.32e-6
         a_e = 1.5e-4
         u = rf_field_amplitude(p, a_e)
-        assert UserSignal(u_x=u).power(a_e) == pytest.approx(p, rel=1e-12)
+        user = UserSignal(u_x=u, f_c=defaults.F_CARRIER)
+        assert user.power(a_e) == pytest.approx(p, rel=1e-12)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
-            UserSignal(u_x=-1.0)
+            UserSignal(u_x=-1.0, f_c=defaults.F_CARRIER)
 
 
 # Frozen 2024-08: confirmed against an adaptive-quadrature integral of the
