@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0, hbar
+
+from .constants import epsilon_0, hbar
 
 
 class DegenerateNullSpace(RuntimeError):
@@ -160,6 +161,10 @@ def _rhs(system: AtomicSystem, h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+_BASIS = np.eye(16).reshape(16, 4, 4)  # E_ij at index 4i + j
+# -j[E_ab, E_ij] at row 4a + b, flattened as _rhs lays out its action on
+# _BASIS: the drive part of L is the Hamiltonian's entries times this table.
+_COMMUTATORS = (-1j * (_BASIS[:, None] @ _BASIS - _BASIS @ _BASIS[:, None])).reshape(16, 256)
 _TRACE_ROW = np.eye(4).ravel()  # vec(identity): _TRACE_ROW @ vec(rho) = tr(rho)
 BLOCK = 64  # drives per batched solve: bounds the working set of a long stack
 RESIDUAL_RTOL = 1e-10
@@ -168,14 +173,19 @@ RESIDUAL_RTOL = 1e-10
 def build_liouvillian(system: AtomicSystem, drive: DriveConfig) -> np.ndarray:
     """16x16 complex superoperator L with vec(d rho/dt) = L @ vec(rho).
 
-    vec() is the row-major flatten of the 4x4 matrix. Column 4i + j is the
-    action on the basis matrix E_ij, all 16 taken in one broadcast, which
-    keeps the vectorization identities out of the code entirely. A stack of
+    vec() is the row-major flatten of the 4x4 matrix. Column 4i + j is
+    ``_rhs`` acting on the basis matrix E_ij, which keeps the vectorization
+    identities out of the code entirely. L is affine in H: the decay and
+    repump part is ``_rhs`` at H = 0, taken once, and the drive part is one
+    product of H's 16 entries with the constant ``_COMMUTATORS``. Every
+    entry of that product sums at most two exact terms, so L equals the
+    per-basis ``_rhs`` evaluation up to the signs of zeros. A stack of
     drives gives (..., 16, 16).
     """
-    basis = np.eye(16).reshape(16, 4, 4)  # E_ij at index 4i + j
-    out = _rhs(system, _hamiltonian(drive)[..., None, :, :], basis)
-    return out.reshape(out.shape[:-3] + (16, 16)).swapaxes(-1, -2)
+    h = _hamiltonian(drive)
+    fixed = _rhs(system, np.zeros((4, 4)), _BASIS).reshape(16, 16)
+    out = (h.reshape(h.shape[:-2] + (16,)) @ _COMMUTATORS).reshape(h.shape[:-2] + (16, 16))
+    return (out + fixed).swapaxes(-1, -2)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.constants import elementary_charge, hbar, speed_of_light
 
 from .atomic import AtomicSystem
+from .constants import elementary_charge, hbar, speed_of_light
 from .frontend import DetectionChain, OperatingPoint
 
 _CONFIG_DIR = Path(__file__).with_name("configs")

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from scipy.constants import speed_of_light
-
 from .atomic import AtomicSystem, DriveConfig
 from .config import _from_raw
+from .constants import speed_of_light
 from .frontend import DetectionChain, OperatingPoint, UserSignal, rabi_coefficients
 
 # No recipe is selected: validating one imports ``recipes``, which imports

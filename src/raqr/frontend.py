@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import Boltzmann, elementary_charge, epsilon_0, hbar, speed_of_light
 
 from .atomic import AtomicSystem, ZeroProbe, chi_prime_resonant
+from .constants import Boltzmann, elementary_charge, epsilon_0, hbar, speed_of_light
 
 LN2 = math.log(2.0)
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c, epsilon_0, hbar, k as k_boltzmann
-
+from .constants import Boltzmann, epsilon_0, hbar, speed_of_light
 from .frontend import (
     AtomicSystem,
     DetectionChain,
@@ -74,12 +73,12 @@ class NoiseWeights:
         varsig = chain.sigma_sq_sn
         sig_shot = varsig / chain.alpha
         dc_shot = varsig / (2.0 * chain.z0 * chain.alpha)
-        thermal = k_boltzmann * chain.temperature * chain.bw / (
+        thermal = Boltzmann * chain.temperature * chain.bw / (
             2.0 * chain.z0 * chain.alpha**2
         )
         projection = (
             2.0
-            * c
+            * speed_of_light
             * epsilon_0
             * chain.bw
             * hbar**2

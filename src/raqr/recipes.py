@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import speed_of_light
 
 from . import defaults, mimo
 from .atomic import steady_state_numeric
 from .config import ExperimentConfig, ValidationError, fingerprint
+from .constants import speed_of_light
 from .frontend import baseband_gains, noise_budget, p1_of_lo, with_powers
 from .optimize import (
     NoiseWeights,

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c, epsilon_0, hbar
-from scipy.signal import firwin2, lfilter
 
 from . import defaults
 from .atomic import rho21_resonant, steady_state_numeric, susceptibility
+from .constants import epsilon_0, hbar, speed_of_light
 from .frontend import (
     AtomicSystem,
     DetectionChain,
@@ -58,7 +57,7 @@ class InsufficientLength(Exception):
 
 def effective_gain(op: OperatingPoint, chain: DetectionChain) -> float:
     """Voltage-scale constant 4 G Z0 c eps0 A_e (see module docstring)."""
-    return 4.0 * chain.g * chain.z0 * c * epsilon_0 * op.a_e
+    return 4.0 * chain.g * chain.z0 * speed_of_light * epsilon_0 * op.a_e
 
 
 @dataclass
@@ -232,6 +231,8 @@ def _lowpass_taps(f_delta: float, sample_rate: float) -> np.ndarray:
     samples per beat period so that short series at the minimum sample
     rate can still settle.
     """
+    from scipy.signal import firwin2  # costs ~1 s at import; only demodulation needs it
+
     spp = sample_rate / abs(f_delta)
     numtaps = int(min(511, max(65, round(8.0 * spp))))
     numtaps |= 1  # linear phase type I
@@ -257,6 +258,8 @@ def demodulate_iq(
     f_delta/2, and combines as (I + jQ)/sqrt(2), so a unit-amplitude
     cosine beat maps to 1/(2 sqrt(2)).
     """
+    from scipy.signal import lfilter
+
     v = np.asarray(v_samples, dtype=float)
     if abs(f_delta) >= sample_rate / 4.0:
         raise ValueError("f_delta must be below sample_rate/4")

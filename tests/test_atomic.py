@@ -116,6 +116,41 @@ class TestLiouvillian:
         expected[10] = -1e5
         assert np.allclose(tr_map, expected, atol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        drives=st.lists(
+            st.tuples(
+                st.just(0.0) | st.floats(0.0, 1e9),
+                st.just(0.0) | st.floats(0.0, 1e8),
+                st.just(0.0) | st.floats(0.0, 1e9),
+                st.floats(-1e8, 1e8),
+                st.floats(-1e8, 1e8),
+                st.floats(-1e8, 1e8),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        rates=st.tuples(*[st.floats(0.0, 1e6)] * 4),
+    )
+    def test_matches_the_per_basis_definition(self, drives, rates):
+        """The decay part plus the Hamiltonian-times-table product is the
+        right-hand side applied to each basis matrix at the full H."""
+        gamma, gamma3, gamma4, gamma_c = rates
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
+                                      gamma4=gamma4, gamma_c=gamma_c)
+        cols = np.array(drives).T
+        stack = DriveConfig(
+            omega_p=cols[0], omega_c=cols[1], omega_rf=cols[2],
+            delta_p=cols[3], delta_c=cols[4], delta_rf=cols[5],
+        )
+        basis = np.eye(16).reshape(16, 4, 4)
+        for drive in (stack, _members(stack, len(drives))[0]):
+            per_basis = atomic._rhs(
+                sys_, atomic._hamiltonian(drive)[..., None, :, :], basis)
+            expected = per_basis.reshape(per_basis.shape[:-3] + (16, 16))
+            assert np.array_equal(build_liouvillian(sys_, drive),
+                                  expected.swapaxes(-1, -2))
+
 
 class TestSteadyState:
     def test_no_drive_relaxes_to_ground(self):

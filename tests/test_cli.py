@@ -25,6 +25,16 @@ from raqr.recipes import RecipeError, list_recipes, place_users, run_recipe
 from raqr.waveform import effective_gain
 
 
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this raqr."""
+    src = str(Path(raqr.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 def write_config(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -206,11 +216,11 @@ class TestDerivedQuantities:
         for name in ("mu12", "mu23", "mu34", "gamma2", "n0", "l_cell",
                      "lambda_p", "t2", "n_atoms"):
             assert getattr(default_cfg.system, name) == pytest.approx(
-                getattr(system, name), rel=1e-12
+                getattr(system, name), rel=1e-12, abs=0.0
             )
         for name in ("g", "alpha", "z0", "bw", "temperature", "i_sat"):
             assert getattr(default_cfg.chain, name) == pytest.approx(
-                getattr(chain, name), rel=1e-12
+                getattr(chain, name), rel=1e-12, abs=0.0
             )
 
     def test_builds_equal_objects_through_the_factories(self, default_cfg):
@@ -235,14 +245,24 @@ class TestDerivedQuantities:
     def test_imports_first_in_a_fresh_interpreter(self, module):
         # defaults builds the shipped config at import, and config imports
         # recipes lazily; neither edge may meet a half-initialised module
-        src = str(Path(raqr.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", f"import {module}"],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        proc = run_fresh(f"import {module}")
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.signal alone costs about a second of every command's start;
+        # demodulation imports it when it runs
+        proc = run_fresh(
+            "import math, sys\n"
+            "import numpy as np\n"
+            "import raqr.cli\n"
+            "from raqr.waveform import demodulate_iq\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "t = np.arange(4800) / 2.4e6\n"
+            "z = demodulate_iq(np.cos(2 * math.pi * 75e3 * t), 75e3, 2.4e6)\n"
+            "print(len(z), 'scipy.signal' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "4800 True"]
 
     def test_sn_vs_ratio_reads_the_configured_beams(self, tmp_path):
         import dataclasses

@@ -318,7 +318,7 @@ class TestNoiseBudget:
 
     def test_default_shot_prefactor(self, chain):
         q = 1.602176634e-19
-        assert chain.sigma_sq_sn == pytest.approx(2.0 * q * chain.bw)
+        assert chain.sigma_sq_sn == pytest.approx(2.0 * q * chain.bw, abs=0.0)
 
     def test_regime_ordering_at_defaults(self, system, diod, bcod, chain):
         """Direct scheme thermal-limited, balanced scheme limited by the
