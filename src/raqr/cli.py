@@ -1,7 +1,7 @@
 """Command line: run named experiments, validate configs, list recipes.
 
-Exit codes: 0 success, 1 recipe execution failure, 2 bad input
-(unparseable or invalid config, bad thread count).
+Exit codes: 0 success, 1 recipe execution failure, 2 bad input (unparseable
+or invalid config, a config the recipe cannot run, bad thread count).
 """
 
 from __future__ import annotations
@@ -88,13 +88,12 @@ def main(argv=None) -> int:
         threads = _resolve_threads(args.threads)
         path = args.config or default_config_path(args.recipe)
         cfg = load_config(path, recipe=args.recipe, seed=args.seed)
+        if args.out is not None:
+            cfg = dataclasses.replace(cfg, output_dir=args.out)
+        paths = run_recipe(cfg, threads=threads)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
-    try:
-        paths = run_recipe(cfg, threads=threads)
     except RecipeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

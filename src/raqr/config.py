@@ -62,43 +62,45 @@ class ValidationError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-# Per-section scalar schema: key -> (expected type, SI power-of-ten exponent).
+# Per-section scalar schema: key -> (expected type, SI power-of-ten exponent,
+# then the model fields set from the key, whose failed checks name the key).
 # An exponent of None means the value passes through untouched
 # (dimensionless, strings, counts). Floats accept ints; bools are never
 # numbers. A negative exponent divides by the exact power of ten, so a
 # written decimal lands on the double nearest its SI value.
 
 _ATOMIC = {
-    "probe_dipole_ea0": (float, None),
-    "dressing_dipole_cm": (float, None),
-    "rf_dipole_ea0": (float, None),
-    "probe_linewidth_mhz": (float, None),
+    "probe_dipole_ea0": (float, None, "mu12"),
+    "dressing_dipole_cm": (float, None, "mu23"),
+    "rf_dipole_ea0": (float, None, "mu34"),
+    "probe_linewidth_mhz": (float, None, "gamma2"),
     "density_per_m3": (float, None),
-    "cell_length_mm": (float, -3),
-    "probe_wavelength_nm": (float, -9),
-    "dephasing_time_us": (float, -6),
+    "cell_length_mm": (float, -3, "l_cell"),
+    "probe_wavelength_nm": (float, -9, "lambda_p"),
+    "dephasing_time_us": (float, -6, "t2"),
 }
 
 _OPERATING_POINT = {
     "scheme": (str, None),
-    "probe_power_w": (float, None),
-    "coupling_power_w": (float, None),
-    "lo_power_w": (float, None),
-    "local_beam_power_w": (float, None),
+    "probe_power_w": (float, None, "p0"),
+    "coupling_power_w": (float, None, "pc"),
+    "lo_power_w": (float, None, "p_lo"),
+    "local_beam_power_w": (float, None, "pl"),
     "carrier_freq_ghz": (float, 9),
     "beat_freq_khz": (float, 3),
-    "probe_fwhm_mm": (float, -3),
-    "coupling_fwhm_mm": (float, -3),
-    "effective_area_cm2": (float, -4),
+    # the atom count fails on the probe width: density and cell length come first
+    "probe_fwhm_mm": (float, -3, "fwhm_p", "n_atoms"),
+    "coupling_fwhm_mm": (float, -3, "fwhm_c"),
+    "effective_area_cm2": (float, -4, "a_e"),
 }
 
 _DETECTION = {
-    "gain": (float, None),
+    "gain": (float, None, "g"),
     "quantum_efficiency": (float, None),
-    "impedance_ohm": (float, None),
-    "bandwidth_khz": (float, 3),
-    "temperature_k": (float, None),
-    "saturation_current_ma": (float, -3),
+    "impedance_ohm": (float, None, "z0"),
+    "bandwidth_khz": (float, 3, "bw"),
+    "temperature_k": (float, None, "temperature"),
+    "saturation_current_ma": (float, -3, "i_sat"),
 }
 
 _ARRAY = {
@@ -130,6 +132,10 @@ _SECTIONS = {
     "baseline": _BASELINE,
     "sweep": _SWEEP,
 }
+
+# model field -> the dotted key that sets it, for the model's ValueErrors
+_FIELD_KEYS = {field: f"{name}.{key}" for name, schema in _SECTIONS.items()
+               for key, (_, _, *fields) in schema.items() for field in fields}
 
 _TOP_SCALARS = {
     "recipe": (str, None),
@@ -255,7 +261,7 @@ def _validate_raw(raw: dict) -> dict:
                     raise ValidationError(dotted, "unknown key")
                 if sub_value is None:
                     continue  # explicit null falls back to "absent"
-                kind, exp = schema[sub]
+                kind, exp = schema[sub][:2]
                 out[sub] = _check_value(dotted, sub_value, kind, exp)
             converted[key] = out
         elif key in _TOP_SCALARS:
@@ -267,6 +273,16 @@ def _validate_raw(raw: dict) -> dict:
         else:
             raise ValidationError(key, "unknown key")
     return converted
+
+
+def _construct(cls, section: str, **fields):
+    """``cls(**fields)``; a ValueError from its checks becomes a
+    ValidationError under the offending key (else under the section)."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        key = _FIELD_KEYS.get(str(exc).split()[0], section)
+        raise ValidationError(key, str(exc)) from exc
 
 
 def _require(section: dict, section_name: str, key: str):
@@ -303,7 +319,8 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
         raise ValidationError("operating_point.beat_freq_khz",
                               "must sit between zero and the carrier")
 
-    system = AtomicSystem(
+    system = _construct(
+        AtomicSystem, "atomic",
         mu12=_require(atomic, "atomic", "probe_dipole_ea0") * E_A0,
         mu23=_require(atomic, "atomic", "dressing_dipole_cm"),
         mu34=_require(atomic, "atomic", "rf_dipole_ea0") * E_A0,
@@ -320,7 +337,8 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
         n_atoms=n_atoms(n0, fwhm_p, l_cell),
     )
 
-    op = OperatingPoint(
+    op = _construct(
+        OperatingPoint, "operating_point",
         p0=_require(opv, "operating_point", "probe_power_w"),
         pc=_require(opv, "operating_point", "coupling_power_w"),
         p_lo=_require(opv, "operating_point", "lo_power_w"),
@@ -336,7 +354,8 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
     eta = _require(det, "detection", "quantum_efficiency")
     if not 0.0 < eta <= 1.0:
         raise ValidationError("detection.quantum_efficiency", "must be in (0, 1]")
-    chain = DetectionChain(
+    chain = _construct(
+        DetectionChain, "detection",
         g=_require(det, "detection", "gain"),
         alpha=responsivity(eta, lambda_p),
         z0=_require(det, "detection", "impedance_ohm"),

@@ -302,66 +302,49 @@ def _abs_sq(x):
     return (x * x.conj()).real
 
 
+def _expectations(scenario, method):
+    """Gain-free statistics of the engine's accumulators per draw, per user:
+    mean self-coupling and its variance, then the interference, shot and
+    AWGN energies (the standard MRC/ZF forms; Marzetta, Larsson, Yang, Ngo,
+    *Fundamentals of Massive MIMO*, 2016, ch. 3-4)."""
+    m, k = scenario.n_sensors, scenario.n_users
+    beta, pb = scenario.beta, scenario.p * scenario.beta
+    if method == "MRC":
+        # the self-coupling |h_k|^2 is beta_k times a Gamma(M, 1) variate
+        return np.array([m * beta, m * beta**2, m * beta * (pb.sum() - pb),
+                         m * beta * (pb.sum() + pb), m * beta])
+    if method != "ZF":
+        raise ValueError(f"unknown detection method {method!r}")
+    if m <= k:
+        raise DimensionError("zero-forcing needs more sensors than users")
+    if np.any(beta == 0.0):
+        raise RankDeficient("a user with zero fading makes the Gram matrix singular")
+    # the coupling is the identity; E[(G^-1)_kk] = 1 / ((M - K) beta_k)
+    zeros = np.zeros(k)
+    sn = scenario.p / m + (pb.sum() / beta) * (m - 1) / (m * (m - k))
+    return np.array([zeros + 1.0, zeros, zeros, sn, 1.0 / ((m - k) * beta)])
+
+
 def closed_form_moments(
     scenario: MimoScenario,
     gains: BasebandGains,
     budget: NoiseBudget,
     method: str,
 ) -> dict:
-    """Ensemble second moments of the five detection terms, per user."""
-    m = scenario.n_sensors
-    k = scenario.n_users
-    beta, p = scenario.beta, scenario.p
-    rho, rho_sn = gains.rho, gains.rho_sn
-    phi2 = abs(gains.phi) ** 2
-    phi_sn2 = abs(gains.phi_sn) ** 2
-    var = budget.sigma_sq_sn
-    sigma2 = budget.n_sum
-    pb = p * beta
-    if method == "MRC":
-        return {
-            "ds": m**2 * rho * p * phi2**2 * beta**2,
-            "ls": m * rho * p * phi2**2 * beta**2,
-            "ui": m * rho * phi2**2 * beta * (pb.sum() - pb),
-            "sn": m * var * rho_sn * phi2 * phi_sn2 * beta * (pb.sum() + pb),
-            "n": m * phi2 * beta * sigma2,
-        }
-    if method != "ZF":
-        raise ValueError(f"unknown detection method {method!r}")
-    if m <= k:
-        raise DimensionError("zero-forcing needs more sensors than users")
-    cross = (pb.sum() / beta) * (m - 1) / (m * (m - k))
-    return {
-        "ds": rho * p,
-        "ls": np.zeros(k),
-        "ui": np.zeros(k),
-        "sn": rho_sn * (phi_sn2 / phi2) * var * (p / m + cross),
-        "n": np.full(k, sigma2) / ((m - k) * phi2 * beta),
-    }
-
-
-def _sinr(num, den):
-    """(num / den, any capped): no desired signal is SINR 0, and a positive
-    signal over a zero denominator is inf (capped)."""
-    capped = (num > 0.0) & (den == 0.0)
-    ratio = num / np.where(den > 0.0, den, 1.0)
-    sinr = np.where(num > 0.0, np.where(capped, np.inf, ratio), 0.0)
-    return sinr, bool(np.any(capped))
+    """Ensemble second moments of the five detection terms, per user: the
+    accumulator expectations as one draw through the engine's own scaling."""
+    expected = _expectations(scenario, method)
+    factors = _scale(method, gains, budget)
+    return _terms_from_stats(scenario, gains, factors * expected)
 
 
 def sinr_lb_mrc(
     scenario: MimoScenario, gains: BasebandGains, budget: NoiseBudget
 ) -> BoundResult:
-    """Closed-form rate lower bound for matched combining; exact assembly
-    of the term moments."""
-    pb = scenario.p * scenario.beta
-    phi2 = abs(gains.phi) ** 2
-    phi_sn2 = abs(gains.phi_sn) ** 2
-    shot = budget.sigma_sq_sn * gains.rho_sn * phi_sn2
-    num = scenario.n_sensors * gains.rho * phi2 * pb
-    den = pb.sum() * (gains.rho * phi2 + shot) + shot * pb + budget.n_sum
-    sinr, _ = _sinr(num, den)
-    return BoundResult(sinr=sinr, rate=np.log2(1.0 + sinr))
+    """Closed-form rate lower bound for matched combining: the SINR of the
+    closed-form term moments."""
+    terms = closed_form_moments(scenario, gains, budget, "MRC")
+    return BoundResult(*_rate_from_terms(terms)[:2])
 
 
 def sinr_lb_zf(
@@ -370,29 +353,18 @@ def sinr_lb_zf(
     budget: NoiseBudget,
     form: str = "printed",
 ) -> BoundResult:
-    """Closed-form rate lower bound for zero-forcing.
-
-    ``form="printed"`` keeps the published numerator scale; the term-moment
-    assembly ("moment") evaluates to exactly a quarter of it, and the
-    Monte-Carlo machinery reproduces the moment assembly. Both are exposed;
-    bound_violation_alarm() reports when a claimed bound exceeds the
-    sampled rate.
-    """
-    m, k = scenario.n_sensors, scenario.n_users
-    if m <= k:
-        raise DimensionError("zero-forcing needs more sensors than users")
+    """Closed-form rate lower bound for zero-forcing: ``form="moment"`` is
+    the SINR of the closed-form term moments, which the Monte-Carlo engine
+    reproduces; ``form="printed"`` keeps the published numerator scale,
+    exactly four times that SINR. bound_violation_alarm() reports when a
+    claimed bound exceeds the sampled rate."""
     if form not in ("printed", "moment"):
         raise ValueError(f"unknown bound form {form!r}")
-    pb = scenario.p * scenario.beta
-    phi2 = abs(gains.phi) ** 2
-    phi_sn2 = abs(gains.phi_sn) ** 2
-    shot = budget.sigma_sq_sn * gains.rho_sn * phi_sn2 / m
-    num = 4.0 * (m - k) * gains.rho * phi2 * pb
-    den = shot * (pb * (m - k) + pb.sum() * (m - 1)) + budget.n_sum
-    sinr, _ = _sinr(num, den)
-    if form == "moment":
-        sinr = sinr / 4.0
-    return BoundResult(sinr=sinr, rate=np.log2(1.0 + sinr))
+    terms = closed_form_moments(scenario, gains, budget, "ZF")
+    sinr = _rate_from_terms(terms)[0]
+    if form == "printed":
+        sinr = 4.0 * sinr
+    return BoundResult(sinr, np.log2(1.0 + sinr))
 
 
 def asymptotic_rate(
@@ -445,7 +417,6 @@ def crossover_threshold(
     system,
     sigma_rf_sq: float,
     sweep: str = "p_lo",
-    bounds: tuple[float, float] | None = None,
 ) -> float:
     """Beam power where the user-signal-independent noise floor meets four
     times the baseline AWGN variance.
@@ -457,8 +428,7 @@ def crossover_threshold(
     """
     if sweep not in ("p_lo", "p0"):
         raise ValueError("sweep must be 'p_lo' or 'p0'")
-    if bounds is None:
-        bounds = (1e-9, 1e-3) if sweep == "p_lo" else (1e-4, 1e-1)
+    bounds = (1e-9, 1e-3) if sweep == "p_lo" else (1e-4, 1e-1)
     wts = NoiseWeights.from_chain(chain, system)
     floor_wts = NoiseWeights(0.0, wts.dc_shot, wts.thermal, wts.projection)
 
@@ -512,17 +482,17 @@ def _chunk_stats(scenario, method, chunk_index, n):
 
 
 def _scale(method, gains, budget):
-    """Per-accumulator factors that turn gain-free sums into a gain table's."""
-    phi2 = abs(gains.phi) ** 2
+    """Per-statistic factors that turn gain-free statistics into a gain
+    table's: c for the mean self-coupling (conj(phi) for MRC, 1/phi for ZF),
+    |c|^2 for its variance, then the interference, shot and AWGN factors.
+    Callers check ``method`` through ``_expectations`` first."""
+    if method == "ZF" and gains.phi == 0:
+        raise RankDeficient("zero-forcing at phi = 0: the phased channel is zero")
+    c = np.conj(gains.phi) if method == "MRC" else 1.0 / gains.phi
+    c2 = abs(c) ** 2
+    signal = gains.rho * c2**2 if method == "MRC" else 0.0
     shot = gains.rho_sn * abs(gains.phi_sn) ** 2 * budget.sigma_sq_sn
-    if method == "MRC":
-        factors = [np.conj(gains.phi), phi2, gains.rho * phi2**2,
-                   shot * phi2, budget.n_sum * phi2]
-    elif method == "ZF":
-        factors = [1.0 / gains.phi, 1.0 / phi2, 0.0,
-                   shot / phi2, budget.n_sum / phi2]
-    else:
-        raise ValueError(f"unknown detection method {method!r}")
+    factors = [c, c2, signal, shot * c2, budget.n_sum * c2]
     return np.array(factors, dtype=complex)[:, None]
 
 
@@ -538,25 +508,27 @@ def _run_chunks(scenario, method, threads):
         return list(pool.map(work, range(len(sizes)), sizes))
 
 
-def _terms_from_sums(scenario, gains, sums, count):
-    """Five term moments from the accumulator block."""
-    m1 = sums[0] / count
+def _terms_from_stats(scenario, gains, scaled):
+    """Five term moments from gain-free statistics times ``_scale``."""
     rho_p_phi2 = gains.rho * scenario.p * abs(gains.phi) ** 2
-    ds = rho_p_phi2 * _abs_sq(m1)
-    ls = rho_p_phi2 * np.maximum(sums[1].real / count - _abs_sq(m1), 0.0)
     return {
-        "ds": ds,
-        "ls": ls,
-        "ui": sums[2].real / count,
-        "sn": sums[3].real / count,
-        "n": sums[4].real / count,
+        "ds": rho_p_phi2 * _abs_sq(scaled[0]),
+        "ls": rho_p_phi2 * scaled[1].real,
+        "ui": scaled[2].real,
+        "sn": scaled[3].real,
+        "n": scaled[4].real,
     }
 
 
 def _rate_from_terms(terms):
-    den = terms["ls"] + terms["ui"] + terms["sn"] + terms["n"]
-    sinr, capped = _sinr(terms["ds"], den)
-    return sinr, np.log2(1.0 + sinr), capped
+    """(SINR, rate, any capped) of the five term moments, sampled or closed
+    form: no desired signal is SINR 0, and a positive signal over a zero
+    denominator is inf (capped)."""
+    num, den = terms["ds"], terms["ls"] + terms["ui"] + terms["sn"] + terms["n"]
+    capped = (num > 0.0) & (den == 0.0)
+    ratio = num / np.where(den > 0.0, den, 1.0)
+    sinr = np.where(num > 0.0, np.where(capped, np.inf, ratio), 0.0)
+    return sinr, np.log2(1.0 + sinr), bool(np.any(capped))
 
 
 def monte_carlo_rates(
@@ -567,29 +539,35 @@ def monte_carlo_rates(
 ) -> list[RateResult]:
     """One ``RateResult`` per ``(gains, budget)`` table from a single set of
     draws: the term moments are homogeneous in the gain table, so each table
-    rescales the same gain-free sums. Entry i is identical to
+    rescales the same gain-free statistics, and its bound rescales their
+    expectations. Entry i is identical to
     ``monte_carlo_rate(scenario, *tables[i], method)``."""
+    expected = _expectations(scenario, method)
     results = _run_chunks(scenario, method, threads)
     sums = np.stack([r[0] for r in results], axis=1)  # (5, chunks, users)
     counts = np.array([[r[1]] for r in results])
-    total, count = sums.sum(axis=1), int(counts.sum())
+    count = int(counts.sum())
+    stats, per_chunk = sums.sum(axis=1) / count, sums / counts
+    for means in (stats, per_chunk):
+        # second moment to variance: a coupling without spread (ZF) gives 0
+        means[1] = np.maximum(means[1].real - _abs_sq(means[0]), 0.0)
     out = []
     for gains, budget in tables:
         factors = _scale(method, gains, budget)
-        terms = _terms_from_sums(scenario, gains, factors * total, count)
+        terms = _terms_from_stats(scenario, gains, factors * stats)
         sinr, rate, capped = _rate_from_terms(terms)
         se = np.zeros(scenario.n_users)
         if len(counts) >= 2 and not capped:
             # batch means: the rate of each chunk on its own
-            batch = _rate_from_terms(_terms_from_sums(
-                scenario, gains, factors[:, None] * sums, counts))[1]
+            batch = _rate_from_terms(_terms_from_stats(
+                scenario, gains, factors[:, None] * per_chunk))[1]
             with np.errstate(invalid="ignore"):
                 se = batch.std(axis=0, ddof=1) / math.sqrt(len(counts))
             se[np.isinf(batch).any(axis=0)] = np.inf
-        bound = (sinr_lb_mrc(scenario, gains, budget) if method == "MRC"
-                 else sinr_lb_zf(scenario, gains, budget, form="moment"))
+        bound = _rate_from_terms(_terms_from_stats(
+            scenario, gains, factors * expected))[1]
         out.append(RateResult(
-            sinr=sinr, rate=rate, bound=bound.rate, n_samples=count,
+            sinr=sinr, rate=rate, bound=bound, n_samples=count,
             standard_error=se, capped=capped, method=method, terms=terms,
         ))
     return out

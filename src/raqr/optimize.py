@@ -288,7 +288,6 @@ def newton_optimal_p0(
     *,
     p0_bounds: tuple[float, float] = (1e-6, 1e-1),
     penalty=None,
-    max_iter: int = 100,
 ) -> DesignResult:
     """Probe power minimizing the noise functional inside the bracket.
 
@@ -297,6 +296,7 @@ def newton_optimal_p0(
     takes over. When the derivative has no sign change in the bracket the
     better endpoint is returned with the boundary flag set.
     """
+    max_iter = 100  # Newton steps before the final acceptance check
     lo, hi = p0_bounds
     if not 0.0 < lo < hi:
         raise ValueError("p0_bounds must satisfy 0 < lo < hi")

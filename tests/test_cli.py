@@ -233,7 +233,7 @@ class TestDerivedQuantities:
         si = config._validate_raw(raw)
         scaled = [(section, key, exp)
                   for section, schema in config._SECTIONS.items()
-                  for key, (_, exp) in schema.items() if exp is not None]
+                  for key, (_, exp, *_) in schema.items() if exp is not None]
         assert len(scaled) == 10
         for section, key, exp in scaled:
             written = raw[section][key]
@@ -442,6 +442,38 @@ class TestCliEntry:
         path = write_config(tmp_path, "banana: 1\n")
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert "banana" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("operating_point:\n  probe_power_w: -1.0\n", "operating_point.probe_power_w"),
+        ("detection:\n  gain: 0.0\n", "detection.gain"),
+        ("atomic:\n  dephasing_time_us: 0.0\n", "atomic.dephasing_time_us"),
+        # zero probe width leaves no atoms in the probe column
+        ("operating_point:\n  probe_fwhm_mm: 0.0\n", "operating_point.probe_fwhm_mm"),
+        # the shipped local beam is still set for the direct scheme
+        ("operating_point:\n  scheme: diod\n", "operating_point.local_beam_power_w"),
+    ], ids=["probe-power", "gain", "dephasing-time", "probe-width", "diod-local-beam"])
+    def test_validate_out_of_range_physics(self, tmp_path, capsys, text, key):
+        path = write_config(tmp_path, text)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    def test_schema_fields_are_model_fields(self):
+        import dataclasses
+
+        from raqr.atomic import AtomicSystem
+        from raqr.frontend import DetectionChain, OperatingPoint
+
+        names = {f.name for cls in (AtomicSystem, OperatingPoint, DetectionChain)
+                 for f in dataclasses.fields(cls)}
+        assert config._FIELD_KEYS and set(config._FIELD_KEYS) <= names
+
+    def test_run_recipe_rejecting_its_config(self, tmp_path, capsys):
+        path = write_config(tmp_path, "sweep:\n  variable: ratio_db\n")
+        rc = cli.main(["run", "rate-vs-M", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: sweep.variable: ")
+        assert not (tmp_path / "out").exists()
 
     def test_run_unknown_recipe(self, capsys):
         assert cli.main(["run", "make-coffee"]) == 2

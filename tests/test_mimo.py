@@ -332,7 +332,102 @@ class TestSnapshotBatch:
             mimo.detect(snap, h, sc, gains, "ZF")
 
 
+def _ratio(num, den):
+    # no desired signal is SINR 0; a positive one over nothing is inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(num > 0.0, num / den, 0.0)
+
+
+def published_mrc_sinr(sc, gains, budget):
+    """The published closed-form MRC bound, written out term by term."""
+    pb = sc.p * sc.beta
+    phi2 = abs(gains.phi) ** 2
+    shot = budget.sigma_sq_sn * gains.rho_sn * abs(gains.phi_sn) ** 2
+    num = sc.n_sensors * gains.rho * phi2 * pb
+    den = pb.sum() * (gains.rho * phi2 + shot) + shot * pb + budget.n_sum
+    return _ratio(num, den)
+
+
+def published_zf_sinr(sc, gains, budget):
+    """The published closed-form ZF bound at its printed numerator scale."""
+    m, k = sc.n_sensors, sc.n_users
+    pb = sc.p * sc.beta
+    phi2 = abs(gains.phi) ** 2
+    shot = budget.sigma_sq_sn * gains.rho_sn * abs(gains.phi_sn) ** 2 / m
+    num = 4.0 * (m - k) * gains.rho * phi2 * pb
+    den = shot * (pb * (m - k) + pb.sum() * (m - 1)) + budget.n_sum
+    return _ratio(num, den)
+
+
+_MAG = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+_NONNEG = st.one_of(st.just(0.0), _MAG)
+_ANGLE = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def bound_cases(draw, method):
+    """A physical gain table (|phi| <= 1, |phi_sn| = 1) and an array with
+    M > K; MRC also takes phi = 0 and silent users, which ZF refuses."""
+    m = draw(st.integers(2, 256))
+    k = draw(st.integers(1, min(m - 1, 12)))
+    fading = st.floats(-14.0, 0.0).map(lambda e: 10.0**e)
+    magnitude = st.floats(-3.0, 0.0).map(lambda e: 10.0**e)
+    if method == "MRC":
+        fading, magnitude = (st.one_of(st.just(0.0), x) for x in (fading, magnitude))
+    power = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+    sc = mimo.MimoScenario(
+        n_sensors=m, n_users=k, lambda_lo=1.0,
+        beta=draw(st.lists(fading, min_size=k, max_size=k)),
+        p=draw(st.lists(power, min_size=k, max_size=k)))
+    gains = SimpleNamespace(
+        rho=draw(_NONNEG), rho_sn=draw(_NONNEG),
+        phi=draw(magnitude) * cmath.exp(1j * draw(_ANGLE)),
+        phi_sn=cmath.exp(1j * draw(_ANGLE)))
+    budget = SimpleNamespace(sigma_sq_sn=draw(_NONNEG), n_sum=draw(_NONNEG))
+    return sc, gains, budget
+
+
 class TestClosedFormBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(case=bound_cases("MRC"))
+    def test_mrc_bound_matches_published_form(self, case):
+        sc, gains, budget = case
+        bound = mimo.sinr_lb_mrc(sc, gains, budget)
+        np.testing.assert_allclose(bound.sinr, published_mrc_sinr(sc, gains, budget),
+                                   rtol=1e-12, atol=0.0)
+        assert np.array_equal(bound.rate, np.log2(1.0 + bound.sinr))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=bound_cases("ZF"))
+    def test_zf_bound_matches_published_form(self, case):
+        sc, gains, budget = case
+        cf = mimo.closed_form_moments(sc, gains, budget, "ZF")
+        assert np.all(cf["ls"] == 0.0) and np.all(cf["ui"] == 0.0)
+        printed = mimo.sinr_lb_zf(sc, gains, budget, form="printed")
+        moment = mimo.sinr_lb_zf(sc, gains, budget, form="moment")
+        reference = published_zf_sinr(sc, gains, budget)
+        np.testing.assert_allclose(moment.sinr, reference / 4.0, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(printed.sinr, reference, rtol=1e-12, atol=0.0)
+        assert np.array_equal(printed.sinr, 4.0 * moment.sinr)
+
+    def test_zf_refuses_zero_phi_and_zero_fading(self, gains, budget, rng):
+        # phi = 0 zeroes the phased channel, beta_k = 0 a column of it: the
+        # snapshot combiner, the engine and the closed form all refuse
+        sc = small_scenario(n_realizations=256)
+        dark = dataclasses.replace(gains, phi=0j)
+        h = mimo.gen_channel(sc, rng)
+        faded = small_scenario(n_realizations=256, beta=[1.0, 1.0, 1.0, 0.0])
+        for call in (lambda: mimo.combiner(h, sc, dark, "ZF"),
+                     lambda: mimo.monte_carlo_rate(sc, dark, budget, "ZF"),
+                     lambda: mimo.closed_form_moments(sc, dark, budget, "ZF"),
+                     lambda: mimo.sinr_lb_zf(sc, dark, budget),
+                     lambda: mimo.combiner(mimo.gen_channel(faded, rng), faded,
+                                           gains, "ZF"),
+                     lambda: mimo.monte_carlo_rate(faded, gains, budget, "ZF"),
+                     lambda: mimo.sinr_lb_zf(faded, gains, budget)):
+            with pytest.raises(mimo.RankDeficient):
+                call()
+
     def test_mrc_bound_is_moment_assembly(self, gains, budget):
         sc = small_scenario()
         cf = mimo.closed_form_moments(sc, gains, budget, "MRC")
@@ -575,16 +670,11 @@ class TestMonteCarlo:
         assert abs(slope + 1.0) < 0.05
 
 
-# The engine reads five numbers from a gain table, so the draws cover the
-# whole complex plane for phi and phi_sn, not only the box BasebandGains
-# enforces for physical chains (|phi| <= 1, |phi_sn| = 1).
-_MAG = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
-_NONNEG = st.one_of(st.just(0.0), _MAG)
-_ANGLE = st.floats(-math.pi, math.pi)
-
-
 @st.composite
 def gain_tables(draw):
+    # the engine reads five numbers from a gain table, so the draws cover
+    # the whole complex plane for phi and phi_sn, not only the box
+    # BasebandGains enforces for physical chains (|phi| <= 1, |phi_sn| = 1)
     gains = SimpleNamespace(
         rho=draw(_NONNEG), rho_sn=draw(_NONNEG),
         phi=draw(_MAG) * cmath.exp(1j * draw(_ANGLE)),
@@ -616,6 +706,16 @@ class TestGainTables:
                 assert np.array_equal(getattr(res, name), getattr(one, name),
                                       equal_nan=True), name
             assert (res.capped, res.n_samples) == (one.capped, one.n_samples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=gain_tables(), method=st.sampled_from(["MRC", "ZF"]))
+    def test_bound_is_the_closed_form_bound(self, table, method):
+        # the engine scales the same closed-form moments the bounds use
+        gains, budget = table
+        res = mimo.monte_carlo_rate(TABLE_SCENARIO, gains, budget, method)
+        bound = (mimo.sinr_lb_mrc(TABLE_SCENARIO, gains, budget) if method == "MRC"
+                 else mimo.sinr_lb_zf(TABLE_SCENARIO, gains, budget, form="moment"))
+        assert np.array_equal(res.bound, bound.rate, equal_nan=True)
 
     @settings(max_examples=60, deadline=None)
     @given(table=gain_tables(), method=st.sampled_from(["MRC", "ZF"]))
