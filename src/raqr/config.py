@@ -235,6 +235,8 @@ def _check_value(dotted: str, value, kind, exp):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(dotted, f"expected a number, got {value!r}")
         value = float(value)
+        if not math.isfinite(value):
+            raise ValidationError(dotted, f"expected a finite number, got {value!r}")
         if exp is None:
             return value
         return value * 10.0**exp if exp >= 0 else value / 10.0**-exp

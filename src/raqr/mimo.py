@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -181,42 +180,64 @@ def lo_phase_progression(scenario: MimoScenario) -> np.ndarray:
     return np.exp(-1j * phase * m)
 
 
-def _draw(rng, batch, scenario, parts="hsbw"):
+def _draw(rng, batch, scenario, parts="hsbw", out=None):
     """Unit-variance draws for a batch of snapshots in the one fixed order:
     channel h (..., M, K; variance beta per user), symbols s (..., K), shot
-    diagonal b (..., M), AWGN w (..., M). ``parts`` picks a subset."""
+    diagonal b (..., M), AWGN w (..., M). ``parts`` picks a subset.
+
+    ``out`` may map a part to the array it is written into, and ``"x"`` to a
+    float scratch array of the channel's shape that the channel's real and
+    imaginary draws pass through; whatever it leaves out is allocated."""
     m, k = scenario.n_sensors, scenario.n_users
     shapes = {"h": (m, k), "s": (k,), "b": (m,), "w": (m,)}
-    out = []
+    out = out or {}
+    drawn = []
     for part in (p for p in "hsbw" if p in parts):
-        x = rng.standard_normal(batch + shapes[part])
-        if part != "b":
-            x = x + 1j * rng.standard_normal(batch + shapes[part])
-            x = x * np.sqrt(scenario.beta / 2.0) if part == "h" else x / math.sqrt(2.0)
-        out.append(x)
-    return out
+        shape = batch + shapes[part]
+        x = out.get(part)
+        if part == "b":
+            drawn.append(rng.standard_normal(shape, out=x))
+            continue
+        x = np.empty(shape, complex) if x is None else x
+        scratch = out.get("x") if part == "h" else None
+        x.real = rng.standard_normal(shape, out=scratch)
+        x.imag = rng.standard_normal(shape, out=scratch)
+        if part == "h":
+            np.multiply(x, np.sqrt(scenario.beta / 2.0), out=x)
+        else:
+            np.divide(x, math.sqrt(2.0), out=x)
+        drawn.append(x)
+    return drawn
 
 
-def _phased(scenario, h, phi=1.0):
-    """Phased channel phi·D·H of one snapshot (M, K) or a batch (..., M, K);
-    the Monte-Carlo engine keeps phi = 1 and scales afterwards."""
-    return phi * lo_phase_progression(scenario)[:, None] * h
+def _phased(scenario, h, phi=1.0, out=None):
+    """Phased channel phi·D·H of one snapshot (M, K) or a batch (..., M, K),
+    written into ``out`` when given (``out=h`` phases in place); the
+    Monte-Carlo engine keeps phi = 1 and scales afterwards."""
+    return np.multiply(phi * lo_phase_progression(scenario)[:, None], h, out=out)
 
 
-def _project(a, method, *cols):
+def _project(a, method, *cols, out=None):
     """The one combining kernel on a phased channel ``a`` (..., M, K):
     ``(cᴴa, cᴴ·col for each col)`` for column blocks (..., M, n), with
     combiners c = a (MRC) or a·G⁻¹ (ZF), G = aᴴa. The ZF coupling is the
-    identity by construction, so ZF leakage and interference are exactly 0."""
-    a_h = a.conj().swapaxes(-1, -2)
-    gram = a_h @ a
-    z = [a_h @ col for col in cols]
+    identity by construction, so ZF leakage and interference are exactly 0.
+
+    ``out`` may give arrays to write into: ``"conj"`` (a's shape), ``"gram"``
+    (..., K, K), and ``"z"`` and ``"zf"``, one (..., K, n) array per column
+    block for aᴴ·col and for the ZF product G⁻¹aᴴ·col."""
+    out = out or {}
+    blanks = [None] * len(cols)
+    a_h = np.conjugate(a, out=out.get("conj")).swapaxes(-1, -2)
+    gram = np.matmul(a_h, a, out=out.get("gram"))
+    z = [np.matmul(a_h, col, out=o) for col, o in zip(cols, out.get("z", blanks))]
     if method == "MRC":
         return gram, *z
     if method != "ZF":
         raise ValueError(f"unknown detection method {method!r}")
     g_inv = _zf_inverse(gram, a.shape[-2])
-    return np.broadcast_to(np.eye(gram.shape[-1]), gram.shape), *(g_inv @ x for x in z)
+    return np.broadcast_to(np.eye(gram.shape[-1]), gram.shape), *(
+        np.matmul(g_inv, x, out=o) for x, o in zip(z, out.get("zf", blanks)))
 
 
 def _zf_inverse(gram, n_sensors):
@@ -378,7 +399,10 @@ def asymptotic_rate(
     Only the user-signal-independent noise floor survives the limit; the
     floor equals four times the AWGN variance over the reception gain.
     """
-    floor = 4.0 * budget.n_sum / (gains.rho * abs(gains.phi) ** 2)
+    reception = gains.rho * abs(gains.phi) ** 2
+    if reception <= 0:
+        raise ValueError("reception gain rho*|phi|^2 must be positive")
+    floor = 4.0 * budget.n_sum / reception
     if floor <= 0:
         raise ValueError("noise floor must be positive")
     return math.log2(1.0 + 4.0 * energy * beta_k / floor)
@@ -463,16 +487,34 @@ def crossover_threshold(
 # Monte-Carlo engine
 
 
-def _chunk_stats(scenario, method, chunk_index, n):
+def _workspace(scenario, n):
+    """One worker's arrays for chunks of up to ``n`` draws: the float scratch,
+    the channel (phased in place) and its conjugate, all (n, M, K), then the
+    Gram matrices and the combining products of the shot and AWGN columns."""
+    m, k = scenario.n_sensors, scenario.n_users
+    return {
+        "x": np.empty((n, m, k)),
+        "h": np.empty((n, m, k), complex),
+        "conj": np.empty((n, m, k), complex),
+        "gram": np.empty((n, k, k), complex),
+        "z": np.empty((n, k, 2), complex),
+        "zf": np.empty((n, k, 2), complex),
+    }
+
+
+def _chunk_stats(scenario, method, chunk_index, n, workspace):
     """Gain-free term accumulators over one Philox substream, drawn by
-    ``_draw`` and combined by ``_project`` as a snapshot batch; ``_scale``
-    supplies the front-end gains and noise variances."""
+    ``_draw`` and combined by ``_project`` as a snapshot batch written into
+    ``workspace`` (a prefix of it for a short chunk); ``_scale`` supplies the
+    front-end gains and noise variances."""
+    ws = {key: x[:n] for key, x in workspace.items()}
     rng = np.random.Generator(np.random.Philox(key=[scenario.seed, chunk_index]))
-    h, s, b, w = _draw(rng, (n,), scenario)
-    a = _phased(scenario, h)
+    h, s, b, w = _draw(rng, (n,), scenario, out=ws)
+    a = _phased(scenario, h, out=h)
     ps = (np.sqrt(scenario.p) * s)[..., None]
     # shot and AWGN columns side by side, combined in one product
-    t, z = _project(a, method, np.stack([b * (a @ ps)[..., 0], w], axis=-1))
+    cols = np.stack([b * (a @ ps)[..., 0], w], axis=-1)
+    t, z = _project(a, method, cols, out={**ws, "z": [ws["z"]], "zf": [ws["zf"]]})
     t_diag = np.diagonal(t, axis1=-2, axis2=-1)
     ui = (t @ ps)[..., 0] - t_diag * ps[..., 0]
 
@@ -497,15 +539,27 @@ def _scale(method, gains, budget):
 
 
 def _run_chunks(scenario, method, threads):
+    """Chunk results in chunk order. Worker j of T runs chunks j, j + T, ...
+    through one workspace of its own, so no chunk allocates its large arrays
+    and the schedule cannot change a result."""
     n = scenario.n_realizations
     if n < 100:
         raise ValueError("need at least 100 realizations")
     sizes = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
-    work = partial(_chunk_stats, scenario, method)
-    if threads is None or threads <= 1:
-        return list(map(work, range(len(sizes)), sizes))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, range(len(sizes)), sizes))
+    workers = max(1, min(threads or 1, len(sizes)))
+
+    def work(j):
+        workspace = _workspace(scenario, sizes[0])
+        return [_chunk_stats(scenario, method, c, sizes[c], workspace)
+                for c in range(j, len(sizes), workers)]
+
+    if workers == 1:
+        return work(0)
+    results = [None] * len(sizes)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for j, part in enumerate(pool.map(work, range(workers))):
+            results[j::workers] = part
+    return results
 
 
 def _terms_from_stats(scenario, gains, scaled):

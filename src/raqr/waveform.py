@@ -172,9 +172,9 @@ def simulate_waveform(
     g_eff = effective_gain(op, chain)
     sigma_xi = math.sqrt(chain.sigma_sq_sn * sample_rate / (2.0 * chain.bw))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    xi_plus = rng.normal(0.0, sigma_xi, n)
-    xi_minus = rng.normal(0.0, sigma_xi, n)
-    xi = xi_plus if op.scheme == "DIOD" else (xi_plus - xi_minus) / math.sqrt(2.0)
+    xi = rng.normal(0.0, sigma_xi, n)
+    if op.scheme == "BCOD":  # the second detector's noise, drawn after the first
+        xi = (xi - rng.normal(0.0, sigma_xi, n)) / math.sqrt(2.0)
 
     cn = xi * math.sqrt(g_eff * (chain.alpha * p_cn_lo))
     sn = xi * np.sqrt(g_eff * i_env) - cn

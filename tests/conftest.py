@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import raqr
 from raqr import defaults
 
 
@@ -27,6 +33,16 @@ def bcod():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this raqr."""
+    src = str(Path(raqr.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def rel_err(a, b):

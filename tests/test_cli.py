@@ -2,15 +2,10 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import raqr
 from raqr import cli, config, defaults, mimo
 from raqr.config import (
     ParseError,
@@ -24,15 +19,7 @@ from raqr.frontend import baseband_gains
 from raqr.recipes import RecipeError, list_recipes, place_users, run_recipe
 from raqr.waveform import effective_gain
 
-
-def run_fresh(code):
-    """Run ``code`` in a new interpreter that imports this raqr."""
-    src = str(Path(raqr.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+from conftest import run_fresh
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):
@@ -451,7 +438,12 @@ class TestCliEntry:
         ("operating_point:\n  probe_fwhm_mm: 0.0\n", "operating_point.probe_fwhm_mm"),
         # the shipped local beam is still set for the direct scheme
         ("operating_point:\n  scheme: diod\n", "operating_point.local_beam_power_w"),
-    ], ids=["probe-power", "gain", "dephasing-time", "probe-width", "diod-local-beam"])
+        # the dataclass checks compare with <, which NaN and inf slip past
+        ("operating_point:\n  probe_power_w: .nan\n", "operating_point.probe_power_w"),
+        ("operating_point:\n  probe_power_w: .inf\n", "operating_point.probe_power_w"),
+        ("detection:\n  gain: -.inf\n", "detection.gain"),
+    ], ids=["probe-power", "gain", "dephasing-time", "probe-width", "diod-local-beam",
+            "nan", "inf", "minus-inf"])
     def test_validate_out_of_range_physics(self, tmp_path, capsys, text, key):
         path = write_config(tmp_path, text)
         assert cli.main(["validate", "--config", str(path)]) == 2

@@ -4,6 +4,7 @@ bounds, Monte-Carlo agreement, baseline, and the crossover threshold."""
 import cmath
 import dataclasses
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from raqr import defaults, mimo
 from raqr.frontend import baseband_gains, noise_budget, with_powers
 
-from conftest import rel_err
+from conftest import rel_err, run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -532,6 +533,14 @@ class TestAsymptoticRate:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+    @pytest.mark.parametrize("field, value", [("rho", 0.0), ("phi", 0j)])
+    def test_zero_reception_gain_rejected(self, field, value):
+        gains, budget = mimo.rf_gains(1.0)
+        silent = dataclasses.replace(gains, **{field: value})
+        with pytest.raises(ValueError, match="reception gain"):
+            mimo.asymptotic_rate(silent, budget, 1e-11)
+
+
 class TestCrossover:
     SIGMA = 3e-12
 
@@ -668,6 +677,60 @@ class TestMonteCarlo:
             ratios.append(float(((mc["ls"] + mc["ui"]) / mc["ds"])[0]))
         slope = np.polyfit(np.log(sizes), np.log(ratios), 1)[0]
         assert abs(slope + 1.0) < 0.05
+
+
+class TestChunkWorkspace:
+    """The engine draws and combines into one reused workspace per worker."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(m=st.integers(2, 64), method=st.sampled_from(["MRC", "ZF"]),
+           n=st.sampled_from([100, 2 * mimo.CHUNK, 3 * mimo.CHUNK + 17]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_thread_count_gives_identical_terms(
+            self, gains, budget, m, method, n, seed, data):
+        k = data.draw(st.integers(1, m - 1))
+        sc = defaults.default_scenario(m, k, n_realizations=n, seed=seed)
+        runs = [mimo.monte_carlo_terms(sc, gains, budget, method, threads=t)
+                for t in (1, 2, 3)]
+        for other in runs[1:]:
+            for key, value in runs[0].items():
+                assert np.array_equal(value, other[key]), key
+
+    @settings(max_examples=12, deadline=None)
+    @given(m=st.integers(2, 64), n=st.integers(1, mimo.CHUNK),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_draws_into_a_workspace_prefix_match_fresh_draws(self, m, n, seed, data):
+        k = data.draw(st.integers(1, m - 1))
+        sc = defaults.default_scenario(m, k, seed=seed)
+        ws = {key: x[:n] for key, x in mimo._workspace(sc, mimo.CHUNK).items()}
+        ws["x"].fill(np.nan)  # stale scratch must not leak into the draws
+        fresh = mimo._draw(np.random.Generator(np.random.Philox(key=[seed, 1])),
+                           (n,), sc)
+        into = mimo._draw(np.random.Generator(np.random.Philox(key=[seed, 1])),
+                          (n,), sc, out=ws)
+        assert np.shares_memory(into[0], ws["h"])
+        # byte equality also compares the signs of zeros
+        assert [x.tobytes() for x in fresh] == [x.tobytes() for x in into]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux minor page-fault counts")
+    def test_warm_pass_touches_few_fresh_pages(self):
+        # a pass that allocated its temporaries per chunk took ~27.6k faults
+        proc = run_fresh(
+            "import resource\n"
+            "from raqr import defaults, frontend, mimo\n"
+            "system, chain, op = (defaults.cesium_system(), defaults.default_chain(),\n"
+            "                     defaults.bcod_point())\n"
+            "gains = frontend.baseband_gains(op, chain, system)\n"
+            "budget = frontend.noise_budget(op, chain, system, gains=gains)\n"
+            "sc = defaults.default_scenario(100, 10, n_realizations=2000, seed=1)\n"
+            "mimo.monte_carlo_terms(sc, gains, budget, 'MRC')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "mimo.monte_carlo_terms(sc, gains, budget, 'MRC')\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 10_000
 
 
 @st.composite

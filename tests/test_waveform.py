@@ -169,6 +169,17 @@ class TestNoiseStatistics:
         pred = chain.sigma_sq_sn * effective_gain(bcod, chain) * chain.alpha * g.p_cn_bar
         assert measured == pytest.approx(pred, rel=0.02)
 
+    def test_diod_noise_is_the_first_draws_of_its_seed(self, system, diod, chain):
+        # one detector, one noise stream: the first n normals of Philox(seed)
+        n = 4096
+        user = defaults.weak_user(20.0, diod)
+        wf = simulate_waveform(diod, chain, user, system, n / FS, FS, seed=17)
+        z = np.random.Generator(np.random.Philox(key=17)).standard_normal(n)
+        g = baseband_gains(diod, chain, system)
+        scale = math.sqrt(chain.sigma_sq_sn * FS / (2.0 * chain.bw)
+                          * effective_gain(diod, chain) * chain.alpha * g.p_cn_bar)
+        np.testing.assert_allclose(wf.cn, scale * z, rtol=1e-12, atol=0.0)
+
     def test_quiet_chain_has_zero_noise(self, system, diod, quiet):
         wf = simulate_waveform(
             diod, quiet, defaults.weak_user(20.0, diod), system, 64 / FS, FS, seed=0
