@@ -62,8 +62,9 @@ class ValidationError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-# Per-section scalar schema: key -> (expected type, SI power-of-ten exponent,
-# then the model fields set from the key, whose failed checks name the key).
+# Per-section scalar schema, the one map from a key to its model field:
+# key -> (expected type, SI power-of-ten exponent, then the model fields set
+# from the key; the first takes its value, and failed checks name the key).
 # An exponent of None means the value passes through untouched
 # (dimensionless, strings, counts). Floats accept ints; bools are never
 # numbers. A negative exponent divides by the exact power of ten, so a
@@ -74,7 +75,7 @@ _ATOMIC = {
     "dressing_dipole_cm": (float, None, "mu23"),
     "rf_dipole_ea0": (float, None, "mu34"),
     "probe_linewidth_mhz": (float, None, "gamma2"),
-    "density_per_m3": (float, None),
+    "density_per_m3": (float, None, "n0"),
     "cell_length_mm": (float, -3, "l_cell"),
     "probe_wavelength_nm": (float, -9, "lambda_p"),
     "dephasing_time_us": (float, -6, "t2"),
@@ -287,158 +288,104 @@ def _construct(cls, section: str, **fields):
         raise ValidationError(key, str(exc)) from exc
 
 
-def _require(section: dict, section_name: str, key: str):
-    if key not in section:
-        raise ValidationError(f"{section_name}.{key}", "required key missing")
-    return section[key]
+def _section(si: dict, name: str) -> dict:
+    """Section ``name``'s converted values under their model field names, or
+    under the key where the schema lists none. Every key is required but the
+    local beam power, which the direct scheme leaves out."""
+    if name not in si:
+        raise ValidationError(name, "required section missing")
+    values, out = si[name], {}
+    for key, (_, _, *fields) in _SECTIONS[name].items():
+        if key in values:
+            out[fields[0] if fields else key] = values[key]
+        elif key != "local_beam_power_w":
+            raise ValidationError(f"{name}.{key}", "required key missing")
+    return out
 
 
 def _build(si: dict, raw: dict) -> ExperimentConfig:
-    for name in _SECTIONS:
-        if name not in si:
-            raise ValidationError(name, "required section missing")
+    atomic, opv, det, arr, baseline, sw = (_section(si, name) for name in _SECTIONS)
 
-    atomic = si["atomic"]
-    lambda_p = _require(atomic, "atomic", "probe_wavelength_nm")
-    l_cell = _require(atomic, "atomic", "cell_length_mm")
-    n0 = _require(atomic, "atomic", "density_per_m3")
-    if n0 <= 0:
+    if atomic["n0"] <= 0:
         raise ValidationError("atomic.density_per_m3", "must be > 0")
+    # dipoles come in atomic units, the linewidth in MHz over 2 pi
+    atomic["mu12"] *= E_A0
+    atomic["mu34"] *= E_A0
+    atomic["gamma2"] = 2.0 * math.pi * atomic["gamma2"] * 1e6
 
-    opv = si["operating_point"]
-    scheme = opv.get("scheme")
-    if scheme is None:
-        raise ValidationError("operating_point.scheme", "required key missing")
-    scheme = scheme.upper()
+    scheme = opv["scheme"] = opv["scheme"].upper()
     if scheme not in ("DIOD", "BCOD"):
         raise ValidationError(
             "operating_point.scheme", f"must be 'diod' or 'bcod', got {scheme!r}"
         )
-    fwhm_p = _require(opv, "operating_point", "probe_fwhm_mm")
-    f_carrier = _require(opv, "operating_point", "carrier_freq_ghz")
-    f_delta = _require(opv, "operating_point", "beat_freq_khz")
+    f_carrier = opv.pop("carrier_freq_ghz")
+    f_delta = opv.pop("beat_freq_khz")
     if not 0.0 < f_delta < f_carrier:
         raise ValidationError("operating_point.beat_freq_khz",
                               "must sit between zero and the carrier")
 
     system = _construct(
-        AtomicSystem, "atomic",
-        mu12=_require(atomic, "atomic", "probe_dipole_ea0") * E_A0,
-        mu23=_require(atomic, "atomic", "dressing_dipole_cm"),
-        mu34=_require(atomic, "atomic", "rf_dipole_ea0") * E_A0,
-        gamma2=2.0 * math.pi * _require(atomic, "atomic", "probe_linewidth_mhz") * 1e6,
-        gamma3=0.0,
-        gamma4=0.0,
-        gamma=0.0,
-        gamma_c=0.0,
-        n0=n0,
-        l_cell=l_cell,
-        lambda_p=lambda_p,
-        t2=_require(atomic, "atomic", "dephasing_time_us"),
+        AtomicSystem, "atomic", **atomic,
         # atom count illuminated by the probe column, derived not configured
-        n_atoms=n_atoms(n0, fwhm_p, l_cell),
+        n_atoms=n_atoms(atomic["n0"], opv["fwhm_p"], atomic["l_cell"]),
     )
+    op = _construct(OperatingPoint, "operating_point", **opv,
+                    f_lo=f_carrier - f_delta)
 
-    op = _construct(
-        OperatingPoint, "operating_point",
-        p0=_require(opv, "operating_point", "probe_power_w"),
-        pc=_require(opv, "operating_point", "coupling_power_w"),
-        p_lo=_require(opv, "operating_point", "lo_power_w"),
-        pl=opv.get("local_beam_power_w", 0.0),
-        scheme=scheme,
-        f_lo=f_carrier - f_delta,
-        fwhm_p=fwhm_p,
-        fwhm_c=_require(opv, "operating_point", "coupling_fwhm_mm"),
-        a_e=_require(opv, "operating_point", "effective_area_cm2"),
-    )
-
-    det = si["detection"]
-    eta = _require(det, "detection", "quantum_efficiency")
+    eta = det.pop("quantum_efficiency")
     if not 0.0 < eta <= 1.0:
         raise ValidationError("detection.quantum_efficiency", "must be in (0, 1]")
-    chain = _construct(
-        DetectionChain, "detection",
-        g=_require(det, "detection", "gain"),
-        alpha=responsivity(eta, lambda_p),
-        z0=_require(det, "detection", "impedance_ohm"),
-        bw=_require(det, "detection", "bandwidth_khz"),
-        temperature=_require(det, "detection", "temperature_k"),
-        i_sat=_require(det, "detection", "saturation_current_ma"),
-    )
+    chain = _construct(DetectionChain, "detection", **det,
+                       alpha=responsivity(eta, atomic["lambda_p"]))
 
-    arr = si["array"]
-    n_sensors = _require(arr, "array", "n_sensors")
-    n_users = _require(arr, "array", "n_users")
-    realizations = _require(arr, "array", "realizations")
-    for dotted, n in (("array.n_sensors", n_sensors), ("array.n_users", n_users),
-                      ("array.realizations", realizations)):
-        if n < 1:
-            raise ValidationError(dotted, "must be >= 1")
-    region_center = _require(arr, "array", "region_center_m")
-    region_radius = _require(arr, "array", "region_radius_m")
-    if region_center <= 0:
+    for key in ("n_sensors", "n_users", "realizations"):
+        if arr[key] < 1:
+            raise ValidationError(f"array.{key}", "must be >= 1")
+    if arr["region_center_m"] <= 0:
         raise ValidationError("array.region_center_m", "must be > 0")
-    if region_radius < 0 or region_radius >= region_center:
+    if not 0 <= arr["region_radius_m"] < arr["region_center_m"]:
         raise ValidationError("array.region_radius_m",
                               "must be >= 0 and inside the center distance")
-    transmit_power = _require(arr, "array", "transmit_power")
-    if transmit_power < 0:
+    if arr["transmit_power"] < 0:
         raise ValidationError("array.transmit_power", "must be >= 0")
 
-    rf_noise = _require(si["baseline"], "baseline", "rf_noise_w")
-    if rf_noise <= 0:
+    if baseline["rf_noise_w"] <= 0:
         raise ValidationError("baseline.rf_noise_w", "must be > 0")
 
-    sw = si["sweep"]
-    variable = _require(sw, "sweep", "variable")
-    if variable not in SWEEP_VARIABLES:
+    if sw["variable"] not in SWEEP_VARIABLES:
         raise ValidationError(
             "sweep.variable", f"must be one of {', '.join(SWEEP_VARIABLES)}"
         )
-    scale = _require(sw, "sweep", "scale")
-    if scale not in ("linear", "log"):
+    if sw["scale"] not in ("linear", "log"):
         raise ValidationError("sweep.scale", "must be 'linear' or 'log'")
-    start = _require(sw, "sweep", "start")
-    stop = _require(sw, "sweep", "stop")
-    points = _require(sw, "sweep", "points")
-    if points < 0:
+    if sw["points"] < 0:
         raise ValidationError("sweep.points", "must be >= 0")
-    if scale == "log" and (start <= 0 or stop <= 0):
-        key = "sweep.start" if start <= 0 else "sweep.stop"
+    if sw["scale"] == "log" and (sw["start"] <= 0 or sw["stop"] <= 0):
+        key = "sweep.start" if sw["start"] <= 0 else "sweep.stop"
         raise ValidationError(key, "log sweeps need positive bounds")
-    sweep = SweepSpec(variable=variable, start=start, stop=stop,
-                      points=points, scale=scale)
 
     recipe = si.get("recipe")
     if recipe is not None:
-        from .recipes import RECIPES
+        from .recipes import RECIPE_SWEEPS, RECIPES
 
         if recipe not in RECIPES:
             raise ValidationError(
                 "recipe", f"unknown recipe {recipe!r}; see `raqr list-recipes`"
             )
+        if sw["variable"] not in RECIPE_SWEEPS[recipe]:
+            raise ValidationError("sweep.variable", f"recipe {recipe} sweeps "
+                                  f"{' or '.join(RECIPE_SWEEPS[recipe])}")
 
+    # Philox keys [seed, chunk] pass through float64 from 2**63 on, where
+    # neighbouring seeds would share a stream
     seed = si.get("seed", 0)
-    if seed < 0:
-        raise ValidationError("seed", "must be >= 0")
+    if not 0 <= seed < 2**63:
+        raise ValidationError("seed", "must be >= 0 and < 2**63")
 
     return ExperimentConfig(
-        system=system,
-        op=op,
-        chain=chain,
-        f_carrier=f_carrier,
-        f_delta=f_delta,
-        n_sensors=n_sensors,
-        n_users=n_users,
-        realizations=realizations,
-        region_center_m=region_center,
-        region_radius_m=region_radius,
-        transmit_power=transmit_power,
-        rf_noise_w=rf_noise,
-        sweep=sweep,
-        recipe=recipe,
-        seed=seed,
-        output_dir=si.get("output_dir", "out"),
+        system=system, op=op, chain=chain, f_carrier=f_carrier,
+        f_delta=f_delta, **arr, **baseline, sweep=SweepSpec(**sw),
+        recipe=recipe, seed=seed, output_dir=si.get("output_dir", "out"),
         raw=raw,
     )
 

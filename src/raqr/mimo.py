@@ -87,6 +87,9 @@ class MimoScenario:
     def __post_init__(self):
         if self.n_sensors < 1 or self.n_users < 1:
             raise ValueError("need at least one sensor and one user")
+        # Philox keys [seed, chunk] go through float64 from 2**63 on
+        if not 0 <= self.seed < 2**63:
+            raise ValueError("seed must be >= 0 and < 2**63")
         if self.lambda_lo <= 0:
             raise ValueError("lambda_lo must be positive")
         beta = np.broadcast_to(
@@ -245,10 +248,17 @@ def _zf_inverse(gram, n_sensors):
     policy: more sensors than users, 1-norm condition number at most 1e12."""
     if n_sensors <= gram.shape[-1]:
         raise DimensionError("zero-forcing needs more sensors than users")
-    # cond() reports an exactly singular matrix as inf
-    if not np.all(np.linalg.cond(gram, 1) <= 1e12):
+    try:
+        g_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        raise RankDeficient("channel Gram matrix is numerically singular") from None
+    # the 1-norm condition number from the one inverse, as cond(gram, 1)
+    # computes it; NaN fails the comparison
+    cond = (np.linalg.norm(gram, 1, axis=(-2, -1))
+            * np.linalg.norm(g_inv, 1, axis=(-2, -1)))
+    if not np.all(cond <= 1e12):
         raise RankDeficient("channel Gram matrix is numerically singular")
-    return np.linalg.inv(gram)
+    return g_inv
 
 
 def gen_channel(scenario: MimoScenario, rng: np.random.Generator) -> np.ndarray:

@@ -275,11 +275,6 @@ def _dw_dp0(op, weights, system):
             + weights.thermal * (1.0 / gk_sq) * (-e_g * l1 - 2.0 * lk))
 
 
-def _penalty_slope(penalty, p0):
-    h = 1e-6 * p0
-    return (penalty(p0 + h) - penalty(p0 - h)) / (2.0 * h)
-
-
 def newton_optimal_p0(
     op: OperatingPoint,
     weights: NoiseWeights,
@@ -287,7 +282,6 @@ def newton_optimal_p0(
     chain: DetectionChain,
     *,
     p0_bounds: tuple[float, float] = (1e-6, 1e-1),
-    penalty=None,
 ) -> DesignResult:
     """Probe power minimizing the noise functional inside the bracket.
 
@@ -308,16 +302,10 @@ def newton_optimal_p0(
             )
 
     def slope(p0):
-        g = _dw_dp0(with_powers(op, p0=p0), weights, system)
-        if penalty is not None:
-            g += _penalty_slope(penalty, p0)
-        return g
+        return _dw_dp0(with_powers(op, p0=p0), weights, system)
 
     def value(p0):
-        w = normalized_noise(with_powers(op, p0=p0), weights, system)
-        if penalty is not None:
-            w += penalty(p0)
-        return w
+        return normalized_noise(with_powers(op, p0=p0), weights, system)
 
     def finish(p0, iterations, boundary):
         w = value(p0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import defaults, mimo
 from .atomic import steady_state_numeric
-from .config import ExperimentConfig, ValidationError, fingerprint
+from .config import SWEEP_VARIABLES, ExperimentConfig, ValidationError, fingerprint
 from .constants import speed_of_light
 from .frontend import baseband_gains, noise_budget, p1_of_lo, with_powers
 from .optimize import (
@@ -156,14 +156,6 @@ def _gains_budget(cfg: ExperimentConfig, op=None):
     return gains, noise_budget(op, cfg.chain, cfg.system, gains=gains)
 
 
-def _expect_variable(cfg: ExperimentConfig, allowed: tuple, recipe: str):
-    if cfg.sweep.variable not in allowed:
-        raise ValidationError(
-            "sweep.variable",
-            f"recipe {recipe} sweeps {' or '.join(allowed)}",
-        )
-
-
 def _mean_se(se: np.ndarray) -> float:
     # per-user estimates share channel draws; treat as independent anyway
     # and report the optimistic mean-level error
@@ -177,7 +169,6 @@ def _mean_se(se: np.ndarray) -> float:
 def waveform_overlay(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     """Exact vs linearized detector waveforms at a few LO-to-user ratios,
     noise generators off so the deviation column is pure model error."""
-    _expect_variable(cfg, ("ratio_db",), "waveform-overlay")
     quiet = dataclasses.replace(cfg.chain, sigma_sq_sn=0.0)
     fs = 16.0 * cfg.f_delta
     duration = 150.0 / cfg.f_delta  # 150 beat periods
@@ -211,7 +202,6 @@ def waveform_overlay(cfg: ExperimentConfig, threads: int) -> RecipeResult:
 def sn_vs_ratio(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     """Sampled variance of the signal-dependent shot component against its
     closed form, swept over the LO-to-user ratio for both detector schemes."""
-    _expect_variable(cfg, ("ratio_db",), "sn-vs-ratio")
     fs = 16.0 * cfg.f_delta
     n_samples = 40_000
     rows, series = [], []
@@ -318,7 +308,6 @@ def detuning_loss(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     """Numeric steady-state response versus RF detuning, normalized to the
     on-resonance coherence magnitude. Qualitative: peak location, symmetry,
     and half width."""
-    _expect_variable(cfg, ("detuning_khz",), "detuning-loss")
     detunings = cfg.sweep.values() * 1e3  # kHz -> Hz
     # the on-resonance reference is member 0 of the same stack
     drive = defaults.drive_for(
@@ -349,7 +338,6 @@ def detuning_loss(cfg: ExperimentConfig, threads: int) -> RecipeResult:
 def rate_vs_m(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     """Monte-Carlo per-user rate and its lower bound against the sensor
     count, for both combiners, with the conventional-array baseline."""
-    _expect_variable(cfg, ("n_sensors",), "rate-vs-M")
     beta = place_users(cfg)
     gains, budget = _gains_budget(cfg)
     sizes = [int(round(m)) for m in cfg.sweep.values()]
@@ -390,7 +378,6 @@ def rate_vs_m(cfg: ExperimentConfig, threads: int) -> RecipeResult:
 def power_scaling(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     """Closed-form rate bound when the per-user power is cut as 1/M, against
     the saturating large-array value."""
-    _expect_variable(cfg, ("n_sensors",), "power-scaling")
     beta = mimo.large_scale_fading(cfg.region_center_m, cfg.f_carrier)
     gains, budget = _gains_budget(cfg)
     asym = mimo.asymptotic_rate(gains, budget, beta,
@@ -429,7 +416,6 @@ _SWEEP_TO_POWER = {
 def rate_vs_parameter(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     """Rate against one optical power, atomic receiver vs the conventional
     baseline, with the noise-crossover threshold marked when it exists."""
-    _expect_variable(cfg, tuple(_SWEEP_TO_POWER), "rate-vs-parameter")
     attr = _SWEEP_TO_POWER[cfg.sweep.variable]
     beta = place_users(cfg)
     sc = _scenario(cfg, cfg.n_sensors, beta)
@@ -477,4 +463,16 @@ RECIPES = {
     "rate-vs-M": rate_vs_m,
     "power-scaling": power_scaling,
     "rate-vs-parameter": rate_vs_parameter,
+}
+
+# sweep variables each recipe accepts; config validation checks the selected
+# recipe against this table
+RECIPE_SWEEPS = {
+    "waveform-overlay": ("ratio_db",),
+    "sn-vs-ratio": ("ratio_db",),
+    "siso-optima": SWEEP_VARIABLES,  # sweeps its own fixed power grids
+    "detuning-loss": ("detuning_khz",),
+    "rate-vs-M": ("n_sensors",),
+    "power-scaling": ("n_sensors",),
+    "rate-vs-parameter": tuple(_SWEEP_TO_POWER),
 }

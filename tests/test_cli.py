@@ -131,6 +131,31 @@ class TestValidation:
         with pytest.raises(ValidationError, match="seed"):
             load_config(path)
 
+    def test_seed_must_fit_a_philox_key_word(self, tmp_path):
+        largest = write_config(tmp_path, "seed: 9223372036854775807\n", "a.yaml")
+        assert load_config(largest).seed == 2**63 - 1
+        for seed in (2**63, 2**64):
+            path = write_config(tmp_path, f"seed: {seed}\n", "b.yaml")
+            with pytest.raises(ValidationError, match="seed") as err:
+                load_config(path)
+            assert err.value.key == "seed"
+
+    @pytest.mark.parametrize("section, key", [
+        (name, key) for name, schema in config._SECTIONS.items()
+        for key in schema if key != "local_beam_power_w"
+    ], ids=lambda v: v)
+    def test_null_key_is_a_missing_key(self, tmp_path, section, key):
+        path = write_config(tmp_path, f"{section}:\n  {key}: null\n")
+        with pytest.raises(ValidationError, match="required key missing") as err:
+            load_config(path)
+        assert err.value.key == f"{section}.{key}"
+
+    def test_direct_scheme_may_leave_out_the_local_beam(self, tmp_path):
+        path = write_config(
+            tmp_path, "operating_point:\n  scheme: diod\n  local_beam_power_w: null\n"
+        )
+        assert load_config(path).op.pl == 0.0
+
     def test_region_radius_inside_center(self, tmp_path):
         path = write_config(
             tmp_path, "array:\n  region_radius_m: 2000.0\n"
@@ -396,12 +421,16 @@ class TestRunRecipe:
         assert isinstance(err.value.__cause__, mimo.DimensionError)
 
     def test_sweep_variable_mismatch(self, tmp_path):
-        import dataclasses
-
-        cfg = load_config(write_config(tmp_path, "recipe: waveform-overlay\n"))
-        cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
+        # selecting a recipe checks its sweep when the config loads
         with pytest.raises(ValidationError, match="sweep.variable"):
-            run_recipe(cfg)
+            load_config(write_config(tmp_path, "recipe: waveform-overlay\n"))
+
+    def test_every_recipe_declares_its_sweeps(self):
+        from raqr.recipes import RECIPE_SWEEPS, RECIPES
+
+        assert set(RECIPE_SWEEPS) == set(RECIPES)
+        for allowed in RECIPE_SWEEPS.values():
+            assert allowed and set(allowed) <= set(config.SWEEP_VARIABLES)
 
     def test_no_recipe_selected(self, tmp_path):
         import dataclasses
@@ -442,8 +471,10 @@ class TestCliEntry:
         ("operating_point:\n  probe_power_w: .nan\n", "operating_point.probe_power_w"),
         ("operating_point:\n  probe_power_w: .inf\n", "operating_point.probe_power_w"),
         ("detection:\n  gain: -.inf\n", "detection.gain"),
+        # the shipped sweep runs over lo_power_w, which sn-vs-ratio does not
+        ("recipe: sn-vs-ratio\n", "sweep.variable"),
     ], ids=["probe-power", "gain", "dephasing-time", "probe-width", "diod-local-beam",
-            "nan", "inf", "minus-inf"])
+            "nan", "inf", "minus-inf", "recipe-sweep"])
     def test_validate_out_of_range_physics(self, tmp_path, capsys, text, key):
         path = write_config(tmp_path, text)
         assert cli.main(["validate", "--config", str(path)]) == 2
@@ -458,6 +489,15 @@ class TestCliEntry:
         names = {f.name for cls in (AtomicSystem, OperatingPoint, DetectionChain)
                  for f in dataclasses.fields(cls)}
         assert config._FIELD_KEYS and set(config._FIELD_KEYS) <= names
+
+    @pytest.mark.parametrize("seed", [str(2**63), str(2**64)])
+    def test_seed_flag_beyond_philox_key_rejected(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, SMALL_DETUNING)
+        rc = cli.main(["run", "detuning-loss", "--config", str(path),
+                       "--out", str(tmp_path / "out"), "--seed", seed])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: seed: ")
+        assert not (tmp_path / "out").exists()
 
     def test_run_recipe_rejecting_its_config(self, tmp_path, capsys):
         path = write_config(tmp_path, "sweep:\n  variable: ratio_db\n")

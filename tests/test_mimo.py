@@ -60,6 +60,15 @@ class TestScenario:
         with pytest.raises(ValueError):
             small_scenario(beta=-1e-12)
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_rejects_seed_outside_a_philox_key_word(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            small_scenario(seed=seed)
+
+    def test_largest_seed_runs(self, gains, budget):
+        sc = small_scenario(seed=2**63 - 1, n_realizations=100)
+        assert np.all(np.isfinite(mimo.monte_carlo_rate(sc, gains, budget, "MRC").rate))
+
 
 class TestLargeScaleFading:
     def test_formula(self):
@@ -174,6 +183,29 @@ class TestCombiner:
         h[:, 1] = h[:, 0]
         with pytest.raises(mimo.RankDeficient):
             mimo.combiner(h, sc, gains, "ZF")
+
+    def test_zf_inverse_is_inv_under_the_cond_policy(self):
+        # second columns from 1e-2 to 1e-9 away from the first, then an
+        # exact copy: Gram condition numbers on both sides of 1e12
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((31, 8, 2)) + 1j * rng.standard_normal((31, 8, 2))
+        gap = np.append(np.logspace(-2, -9, 30), 0.0)[:, None]
+        a[:, :, 1] = a[:, :, 0] + gap * a[:, :, 1]
+        grams = a.conj().swapaxes(-1, -2) @ a
+        accepted = np.linalg.cond(grams, 1) <= 1e12
+        assert accepted.any() and not accepted.all()
+        for g, ok in zip(grams, accepted):
+            if ok:
+                assert np.array_equal(mimo._zf_inverse(g, 8), np.linalg.inv(g))
+            else:
+                with pytest.raises(mimo.RankDeficient):
+                    mimo._zf_inverse(g, 8)
+        kept = grams[accepted]
+        assert np.array_equal(mimo._zf_inverse(kept, 8), np.linalg.inv(kept))
+        with pytest.raises(mimo.RankDeficient):
+            mimo._zf_inverse(grams, 8)
+        with pytest.raises(mimo.RankDeficient):
+            mimo._zf_inverse(np.full((2, 2), np.nan + 0j), 8)
 
     def test_unknown_method(self, gains, rng):
         sc = small_scenario()

@@ -427,19 +427,6 @@ class TestNewtonProbe:
         r2 = newton_optimal_p0(bcod, scaled, system, chain, p0_bounds=self.BOUNDS)
         assert rel_err(r1.power, r2.power) < 1e-9
 
-    def test_quadratic_penalty_optimum(self, diod, chain, system):
-        # constant physics weights plus a quadratic penalty: the minimizer
-        # must land on the penalty's vertex
-        wts = NoiseWeights.from_chain(chain, system)
-        flat = NoiseWeights(0.0, 0.0, 0.0, wts.projection)
-        target = 0.013
-        res = newton_optimal_p0(
-            diod, flat, system, chain,
-            p0_bounds=self.BOUNDS,
-            penalty=lambda p: 3.0e5 * (p - target) ** 2,
-        )
-        assert rel_err(res.power, target) < 1e-8
-
     def test_rejects_bad_bracket(self, diod, chain, system):
         wts = NoiseWeights.from_chain(chain, system)
         with pytest.raises(ValueError):
