@@ -366,15 +366,9 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
 
     recipe = si.get("recipe")
     if recipe is not None:
-        from .recipes import RECIPE_SWEEPS, RECIPES
+        from .recipes import check_recipe
 
-        if recipe not in RECIPES:
-            raise ValidationError(
-                "recipe", f"unknown recipe {recipe!r}; see `raqr list-recipes`"
-            )
-        if sw["variable"] not in RECIPE_SWEEPS[recipe]:
-            raise ValidationError("sweep.variable", f"recipe {recipe} sweeps "
-                                  f"{' or '.join(RECIPE_SWEEPS[recipe])}")
+        check_recipe(recipe, sw["variable"])
 
     # Philox keys [seed, chunk] pass through float64 from 2**63 on, where
     # neighbouring seeds would share a stream

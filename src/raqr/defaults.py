@@ -8,13 +8,14 @@ hands out copies of its objects with keyword overrides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
-from .atomic import AtomicSystem, DriveConfig
+from .atomic import AtomicSystem
 from .config import _from_raw
 from .constants import speed_of_light
-from .frontend import DetectionChain, OperatingPoint, UserSignal, rabi_coefficients
+from .frontend import (  # drive_for is re-exported for callers of this module
+    DetectionChain, OperatingPoint, UserSignal, drive_for, rf_field_amplitude,
+)
 
 # The shipped file selects no recipe; validating one would import
 # ``recipes``, which imports this module.
@@ -60,26 +61,9 @@ def default_point(scheme: str = "DIOD", **overrides) -> OperatingPoint:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def drive_for(op: OperatingPoint, system: AtomicSystem, omega_rf: float | None = None,
-              **overrides) -> DriveConfig:
-    """DriveConfig matching an operating point; omega_rf defaults to the LO."""
-    a12, a23, a34 = rabi_coefficients(op, system)
-    if omega_rf is None:
-        omega_rf = math.sqrt(a34 * op.p_lo)
-    kwargs = dict(
-        omega_p=math.sqrt(a12 * op.p0),
-        omega_c=math.sqrt(a23 * op.pc),
-        omega_rf=omega_rf,
-    )
-    kwargs.update(overrides)
-    return DriveConfig(**kwargs)
-
-
 def weak_user(ratio_db: float, op: OperatingPoint, *, theta_x: float = 0.0,
               f_delta: float = F_DELTA) -> UserSignal:
     """User signal ``ratio_db`` below the RF LO field amplitude."""
-    from .frontend import rf_field_amplitude
-
     u_lo = rf_field_amplitude(op.p_lo, op.a_e)
     return UserSignal(
         u_x=u_lo * 10.0 ** (-ratio_db / 20.0),

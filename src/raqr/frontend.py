@@ -2,11 +2,13 @@
 
 Closed forms at resonance are parameterized through the power-to-Rabi-squared
 coefficients (a12, a23, a34): Omega^2 = a * P for Gaussian probe/coupling
-beams of given FWHM and a plane RF wave over the effective aperture. Two
-composites carry all remaining geometry: ``absorption_strength`` (density,
-probe dipole, linewidth, cell length) and the drive-dependent
-``drive_denominator``. Probe attenuation, the conversion slope kappa, and
-every log-derivative used by the optimizer are expressed in them.
+beams of given FWHM and a plane RF wave over the effective aperture.
+``drive_terms`` is the one source of that algebra: the squared Rabi rates,
+the ``absorption_strength`` (density, probe dipole, linewidth, cell length)
+and the drive-dependent denominator. Probe attenuation, the conversion slope
+kappa, every log-derivative used by the optimizer, the optimizer's
+stationary points and the atomic ``DriveConfig`` (``drive_for``) are
+expressed in them.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import AtomicSystem, ZeroProbe, chi_prime_resonant
+from .atomic import AtomicSystem, DriveConfig, ZeroProbe, chi_prime_resonant
 from .constants import Boltzmann, elementary_charge, epsilon_0, hbar, speed_of_light
 
 LN2 = math.log(2.0)
@@ -143,7 +146,7 @@ class BasebandGains:
 
 @dataclass(frozen=True, kw_only=True)
 class NoiseBudget:
-    """Baseband noise powers; ``sigma_sq`` is the complex AWGN variance.
+    """Baseband noise powers; ``n_sum`` is the complex AWGN variance.
 
     ``sn_coeff`` is the user-signal-dependent variance coefficient: the
     baseband SN term contributes sn_coeff * (received user power) of variance,
@@ -153,25 +156,21 @@ class NoiseBudget:
     n_cn: float
     n_tn: float
     n_qpn: float
-    n_sum: float
     sigma_sq_sn: float
     sn_coeff: float
 
     def __post_init__(self) -> None:
-        for name in ("n_cn", "n_tn", "n_qpn", "n_sum", "sigma_sq_sn", "sn_coeff"):
+        for name in ("n_cn", "n_tn", "n_qpn", "sigma_sq_sn", "sn_coeff"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        expected = (self.n_cn + self.n_qpn + self.n_tn) / 2.0
-        if not math.isclose(self.n_sum, expected, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError("n_sum must equal (n_cn + n_qpn + n_tn) / 2")
 
     @property
-    def sigma_sq(self) -> float:
-        return self.n_sum
+    def n_sum(self) -> float:
+        return (self.n_cn + self.n_qpn + self.n_tn) / 2.0
 
 
 # --------------------------------------------------------------------------
-# power <-> Rabi coupling coefficients and composite constants
+# power <-> Rabi coupling coefficients and the resonance drive terms
 
 
 def rabi_coefficients(op: OperatingPoint, system: AtomicSystem) -> tuple[float, float, float]:
@@ -198,17 +197,42 @@ def absorption_strength(system: AtomicSystem) -> float:
     )
 
 
-def drive_denominator(op: OperatingPoint, system: AtomicSystem) -> float:
-    """Saturation denominator shared by the transmission exponent and the
-    conversion slope, (rad/s)^4."""
+class DriveTerms(NamedTuple):
+    """Resonance drive algebra at an operating point: the power-to-Rabi
+    coefficients, the squared Rabi rates s = a12 P0 (probe), u = a23 Pc
+    (coupling) and ell = a34 P_LO (RF LO), the absorption strength, and the
+    drive denominator 2 s^2 + 2 s (ell + u) + gamma2^2 ell shared by the
+    transmission exponent and the conversion slope, (rad/s)^4."""
+
+    a12: float
+    a23: float
+    a34: float
+    s: float
+    u: float
+    ell: float
+    strength: float
+    denom: float
+
+
+def drive_terms(op: OperatingPoint, system: AtomicSystem) -> DriveTerms:
+    """The ``DriveTerms`` of an operating point."""
     a12, a23, a34 = rabi_coefficients(op, system)
     s = a12 * op.p0
-    return 2.0 * s**2 + 2.0 * s * (a34 * op.p_lo + a23 * op.pc) + system.gamma2**2 * a34 * op.p_lo
+    u = a23 * op.pc
+    ell = a34 * op.p_lo
+    denom = 2.0 * s**2 + 2.0 * s * (ell + u) + system.gamma2**2 * a34 * op.p_lo
+    return DriveTerms(a12, a23, a34, s, u, ell, absorption_strength(system), denom)
 
 
-def slope_prefactor(system: AtomicSystem) -> float:
-    """Conversion-slope prefactor 2 * absorption_strength * mu34 / hbar."""
-    return 2.0 * absorption_strength(system) * system.mu34 / hbar
+def drive_for(op: OperatingPoint, system: AtomicSystem, omega_rf: float | None = None,
+              **overrides) -> DriveConfig:
+    """DriveConfig matching an operating point; omega_rf defaults to the LO."""
+    t = drive_terms(op, system)
+    if omega_rf is None:
+        omega_rf = math.sqrt(t.ell)
+    kwargs = dict(omega_p=math.sqrt(t.s), omega_c=math.sqrt(t.u), omega_rf=omega_rf)
+    kwargs.update(overrides)
+    return DriveConfig(**kwargs)
 
 
 def rf_field_amplitude(power: float, a_e: float) -> float:
@@ -220,24 +244,22 @@ def rf_field_amplitude(power: float, a_e: float) -> float:
 # probe propagation
 
 
-def probe_output(
-    u0: float, chi: complex, system: AtomicSystem, *, phi0: float = 0.0
-) -> tuple[float, float]:
-    """Probe field after the cell: amplitude and phase.
+def probe_output(p0: float, chi, system: AtomicSystem, *, phi0: float = 0.0):
+    """Probe power and phase after the cell, for a scalar or array chi.
 
-    U_p = U0 exp(-(pi d / lambda_p) Im chi), phi_p = phi0 + (pi d / lambda_p)
-    Re chi (thin-medium convention, chi evaluated at cell entry).
+    P_p = P0 exp(-(2 pi d / lambda_p) Im chi), phi_p = phi0 + (pi d /
+    lambda_p) Re chi (thin-medium convention, chi evaluated at cell entry).
     """
-    if u0 < 0:
-        raise ValueError("u0 must be >= 0")
+    if p0 < 0:
+        raise ValueError("p0 must be >= 0")
     arg = math.pi * system.l_cell / system.lambda_p
-    return u0 * math.exp(-arg * chi.imag), phi0 + arg * chi.real
+    return p0 * np.exp(-2.0 * arg * chi.imag), phi0 + arg * chi.real
 
 
 def p1_of_lo(op: OperatingPoint, system: AtomicSystem) -> float:
     """Transmitted probe power at the LO-only operating point, closed form.
 
-    P1 = P0 exp(-absorption_strength * a34 P_LO / drive_denominator);
+    P1 = P0 exp(-strength * a34 P_LO / denom) with the ``drive_terms``;
     monotone decreasing in P_LO and equal to P0 at P_LO = 0. Exact at
     resonance with the default relaxation set.
     """
@@ -245,17 +267,15 @@ def p1_of_lo(op: OperatingPoint, system: AtomicSystem) -> float:
         raise ZeroProbe("p0 must be > 0")
     if op.p_lo == 0.0:
         return op.p0
-    _, _, a34 = rabi_coefficients(op, system)
-    return op.p0 * math.exp(
-        -absorption_strength(system) * a34 * op.p_lo / drive_denominator(op, system)
-    )
+    t = drive_terms(op, system)
+    return op.p0 * math.exp(-t.strength * t.a34 * op.p_lo / t.denom)
 
 
 def kappa_of_point(op: OperatingPoint, system: AtomicSystem) -> float:
     """Conversion slope kappa(Omega_LO) in (V/m)^-1, closed form.
 
-    kappa = slope_prefactor * sqrt(a34 P_LO) * a12 P0 * (a23 Pc + a12 P0)
-    / drive_denominator^2. Equals (pi d mu34 / lambda_p hbar) *
+    kappa = (2 strength mu34 / hbar) * sqrt(ell) * s * (u + s) / denom^2
+    with the ``drive_terms``. Equals (pi d mu34 / lambda_p hbar) *
     Im chi'(Omega_LO); the definitional cross-check against
     ``chi_prime_resonant`` is a test.
     """
@@ -263,24 +283,17 @@ def kappa_of_point(op: OperatingPoint, system: AtomicSystem) -> float:
         raise ZeroProbe("p0 must be > 0")
     if op.p_lo == 0.0:
         return 0.0
-    a12, a23, a34 = rabi_coefficients(op, system)
-    s = a12 * op.p0
-    w = a23 * op.pc + s
+    t = drive_terms(op, system)
     return (
-        slope_prefactor(system) * math.sqrt(a34 * op.p_lo) * s * w
-        / drive_denominator(op, system) ** 2
+        2.0 * t.strength * system.mu34 / hbar * math.sqrt(t.ell) * t.s * (t.u + t.s)
+        / t.denom**2
     )
 
 
 def kappa_from_chi_prime(op: OperatingPoint, system: AtomicSystem) -> float:
     """Second route to kappa via the susceptibility slope (cross-check)."""
-    a12, a23, a34 = rabi_coefficients(op, system)
-    im, _ = chi_prime_resonant(
-        system,
-        math.sqrt(a12 * op.p0),
-        math.sqrt(a23 * op.pc),
-        math.sqrt(a34 * op.p_lo),
-    )
+    t = drive_terms(op, system)
+    im, _ = chi_prime_resonant(system, math.sqrt(t.s), math.sqrt(t.u), math.sqrt(t.ell))
     return math.pi * system.l_cell * system.mu34 / (system.lambda_p * hbar) * im
 
 
@@ -290,12 +303,7 @@ def kappa_from_chi_prime(op: OperatingPoint, system: AtomicSystem) -> float:
 
 def dlnp1(op: OperatingPoint, system: AtomicSystem) -> tuple[float, float, float]:
     """(d ln P1 / d P_LO, d ln P1 / d Pc, d ln P1 / d P0), per watt."""
-    a12, a23, a34 = rabi_coefficients(op, system)
-    s = a12 * op.p0
-    u = a23 * op.pc
-    lo = a34 * op.p_lo
-    strength = absorption_strength(system)
-    denom = drive_denominator(op, system)
+    a12, a23, a34, s, u, lo, strength, denom = drive_terms(op, system)
     d_plo = -strength * a34 * 2.0 * s * (s + u) / denom**2
     d_pc = strength * lo * 2.0 * s * a23 / denom**2
     d_p0 = 1.0 / op.p0 + strength * lo * a12 * (4.0 * s + 2.0 * (lo + u)) / denom**2
@@ -304,12 +312,8 @@ def dlnp1(op: OperatingPoint, system: AtomicSystem) -> tuple[float, float, float
 
 def dlnkappa(op: OperatingPoint, system: AtomicSystem) -> tuple[float, float, float]:
     """(d ln kappa / d P_LO, d ln kappa / d Pc, d ln kappa / d P0)."""
-    a12, a23, a34 = rabi_coefficients(op, system)
-    s = a12 * op.p0
-    u = a23 * op.pc
-    lo = a34 * op.p_lo
+    a12, a23, a34, s, u, lo, _, denom = drive_terms(op, system)
     w = u + s
-    denom = drive_denominator(op, system)
     ddenom_dlo = 2.0 * s + system.gamma2**2
     ddenom_dp0 = a12 * (4.0 * s + 2.0 * (lo + u))
     d_plo = a34 * (1.0 / (2.0 * lo) - 2.0 * ddenom_dlo / denom)
@@ -423,7 +427,6 @@ def noise_budget(
         n_cn=n_cn,
         n_tn=n_tn,
         n_qpn=n_qpn,
-        n_sum=(n_cn + n_qpn + n_tn) / 2.0,
         sigma_sq_sn=chain.sigma_sq_sn,
         sn_coeff=chain.sigma_sq_sn * gains.rho_sn,
     )

@@ -426,8 +426,7 @@ def rf_gains(sigma_rf_sq: float) -> tuple[BasebandGains, NoiseBudget]:
         kappa=0.0, p_g=0.0, p_sn_bar_sq=0.0, p_cn_bar=0.0, varphi=0.0,
     )
     budget = NoiseBudget(
-        n_cn=0.0, n_tn=2.0 * sigma_rf_sq, n_qpn=0.0,
-        n_sum=sigma_rf_sq, sigma_sq_sn=0.0, sn_coeff=0.0,
+        n_cn=0.0, n_tn=2.0 * sigma_rf_sq, n_qpn=0.0, sigma_sq_sn=0.0, sn_coeff=0.0,
     )
     return gains, budget
 

@@ -23,13 +23,15 @@ from .frontend import (
     DetectionChain,
     NoiseBudget,
     OperatingPoint,
+    baseband_gains,
     dlnkappa,
     dlnp1,
+    drive_terms,
     kappa_of_point,
+    noise_budget,
     p1_of_lo,
-    absorption_strength,
-    rabi_coefficients,
     scheme_powers,
+    sn_reference_term,
     with_powers,
 )
 
@@ -139,18 +141,6 @@ def normalized_noise(
 # closed-form stationary points
 
 
-def _power_invariants(op, system):
-    # sat = 2 s + gamma2^2: the LO-drive derivative of the transmission
-    # denominator, the saturation scale every stationary formula shares
-    a12, a23, a34 = rabi_coefficients(op, system)
-    s = a12 * op.p0
-    u = a23 * op.pc
-    ell = a34 * op.p_lo
-    strength = absorption_strength(system)
-    sat = 2.0 * s + system.gamma2**2
-    return a12, a23, a34, s, u, ell, strength, sat
-
-
 def _fixed_point(op, system, candidate_of_gamma, update):
     """Iterate the load factor e_g - e_cn (1 direct, pl / (pl + p1)
     balanced) to self-consistency: it depends on the transmitted probe power
@@ -173,22 +163,25 @@ def _fixed_point(op, system, candidate_of_gamma, update):
         f"load factor not self-consistent after 50 passes; last {gamma:.6e}")
 
 
-def _pc_stationary(invariants, gamma):
+def _pc_stationary(terms, system, gamma):
     """Coupling power stationary for a term c(p1) / kappa^2 whose power
     factor c has p1-elasticity -gamma: e_g - e_cn for the DC-shot term,
-    e_g for the thermal term."""
-    _, a23, _, s, _, ell, strength, sat = invariants
+    e_g for the thermal term. sat = 2 s + gamma2^2, the LO-drive derivative
+    of the drive denominator, is the saturation scale both formulas share."""
+    _, a23, _, s, _, ell, strength, _ = terms
+    sat = 2.0 * s + system.gamma2**2
     w_star = ell * (gamma * strength
                     + math.hypot(gamma * strength, 4.0 * sat)) / (8.0 * s)
     pc = (w_star - s) / a23
     return StationaryPower(max(pc, 0.0), clamped=pc <= 0.0)
 
 
-def _plo_stationary(invariants, gamma):
+def _plo_stationary(terms, system, gamma):
     """LO power stationary for the same family of terms. The discriminant
     exceeds the square of (gamma * strength + 2 * sat) by exactly 12 sat^2,
     so the stationary point is always interior-positive."""
-    _, _, a34, s, u, _, strength, sat = invariants
+    _, _, a34, s, u, _, strength, _ = terms
+    sat = 2.0 * s + system.gamma2**2
     disc = (gamma * strength) ** 2 + 4.0 * gamma * strength * sat + 16.0 * sat**2
     ell_star = (
         2.0 * s * (u + s) * (math.sqrt(disc) - gamma * strength - 2.0 * sat)
@@ -204,15 +197,15 @@ def optimal_pc_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     is refined to self-consistency and the formula is accurate in the
     strong-local-beam regime.
     """
-    invariants = _power_invariants(op, system)
-    return _fixed_point(op, system, lambda g: _pc_stationary(invariants, g),
+    terms = drive_terms(op, system)
+    return _fixed_point(op, system, lambda g: _pc_stationary(terms, system, g),
                         lambda o, v: with_powers(o, pc=v))
 
 
 def optimal_plo_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     """LO power that minimizes the DC-shot term."""
-    invariants = _power_invariants(op, system)
-    return _fixed_point(op, system, lambda g: _plo_stationary(invariants, g),
+    terms = drive_terms(op, system)
+    return _fixed_point(op, system, lambda g: _plo_stationary(terms, system, g),
                         lambda o, v: with_powers(o, p_lo=v))
 
 
@@ -227,7 +220,7 @@ def optimal_pc_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     e_g; the balanced scheme routes to the DC-shot optimum."""
     if op.scheme == "BCOD":
         return optimal_pc_cn(op, system)
-    return _pc_stationary(_power_invariants(op, system), _gain_elasticity(op, system))
+    return _pc_stationary(drive_terms(op, system), system, _gain_elasticity(op, system))
 
 
 def optimal_plo_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
@@ -236,7 +229,7 @@ def optimal_plo_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     DC-shot optimum for the balanced scheme."""
     if op.scheme == "BCOD":
         return optimal_plo_cn(op, system)
-    return _plo_stationary(_power_invariants(op, system), _gain_elasticity(op, system))
+    return _plo_stationary(drive_terms(op, system), system, _gain_elasticity(op, system))
 
 
 def optimal_pl(chain: DetectionChain, p1_at_lo: float, pl_max: float) -> float:
@@ -379,8 +372,6 @@ def classify_regime(budget: NoiseBudget, sn_term: float) -> str:
 
 def classify_at(op: OperatingPoint, chain: DetectionChain, system: AtomicSystem) -> str:
     """Classification helper at an operating point."""
-    from .frontend import baseband_gains, noise_budget, sn_reference_term
-
     gains = baseband_gains(op, chain, system)
     budget = noise_budget(op, chain, system, gains=gains)
     return classify_regime(budget, sn_reference_term(gains, chain))

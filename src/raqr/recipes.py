@@ -99,12 +99,22 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     return paths
 
 
-def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
-    name = config.recipe
+def check_recipe(name: str | None, variable: str) -> None:
+    """Raise ValidationError unless ``name`` is a recipe that sweeps
+    ``variable``; config validation and ``run_recipe`` both call this."""
     if name is None:
         raise ValidationError("recipe", "no recipe selected")
     if name not in RECIPES:
-        raise ValidationError("recipe", f"unknown recipe {name!r}")
+        raise ValidationError(
+            "recipe", f"unknown recipe {name!r}; see `raqr list-recipes`")
+    if variable not in RECIPE_SWEEPS[name]:
+        raise ValidationError("sweep.variable", f"recipe {name} sweeps "
+                              f"{' or '.join(RECIPE_SWEEPS[name])}")
+
+
+def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
+    name = config.recipe
+    check_recipe(name, config.sweep.variable)
     try:
         result = RECIPES[name](config, threads)
     except (ValidationError, RecipeError):
@@ -465,8 +475,7 @@ RECIPES = {
     "rate-vs-parameter": rate_vs_parameter,
 }
 
-# sweep variables each recipe accepts; config validation checks the selected
-# recipe against this table
+# sweep variables each recipe accepts; ``check_recipe`` reads this table
 RECIPE_SWEEPS = {
     "waveform-overlay": ("ratio_db",),
     "sn-vs-ratio": ("ratio_db",),

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import defaults
 from .atomic import rho21_resonant, steady_state_numeric, susceptibility
 from .constants import epsilon_0, hbar, speed_of_light
 from .frontend import (
@@ -34,8 +33,10 @@ from .frontend import (
     DetectionChain,
     OperatingPoint,
     UserSignal,
+    drive_for,
     kappa_of_point,
     p1_of_lo,
+    probe_output,
     rf_field_amplitude,
     scheme_powers,
 )
@@ -85,7 +86,7 @@ class Waveform:
 
 def _exact_transmission(omega_rf, op, system, rho_solver):
     """Instantaneous probe transmission: power P1 and accumulated phase."""
-    drive = defaults.drive_for(op, system, omega_rf=omega_rf)
+    drive = drive_for(op, system, omega_rf=omega_rf)
     if rho_solver == "closed-form":
         r21 = rho21_resonant(drive.omega_p, drive.omega_c, omega_rf, system.gamma2)
     elif rho_solver == "liouvillian":
@@ -93,10 +94,7 @@ def _exact_transmission(omega_rf, op, system, rho_solver):
     else:
         raise ValueError(f"unknown rho_solver {rho_solver!r}")
     chi = susceptibility(r21, system, drive.omega_p)
-    half_exponent = math.pi * system.l_cell / system.lambda_p
-    p1_t = op.p0 * np.exp(-2.0 * half_exponent * chi.imag)
-    phase_t = op.phi0 + half_exponent * chi.real
-    return p1_t, phase_t
+    return probe_output(op.p0, chi, system, phi0=op.phi0)
 
 
 def _detector_current(p1_t, phase_t, op, chain):
@@ -224,28 +222,29 @@ def down_convert(v: np.ndarray, v_dc: float) -> np.ndarray:
 # demodulation
 
 
-def _lowpass_taps(f_delta: float, sample_rate: float) -> np.ndarray:
-    """Linear-phase FIR matching a 6th-order Butterworth magnitude.
+def _numtaps(f_delta: float, sample_rate: float) -> int:
+    """Low-pass FIR length: scales with the number of samples per beat
+    period so that short series at the minimum sample rate can still
+    settle; odd for a type I linear-phase filter."""
+    spp = sample_rate / abs(f_delta)
+    return int(min(511, max(65, round(8.0 * spp)))) | 1
 
-    Cutoff at half the beat frequency. Tap count scales with the number of
-    samples per beat period so that short series at the minimum sample
-    rate can still settle.
-    """
+
+def _lowpass_taps(f_delta: float, sample_rate: float) -> np.ndarray:
+    """Linear-phase FIR matching a 6th-order Butterworth magnitude, cutoff
+    at half the beat frequency."""
     from scipy.signal import firwin2  # costs ~1 s at import; only demodulation needs it
 
-    spp = sample_rate / abs(f_delta)
-    numtaps = int(min(511, max(65, round(8.0 * spp))))
-    numtaps |= 1  # linear phase type I
     cutoff = abs(f_delta) / 2.0
     freqs = np.linspace(0.0, sample_rate / 2.0, 1024)
     gains = 1.0 / np.sqrt(1.0 + (freqs / cutoff) ** 12)
-    return firwin2(numtaps, freqs, gains, fs=sample_rate)
+    return firwin2(_numtaps(f_delta, sample_rate), freqs, gains, fs=sample_rate)
 
 
 def settling_samples(f_delta: float, sample_rate: float) -> int:
     """Samples to discard before the demodulated series is trustworthy:
     the FIR group delay plus four beat periods."""
-    numtaps = len(_lowpass_taps(f_delta, sample_rate))
+    numtaps = _numtaps(f_delta, sample_rate)
     return (numtaps - 1) // 2 + int(math.ceil(4.0 * sample_rate / abs(f_delta)))
 
 

@@ -260,21 +260,45 @@ class TestDerivedQuantities:
         proc = run_fresh(f"import {module}")
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize(
+        "module", ["raqr.atomic", "raqr.frontend", "raqr.optimize", "raqr.mimo",
+                   "raqr.waveform"]
+    )
+    def test_physics_imports_no_config_layer(self, module):
+        # the physics modules take their numbers as arguments; only the
+        # config layer reads YAML
+        proc = run_fresh(
+            f"import sys, {module}\n"
+            "print(sorted(m for m in ('raqr.config', 'raqr.defaults', 'yaml')"
+            " if m in sys.modules))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
+
+    def test_defaults_reexports_drive_for(self):
+        from raqr import frontend
+
+        assert defaults.drive_for is frontend.drive_for
+
     def test_import_leaves_scipy_unloaded(self):
         # scipy.signal alone costs about a second of every command's start;
-        # demodulation imports it when it runs
+        # demodulation imports it when it runs, while settling and the
+        # period average only count taps
         proc = run_fresh(
             "import math, sys\n"
             "import numpy as np\n"
             "import raqr.cli\n"
-            "from raqr.waveform import demodulate_iq\n"
+            "from raqr.waveform import baseband_estimate, demodulate_iq, settling_samples\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "settle = settling_samples(75e3, 2.4e6)\n"
+            "est = baseband_estimate(np.ones(4800, complex), 75e3, 2.4e6)\n"
+            "print(settle, est, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             "t = np.arange(4800) / 2.4e6\n"
             "z = demodulate_iq(np.cos(2 * math.pi * 75e3 * t), 75e3, 2.4e6)\n"
             "print(len(z), 'scipy.signal' in sys.modules)\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "4800 True"]
+        assert proc.stdout.splitlines() == ["[]", "256 (1+0j) []", "4800 True"]
 
     def test_sn_vs_ratio_reads_the_configured_beams(self, tmp_path):
         import dataclasses
@@ -424,6 +448,18 @@ class TestRunRecipe:
         # selecting a recipe checks its sweep when the config loads
         with pytest.raises(ValidationError, match="sweep.variable"):
             load_config(write_config(tmp_path, "recipe: waveform-overlay\n"))
+
+    def test_run_recipe_checks_a_replaced_sweep(self, tmp_path):
+        # a config changed after loading is checked again before it runs
+        import dataclasses
+
+        cfg = load_config(default_config_path("rate-vs-parameter"))
+        cfg = dataclasses.replace(
+            cfg, sweep=dataclasses.replace(cfg.sweep, variable="ratio_db"),
+            output_dir=str(tmp_path / "out"))
+        with pytest.raises(ValidationError, match="sweep.variable"):
+            run_recipe(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_every_recipe_declares_its_sweeps(self):
         from raqr.recipes import RECIPE_SWEEPS, RECIPES

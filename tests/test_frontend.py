@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from raqr import defaults
 from raqr.atomic import steady_state_numeric, susceptibility
@@ -40,14 +40,14 @@ def numeric_p1(op, system):
 
 class TestProbeOutput:
     def test_transparent_cell(self, system):
-        up, phip = probe_output(3.0, 0.0 + 0.0j, system, phi0=0.7)
-        assert up == 3.0 and phip == 0.7
+        p, phip = probe_output(3.0, 0.0 + 0.0j, system, phi0=0.7)
+        assert p == 3.0 and phip == 0.7
 
     def test_half_amplitude_exponent(self, system):
-        # (pi d / lambda) Im chi = ln 2  =>  field halves
+        # (pi d / lambda) Im chi = ln 2  =>  field halves, power quarters
         im = math.log(2.0) * system.lambda_p / (math.pi * system.l_cell)
-        up, _ = probe_output(2.0, 1j * im, system)
-        assert up == pytest.approx(1.0, rel=1e-12)
+        p, _ = probe_output(2.0, 1j * im, system)
+        assert p == pytest.approx(0.5, rel=1e-12)
 
     def test_phase_from_real_part(self, system):
         re = 0.3 * system.lambda_p / (math.pi * system.l_cell)
@@ -59,9 +59,18 @@ class TestProbeOutput:
         drive = defaults.drive_for(diod, system)
         rho = steady_state_numeric(system, drive)
         chi = susceptibility(rho.rho21, system, drive.omega_p)
-        u0 = 1.0  # power scales as field squared; use unit entry field
-        up, _ = probe_output(u0, chi, system)
-        assert rel_err(diod.p0 * up**2, p1_of_lo(diod, system)) <= 1e-9
+        p, _ = probe_output(diod.p0, chi, system)
+        assert rel_err(p, p1_of_lo(diod, system)) <= 1e-9
+
+    def test_arrays_match_scalars(self, system):
+        chi = np.array([0.0, 1e-4 + 2e-3j, -3e-4 + 5e-2j])
+        p, phase = probe_output(0.04, chi, system, phi0=0.2)
+        for k, c in enumerate(chi):
+            assert (p[k], phase[k]) == probe_output(0.04, complex(c), system, phi0=0.2)
+
+    def test_rejects_negative_power(self, system):
+        with pytest.raises(ValueError, match="p0"):
+            probe_output(-1.0, 0j, system)
 
 
 class TestP1:
@@ -132,12 +141,19 @@ class TestKappa:
         k_hi = kappa_of_point(with_powers(diod, p_lo=10.0), system)
         assert k_hi < 1e-3 * k_mid
 
-    def test_definitional_cross_check(self, system, diod, bcod):
-        """kappa = (pi d mu34 / lambda hbar) Im chi' to 1e-9."""
-        for op in (diod, bcod):
-            assert rel_err(
-                kappa_of_point(op, system), kappa_from_chi_prime(op, system)
-            ) <= 1e-9
+    @settings(max_examples=300, deadline=None)
+    @given(p0=st.floats(-6.0, -1.0).map(lambda e: 10.0**e),
+           pc=st.floats(-5.0, math.log10(0.32)).map(lambda e: 10.0**e),
+           p_lo=st.floats(-9.0, -3.0).map(lambda e: 10.0**e))
+    @example(p0=0.040, pc=0.06, p_lo=1.5e-5)  # shipped direct-detection powers
+    @example(p0=0.03, pc=0.06, p_lo=1.32e-6)  # shipped balanced powers
+    def test_definitional_cross_check(self, system, diod, p0, pc, p_lo):
+        """kappa = (pi d mu34 / lambda hbar) Im chi' to 1e-12 over the
+        whole power box, log-uniform in each power."""
+        op = with_powers(diod, p0=p0, pc=pc, p_lo=p_lo)
+        assert rel_err(
+            kappa_of_point(op, system), kappa_from_chi_prime(op, system)
+        ) <= 1e-12
 
     def test_unimodal_in_lo(self, system, diod):
         grid = np.geomspace(1e-12, 1e-2, 200)
@@ -314,7 +330,6 @@ class TestNoiseBudget:
         for op in (diod, bcod):
             b = noise_budget(op, chain, system)
             assert b.n_sum == (b.n_cn + b.n_qpn + b.n_tn) / 2.0
-            assert b.sigma_sq == b.n_sum
 
     def test_default_shot_prefactor(self, chain):
         q = 1.602176634e-19

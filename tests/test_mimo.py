@@ -117,7 +117,7 @@ class TestBuildReceived:
     def test_noiseless_is_pure_signal(self, gains, budget, rng):
         sc = small_scenario()
         quiet = dataclasses.replace(
-            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, n_sum=0.0, sigma_sq_sn=0.0
+            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sigma_sq_sn=0.0
         )
         h = mimo.gen_channel(sc, rng)
         s = np.ones(sc.n_users, dtype=complex)
@@ -252,7 +252,7 @@ class TestDetect:
     def test_zf_noiseless_recovers_symbols(self, gains, budget, rng):
         sc = small_scenario()
         quiet = dataclasses.replace(
-            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, n_sum=0.0, sigma_sq_sn=0.0
+            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sigma_sq_sn=0.0
         )
         h, snap = self._snapshot(gains, quiet, rng, sc)
         det = mimo.detect(snap, h, sc, gains, "ZF")
@@ -688,7 +688,7 @@ class TestMonteCarlo:
     def test_noiseless_zf_is_capped(self, gains, budget):
         sc = small_scenario(n_realizations=200)
         quiet = dataclasses.replace(
-            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, n_sum=0.0, sigma_sq_sn=0.0
+            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sigma_sq_sn=0.0
         )
         res = mimo.monte_carlo_rate(sc, gains, quiet, "ZF")
         assert res.capped

@@ -439,11 +439,7 @@ class TestNewtonProbe:
 
 
 def _budget(n_cn=0.0, n_tn=0.0):
-    return NoiseBudget(
-        n_cn=n_cn, n_tn=n_tn, n_qpn=0.0,
-        n_sum=0.5 * (n_cn + n_tn),
-        sigma_sq_sn=0.0, sn_coeff=0.0,
-    )
+    return NoiseBudget(n_cn=n_cn, n_tn=n_tn, n_qpn=0.0, sigma_sq_sn=0.0, sn_coeff=0.0)
 
 
 class TestClassifyRegime:
