@@ -128,8 +128,7 @@ def simulate_waveform(
     field ratio.
     """
     f_delta = user.f_c - op.f_lo
-    if f_delta == 0.0:
-        raise ValueError("user carrier coincides with the LO; no beat to detect")
+    _check_beat(f_delta, sample_rate)
     if sample_rate < 16.0 * abs(f_delta):
         raise ValueError("sample_rate must be at least 16x the beat frequency")
     n = int(round(duration * sample_rate))
@@ -222,6 +221,16 @@ def down_convert(v: np.ndarray, v_dc: float) -> np.ndarray:
 # demodulation
 
 
+def _check_beat(f_delta: float, sample_rate: float) -> None:
+    """Reject a beat or sample rate the receive chain cannot use."""
+    if f_delta == 0.0:
+        raise ValueError("user carrier coincides with the LO; no beat to detect")
+    if not math.isfinite(f_delta):
+        raise ValueError(f"beat frequency must be finite, got {f_delta!r}")
+    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate!r}")
+
+
 def _numtaps(f_delta: float, sample_rate: float) -> int:
     """Low-pass FIR length: scales with the number of samples per beat
     period so that short series at the minimum sample rate can still
@@ -232,18 +241,34 @@ def _numtaps(f_delta: float, sample_rate: float) -> int:
 
 def _lowpass_taps(f_delta: float, sample_rate: float) -> np.ndarray:
     """Linear-phase FIR matching a 6th-order Butterworth magnitude, cutoff
-    at half the beat frequency."""
-    from scipy.signal import firwin2  # costs ~1 s at import; only demodulation needs it
+    at half the beat frequency.
 
+    Frequency sampling as scipy's firwin2 does it for a type I filter, and
+    equal to its taps bit for bit: the gain, interpolated on a power-of-two
+    mesh and delayed by (numtaps - 1)/2 samples, goes through an inverse
+    real FFT, and the first numtaps points are Hamming-windowed.
+    """
+    numtaps = _numtaps(f_delta, sample_rate)
+    nyq = 0.5 * sample_rate
     cutoff = abs(f_delta) / 2.0
-    freqs = np.linspace(0.0, sample_rate / 2.0, 1024)
+    freqs = np.linspace(0.0, nyq, 1024)
     gains = 1.0 / np.sqrt(1.0 + (freqs / cutoff) ** 12)
-    return firwin2(_numtaps(f_delta, sample_rate), freqs, gains, fs=sample_rate)
+    x = np.linspace(0.0, nyq, 1 + 2 ** math.ceil(math.log2(numtaps)))
+    shift = np.exp(-(numtaps - 1) / 2.0 * 1j * math.pi * x / nyq)
+    taps = np.fft.irfft(np.interp(x, freqs, gains) * shift)[:numtaps]
+    # the window summed as scipy's general_cosine sums it; np.hamming and
+    # the literal 0.46 round differently
+    fac = np.linspace(-math.pi, math.pi, numtaps)
+    window = np.zeros(numtaps)
+    for k, a in enumerate((0.54, 1.0 - 0.54)):
+        window += a * np.cos(k * fac)
+    return taps * window
 
 
 def settling_samples(f_delta: float, sample_rate: float) -> int:
     """Samples to discard before the demodulated series is trustworthy:
     the FIR group delay plus four beat periods."""
+    _check_beat(f_delta, sample_rate)
     numtaps = _numtaps(f_delta, sample_rate)
     return (numtaps - 1) // 2 + int(math.ceil(4.0 * sample_rate / abs(f_delta)))
 
@@ -254,12 +279,14 @@ def demodulate_iq(
     """Quadrature demodulation at the beat frequency.
 
     Multiplies by cos and -sin at f_delta, low-pass filters each branch at
-    f_delta/2, and combines as (I + jQ)/sqrt(2), so a unit-amplitude
-    cosine beat maps to 1/(2 sqrt(2)).
+    f_delta/2 (a causal FIR, so the output is as long as the input), and
+    combines as (I + jQ)/sqrt(2), so a unit-amplitude cosine beat maps to
+    1/(2 sqrt(2)).
     """
-    from scipy.signal import lfilter
-
+    _check_beat(f_delta, sample_rate)
     v = np.asarray(v_samples, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"v_samples must be one-dimensional, got shape {v.shape}")
     if abs(f_delta) >= sample_rate / 4.0:
         raise ValueError("f_delta must be below sample_rate/4")
     if len(v) < 8.0 * sample_rate / abs(f_delta):
@@ -269,8 +296,8 @@ def demodulate_iq(
     t = np.arange(len(v)) / sample_rate
     ph = 2.0 * math.pi * f_delta * t
     taps = _lowpass_taps(f_delta, sample_rate)
-    i_br = lfilter(taps, 1.0, v * np.cos(ph))
-    q_br = lfilter(taps, 1.0, v * (-np.sin(ph)))
+    i_br = np.convolve(taps, v * np.cos(ph))[: len(v)]
+    q_br = np.convolve(taps, v * (-np.sin(ph)))[: len(v)]
     return (i_br + 1j * q_br) / math.sqrt(2.0)
 
 

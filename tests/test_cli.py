@@ -1,7 +1,10 @@
 """Config ingestion, recipe orchestration, artifact emission, CLI."""
 
+import ast
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from raqr.recipes import RecipeError, list_recipes, place_users, run_recipe
 from raqr.waveform import effective_gain
 
 from conftest import run_fresh
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):
@@ -281,9 +286,8 @@ class TestDerivedQuantities:
         assert defaults.drive_for is frontend.drive_for
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy.signal alone costs about a second of every command's start;
-        # demodulation imports it when it runs, while settling and the
-        # period average only count taps
+        # scipy.signal alone costs about a second and 70 MiB; the package
+        # designs and applies its demodulation filter with numpy only
         proc = run_fresh(
             "import math, sys\n"
             "import numpy as np\n"
@@ -295,10 +299,36 @@ class TestDerivedQuantities:
             "print(settle, est, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             "t = np.arange(4800) / 2.4e6\n"
             "z = demodulate_iq(np.cos(2 * math.pi * 75e3 * t), 75e3, 2.4e6)\n"
-            "print(len(z), 'scipy.signal' in sys.modules)\n"
+            "print(len(z), any(m.startswith('scipy') for m in sys.modules))\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "256 (1+0j) []", "4800 True"]
+        assert proc.stdout.splitlines() == ["[]", "256 (1+0j) []", "4800 False"]
+
+    def test_no_package_module_imports_scipy(self):
+        # scipy is a test-only dependency; a runtime import would bring
+        # back its second of start-up and 70 MiB without any test failing
+        found = []
+        for path in sorted((ROOT / "src" / "raqr").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
+
+    def test_scipy_is_only_a_test_dependency(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+        def names(requirements):
+            return [re.match(r"[\w.-]+", req).group().lower() for req in requirements]
+
+        assert "scipy" not in names(project["dependencies"])
+        assert "scipy" in names(project["optional-dependencies"]["test"])
 
     def test_sn_vs_ratio_reads_the_configured_beams(self, tmp_path):
         import dataclasses

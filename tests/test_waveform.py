@@ -12,6 +12,8 @@ from raqr.waveform import (
     InsufficientLength,
     Saturation,
     WeakLO,
+    _lowpass_taps,
+    _numtaps,
     baseband_estimate,
     demodulate_iq,
     down_convert,
@@ -226,6 +228,61 @@ class TestDemodulation:
         z = demodulate_iq(np.cos(2 * math.pi * fd * t), fd, fs)
         with pytest.raises(InsufficientLength):
             baseband_estimate(z, fd, fs)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fd, fs: demodulate_iq(np.ones(5000), fd, fs),
+            lambda fd, fs: settling_samples(fd, fs),
+            lambda fd, fs: baseband_estimate(np.ones(5000, complex), fd, fs),
+        ],
+        ids=["demodulate_iq", "settling_samples", "baseband_estimate"],
+    )
+    @pytest.mark.parametrize(
+        "fd, fs",
+        [(0.0, 2.4e6), (math.nan, 2.4e6), (math.inf, 2.4e6), (75e3, 0.0),
+         (75e3, -2.4e6), (75e3, math.nan)],
+    )
+    def test_degenerate_beat_or_rate_is_a_value_error(self, call, fd, fs):
+        with pytest.raises(ValueError):
+            call(fd, fs)
+
+    def test_multidimensional_series_is_a_value_error(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            demodulate_iq(np.ones((2, 5000)), 75e3, 2.4e6)
+
+
+class TestScipyEquivalence:
+    """The numpy filter design and filtering against the scipy calls they
+    replace; scipy is a test-only dependency."""
+
+    @staticmethod
+    def _firwin2(fd, fs):
+        from scipy.signal import firwin2
+
+        freqs = np.linspace(0.0, fs / 2.0, 1024)
+        gains = 1.0 / np.sqrt(1.0 + (freqs / (abs(fd) / 2.0)) ** 12)
+        return firwin2(_numtaps(fd, fs), freqs, gains, fs=fs)
+
+    @pytest.mark.parametrize("fd", [75e3, -5e4])
+    def test_taps_equal_firwin2_at_every_length(self, fd):
+        for numtaps in range(65, 512, 2):
+            fs = abs(fd) * numtaps / 8.0
+            assert _numtaps(fd, fs) == numtaps
+            assert np.array_equal(_lowpass_taps(fd, fs), self._firwin2(fd, fs)), numtaps
+
+    @pytest.mark.parametrize("fs", [FS, 2.4e6])
+    def test_demodulation_equals_lfilter(self, fs, rng):
+        from scipy.signal import lfilter
+
+        fd = 75e3
+        t = np.arange(6000) / fs
+        v = np.cos(2 * math.pi * fd * t + 0.3) + rng.normal(0.0, 0.5, t.size)
+        ph = 2.0 * math.pi * fd * t
+        taps = self._firwin2(fd, fs)
+        ref = (lfilter(taps, 1.0, v * np.cos(ph))
+               + 1j * lfilter(taps, 1.0, v * (-np.sin(ph)))) / math.sqrt(2.0)
+        assert np.array_equal(demodulate_iq(v, fd, fs), ref)
 
 
 class TestEndToEnd:
