@@ -284,14 +284,31 @@ def rho21_resonant(omega_p: float, omega_c: float, omega_rf, gamma2: float):
             / [(2 O_p^2 + gamma2^2) O_rf^2 + 2 O_c^2 O_p^2 + 2 O_p^4]
 
     Exact for gamma = gamma_c = gamma3 = gamma4 = 0. ``omega_rf`` may be an
-    array; the result is then an array (used per-sample by the waveform
-    simulator). Purely imaginary, non-positive imaginary part, |rho21| <= 1.
+    array; the result is then an array. Purely imaginary, non-positive
+    imaginary part, |rho21| <= 1; ``rho21_resonant_imag`` is that imaginary
+    part in real arithmetic.
     """
-    orf2 = np.square(omega_rf)
-    den = (2.0 * omega_p**2 + gamma2**2) * orf2 + 2.0 * omega_c**2 * omega_p**2 + 2.0 * omega_p**4
+    return 1j * rho21_resonant_imag(omega_p, omega_c, omega_rf, gamma2)
+
+
+def rho21_resonant_imag(omega_p: float, omega_c: float, omega_rf, gamma2: float):
+    """Im rho21 of ``rho21_resonant``, computed in real arithmetic.
+
+    For an array ``omega_rf`` (the waveform simulator's per-sample RF Rabi
+    rates) the result is one new array built in place. Its values equal
+    the imaginary part of numpy's complex evaluation bit for bit: numpy
+    divides a complex array by a real one as a multiplication by the
+    reciprocal.
+    """
+    im = np.square(omega_rf, dtype=float)
+    den = (2.0 * omega_p**2 + gamma2**2) * im
+    den += 2.0 * omega_c**2 * omega_p**2
+    den += 2.0 * omega_p**4
     if np.any(den == 0.0):
         raise ZeroDenominator("omega_p = omega_rf = 0 somewhere in the input")
-    return -1j * gamma2 * omega_p * orf2 / den
+    im *= -gamma2 * omega_p
+    im *= 1.0 / den
+    return im
 
 
 def susceptibility(rho21: complex, system: AtomicSystem, omega_p: float) -> complex:

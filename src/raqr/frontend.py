@@ -247,13 +247,23 @@ def rf_field_amplitude(power: float, a_e: float) -> float:
 def probe_output(p0: float, chi, system: AtomicSystem, *, phi0: float = 0.0):
     """Probe power and phase after the cell, for a scalar or array chi.
 
-    P_p = P0 exp(-(2 pi d / lambda_p) Im chi), phi_p = phi0 + (pi d /
+    P_p = ``probe_power(p0, chi.imag, system)``, phi_p = phi0 + (pi d /
     lambda_p) Re chi (thin-medium convention, chi evaluated at cell entry).
     """
+    power = probe_power(p0, chi.imag, system)
+    return power, phi0 + math.pi * system.l_cell / system.lambda_p * chi.real
+
+
+def probe_power(p0: float, chi_imag, system: AtomicSystem):
+    """Probe power after the cell from Im chi alone, for a scalar or array:
+    P_p = P0 exp(-(2 pi d / lambda_p) Im chi). At resonance chi is purely
+    imaginary, so this is the whole transmission."""
     if p0 < 0:
         raise ValueError("p0 must be >= 0")
     arg = math.pi * system.l_cell / system.lambda_p
-    return p0 * np.exp(-2.0 * arg * chi.imag), phi0 + arg * chi.real
+    power = np.exp(-2.0 * arg * chi_imag)
+    power *= p0
+    return power
 
 
 def p1_of_lo(op: OperatingPoint, system: AtomicSystem) -> float:
@@ -360,11 +370,17 @@ def scheme_powers(op: OperatingPoint, p1):
 
     with the load factor g = pl / (pl + p1), unrounded by 1 +- g.
     """
+    p_cn = dc_shot_power(op, p1)
     if op.scheme == "DIOD":
-        return (p1**2, p1, p1), (1.0, p1), (2.0, -1.0, -1.0)
-    p_cn = op.pl + p1
+        return (p1**2, p1, p_cn), (1.0, p1), (2.0, -1.0, -1.0)
     gamma = op.pl / p_cn
     return (op.pl * p1, p1**2 / p_cn, p_cn), (p1, op.pl * p_cn), (1.0, gamma, -gamma)
+
+
+def dc_shot_power(op: OperatingPoint, p1):
+    """The detected DC power p_cn of ``scheme_powers`` alone: p1 itself
+    (direct; the argument is returned) or pl + p1 (balanced)."""
+    return p1 if op.scheme == "DIOD" else op.pl + p1
 
 
 def baseband_gains(

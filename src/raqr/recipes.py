@@ -60,6 +60,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_lines(rows) -> list[str]:
+    """One CSV line per row, each value written as ``_fmt`` writes it.
+
+    A row is formatted with one %-format, built once per sequence of value
+    types: %.12g gives the same text as format(v, ".12g").
+    """
+    formats = {}
+    lines = []
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                "%.12g" if issubclass(k, float) else "%s" for k in kinds)
+        lines.append(fmt % row)
+    return lines
+
+
 def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     """Write the CSV (skipped when there are no rows), the plot manifest,
     and the scalar summary. Returns {kind: path}."""
@@ -70,7 +89,7 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     if result.rows:
         csv_path = out / f"{result.name}.csv"
         lines = [f"# fingerprint={fp}", ",".join(result.columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
+        lines.extend(_csv_lines(result.rows))
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths["csv"] = csv_path
         csv_name = csv_path.name
@@ -196,8 +215,8 @@ def waveform_overlay(cfg: ExperimentConfig, threads: int) -> RecipeResult:
         )
         per_ratio[label] = dev
         series.append({"label": label, "filter": {"series": label}})
-        for t, ve, va in zip(wf.t, wf.v_exact, wf.v_approx):
-            rows.append((label, float(t), float(ve), float(va), float(va - ve)))
+        for t, ve, va in zip(wf.t.tolist(), wf.v_exact.tolist(), wf.v_approx.tolist()):
+            rows.append((label, t, ve, va, va - ve))
     return RecipeResult(
         name="waveform-overlay",
         columns=["series", "time_s", "exact_v", "approx_v", "deviation_v"],

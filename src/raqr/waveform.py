@@ -26,17 +26,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import rho21_resonant, steady_state_numeric, susceptibility
+from .atomic import rho21_resonant_imag, steady_state_numeric, susceptibility
 from .constants import epsilon_0, hbar, speed_of_light
 from .frontend import (
     AtomicSystem,
     DetectionChain,
     OperatingPoint,
     UserSignal,
+    dc_shot_power,
     drive_for,
     kappa_of_point,
     p1_of_lo,
     probe_output,
+    probe_power,
     rf_field_amplitude,
     scheme_powers,
 )
@@ -85,16 +87,20 @@ class Waveform:
 
 
 def _exact_transmission(omega_rf, op, system, rho_solver):
-    """Instantaneous probe transmission: power P1 and accumulated phase."""
+    """Instantaneous probe transmission: power P1 and accumulated phase.
+
+    At resonance chi is purely imaginary, so the closed form needs only
+    Im chi, in real arithmetic, and its phase is phi0 for every sample.
+    """
     drive = drive_for(op, system, omega_rf=omega_rf)
     if rho_solver == "closed-form":
-        r21 = rho21_resonant(drive.omega_p, drive.omega_c, omega_rf, system.gamma2)
-    elif rho_solver == "liouvillian":
-        r21 = steady_state_numeric(system, drive).rho21
-    else:
-        raise ValueError(f"unknown rho_solver {rho_solver!r}")
-    chi = susceptibility(r21, system, drive.omega_p)
-    return probe_output(op.p0, chi, system, phi0=op.phi0)
+        chi_im = rho21_resonant_imag(drive.omega_p, drive.omega_c, omega_rf, system.gamma2)
+        chi_im *= susceptibility(1.0, system, drive.omega_p)  # chi is linear in rho21
+        return probe_power(op.p0, chi_im, system), op.phi0
+    if rho_solver == "liouvillian":
+        chi = susceptibility(steady_state_numeric(system, drive).rho21, system, drive.omega_p)
+        return probe_output(op.p0, chi, system, phi0=op.phi0)
+    raise ValueError(f"unknown rho_solver {rho_solver!r}")
 
 
 def _detector_current(p1_t, phase_t, op, chain):
@@ -131,6 +137,8 @@ def simulate_waveform(
     _check_beat(f_delta, sample_rate)
     if sample_rate < 16.0 * abs(f_delta):
         raise ValueError("sample_rate must be at least 16x the beat frequency")
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ValueError("duration too short for one sample")
@@ -144,37 +152,57 @@ def simulate_waveform(
             stacklevel=2,
         )
 
-    t = np.arange(n) / sample_rate
-    beta = 2.0 * math.pi * f_delta * t + (user.theta_x - op.theta_lo)
-    cos_b = np.cos(beta)
+    # Per-sample steps run in place (ufunc out= or augmented assignment) in
+    # the operand order of the plain expression, so every value is the
+    # expression's bit for bit; dropping each intermediate once used keeps
+    # at most six n-sample arrays alive, the five outputs among them.
+    t = np.arange(n, dtype=float)
+    t /= sample_rate
+    cos_b = np.multiply(t, 2.0 * math.pi * f_delta)  # the beat phase beta ...
+    cos_b += user.theta_x - op.theta_lo
+    np.cos(cos_b, out=cos_b)  # ... and its cosine
 
     # exact chain: instantaneous envelope -> per-sample atomic response
-    u_z = np.sqrt(u_lo**2 + 2.0 * u_lo * u_x * cos_b + u_x**2)
-    omega_rf_t = system.mu34 * u_z / hbar
-    p1_t, phase_t = _exact_transmission(omega_rf_t, op, system, rho_solver)
+    omega_rf = np.multiply(cos_b, 2.0 * u_lo * u_x)
+    omega_rf += u_lo**2
+    omega_rf += u_x**2
+    np.sqrt(omega_rf, out=omega_rf)  # the envelope |U_z|
+    omega_rf *= system.mu34
+    omega_rf /= hbar
+    p1_t, phase_t = _exact_transmission(omega_rf, op, system, rho_solver)
+    del omega_rf
     i_exact = _detector_current(p1_t, phase_t, op, chain)
 
     # linearized chain around the LO-only level; e_g: d ln p_g^2 / d ln p1
     p1_lo = p1_of_lo(op, system)
     (_, _, p_cn_lo), _, (e_g, _, _) = scheme_powers(op, p1_lo)
     i_dc = _detector_current(p1_lo, op.phi0, op, chain)
-    i_approx = i_dc * (1.0 - e_g * kappa_of_point(op, system) * u_x * cos_b)
+    i_approx = cos_b
+    i_approx *= e_g * kappa_of_point(op, system) * u_x
+    np.subtract(1.0, i_approx, out=i_approx)
+    i_approx *= i_dc
 
-    i_env = chain.alpha * scheme_powers(op, p1_t)[0][2]  # shot-noise current
-    if np.max(i_env) > chain.i_sat:
-        raise Saturation(
-            f"photocurrent {np.max(i_env):.3e} A exceeds i_sat {chain.i_sat:.3e} A"
-        )
+    i_env = dc_shot_power(op, p1_t)  # p1_t itself for the direct scheme
+    del p1_t, phase_t
+    i_env *= chain.alpha  # shot-noise current
+    i_max = np.max(i_env)
+    if i_max > chain.i_sat:
+        raise Saturation(f"photocurrent {i_max:.3e} A exceeds i_sat {chain.i_sat:.3e} A")
 
     g_eff = effective_gain(op, chain)
     sigma_xi = math.sqrt(chain.sigma_sq_sn * sample_rate / (2.0 * chain.bw))
     rng = np.random.Generator(np.random.Philox(key=seed))
     xi = rng.normal(0.0, sigma_xi, n)
     if op.scheme == "BCOD":  # the second detector's noise, drawn after the first
-        xi = (xi - rng.normal(0.0, sigma_xi, n)) / math.sqrt(2.0)
+        xi -= rng.normal(0.0, sigma_xi, n)
+        xi /= math.sqrt(2.0)
 
     cn = xi * math.sqrt(g_eff * (chain.alpha * p_cn_lo))
-    sn = xi * np.sqrt(g_eff * i_env) - cn
+    sn = i_env
+    sn *= g_eff
+    np.sqrt(sn, out=sn)
+    sn *= xi
+    sn -= cn
 
     sqrt_g = math.sqrt(g_eff)
     params = {
@@ -195,10 +223,14 @@ def simulate_waveform(
         "rho_solver": rho_solver,
         "sigma_sq_sn": chain.sigma_sq_sn,
     }
+    for i in (i_exact, i_approx):  # the voltages sqrt_g * i + cn + sn
+        i *= sqrt_g
+        i += cn
+        i += sn
     return Waveform(
         t=t,
-        v_exact=sqrt_g * i_exact + cn + sn,
-        v_approx=sqrt_g * i_approx + cn + sn,
+        v_exact=i_exact,
+        v_approx=i_approx,
         sn=sn,
         cn=cn,
         v_dc=sqrt_g * float(i_dc),
@@ -284,21 +316,31 @@ def demodulate_iq(
     1/(2 sqrt(2)).
     """
     _check_beat(f_delta, sample_rate)
-    v = np.asarray(v_samples, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"v_samples must be one-dimensional, got shape {v.shape}")
+    v = _series(v_samples, "v_samples", float)
     if abs(f_delta) >= sample_rate / 4.0:
         raise ValueError("f_delta must be below sample_rate/4")
-    if len(v) < 8.0 * sample_rate / abs(f_delta):
+    n = len(v)
+    if n < 8.0 * sample_rate / abs(f_delta):
         raise InsufficientLength(
-            f"{len(v)} samples is under 8 beat periods at f_delta={f_delta:g} Hz"
+            f"{n} samples is under 8 beat periods at f_delta={f_delta:g} Hz"
         )
-    t = np.arange(len(v)) / sample_rate
-    ph = 2.0 * math.pi * f_delta * t
+    ph = np.arange(n, dtype=float)
+    ph /= sample_rate
+    ph *= 2.0 * math.pi * f_delta
     taps = _lowpass_taps(f_delta, sample_rate)
-    i_br = np.convolve(taps, v * np.cos(ph))[: len(v)]
-    q_br = np.convolve(taps, v * (-np.sin(ph)))[: len(v)]
-    return (i_br + 1j * q_br) / math.sqrt(2.0)
+    # each branch is mixed in one buffer and filtered straight into its part
+    # of z; numpy divides complex by real as a multiplication by the
+    # reciprocal, so this equals (i + 1j q) / sqrt(2) bit for bit
+    scale = 1.0 / math.sqrt(2.0)
+    z = np.empty(n, dtype=complex)
+    mixed = np.cos(ph)
+    mixed *= v
+    np.multiply(np.convolve(taps, mixed)[:n], scale, out=z.real)
+    np.sin(ph, out=mixed)
+    np.negative(mixed, out=mixed)
+    mixed *= v
+    np.multiply(np.convolve(taps, mixed)[:n], scale, out=z.imag)
+    return z
 
 
 def baseband_estimate(
@@ -310,12 +352,21 @@ def baseband_estimate(
     ripple at f_delta and 2 f_delta that the gentle FIR lets through.
     """
     settle = settling_samples(f_delta, sample_rate)
+    z = _series(z, "z", None)
     spp = sample_rate / abs(f_delta)
     periods = int((len(z) - settle) / spp)
     if periods < 1:
         raise InsufficientLength("no whole beat period after filter settling")
     end = settle + int(round(periods * spp))
     return complex(np.mean(z[settle:end]))
+
+
+def _series(samples, name: str, dtype) -> np.ndarray:
+    """The samples as a one-dimensional array, or ValueError."""
+    x = np.asarray(samples, dtype=dtype)
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {x.shape}")
+    return x
 
 
 # --------------------------------------------------------------------------

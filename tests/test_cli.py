@@ -19,7 +19,14 @@ from raqr.config import (
     serialize,
 )
 from raqr.frontend import baseband_gains
-from raqr.recipes import RecipeError, list_recipes, place_users, run_recipe
+from raqr.recipes import (
+    RecipeError,
+    _csv_lines,
+    _fmt,
+    list_recipes,
+    place_users,
+    run_recipe,
+)
 from raqr.waveform import effective_gain
 
 from conftest import run_fresh
@@ -411,6 +418,16 @@ class TestRunRecipe:
             paths = run_recipe(run)
             blobs.append(b"".join(p.read_bytes() for _, p in sorted(paths.items())))
         assert blobs[0] == blobs[1]
+
+    CSV_VALUES = (1.5, np.float64(2.0 / 3.0), 7, np.int64(-3), True, "diod",
+                  math.inf, -math.inf, math.nan, -0.0, 1e-320)
+
+    def test_csv_lines_write_each_value_as_fmt(self):
+        for value in self.CSV_VALUES:
+            assert _csv_lines([(value,)]) == [_fmt(value)], repr(value)
+        # a column may change type from row to row
+        rows = [self.CSV_VALUES, self.CSV_VALUES[::-1], self.CSV_VALUES]
+        assert _csv_lines(rows) == [",".join(map(_fmt, row)) for row in rows]
 
     def test_empty_sweep_manifest_without_csv(self, tmp_path):
         import dataclasses

@@ -2,12 +2,24 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raqr import defaults
-from raqr.frontend import UserSignal, baseband_gains
+from raqr.atomic import ZeroProbe, steady_state_numeric
+from raqr.constants import epsilon_0, hbar
+from raqr.frontend import (
+    UserSignal,
+    baseband_gains,
+    drive_for,
+    kappa_of_point,
+    p1_of_lo,
+    rf_field_amplitude,
+    scheme_powers,
+)
 from raqr.waveform import (
     InsufficientLength,
     Saturation,
@@ -75,6 +87,13 @@ class TestSimulate:
             diod, quiet, defaults.weak_user(20.0, diod), system, 32 / FS, FS, seed=0
         )
         assert not [w for w in recwarn if issubclass(w.category, WeakLO)]
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, 0.0, -1e-3])
+    def test_duration_must_be_positive_and_finite(self, system, diod, quiet, duration):
+        with pytest.raises(ValueError, match="duration"):
+            simulate_waveform(
+                diod, quiet, defaults.weak_user(20.0, diod), system, duration, FS, 0
+            )
 
     def test_saturation_is_hard_error(self, system, diod, chain):
         hot = dataclasses.replace(chain, i_sat=1e-3)
@@ -251,6 +270,11 @@ class TestDemodulation:
         with pytest.raises(ValueError, match="one-dimensional"):
             demodulate_iq(np.ones((2, 5000)), 75e3, 2.4e6)
 
+    @pytest.mark.parametrize("shape", [(2, 5000), (5000, 2)])
+    def test_estimate_of_a_multidimensional_series_is_a_value_error(self, shape):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            baseband_estimate(np.ones(shape, dtype=complex), 75e3, 2.4e6)
+
 
 class TestScipyEquivalence:
     """The numpy filter design and filtering against the scipy calls they
@@ -283,6 +307,166 @@ class TestScipyEquivalence:
         ref = (lfilter(taps, 1.0, v * np.cos(ph))
                + 1j * lfilter(taps, 1.0, v * (-np.sin(ph)))) / math.sqrt(2.0)
         assert np.array_equal(demodulate_iq(v, fd, fs), ref)
+
+
+def _reference_waveform(op, chain, user, system, n, sample_rate, seed, rho_solver):
+    """The chain as plain numpy expressions, complex arithmetic and all, with
+    the guards left out: the values simulate_waveform must give bit for
+    bit."""
+    f_delta = user.f_c - op.f_lo
+    u_lo = rf_field_amplitude(op.p_lo, op.a_e)
+    u_x = user.u_x
+    t = np.arange(n) / sample_rate
+    beta = 2.0 * math.pi * f_delta * t + (user.theta_x - op.theta_lo)
+    cos_b = np.cos(beta)
+    u_z = np.sqrt(u_lo**2 + 2.0 * u_lo * u_x * cos_b + u_x**2)
+    omega_rf = system.mu34 * u_z / hbar
+    drive = drive_for(op, system, omega_rf=omega_rf)
+    omega_p, omega_c, gamma2 = drive.omega_p, drive.omega_c, system.gamma2
+    if rho_solver == "closed-form":
+        orf2 = np.square(omega_rf)
+        den = ((2.0 * omega_p**2 + gamma2**2) * orf2 + 2.0 * omega_c**2 * omega_p**2
+               + 2.0 * omega_p**4)
+        r21 = -1j * gamma2 * omega_p * orf2 / den
+    else:
+        r21 = steady_state_numeric(system, drive).rho21
+    chi = -2.0 * system.n0 * system.mu12**2 / (epsilon_0 * hbar * omega_p) * r21
+    arg = math.pi * system.l_cell / system.lambda_p
+    p1_t, phase_t = op.p0 * np.exp(-2.0 * arg * chi.imag), op.phi0 + arg * chi.real
+
+    def current(p1, phase):
+        if op.scheme == "DIOD":
+            return chain.alpha * p1
+        return 2.0 * chain.alpha * np.sqrt(op.pl * p1) * np.cos(op.phi_l - phase)
+
+    i_exact = current(p1_t, phase_t)
+    p1_lo = p1_of_lo(op, system)
+    (_, _, p_cn_lo), _, (e_g, _, _) = scheme_powers(op, p1_lo)
+    i_dc = current(p1_lo, op.phi0)
+    i_approx = i_dc * (1.0 - e_g * kappa_of_point(op, system) * u_x * cos_b)
+    i_env = chain.alpha * scheme_powers(op, p1_t)[0][2]
+
+    g_eff = effective_gain(op, chain)
+    sigma_xi = math.sqrt(chain.sigma_sq_sn * sample_rate / (2.0 * chain.bw))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    xi = rng.normal(0.0, sigma_xi, n)
+    if op.scheme == "BCOD":
+        xi = (xi - rng.normal(0.0, sigma_xi, n)) / math.sqrt(2.0)
+    cn = xi * math.sqrt(g_eff * (chain.alpha * p_cn_lo))
+    sn = xi * np.sqrt(g_eff * i_env) - cn
+    sqrt_g = math.sqrt(g_eff)
+    return {"t": t, "v_exact": sqrt_g * i_exact + cn + sn,
+            "v_approx": sqrt_g * i_approx + cn + sn, "sn": sn, "cn": cn,
+            "v_dc": sqrt_g * float(i_dc)}
+
+
+def _reference_demodulation(v, f_delta, sample_rate):
+    t = np.arange(len(v)) / sample_rate
+    ph = 2.0 * math.pi * f_delta * t
+    taps = _lowpass_taps(f_delta, sample_rate)
+    i_br = np.convolve(taps, v * np.cos(ph))[: len(v)]
+    q_br = np.convolve(taps, v * (-np.sin(ph)))[: len(v)]
+    return (i_br + 1j * q_br) / math.sqrt(2.0)
+
+
+class TestReferenceEquality:
+    """The in-place, real-valued chain against its plain-expression form."""
+
+    def _check(self, op, chain, user, system, n, seed, rho_solver):
+        wf = simulate_waveform(op, chain, user, system, n / FS, FS, seed,
+                               rho_solver=rho_solver)
+        ref = _reference_waveform(op, chain, user, system, n, FS, seed, rho_solver)
+        for name in ("t", "v_exact", "v_approx", "sn", "cn"):
+            assert np.array_equal(getattr(wf, name), ref[name]), name
+        assert wf.v_dc == ref["v_dc"]
+        v = down_convert(wf.v_exact, wf.v_dc)
+        z = demodulate_iq(v, wf.f_delta, FS)
+        assert np.array_equal(z, _reference_demodulation(v, wf.f_delta, FS))
+        est = baseband_estimate(z, wf.f_delta, FS)
+        assert est == baseband_estimate(_reference_demodulation(v, wf.f_delta, FS),
+                                        wf.f_delta, FS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        ratio_db=st.floats(10.0, 40.0),
+        scheme=st.sampled_from(["DIOD", "BCOD"]),
+        rho_solver=st.sampled_from(["closed-form", "liouvillian"]),
+        parity=st.sampled_from([0, 1]),
+        phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+        data=st.data(),
+    )
+    def test_equals_the_expression_chain(self, system, chain, seed, ratio_db, scheme,
+                                         rho_solver, parity, phases, data):
+        # n from 144 up: 8 beat periods for demodulation plus one settled one
+        top = 999 if rho_solver == "liouvillian" else 20_000
+        n = 2 * data.draw(st.integers(72, top), label="n // 2") + parity
+        theta_x, phi0, phi_l = phases
+        op = dataclasses.replace(
+            defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point(),
+            phi0=phi0, phi_l=phi_l)
+        user = defaults.weak_user(ratio_db, op, theta_x=theta_x)
+        self._check(op, chain, user, system, n, seed, rho_solver)
+
+    def test_weak_lo_warns_and_computes_the_same(self, system, chain, bcod):
+        with pytest.warns(WeakLO):
+            self._check(bcod, chain, defaults.weak_user(5.0, bcod), system,
+                        4001, 3, "closed-form")
+
+    def test_zero_probe(self, system, quiet, diod):
+        off = dataclasses.replace(diod, p0=0.0)
+        with pytest.raises(ZeroProbe):
+            simulate_waveform(off, quiet, defaults.weak_user(20.0, off), system,
+                              64 / FS, FS, seed=0)
+
+    def test_saturation_raised_before_any_noise_draw(self, system, chain, bcod,
+                                                     monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the saturation check")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        hot = dataclasses.replace(chain, i_sat=1e-3)
+        with pytest.raises(Saturation):
+            simulate_waveform(bcod, hot, defaults.weak_user(20.0, bcod), system,
+                              64 / FS, FS, seed=0)
+
+
+def _peak_bytes(call):
+    """Peak of the memory ``call`` allocates, traced on a second call so
+    that one-time set-up does not count."""
+    call()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestAllocation:
+    """The chain builds little beyond what it returns: simulate_waveform's
+    five output columns plus the noise draw, and demodulate_iq's complex
+    result, its two mixing buffers and one filter output."""
+
+    N = 40_000
+
+    @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
+    def test_simulation_peak(self, system, chain, scheme):
+        op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
+        user = defaults.weak_user(20.0, op)
+        peak = _peak_bytes(lambda: simulate_waveform(
+            op, chain, user, system, self.N / FS, FS, seed=1))
+        assert peak <= 6.5 * 8 * self.N
+
+    def test_demodulation_peak(self, rng):
+        v = rng.normal(0.0, 1.0, self.N)
+        peak = _peak_bytes(lambda: demodulate_iq(v, 75e3, FS))
+        assert peak <= 5.5 * 8 * self.N
 
 
 class TestEndToEnd:
