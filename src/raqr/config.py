@@ -25,6 +25,7 @@ import yaml
 from .atomic import AtomicSystem
 from .constants import elementary_charge, hbar, speed_of_light
 from .frontend import DetectionChain, OperatingPoint
+from .mimo import MIN_REALIZATIONS
 
 _CONFIG_DIR = Path(__file__).with_name("configs")
 
@@ -338,9 +339,11 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
     chain = _construct(DetectionChain, "detection", **det,
                        alpha=responsivity(eta, atomic["lambda_p"]))
 
-    for key in ("n_sensors", "n_users", "realizations"):
+    for key in ("n_sensors", "n_users"):
         if arr[key] < 1:
             raise ValidationError(f"array.{key}", "must be >= 1")
+    if arr["realizations"] < MIN_REALIZATIONS:
+        raise ValidationError("array.realizations", f"must be >= {MIN_REALIZATIONS}")
     if arr["region_center_m"] <= 0:
         raise ValidationError("array.region_center_m", "must be > 0")
     if not 0 <= arr["region_radius_m"] < arr["region_center_m"]:

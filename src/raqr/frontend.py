@@ -383,6 +383,14 @@ def dc_shot_power(op: OperatingPoint, p1):
     return p1 if op.scheme == "DIOD" else op.pl + p1
 
 
+def demod_phase(op: OperatingPoint) -> float:
+    """The phase varphi of the demodulation gain cos(varphi): phi_l -
+    phi_p(Omega_LO) + psi_p for the balanced scheme, where phi_p(Omega_LO) =
+    phi0 and psi_p = 0 at resonance (Re chi = 0 for any RF level), and 0 for
+    the direct scheme."""
+    return 0.0 if op.scheme == "DIOD" else op.phi_l - op.phi0
+
+
 def baseband_gains(
     op: OperatingPoint, chain: DetectionChain, system: AtomicSystem
 ) -> BasebandGains:
@@ -390,18 +398,15 @@ def baseband_gains(
 
     rho    = 4 G Z0 alpha^2 p_g^2 k^2,  rho_sn = G Z0 alpha p_sn^2 k^2,
     Phi    = e^{-j theta_LO} cos(varphi),
-    with the powers from ``scheme_powers`` and varphi = phi_l - phi_p(Omega_LO)
-    + psi_p (0 for the direct scheme; psi_p = 0 at resonance where
-    Re chi' = 0).
+    with the powers from ``scheme_powers`` and varphi = ``demod_phase(op)``.
     """
     phi_sn = cmath.exp(-1j * op.theta_lo)
+    varphi = demod_phase(op)
     if op.scheme == "DIOD":
-        varphi, phi = 0.0, phi_sn
+        phi = phi_sn
     elif op.pl <= 0.0:
         raise MissingLocalBeam("balanced detection requires pl > 0")
     else:
-        # phi_p(Omega_LO) = phi0 at resonance (Re chi = 0 for any RF level).
-        varphi = op.phi_l - op.phi0
         phi = math.cos(varphi) * phi_sn
     (p_g_sq, p_sn_sq, p_cn), _, _ = scheme_powers(op, p1_of_lo(op, system))
     kap = kappa_of_point(op, system)

@@ -37,11 +37,9 @@ __all__ = [
     "combiner",
     "detect",
     "closed_form_moments",
-    "sinr_lb_mrc",
-    "sinr_lb_zf",
+    "sinr_lb",
     "asymptotic_rate",
     "rf_gains",
-    "rf_baseline",
     "crossover_threshold",
     "monte_carlo_terms",
     "monte_carlo_rate",
@@ -52,6 +50,8 @@ __all__ = [
 # realizations per RNG substream; chunk c of a run with seed s draws from
 # Philox keyed [s, c], so results are identical however chunks are scheduled
 CHUNK = 256
+# fewest realizations a Monte-Carlo run accepts; config validation reads it
+MIN_REALIZATIONS = 100
 
 
 class DimensionError(Exception):
@@ -369,33 +369,19 @@ def closed_form_moments(
     return _terms_from_stats(scenario, gains, factors * expected)
 
 
-def sinr_lb_mrc(
-    scenario: MimoScenario, gains: BasebandGains, budget: NoiseBudget
-) -> BoundResult:
-    """Closed-form rate lower bound for matched combining: the SINR of the
-    closed-form term moments."""
-    terms = closed_form_moments(scenario, gains, budget, "MRC")
-    return BoundResult(*_rate_from_terms(terms)[:2])
-
-
-def sinr_lb_zf(
+def sinr_lb(
     scenario: MimoScenario,
     gains: BasebandGains,
     budget: NoiseBudget,
-    form: str = "printed",
+    method: str,
 ) -> BoundResult:
-    """Closed-form rate lower bound for zero-forcing: ``form="moment"`` is
-    the SINR of the closed-form term moments, which the Monte-Carlo engine
-    reproduces; ``form="printed"`` keeps the published numerator scale,
-    exactly four times that SINR. bound_violation_alarm() reports when a
-    claimed bound exceeds the sampled rate."""
-    if form not in ("printed", "moment"):
-        raise ValueError(f"unknown bound form {form!r}")
-    terms = closed_form_moments(scenario, gains, budget, "ZF")
-    sinr = _rate_from_terms(terms)[0]
-    if form == "printed":
-        sinr = 4.0 * sinr
-    return BoundResult(sinr, np.log2(1.0 + sinr))
+    """Closed-form rate lower bound for MRC or ZF combining: the SINR of the
+    closed-form term moments, which the Monte-Carlo engine reproduces. The
+    RF-array baseline is this bound on the ``rf_gains`` table.
+    bound_violation_alarm() reports when a claimed bound exceeds the sampled
+    rate."""
+    terms = closed_form_moments(scenario, gains, budget, method)
+    return BoundResult(*_rate_from_terms(terms)[:2])
 
 
 def asymptotic_rate(
@@ -429,19 +415,6 @@ def rf_gains(sigma_rf_sq: float) -> tuple[BasebandGains, NoiseBudget]:
         n_cn=0.0, n_tn=2.0 * sigma_rf_sq, n_qpn=0.0, sigma_sq_sn=0.0, sn_coeff=0.0,
     )
     return gains, budget
-
-
-def rf_baseline(scenario: MimoScenario, sigma_rf_sq: float) -> dict:
-    """Per-user bounds of the conventional array at the same geometry.
-
-    The ZF entry uses the moment assembly (the standard inverse-Wishart
-    result); the printed-scale variant exists only on the atomic side.
-    """
-    gains, budget = rf_gains(sigma_rf_sq)
-    return {
-        "mrc": sinr_lb_mrc(scenario, gains, budget),
-        "zf": sinr_lb_zf(scenario, gains, budget, form="moment"),
-    }
 
 
 def crossover_threshold(
@@ -552,8 +525,8 @@ def _run_chunks(scenario, method, threads):
     through one workspace of its own, so no chunk allocates its large arrays
     and the schedule cannot change a result."""
     n = scenario.n_realizations
-    if n < 100:
-        raise ValueError("need at least 100 realizations")
+    if n < MIN_REALIZATIONS:
+        raise ValueError(f"need at least {MIN_REALIZATIONS} realizations")
     sizes = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
     workers = max(1, min(threads or 1, len(sizes)))
 
@@ -602,10 +575,9 @@ def monte_carlo_rates(
 ) -> list[RateResult]:
     """One ``RateResult`` per ``(gains, budget)`` table from a single set of
     draws: the term moments are homogeneous in the gain table, so each table
-    rescales the same gain-free statistics, and its bound rescales their
-    expectations. Entry i is identical to
-    ``monte_carlo_rate(scenario, *tables[i], method)``."""
-    expected = _expectations(scenario, method)
+    rescales the same gain-free statistics, and its bound is ``sinr_lb``.
+    Entry i is identical to ``monte_carlo_rate(scenario, *tables[i], method)``."""
+    _expectations(scenario, method)  # a bad method or shape raises before any draw
     results = _run_chunks(scenario, method, threads)
     sums = np.stack([r[0] for r in results], axis=1)  # (5, chunks, users)
     counts = np.array([[r[1]] for r in results])
@@ -627,8 +599,7 @@ def monte_carlo_rates(
             with np.errstate(invalid="ignore"):
                 se = batch.std(axis=0, ddof=1) / math.sqrt(len(counts))
             se[np.isinf(batch).any(axis=0)] = np.inf
-        bound = _rate_from_terms(_terms_from_stats(
-            scenario, gains, factors * expected))[1]
+        bound = sinr_lb(scenario, gains, budget, method).rate
         out.append(RateResult(
             sinr=sinr, rate=rate, bound=bound, n_samples=count,
             standard_error=se, capped=capped, method=method, terms=terms,

@@ -24,6 +24,7 @@ from .frontend import (
     NoiseBudget,
     OperatingPoint,
     baseband_gains,
+    demod_phase,
     dlnkappa,
     dlnp1,
     drive_terms,
@@ -119,7 +120,8 @@ def normalized_noise(
     op: OperatingPoint, weights: NoiseWeights, system: AtomicSystem
 ) -> float:
     """Evaluate the noise functional at an operating point:
-    W = w_sn p_sn^2/p_g^2 + (w_cn p_cn + w_tn) / (p_g^2 kappa^2) + w_qpn."""
+    W = (w_sn p_sn^2/p_g^2 + (w_cn p_cn + w_tn) / (p_g^2 kappa^2)) / |Phi|^2
+    + w_qpn, with |Phi|^2 = cos^2(``demod_phase(op)``) as in the gain table."""
     kappa = kappa_of_point(op, system)
     if kappa == 0.0 and (weights.dc_shot + weights.thermal) > 0.0:
         raise DivergentNoise("transduction slope is zero; DC-shot and thermal "
@@ -131,9 +133,10 @@ def normalized_noise(
         if (weights.sig_shot + weights.dc_shot + weights.thermal) > 0.0:
             return math.inf
         return weights.projection
-    w = weights.sig_shot * (num / den) + weights.projection
+    phi_sq = math.cos(demod_phase(op)) ** 2
+    w = weights.sig_shot * (num / den) / phi_sq + weights.projection
     if kappa > 0.0:
-        w += (weights.dc_shot * pcn + weights.thermal) / (pg_sq * kappa**2)
+        w += (weights.dc_shot * pcn + weights.thermal) / (pg_sq * kappa**2 * phi_sq)
     return w
 
 
@@ -254,16 +257,18 @@ def _dw_dp0(op, weights, system):
     """Analytic derivative of the noise functional in p0: the log-slope of
     each ratio p_sn^2/p_g^2, p_cn/(p_g^2 kappa^2), 1/(p_g^2 kappa^2) is its
     p1-elasticity times d ln p1/d p0, less 2 d ln kappa/d p0 where kappa
-    enters."""
+    enters. The demodulation phase does not depend on p0, so |Phi|^2 scales
+    the three terms as it scales W."""
     kappa = kappa_of_point(op, system)
     if kappa == 0.0:
         raise DivergentNoise("transduction slope is zero at p_lo = 0")
     powers, (num, den), (e_g, de_sn, de_cn) = scheme_powers(op, p1_of_lo(op, system))
     pg_sq, _, pcn = powers
-    gk_sq = pg_sq * kappa**2
+    phi_sq = math.cos(demod_phase(op)) ** 2
+    gk_sq = pg_sq * kappa**2 * phi_sq
     _, _, l1 = dlnp1(op, system)
     _, _, lk = dlnkappa(op, system)
-    return (weights.sig_shot * (num / den) * (de_sn * l1)
+    return (weights.sig_shot * (num / den / phi_sq) * (de_sn * l1)
             + weights.dc_shot * (pcn / gk_sq) * (de_cn * l1 - 2.0 * lk)
             + weights.thermal * (1.0 / gk_sq) * (-e_g * l1 - 2.0 * lk))
 

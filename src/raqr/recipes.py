@@ -54,17 +54,11 @@ class RecipeResult:
     annotations: list[dict] = field(default_factory=list)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def _csv_lines(rows) -> list[str]:
-    """One CSV line per row, each value written as ``_fmt`` writes it.
+    """One CSV line per row: a float as %.12g, any other value as %s.
 
     A row is formatted with one %-format, built once per sequence of value
-    types: %.12g gives the same text as format(v, ".12g").
+    types.
     """
     formats = {}
     lines = []
@@ -209,7 +203,7 @@ def waveform_overlay(cfg: ExperimentConfig, threads: int) -> RecipeResult:
             warnings.simplefilter("ignore", WeakLO)
             wf = simulate_waveform(cfg.op, quiet, user, cfg.system,
                                    duration, fs, seed=cfg.seed)
-        label = f"ratio_{_fmt(float(ratio))}db"
+        label = f"ratio_{float(ratio):.12g}db"
         dev = float(
             np.linalg.norm(wf.v_exact - wf.v_approx) / np.linalg.norm(wf.v_exact)
         )
@@ -380,7 +374,7 @@ def rate_vs_m(cfg: ExperimentConfig, threads: int) -> RecipeResult:
             sc = _scenario(cfg, m, beta)
             res = mimo.monte_carlo_rate(sc, gains, budget, method,
                                         threads=threads)
-            base = mimo.rf_baseline(sc, cfg.rf_noise_w)[label]
+            base = mimo.sinr_lb(sc, *mimo.rf_gains(cfg.rf_noise_w), method)
             mc = float(res.rate.mean())
             se = _mean_se(res.standard_error)
             bound = float(res.bound.mean())
@@ -414,7 +408,7 @@ def power_scaling(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     rows = []
     for m in (int(round(x)) for x in cfg.sweep.values()):
         sc = _scenario(cfg, m, beta, p=cfg.transmit_power / m)
-        bound = float(mimo.sinr_lb_mrc(sc, gains, budget).rate[0])
+        bound = float(mimo.sinr_lb(sc, gains, budget, "MRC").rate[0])
         rows.append((m, bound, asym))
     bounds = [r[1] for r in rows]
     summary = {"asymptotic_bpshz": asym}

@@ -317,7 +317,7 @@ def test_criterion_09_power_scaling(chain, system, bcod):
     rates = []
     for m in (64, 256, 1024, 4096):
         sc = defaults.default_scenario(m, 10, p=1.0 / m)
-        rates.append(float(mimo.sinr_lb_mrc(sc, gains, budget).rate[0]))
+        rates.append(float(mimo.sinr_lb(sc, gains, budget, "MRC").rate[0]))
     gaps = [abs(r - asym) / asym for r in rates]
     assert all(a < b for a, b in zip(rates, rates[1:]))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -331,7 +331,7 @@ def test_criterion_10_crossover(chain, system, bcod):
     t0 = perf_counter()
     sigma = 3e-12
     sc = defaults.default_scenario(100, 10)
-    rf_rate = float(mimo.rf_baseline(sc, sigma)["mrc"].rate.mean())
+    rf_rate = float(mimo.sinr_lb(sc, *mimo.rf_gains(sigma), "MRC").rate.mean())
     intervals = {}
     for attr, grid in (("p_lo", np.geomspace(1e-7, 1e-4, 41)),
                        ("p0", np.geomspace(1e-4, 1e-1, 41))):
@@ -341,7 +341,7 @@ def test_criterion_10_crossover(chain, system, bcod):
         def raq_rate(x):
             gains, budget = _gains_budget(with_powers(bcod, **{attr: x}),
                                           chain, system)
-            return float(mimo.sinr_lb_mrc(sc, gains, budget).rate.mean())
+            return float(mimo.sinr_lb(sc, gains, budget, "MRC").rate.mean())
 
         diff = np.array([raq_rate(float(x)) for x in grid]) - rf_rate
         flips = np.nonzero(np.diff(np.sign(diff)))[0]

@@ -22,7 +22,6 @@ from raqr.frontend import baseband_gains
 from raqr.recipes import (
     RecipeError,
     _csv_lines,
-    _fmt,
     list_recipes,
     place_users,
     run_recipe,
@@ -422,12 +421,17 @@ class TestRunRecipe:
     CSV_VALUES = (1.5, np.float64(2.0 / 3.0), 7, np.int64(-3), True, "diod",
                   math.inf, -math.inf, math.nan, -0.0, 1e-320)
 
+    @staticmethod
+    def _fmt(value):
+        # reference: a float at 12 significant digits, anything else as str
+        return format(value, ".12g") if isinstance(value, float) else str(value)
+
     def test_csv_lines_write_each_value_as_fmt(self):
         for value in self.CSV_VALUES:
-            assert _csv_lines([(value,)]) == [_fmt(value)], repr(value)
+            assert _csv_lines([(value,)]) == [self._fmt(value)], repr(value)
         # a column may change type from row to row
         rows = [self.CSV_VALUES, self.CSV_VALUES[::-1], self.CSV_VALUES]
-        assert _csv_lines(rows) == [",".join(map(_fmt, row)) for row in rows]
+        assert _csv_lines(rows) == [",".join(map(self._fmt, row)) for row in rows]
 
     def test_empty_sweep_manifest_without_csv(self, tmp_path):
         import dataclasses
@@ -556,8 +560,10 @@ class TestCliEntry:
         ("detection:\n  gain: -.inf\n", "detection.gain"),
         # the shipped sweep runs over lo_power_w, which sn-vs-ratio does not
         ("recipe: sn-vs-ratio\n", "sweep.variable"),
+        # fewer draws than the Monte-Carlo engine accepts
+        ("array:\n  realizations: 99\n", "array.realizations"),
     ], ids=["probe-power", "gain", "dephasing-time", "probe-width", "diod-local-beam",
-            "nan", "inf", "minus-inf", "recipe-sweep"])
+            "nan", "inf", "minus-inf", "recipe-sweep", "realizations"])
     def test_validate_out_of_range_physics(self, tmp_path, capsys, text, key):
         path = write_config(tmp_path, text)
         assert cli.main(["validate", "--config", str(path)]) == 2

@@ -3,6 +3,7 @@ bounds, Monte-Carlo agreement, baseline, and the crossover threshold."""
 
 import cmath
 import dataclasses
+import inspect
 import math
 import sys
 from types import SimpleNamespace
@@ -35,6 +36,15 @@ def small_scenario(**overrides):
     kw = dict(n_sensors=32, n_users=4, n_realizations=20_000, seed=3)
     kw.update(overrides)
     return defaults.default_scenario(**kw)
+
+
+def test_all_lists_the_public_definitions():
+    # a stale or missing name breaks `from raqr.mimo import *`
+    public = [name for name, obj in vars(mimo).items()
+              if not name.startswith("_")
+              and (inspect.isclass(obj) or inspect.isfunction(obj))
+              and obj.__module__ == mimo.__name__]
+    assert sorted(mimo.__all__) == sorted(public)
 
 
 class TestScenario:
@@ -425,7 +435,7 @@ class TestClosedFormBounds:
     @given(case=bound_cases("MRC"))
     def test_mrc_bound_matches_published_form(self, case):
         sc, gains, budget = case
-        bound = mimo.sinr_lb_mrc(sc, gains, budget)
+        bound = mimo.sinr_lb(sc, gains, budget, "MRC")
         np.testing.assert_allclose(bound.sinr, published_mrc_sinr(sc, gains, budget),
                                    rtol=1e-12, atol=0.0)
         assert np.array_equal(bound.rate, np.log2(1.0 + bound.sinr))
@@ -436,12 +446,11 @@ class TestClosedFormBounds:
         sc, gains, budget = case
         cf = mimo.closed_form_moments(sc, gains, budget, "ZF")
         assert np.all(cf["ls"] == 0.0) and np.all(cf["ui"] == 0.0)
-        printed = mimo.sinr_lb_zf(sc, gains, budget, form="printed")
-        moment = mimo.sinr_lb_zf(sc, gains, budget, form="moment")
+        bound = mimo.sinr_lb(sc, gains, budget, "ZF")
+        # the published numerator scale is four times the moment bound
         reference = published_zf_sinr(sc, gains, budget)
-        np.testing.assert_allclose(moment.sinr, reference / 4.0, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(printed.sinr, reference, rtol=1e-12, atol=0.0)
-        assert np.array_equal(printed.sinr, 4.0 * moment.sinr)
+        np.testing.assert_allclose(bound.sinr, reference / 4.0, rtol=1e-12, atol=0.0)
+        assert np.array_equal(bound.rate, np.log2(1.0 + bound.sinr))
 
     def test_zf_refuses_zero_phi_and_zero_fading(self, gains, budget, rng):
         # phi = 0 zeroes the phased channel, beta_k = 0 a column of it: the
@@ -453,11 +462,11 @@ class TestClosedFormBounds:
         for call in (lambda: mimo.combiner(h, sc, dark, "ZF"),
                      lambda: mimo.monte_carlo_rate(sc, dark, budget, "ZF"),
                      lambda: mimo.closed_form_moments(sc, dark, budget, "ZF"),
-                     lambda: mimo.sinr_lb_zf(sc, dark, budget),
+                     lambda: mimo.sinr_lb(sc, dark, budget, "ZF"),
                      lambda: mimo.combiner(mimo.gen_channel(faded, rng), faded,
                                            gains, "ZF"),
                      lambda: mimo.monte_carlo_rate(faded, gains, budget, "ZF"),
-                     lambda: mimo.sinr_lb_zf(faded, gains, budget)):
+                     lambda: mimo.sinr_lb(faded, gains, budget, "ZF")):
             with pytest.raises(mimo.RankDeficient):
                 call()
 
@@ -465,26 +474,20 @@ class TestClosedFormBounds:
         sc = small_scenario()
         cf = mimo.closed_form_moments(sc, gains, budget, "MRC")
         assembled = cf["ds"] / (cf["ls"] + cf["ui"] + cf["sn"] + cf["n"])
-        bound = mimo.sinr_lb_mrc(sc, gains, budget)
+        bound = mimo.sinr_lb(sc, gains, budget, "MRC")
         assert np.all(np.abs(bound.sinr - assembled) < 1e-12 * assembled)
 
     def test_zf_moment_form_is_moment_assembly(self, gains, budget):
         sc = small_scenario()
         cf = mimo.closed_form_moments(sc, gains, budget, "ZF")
         assembled = cf["ds"] / (cf["ls"] + cf["ui"] + cf["sn"] + cf["n"])
-        bound = mimo.sinr_lb_zf(sc, gains, budget, form="moment")
+        bound = mimo.sinr_lb(sc, gains, budget, "ZF")
         assert np.all(np.abs(bound.sinr - assembled) < 1e-12 * assembled)
-
-    def test_zf_printed_is_four_times_moment(self, gains, budget):
-        sc = small_scenario()
-        printed = mimo.sinr_lb_zf(sc, gains, budget, form="printed")
-        moment = mimo.sinr_lb_zf(sc, gains, budget, form="moment")
-        assert np.allclose(printed.sinr, 4.0 * moment.sinr, rtol=1e-14)
 
     def test_mrc_single_user_no_shot_reduction(self, gains, budget):
         sc = small_scenario(n_users=1)
         quiet = dataclasses.replace(budget, sigma_sq_sn=0.0)
-        bound = mimo.sinr_lb_mrc(sc, gains, quiet)
+        bound = mimo.sinr_lb(sc, gains, quiet, "MRC")
         pb = sc.p[0] * sc.beta[0]
         phi2 = abs(gains.phi) ** 2
         expected = (
@@ -496,51 +499,49 @@ class TestClosedFormBounds:
     def test_zf_no_shot_reduction(self, gains, budget):
         sc = small_scenario()
         quiet = dataclasses.replace(budget, sigma_sq_sn=0.0)
-        printed = mimo.sinr_lb_zf(sc, gains, quiet, form="printed")
+        bound = mimo.sinr_lb(sc, gains, quiet, "ZF")
         expected = (
-            4.0 * (sc.n_sensors - sc.n_users) * gains.rho
+            (sc.n_sensors - sc.n_users) * gains.rho
             * abs(gains.phi) ** 2 * sc.p * sc.beta / budget.n_sum
         )
-        assert np.allclose(printed.sinr, expected, rtol=1e-12)
+        assert np.allclose(bound.sinr, expected, rtol=1e-12)
 
     def test_zf_dimension_guard(self, gains, budget):
         sc = small_scenario(n_sensors=4, n_users=4)
         with pytest.raises(mimo.DimensionError):
-            mimo.sinr_lb_zf(sc, gains, budget)
+            mimo.sinr_lb(sc, gains, budget, "ZF")
 
-    def test_rf_baseline_values(self):
+    def test_rf_reduction_identity(self):
+        # the unit-gain shot-free front end reduces both bounds to the
+        # conventional array's
         sc = small_scenario()
         sigma = 4e-12
-        base = mimo.rf_baseline(sc, sigma)
+        rf = mimo.rf_gains(sigma)
         pb = sc.p * sc.beta
         mrc_expected = sc.n_sensors * pb / (pb.sum() + sigma)
         zf_expected = (sc.n_sensors - sc.n_users) * pb / sigma
-        assert np.allclose(base["mrc"].sinr, mrc_expected, rtol=1e-12)
-        assert np.allclose(base["zf"].sinr, zf_expected, rtol=1e-12)
-
-    def test_rf_reduction_identity(self, budget):
-        # unit-gain shot-free front end reproduces the baseline exactly
-        sc = small_scenario()
-        sigma = 4e-12
-        g, b = mimo.rf_gains(sigma)
-        base = mimo.rf_baseline(sc, sigma)
-        assert np.array_equal(mimo.sinr_lb_mrc(sc, g, b).sinr, base["mrc"].sinr)
-        assert np.array_equal(
-            mimo.sinr_lb_zf(sc, g, b, form="moment").sinr, base["zf"].sinr
-        )
+        assert np.allclose(mimo.sinr_lb(sc, *rf, "MRC").sinr, mrc_expected, rtol=1e-12)
+        assert np.allclose(mimo.sinr_lb(sc, *rf, "ZF").sinr, zf_expected, rtol=1e-12)
 
 
 class TestAsymptoticRate:
-    def test_floor_is_signal_free_normalized_noise(self, gains, budget):
+    @pytest.mark.parametrize("phi_l", [0.0, 0.5, -1.0, 1.2])
+    def test_floor_is_signal_free_normalized_noise(self, phi_l):
         # the saturating rate is set by the same functional the optimizer
-        # minimizes, with the user-signal-dependent weight removed
+        # minimizes, with the user-signal-dependent weight removed, at any
+        # demodulation phase
         from raqr.optimize import NoiseWeights, normalized_noise
 
         system = defaults.cesium_system()
         chain = defaults.default_chain()
+        op = defaults.bcod_point(phi_l=phi_l)
+        gains = baseband_gains(op, chain, system)
+        budget = noise_budget(op, chain, system, gains=gains)
         wts = NoiseWeights.from_chain(chain, system)
         floor_w = NoiseWeights(0.0, wts.dc_shot, wts.thermal, wts.projection)
-        floor = normalized_noise(defaults.bcod_point(), floor_w, system)
+        floor = normalized_noise(op, floor_w, system)
+        reception = gains.rho * abs(gains.phi) ** 2
+        assert rel_err(floor, 4.0 * budget.n_sum / reception) < 1e-12
         beta = 5e-12
         got = mimo.asymptotic_rate(gains, budget, beta)
         assert rel_err(got, math.log2(1.0 + 4.0 * beta / floor)) < 1e-9
@@ -549,7 +550,7 @@ class TestAsymptoticRate:
         beta = mimo.large_scale_fading(defaults.USER_DISTANCE, defaults.F_CARRIER)
         asym = mimo.asymptotic_rate(gains, budget, beta)
         sc = defaults.default_scenario(4096, 10, p=1.0 / 4096)
-        bound = mimo.sinr_lb_mrc(sc, gains, budget).rate[0]
+        bound = mimo.sinr_lb(sc, gains, budget, "MRC").rate[0]
         assert rel_err(bound, asym) < 0.01
 
     def test_monotone_convergence(self, gains, budget):
@@ -558,7 +559,7 @@ class TestAsymptoticRate:
         rates, gaps = [], []
         for m in (64, 256, 1024, 4096):
             sc = defaults.default_scenario(m, 10, p=1.0 / m)
-            r = mimo.sinr_lb_mrc(sc, gains, budget).rate[0]
+            r = mimo.sinr_lb(sc, gains, budget, "MRC").rate[0]
             rates.append(r)
             gaps.append(abs(r - asym))
         assert all(a < b for a, b in zip(rates, rates[1:]))
@@ -682,8 +683,8 @@ class TestMonteCarlo:
     def test_printed_zf_bound_trips_alarm(self, gains, budget):
         sc = defaults.default_scenario(100, 10, n_realizations=10_000, seed=7)
         res = mimo.monte_carlo_rate(sc, gains, budget, "ZF")
-        printed = mimo.sinr_lb_zf(sc, gains, budget, form="printed")
-        assert mimo.bound_violation_alarm(res, printed.rate)
+        printed = np.log2(1.0 + published_zf_sinr(sc, gains, budget))
+        assert mimo.bound_violation_alarm(res, printed)
 
     def test_noiseless_zf_is_capped(self, gains, budget):
         sc = small_scenario(n_realizations=200)
@@ -808,8 +809,7 @@ class TestGainTables:
         # the engine scales the same closed-form moments the bounds use
         gains, budget = table
         res = mimo.monte_carlo_rate(TABLE_SCENARIO, gains, budget, method)
-        bound = (mimo.sinr_lb_mrc(TABLE_SCENARIO, gains, budget) if method == "MRC"
-                 else mimo.sinr_lb_zf(TABLE_SCENARIO, gains, budget, form="moment"))
+        bound = mimo.sinr_lb(TABLE_SCENARIO, gains, budget, method)
         assert np.array_equal(res.bound, bound.rate, equal_nan=True)
 
     @settings(max_examples=60, deadline=None)
@@ -845,6 +845,5 @@ class TestGainTables:
         assert not res.capped
         for values in (res.sinr, res.rate, res.bound, res.standard_error):
             assert np.array_equal(values, np.zeros(TABLE_SCENARIO.n_users))
-        bound = (mimo.sinr_lb_mrc(TABLE_SCENARIO, gains, budget) if method == "MRC"
-                 else mimo.sinr_lb_zf(TABLE_SCENARIO, gains, budget))
+        bound = mimo.sinr_lb(TABLE_SCENARIO, gains, budget, method)
         assert np.array_equal(bound.sinr, np.zeros(TABLE_SCENARIO.n_users))

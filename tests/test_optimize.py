@@ -332,7 +332,8 @@ class TestOptimalPl:
 
 
 # the whole design box (W): the default Newton bracket in p0, the crossover
-# sweep range in p_lo, 0.1-100 mW of coupling and 1 uW-100 mW of local beam
+# sweep range in p_lo, 0.1-100 mW of coupling and 1 uW-100 mW of local beam;
+# the balanced scheme also draws its local-beam phase
 _BOX = {"p0": (-6.0, -1.0), "pc": (-4.0, -1.0), "p_lo": (-9.0, -3.0),
         "pl": (-6.0, -1.0)}
 
@@ -341,8 +342,10 @@ _BOX = {"p0": (-6.0, -1.0), "pc": (-4.0, -1.0), "p_lo": (-9.0, -3.0),
 def box_points(draw):
     scheme = draw(st.sampled_from(["DIOD", "BCOD"]))
     names = ("p0", "pc", "p_lo") + (("pl",) if scheme == "BCOD" else ())
-    return defaults.default_point(
-        scheme, **{k: 10.0 ** draw(st.floats(*_BOX[k])) for k in names})
+    knobs = {k: 10.0 ** draw(st.floats(*_BOX[k])) for k in names}
+    if scheme == "BCOD":
+        knobs["phi_l"] = draw(st.floats(-1.2, 1.2))
+    return defaults.default_point(scheme, **knobs)
 
 
 def _finite_ratios(op, system):
