@@ -511,9 +511,9 @@ class TestClosedFormBounds:
         with pytest.raises(mimo.DimensionError):
             mimo.sinr_lb(sc, gains, budget, "ZF")
 
-    def test_rf_reduction_identity(self):
-        # the unit-gain shot-free front end reduces both bounds to the
-        # conventional array's
+    def test_rf_baseline_values(self):
+        # the RF baseline is the bound on the rf_gains table: the
+        # conventional array's MRC and ZF SINRs
         sc = small_scenario()
         sigma = 4e-12
         rf = mimo.rf_gains(sigma)
@@ -522,6 +522,19 @@ class TestClosedFormBounds:
         zf_expected = (sc.n_sensors - sc.n_users) * pb / sigma
         assert np.allclose(mimo.sinr_lb(sc, *rf, "MRC").sinr, mrc_expected, rtol=1e-12)
         assert np.allclose(mimo.sinr_lb(sc, *rf, "ZF").sinr, zf_expected, rtol=1e-12)
+
+    def test_rf_reduction_identity(self, gains, budget):
+        # a Rydberg gain table set to unit gain with its shot noise off gives
+        # exactly the RF baseline: the bound reads nothing else of the table
+        sc = small_scenario()
+        sigma = 4e-12
+        unit = dataclasses.replace(gains, rho=1.0, rho_sn=0.0, phi=1.0 + 0.0j)
+        shot_free = dataclasses.replace(budget, n_cn=0.0, n_tn=2.0 * sigma,
+                                        n_qpn=0.0, sigma_sq_sn=0.0, sn_coeff=0.0)
+        rf = mimo.rf_gains(sigma)
+        for method in ("MRC", "ZF"):
+            assert np.array_equal(mimo.sinr_lb(sc, unit, shot_free, method).sinr,
+                                  mimo.sinr_lb(sc, *rf, method).sinr)
 
 
 class TestAsymptoticRate:
