@@ -367,11 +367,12 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
         key = "sweep.start" if sw["start"] <= 0 else "sweep.stop"
         raise ValidationError(key, "log sweeps need positive bounds")
 
+    sweep = SweepSpec(**sw)
     recipe = si.get("recipe")
     if recipe is not None:
         from .recipes import check_recipe
 
-        check_recipe(recipe, sw["variable"])
+        check_recipe(recipe, sweep, arr["n_users"])
 
     # Philox keys [seed, chunk] pass through float64 from 2**63 on, where
     # neighbouring seeds would share a stream
@@ -381,7 +382,7 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         system=system, op=op, chain=chain, f_carrier=f_carrier,
-        f_delta=f_delta, **arr, **baseline, sweep=SweepSpec(**sw),
+        f_delta=f_delta, **arr, **baseline, sweep=sweep,
         recipe=recipe, seed=seed, output_dir=si.get("output_dir", "out"),
         raw=raw,
     )

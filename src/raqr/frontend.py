@@ -115,25 +115,19 @@ class UserSignal:
 
 @dataclass(frozen=True, kw_only=True)
 class BasebandGains:
-    """Complete complex-baseband transfer description of the chain.
+    """Signal transfer of the chain into complex baseband.
 
     ``rho`` (effective power gain) and ``rho_sn`` (signal-dependent-noise
-    gain) are the scheme-dependent composites; ``p_g``, ``p_sn_bar_sq``,
-    ``p_cn_bar`` the underlying power factors (``p_sn_bar_sq`` is the square,
-    which is the quantity every formula consumes); ``kappa`` the RF-to-probe
-    conversion slope (per V/m); ``varphi`` the balanced-scheme projection
-    phase.
+    gain) are the scheme-dependent composites, ``phi`` and ``phi_sn`` their
+    demodulation gains, and ``p_cn_bar`` the detected DC power that sets the
+    DC shot noise. The noise powers themselves live in ``NoiseBudget``.
     """
 
     rho: float
     rho_sn: float
     phi: complex
     phi_sn: complex
-    kappa: float
-    p_g: float
-    p_sn_bar_sq: float
     p_cn_bar: float
-    varphi: float
 
     def __post_init__(self) -> None:
         if self.rho < 0 or self.rho_sn < 0:
@@ -148,25 +142,29 @@ class BasebandGains:
 class NoiseBudget:
     """Baseband noise powers; ``n_sum`` is the complex AWGN variance.
 
-    ``sn_coeff`` is the user-signal-dependent variance coefficient: the
-    baseband SN term contributes sn_coeff * (received user power) of variance,
-    sn_coeff = sigma_sq_sn * rho_sn.
+    ``sn_coeff`` = sigma_sq_sn * rho_sn is the one source of the
+    user-signal-dependent shot noise: the baseband SN term contributes
+    sn_coeff * (received user power) of variance, and ``n_sn`` = 2 sn_coeff
+    is that term at unit received power, comparable with N_CN and N_TN.
     """
 
     n_cn: float
     n_tn: float
     n_qpn: float
-    sigma_sq_sn: float
     sn_coeff: float
 
     def __post_init__(self) -> None:
-        for name in ("n_cn", "n_tn", "n_qpn", "sigma_sq_sn", "sn_coeff"):
+        for name in ("n_cn", "n_tn", "n_qpn", "sn_coeff"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
     @property
     def n_sum(self) -> float:
         return (self.n_cn + self.n_qpn + self.n_tn) / 2.0
+
+    @property
+    def n_sn(self) -> float:
+        return 2.0 * self.sn_coeff
 
 
 # --------------------------------------------------------------------------
@@ -397,17 +395,17 @@ def baseband_gains(
     """Scheme-dependent complex-baseband gain table.
 
     rho    = 4 G Z0 alpha^2 p_g^2 k^2,  rho_sn = G Z0 alpha p_sn^2 k^2,
-    Phi    = e^{-j theta_LO} cos(varphi),
-    with the powers from ``scheme_powers`` and varphi = ``demod_phase(op)``.
+    Phi    = e^{-j theta_LO} cos(varphi),  Phi_sn = e^{-j theta_LO},
+    with the powers from ``scheme_powers``, k = ``kappa_of_point`` and
+    varphi = ``demod_phase(op)``.
     """
     phi_sn = cmath.exp(-1j * op.theta_lo)
-    varphi = demod_phase(op)
     if op.scheme == "DIOD":
         phi = phi_sn
     elif op.pl <= 0.0:
         raise MissingLocalBeam("balanced detection requires pl > 0")
     else:
-        phi = math.cos(varphi) * phi_sn
+        phi = math.cos(demod_phase(op)) * phi_sn
     (p_g_sq, p_sn_sq, p_cn), _, _ = scheme_powers(op, p1_of_lo(op, system))
     kap = kappa_of_point(op, system)
     gz = chain.g * chain.z0
@@ -416,11 +414,7 @@ def baseband_gains(
         rho_sn=gz * chain.alpha * p_sn_sq * kap**2,
         phi=phi,
         phi_sn=phi_sn,
-        kappa=kap,
-        p_g=math.sqrt(p_g_sq),
-        p_sn_bar_sq=p_sn_sq,
         p_cn_bar=p_cn,
-        varphi=varphi,
     )
 
 
@@ -433,33 +427,20 @@ def noise_budget(
     """Baseband noise powers at the operating point.
 
     N_CN = sigma_sn^2 G alpha P_cn_bar, N_TN = k_B T B G,
-    N_QPN = rho c eps0 cos^2(varphi) B hbar^2 / (N_atoms T2 mu34^2),
-    N_sum = (N_CN + N_QPN + N_TN) / 2.
+    N_QPN = rho c eps0 |Phi|^2 B hbar^2 / (N_atoms T2 mu34^2),
+    sn_coeff = sigma_sn^2 rho_sn, N_sum = (N_CN + N_QPN + N_TN) / 2;
+    ``gains`` defaults to ``baseband_gains`` at the same point.
     """
     if gains is None:
         gains = baseband_gains(op, chain, system)
     n_cn = chain.sigma_sq_sn * chain.g * chain.alpha * gains.p_cn_bar
     n_tn = Boltzmann * chain.temperature * chain.bw * chain.g
     n_qpn = (
-        gains.rho * speed_of_light * epsilon_0 * math.cos(gains.varphi) ** 2
+        gains.rho * speed_of_light * epsilon_0 * abs(gains.phi) ** 2
         * chain.bw * hbar**2 / (system.n_atoms * system.t2 * system.mu34**2)
     )
-    return NoiseBudget(
-        n_cn=n_cn,
-        n_tn=n_tn,
-        n_qpn=n_qpn,
-        sigma_sq_sn=chain.sigma_sq_sn,
-        sn_coeff=chain.sigma_sq_sn * gains.rho_sn,
-    )
-
-
-def sn_reference_term(gains: BasebandGains, chain: DetectionChain) -> float:
-    """User-signal-dependent noise at unit received signal power.
-
-    2 sigma_sn^2 rho_sn, directly comparable against N_CN and N_TN; this is
-    the quantity the noise-composition design guideline weighs.
-    """
-    return 2.0 * chain.sigma_sq_sn * gains.rho_sn
+    return NoiseBudget(n_cn=n_cn, n_tn=n_tn, n_qpn=n_qpn,
+                       sn_coeff=chain.sigma_sq_sn * gains.rho_sn)
 
 
 def with_powers(op: OperatingPoint, **powers: float) -> OperatingPoint:

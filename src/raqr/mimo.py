@@ -280,7 +280,7 @@ def build_received(
     v = (_phased(scenario, h) @ (np.sqrt(scenario.p) * s)[..., None])[..., 0]
     b, w = _draw(rng, v.shape[:-1], scenario, "bw")
     signal = math.sqrt(gains.rho) * gains.phi * v
-    shot = math.sqrt(gains.rho_sn * budget.sigma_sq_sn) * gains.phi_sn * (b * v)
+    shot = math.sqrt(budget.sn_coeff) * gains.phi_sn * (b * v)
     noise = w * math.sqrt(budget.n_sum)
     return ReceivedSignal(
         y=signal + shot + noise, signal=signal, shot=shot, noise=noise, symbols=s
@@ -407,13 +407,9 @@ def asymptotic_rate(
 def rf_gains(sigma_rf_sq: float) -> tuple[BasebandGains, NoiseBudget]:
     """Unit-gain transparent front end with a thermal-style AWGN floor: the
     conventional-array baseline expressed in the same interfaces."""
-    gains = BasebandGains(
-        rho=1.0, rho_sn=0.0, phi=1.0 + 0.0j, phi_sn=1.0 + 0.0j,
-        kappa=0.0, p_g=0.0, p_sn_bar_sq=0.0, p_cn_bar=0.0, varphi=0.0,
-    )
-    budget = NoiseBudget(
-        n_cn=0.0, n_tn=2.0 * sigma_rf_sq, n_qpn=0.0, sigma_sq_sn=0.0, sn_coeff=0.0,
-    )
+    gains = BasebandGains(rho=1.0, rho_sn=0.0, phi=1.0 + 0.0j, phi_sn=1.0 + 0.0j,
+                          p_cn_bar=0.0)
+    budget = NoiseBudget(n_cn=0.0, n_tn=2.0 * sigma_rf_sq, n_qpn=0.0, sn_coeff=0.0)
     return gains, budget
 
 
@@ -515,7 +511,7 @@ def _scale(method, gains, budget):
     c = np.conj(gains.phi) if method == "MRC" else 1.0 / gains.phi
     c2 = abs(c) ** 2
     signal = gains.rho * c2**2 if method == "MRC" else 0.0
-    shot = gains.rho_sn * abs(gains.phi_sn) ** 2 * budget.sigma_sq_sn
+    shot = budget.sn_coeff * abs(gains.phi_sn) ** 2
     factors = [c, c2, signal, shot * c2, budget.n_sum * c2]
     return np.array(factors, dtype=complex)[:, None]
 

@@ -23,7 +23,6 @@ from .frontend import (
     DetectionChain,
     NoiseBudget,
     OperatingPoint,
-    baseband_gains,
     demod_phase,
     dlnkappa,
     dlnp1,
@@ -32,7 +31,6 @@ from .frontend import (
     noise_budget,
     p1_of_lo,
     scheme_powers,
-    sn_reference_term,
     with_powers,
 )
 
@@ -360,10 +358,10 @@ def newton_optimal_p0(
 _REGIME_TERMS = ("user-signal-dependent", "dc-shot", "thermal")
 
 
-def classify_regime(budget: NoiseBudget, sn_term: float) -> str:
-    """Dominant noise mechanism, or "mixed" when the top two are within
-    3 dB of each other."""
-    terms = dict(zip(_REGIME_TERMS, (sn_term, budget.n_cn, budget.n_tn)))
+def classify_regime(budget: NoiseBudget) -> str:
+    """Dominant noise mechanism among the budget's ``n_sn``, ``n_cn`` and
+    ``n_tn``, or "mixed" when the top two are within 3 dB of each other."""
+    terms = dict(zip(_REGIME_TERMS, (budget.n_sn, budget.n_cn, budget.n_tn)))
     if any(v < 0.0 for v in terms.values()):
         raise ValueError("noise terms must be nonnegative")
     ranked = sorted(terms.items(), key=lambda kv: kv[1], reverse=True)
@@ -377,9 +375,7 @@ def classify_regime(budget: NoiseBudget, sn_term: float) -> str:
 
 def classify_at(op: OperatingPoint, chain: DetectionChain, system: AtomicSystem) -> str:
     """Classification helper at an operating point."""
-    gains = baseband_gains(op, chain, system)
-    budget = noise_budget(op, chain, system, gains=gains)
-    return classify_regime(budget, sn_reference_term(gains, chain))
+    return classify_regime(noise_budget(op, chain, system))
 
 
 def design_report(

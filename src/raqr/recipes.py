@@ -20,7 +20,8 @@ import numpy as np
 
 from . import defaults, mimo
 from .atomic import steady_state_numeric
-from .config import SWEEP_VARIABLES, ExperimentConfig, ValidationError, fingerprint
+from .config import (SWEEP_VARIABLES, ExperimentConfig, SweepSpec, ValidationError,
+                     fingerprint)
 from .constants import speed_of_light
 from .frontend import baseband_gains, noise_budget, p1_of_lo, with_powers
 from .optimize import (
@@ -32,7 +33,7 @@ from .optimize import (
     optimal_plo_cn,
     optimal_plo_tn,
 )
-from .waveform import WeakLO, effective_gain, simulate_waveform
+from .waveform import WeakLO, simulate_waveform
 
 
 class RecipeError(Exception):
@@ -112,22 +113,36 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     return paths
 
 
-def check_recipe(name: str | None, variable: str) -> None:
+def check_recipe(name: str | None, sweep: SweepSpec, n_users: int) -> None:
     """Raise ValidationError unless ``name`` is a recipe that sweeps
-    ``variable``; config validation and ``run_recipe`` both call this."""
+    ``sweep.variable`` over values it can run; config validation and
+    ``run_recipe`` both call this.
+
+    A sensor sweep rounds each value to a count, which must be >= 1, and
+    for ``rate-vs-M`` (zero forcing) above ``n_users``. The sweep is
+    monotone, so its ends bound every count.
+    """
     if name is None:
         raise ValidationError("recipe", "no recipe selected")
     if name not in RECIPES:
         raise ValidationError(
             "recipe", f"unknown recipe {name!r}; see `raqr list-recipes`")
-    if variable not in RECIPE_SWEEPS[name]:
+    if sweep.variable not in RECIPE_SWEEPS[name]:
         raise ValidationError("sweep.variable", f"recipe {name} sweeps "
                               f"{' or '.join(RECIPE_SWEEPS[name])}")
+    if RECIPE_SWEEPS[name] == ("n_sensors",):
+        least = n_users + 1 if name == "rate-vs-M" else 1
+        ends = (("sweep.start", sweep.start), ("sweep.stop", sweep.stop))
+        for key, value in ends[:sweep.points]:
+            count = int(round(value))
+            if count < least:
+                raise ValidationError(key, f"rounds to {count} sensors; recipe "
+                                      f"{name} needs at least {least}")
 
 
 def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
     name = config.recipe
-    check_recipe(name, config.sweep.variable)
+    check_recipe(name, config.sweep, config.n_users)
     try:
         result = RECIPES[name](config, threads)
     except (ValidationError, RecipeError):
@@ -234,18 +249,15 @@ def sn_vs_ratio(cfg: ExperimentConfig, threads: int) -> RecipeResult:
                        (1000, defaults.bcod_point(**geometry))):
         label = op.scheme.lower()
         series.append({"label": label, "filter": {"series": label}})
-        gains = baseband_gains(op, cfg.chain, cfg.system)
-        geff = effective_gain(op, cfg.chain)
+        budget = noise_budget(op, cfg.chain, cfg.system)
         for i, ratio in enumerate(cfg.sweep.values()):
             user = defaults.weak_user(float(ratio), op, f_delta=cfg.f_delta)
             wf = simulate_waveform(op, cfg.chain, user, cfg.system,
                                    n_samples / fs, fs,
                                    seed=cfg.seed + offset + i)
             measured = float(np.var(wf.sn) * (2.0 * cfg.chain.bw / fs))
-            closed = (
-                0.5 * cfg.chain.sigma_sq_sn * geff * cfg.chain.alpha
-                * gains.p_sn_bar_sq * gains.kappa**2 * user.u_x**2
-            )
+            # the budget's own coefficient, not a copy of its formula
+            closed = 4.0 * user.power(op.a_e) * budget.sn_coeff
             dev = abs(measured - closed) / closed
             worst = max(worst, dev)
             if ratio >= 20.0:
@@ -379,7 +391,7 @@ def rate_vs_m(cfg: ExperimentConfig, threads: int) -> RecipeResult:
             se = _mean_se(res.standard_error)
             bound = float(res.bound.mean())
             mc_minus_bound.append(mc - bound)
-            within_3se = within_3se and mc + 3.0 * se >= bound
+            within_3se = within_3se and not mimo.bound_violation_alarm(res)
             rows.append((label, m, mc, se, bound, float(base.rate.mean())))
     return RecipeResult(
         name="rate-vs-M",

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import raqr
 from raqr import defaults
+from raqr.frontend import kappa_of_point, p1_of_lo, scheme_powers
+from raqr.waveform import effective_gain
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +49,36 @@ def run_fresh(code):
                           text=True, env=env, timeout=120)
 
 
+# the whole design box (W): the default Newton bracket in p0, the crossover
+# sweep range in p_lo, 0.1-100 mW of coupling and 1 uW-100 mW of local beam;
+# the balanced scheme also draws its local-beam phase
+_BOX = {"p0": (-6.0, -1.0), "pc": (-4.0, -1.0), "p_lo": (-9.0, -3.0),
+        "pl": (-6.0, -1.0)}
+
+
+@st.composite
+def box_points(draw, theta_lo=False):
+    """An operating point of either scheme drawn from the design box; with
+    ``theta_lo`` the RF LO phase is drawn too."""
+    scheme = draw(st.sampled_from(["DIOD", "BCOD"]))
+    names = ("p0", "pc", "p_lo") + (("pl",) if scheme == "BCOD" else ())
+    knobs = {k: 10.0 ** draw(st.floats(*_BOX[k])) for k in names}
+    if scheme == "BCOD":
+        knobs["phi_l"] = draw(st.floats(-1.2, 1.2))
+    if theta_lo:
+        knobs["theta_lo"] = draw(st.floats(-math.pi, math.pi))
+    return defaults.default_point(scheme, **knobs)
+
+
+def component_sn_variance(op, chain, system, user):
+    """Band-referred variance of the signal-dependent shot noise written out
+    from its components, 0.5 sigma_sn^2 G_eff alpha p_sn^2 kappa^2 U_x^2,
+    independent of ``NoiseBudget.sn_coeff``."""
+    p_sn_sq = scheme_powers(op, p1_of_lo(op, system))[0][1]
+    return (0.5 * chain.sigma_sq_sn * effective_gain(op, chain) * chain.alpha
+            * p_sn_sq * kappa_of_point(op, system) ** 2 * user.u_x**2)
+
+
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
@@ -61,8 +95,6 @@ def log_slope(f, x, tau=0.03):
     closed-form log-derivatives under test have dimensionless slopes as
     small as 1e-7; a naive small absolute step drowns them in rounding.
     """
-    import math
-
     def d(t):
         return (f(x * math.exp(t)) - f(x * math.exp(-t))) / (2.0 * t)
 

@@ -35,9 +35,9 @@ from raqr.optimize import (
     optimal_plo_cn,
     optimal_plo_tn,
 )
-from raqr.waveform import WeakLO, effective_gain, simulate_waveform
+from raqr.waveform import WeakLO, simulate_waveform
 
-from conftest import central_diff, log_slope, rel_err
+from conftest import central_diff, component_sn_variance, log_slope, rel_err
 
 FS = 16 * 75e3
 
@@ -176,11 +176,8 @@ def test_criterion_04_shot_variance(system, diod, bcod, chain):
     for op in (diod, bcod):
         user = defaults.weak_user(20.0, op)
         wf = simulate_waveform(op, chain, user, system, n / FS, FS, seed=7)
-        gains = baseband_gains(op, chain, system)
         measured = float(np.var(wf.sn) * (2.0 * chain.bw / FS))
-        closed = (0.5 * chain.sigma_sq_sn * effective_gain(op, chain)
-                  * chain.alpha * gains.p_sn_bar_sq * gains.kappa**2
-                  * user.u_x**2)
+        closed = component_sn_variance(op, chain, system, user)
         worst = max(worst, abs(measured - closed) / closed)
     assert worst <= 0.05
     _finish(4, t0, 60.0,

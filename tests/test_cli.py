@@ -18,7 +18,6 @@ from raqr.config import (
     load_config,
     serialize,
 )
-from raqr.frontend import baseband_gains
 from raqr.recipes import (
     RecipeError,
     _csv_lines,
@@ -26,11 +25,15 @@ from raqr.recipes import (
     place_users,
     run_recipe,
 )
-from raqr.waveform import effective_gain
 
-from conftest import run_fresh
+from conftest import component_sn_variance, run_fresh
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+# a linear two-point sensor sweep; format with its start and stop
+SENSOR_SWEEP = ("sweep:\n  variable: n_sensors\n  start: {}\n  stop: {}\n"
+                "  points: 2\n  scale: linear\n")
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):
@@ -351,11 +354,8 @@ class TestDerivedQuantities:
         closed = {row.split(",")[0]: float(row.split(",")[3]) for row in rows}
         for op in (defaults.diod_point(fwhm_p=2.5e-3, fwhm_c=3.0e-3),
                    defaults.bcod_point(fwhm_p=2.5e-3, fwhm_c=3.0e-3)):
-            gains = baseband_gains(op, cfg.chain, cfg.system)
             user = defaults.weak_user(20.0, op)
-            expected = (0.5 * cfg.chain.sigma_sq_sn * effective_gain(op, cfg.chain)
-                        * cfg.chain.alpha * gains.p_sn_bar_sq * gains.kappa**2
-                        * user.u_x**2)
+            expected = component_sn_variance(op, cfg.chain, cfg.system, user)
             assert closed[op.scheme.lower()] == pytest.approx(
                 expected, rel=1e-11, abs=0.0)
 
@@ -481,19 +481,22 @@ class TestRunRecipe:
     def test_module_error_carries_recipe_context(self, tmp_path):
         import dataclasses
 
+        # with no RF LO drive the reception gain is zero, which validation
+        # lets through and the large-array limit refuses
         cfg = load_config(
             write_config(
                 tmp_path,
-                "recipe: rate-vs-M\n"
-                "array:\n  realizations: 200\n"
+                "recipe: power-scaling\n"
+                "operating_point:\n  lo_power_w: 0.0\n"
                 "sweep:\n  variable: n_sensors\n  start: 4\n  stop: 8\n"
                 "  points: 2\n  scale: log\n",
             )
         )
         cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
-        with pytest.raises(RecipeError, match="rate-vs-M") as err:
+        with pytest.raises(RecipeError, match="power-scaling") as err:
             run_recipe(cfg)
-        assert isinstance(err.value.__cause__, mimo.DimensionError)
+        assert type(err.value.__cause__) is ValueError
+        assert "reception gain" in str(err.value.__cause__)
 
     def test_sweep_variable_mismatch(self, tmp_path):
         # selecting a recipe checks its sweep when the config loads
@@ -562,8 +565,14 @@ class TestCliEntry:
         ("recipe: sn-vs-ratio\n", "sweep.variable"),
         # fewer draws than the Monte-Carlo engine accepts
         ("array:\n  realizations: 99\n", "array.realizations"),
+        # zero forcing needs more sensors than the 10 shipped users
+        ("recipe: rate-vs-M\n" + SENSOR_SWEEP.format(4, 16), "sweep.start"),
+        # 0.3 rounds to no sensor at all
+        ("recipe: rate-vs-M\n" + SENSOR_SWEEP.format(16.4, 0.3), "sweep.stop"),
+        ("recipe: power-scaling\n" + SENSOR_SWEEP.format(16.4, 0.3), "sweep.stop"),
     ], ids=["probe-power", "gain", "dephasing-time", "probe-width", "diod-local-beam",
-            "nan", "inf", "minus-inf", "recipe-sweep", "realizations"])
+            "nan", "inf", "minus-inf", "recipe-sweep", "realizations", "zf-sensors",
+            "no-sensor", "power-scaling-no-sensor"])
     def test_validate_out_of_range_physics(self, tmp_path, capsys, text, key):
         path = write_config(tmp_path, text)
         assert cli.main(["validate", "--config", str(path)]) == 2
@@ -594,6 +603,14 @@ class TestCliEntry:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: sweep.variable: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_a_sensor_sweep_before_sampling(self, tmp_path, capsys):
+        path = write_config(tmp_path, SENSOR_SWEEP.format(4, 16))
+        rc = cli.main(["run", "rate-vs-M", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: sweep.start: ")
         assert not (tmp_path / "out").exists()
 
     def test_run_unknown_recipe(self, capsys):
@@ -671,6 +688,28 @@ class TestRecipeSummaries:
         mid = len(response) // 2
         assert np.all(np.diff(response[:mid + 1]) > 0)
         assert np.all(np.diff(response[mid:]) < 0)
+
+    def test_rate_vs_m_applies_the_per_user_alarm(self, tmp_path, monkeypatch):
+        # the user mean clears the bound by 3 SE, but user 0 falls short:
+        # the summary follows mimo.bound_violation_alarm, user by user
+        import dataclasses
+
+        def sampled(scenario, gains, budget, method, threads=None):
+            rate = np.full(scenario.n_users, 3.0)
+            rate[0] = 1.0
+            bound = np.full(scenario.n_users, 2.0)
+            return mimo.RateResult(
+                sinr=2.0**rate - 1.0, rate=rate, bound=bound, n_samples=100,
+                standard_error=np.full(scenario.n_users, 0.1), capped=False,
+                method=method, terms={})
+
+        monkeypatch.setattr(mimo, "monte_carlo_rate", sampled)
+        cfg = load_config(write_config(
+            tmp_path, "recipe: rate-vs-M\n" + SENSOR_SWEEP.format(16, 32)))
+        cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
+        summary = json.loads(run_recipe(cfg)["summary"].read_text())
+        assert summary["mc_minus_bound_min"] > 0.0
+        assert summary["bound_within_3se"] is False
 
     def test_siso_optima_gaps(self, tmp_path):
         import dataclasses

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from raqr import defaults
+from raqr.constants import epsilon_0, hbar, speed_of_light
 from raqr.atomic import steady_state_numeric, susceptibility
 from raqr.frontend import (
     MissingLocalBeam,
     UserSignal,
     baseband_gains,
+    demod_phase,
     dlnkappa,
     dlnp1,
     envelope_approx_error,
@@ -23,11 +25,10 @@ from raqr.frontend import (
     rabi_coefficients,
     rf_field_amplitude,
     scheme_powers,
-    sn_reference_term,
     with_powers,
 )
 
-from conftest import log_slope, rel_err
+from conftest import box_points, log_slope, rel_err
 
 
 def numeric_p1(op, system):
@@ -215,7 +216,7 @@ class TestGainTable:
     def test_diod_phase_identity(self, system, diod, chain):
         g = baseband_gains(diod, chain, system)
         assert g.phi == g.phi_sn == 1.0 + 0.0j
-        assert g.varphi == 0.0
+        assert demod_phase(diod) == 0.0
 
     def test_theta_lo_rotation(self, system, diod, chain):
         g = baseband_gains(with_powers(diod), chain, system)
@@ -229,7 +230,7 @@ class TestGainTable:
     def test_bcod_servo_locked_full_modulus(self, system, bcod, chain):
         g = baseband_gains(bcod, chain, system)  # phi_l = phi0 = 0 default
         assert abs(g.phi) == pytest.approx(1.0)
-        assert g.varphi == 0.0
+        assert demod_phase(bcod) == 0.0
 
     def test_bcod_projection_loss(self, system, bcod, chain):
         import dataclasses
@@ -248,19 +249,22 @@ class TestGainTable:
         for op in (diod, bcod):
             g = baseband_gains(op, chain, system)
             p1 = p1_of_lo(op, system)
+            p_g_sq, p_sn_sq, _ = scheme_powers(op, p1)[0]
+            p_g = math.sqrt(p_g_sq)
             if op.scheme == "DIOD":
-                assert g.p_g == p1 and g.p_cn_bar == p1 and g.p_sn_bar_sq == p1
+                assert p_g == p1 and g.p_cn_bar == p1 and p_sn_sq == p1
             else:
-                assert g.p_g == pytest.approx(math.sqrt(op.pl * p1))
+                assert p_g == pytest.approx(math.sqrt(op.pl * p1))
                 assert g.p_cn_bar == pytest.approx(op.pl + p1)
-                assert g.p_sn_bar_sq == pytest.approx(p1**2 / (op.pl + p1))
+                assert p_sn_sq == pytest.approx(p1**2 / (op.pl + p1))
+            kappa = kappa_of_point(op, system)
             assert g.rho == pytest.approx(
-                4.0 * chain.g * chain.z0 * chain.alpha**2 * g.p_g**2 * g.kappa**2
+                4.0 * chain.g * chain.z0 * chain.alpha**2 * p_g**2 * kappa**2
             )
 
     def test_scheme_consistency_identity(self, system, diod, bcod, chain, rng):
-        """rho * p_sn_bar_sq * kappa^2 == 4 alpha * rho_sn * p_g^2 * kappa^2,
-        i.e. rho_sn/rho = p_sn_bar_sq / (4 alpha p_g^2): both sides built from
+        """rho * p_sn^2 * kappa^2 == 4 alpha * rho_sn * p_g^2 * kappa^2,
+        i.e. rho_sn/rho = p_sn^2 / (4 alpha p_g^2): both sides built from
         raw parameters independently, at 100 random operating points."""
         for i in range(100):
             base = diod if i % 2 == 0 else bcod
@@ -335,16 +339,31 @@ class TestNoiseBudget:
         q = 1.602176634e-19
         assert chain.sigma_sq_sn == pytest.approx(2.0 * q * chain.bw, abs=0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(op=box_points(theta_lo=True))
+    def test_one_source_for_the_shot_coefficient(self, op):
+        """sn_coeff is sigma_sn^2 rho_sn bit for bit, n_sn twice it, and
+        N_QPN's |Phi|^2 the cos^2 of the demodulation phase, over the box
+        with the LO and local-beam phases drawn."""
+        system, chain = defaults.cesium_system(), defaults.default_chain()
+        gains = baseband_gains(op, chain, system)
+        budget = noise_budget(op, chain, system, gains=gains)
+        assert budget.sn_coeff == chain.sigma_sq_sn * gains.rho_sn
+        assert budget.n_sn == 2.0 * budget.sn_coeff
+        cos_form = (
+            gains.rho * speed_of_light * epsilon_0 * math.cos(demod_phase(op)) ** 2
+            * chain.bw * hbar**2 / (system.n_atoms * system.t2 * system.mu34**2)
+        )
+        assert abs(budget.n_qpn - cos_form) <= 1e-15 * cos_form
+
     def test_regime_ordering_at_defaults(self, system, diod, bcod, chain):
         """Direct scheme thermal-limited, balanced scheme limited by the
         user-signal-dependent shot term (reference at unit received power)."""
         bd = noise_budget(diod, chain, system)
-        gd = baseband_gains(diod, chain, system)
-        assert bd.n_tn > 3.0 * max(bd.n_cn, sn_reference_term(gd, chain))
+        assert bd.n_tn > 3.0 * max(bd.n_cn, bd.n_sn)
 
         bb = noise_budget(bcod, chain, system)
-        gb = baseband_gains(bcod, chain, system)
-        assert sn_reference_term(gb, chain) > max(bb.n_cn, bb.n_tn)
+        assert bb.n_sn > max(bb.n_cn, bb.n_tn)
 
 
 class TestUserSignal:

@@ -127,7 +127,7 @@ class TestBuildReceived:
     def test_noiseless_is_pure_signal(self, gains, budget, rng):
         sc = small_scenario()
         quiet = dataclasses.replace(
-            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sigma_sq_sn=0.0
+            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sn_coeff=0.0
         )
         h = mimo.gen_channel(sc, rng)
         s = np.ones(sc.n_users, dtype=complex)
@@ -135,6 +135,18 @@ class TestBuildReceived:
         assert np.all(snap.shot == 0.0)
         assert np.all(snap.noise == 0.0)
         assert np.array_equal(snap.y, snap.signal)
+
+    def test_shot_follows_the_budget_coefficient(self, gains, budget, rng):
+        # sn_coeff is the one source of the shot noise: zeroing it alone
+        # silences the snapshot's shot column and the engine's sn term
+        sc = small_scenario(n_realizations=256)
+        silent = dataclasses.replace(budget, sn_coeff=0.0)
+        snap = mimo.build_received(mimo.gen_channel(sc, rng), sc, gains, silent,
+                                   np.ones(sc.n_users, dtype=complex), rng)
+        assert np.all(snap.shot == 0.0)
+        for method in ("MRC", "ZF"):
+            terms = mimo.monte_carlo_terms(sc, gains, silent, method)
+            assert np.all(terms["sn"] == 0.0)
 
     def test_silent_users_leave_awgn(self, gains, budget, rng):
         sc = small_scenario(n_sensors=16)
@@ -152,7 +164,7 @@ class TestBuildReceived:
         pb_sum = float((sc.p * sc.beta).sum())
         expected = (
             gains.rho * abs(gains.phi) ** 2 * pb_sum
-            + budget.sigma_sq_sn * gains.rho_sn * abs(gains.phi_sn) ** 2 * pb_sum
+            + budget.sn_coeff * abs(gains.phi_sn) ** 2 * pb_sum
             + budget.n_sum
         )
         acc = 0.0
@@ -262,7 +274,7 @@ class TestDetect:
     def test_zf_noiseless_recovers_symbols(self, gains, budget, rng):
         sc = small_scenario()
         quiet = dataclasses.replace(
-            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sigma_sq_sn=0.0
+            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sn_coeff=0.0
         )
         h, snap = self._snapshot(gains, quiet, rng, sc)
         det = mimo.detect(snap, h, sc, gains, "ZF")
@@ -385,7 +397,7 @@ def published_mrc_sinr(sc, gains, budget):
     """The published closed-form MRC bound, written out term by term."""
     pb = sc.p * sc.beta
     phi2 = abs(gains.phi) ** 2
-    shot = budget.sigma_sq_sn * gains.rho_sn * abs(gains.phi_sn) ** 2
+    shot = budget.sn_coeff * abs(gains.phi_sn) ** 2
     num = sc.n_sensors * gains.rho * phi2 * pb
     den = pb.sum() * (gains.rho * phi2 + shot) + shot * pb + budget.n_sum
     return _ratio(num, den)
@@ -396,7 +408,7 @@ def published_zf_sinr(sc, gains, budget):
     m, k = sc.n_sensors, sc.n_users
     pb = sc.p * sc.beta
     phi2 = abs(gains.phi) ** 2
-    shot = budget.sigma_sq_sn * gains.rho_sn * abs(gains.phi_sn) ** 2 / m
+    shot = budget.sn_coeff * abs(gains.phi_sn) ** 2 / m
     num = 4.0 * (m - k) * gains.rho * phi2 * pb
     den = shot * (pb * (m - k) + pb.sum() * (m - 1)) + budget.n_sum
     return _ratio(num, den)
@@ -423,10 +435,9 @@ def bound_cases(draw, method):
         beta=draw(st.lists(fading, min_size=k, max_size=k)),
         p=draw(st.lists(power, min_size=k, max_size=k)))
     gains = SimpleNamespace(
-        rho=draw(_NONNEG), rho_sn=draw(_NONNEG),
-        phi=draw(magnitude) * cmath.exp(1j * draw(_ANGLE)),
+        rho=draw(_NONNEG), phi=draw(magnitude) * cmath.exp(1j * draw(_ANGLE)),
         phi_sn=cmath.exp(1j * draw(_ANGLE)))
-    budget = SimpleNamespace(sigma_sq_sn=draw(_NONNEG), n_sum=draw(_NONNEG))
+    budget = SimpleNamespace(sn_coeff=draw(_NONNEG), n_sum=draw(_NONNEG))
     return sc, gains, budget
 
 
@@ -486,7 +497,7 @@ class TestClosedFormBounds:
 
     def test_mrc_single_user_no_shot_reduction(self, gains, budget):
         sc = small_scenario(n_users=1)
-        quiet = dataclasses.replace(budget, sigma_sq_sn=0.0)
+        quiet = dataclasses.replace(budget, sn_coeff=0.0)
         bound = mimo.sinr_lb(sc, gains, quiet, "MRC")
         pb = sc.p[0] * sc.beta[0]
         phi2 = abs(gains.phi) ** 2
@@ -498,7 +509,7 @@ class TestClosedFormBounds:
 
     def test_zf_no_shot_reduction(self, gains, budget):
         sc = small_scenario()
-        quiet = dataclasses.replace(budget, sigma_sq_sn=0.0)
+        quiet = dataclasses.replace(budget, sn_coeff=0.0)
         bound = mimo.sinr_lb(sc, gains, quiet, "ZF")
         expected = (
             (sc.n_sensors - sc.n_users) * gains.rho
@@ -530,7 +541,7 @@ class TestClosedFormBounds:
         sigma = 4e-12
         unit = dataclasses.replace(gains, rho=1.0, rho_sn=0.0, phi=1.0 + 0.0j)
         shot_free = dataclasses.replace(budget, n_cn=0.0, n_tn=2.0 * sigma,
-                                        n_qpn=0.0, sigma_sq_sn=0.0, sn_coeff=0.0)
+                                        n_qpn=0.0, sn_coeff=0.0)
         rf = mimo.rf_gains(sigma)
         for method in ("MRC", "ZF"):
             assert np.array_equal(mimo.sinr_lb(sc, unit, shot_free, method).sinr,
@@ -702,7 +713,7 @@ class TestMonteCarlo:
     def test_noiseless_zf_is_capped(self, gains, budget):
         sc = small_scenario(n_realizations=200)
         quiet = dataclasses.replace(
-            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sigma_sq_sn=0.0
+            budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sn_coeff=0.0
         )
         res = mimo.monte_carlo_rate(sc, gains, quiet, "ZF")
         assert res.capped
@@ -781,20 +792,21 @@ class TestChunkWorkspace:
 
 @st.composite
 def gain_tables(draw):
-    # the engine reads five numbers from a gain table, so the draws cover
-    # the whole complex plane for phi and phi_sn, not only the box
-    # BasebandGains enforces for physical chains (|phi| <= 1, |phi_sn| = 1)
+    # the engine reads five numbers from a gain table and its budget, so
+    # the draws cover the whole complex plane for phi and phi_sn, not only
+    # the box BasebandGains enforces for physical chains (|phi| <= 1,
+    # |phi_sn| = 1)
     gains = SimpleNamespace(
-        rho=draw(_NONNEG), rho_sn=draw(_NONNEG),
+        rho=draw(_NONNEG),
         phi=draw(_MAG) * cmath.exp(1j * draw(_ANGLE)),
         phi_sn=draw(_NONNEG) * cmath.exp(1j * draw(_ANGLE)),
     )
-    budget = SimpleNamespace(sigma_sq_sn=draw(_NONNEG), n_sum=draw(_NONNEG))
+    budget = SimpleNamespace(sn_coeff=draw(_NONNEG), n_sum=draw(_NONNEG))
     return gains, budget
 
 
-UNIT_TABLE = (SimpleNamespace(rho=1.0, rho_sn=1.0, phi=1.0 + 0j, phi_sn=1.0 + 0j),
-              SimpleNamespace(sigma_sq_sn=1.0, n_sum=1.0))
+UNIT_TABLE = (SimpleNamespace(rho=1.0, phi=1.0 + 0j, phi_sn=1.0 + 0j),
+              SimpleNamespace(sn_coeff=1.0, n_sum=1.0))
 # two chunks, so the batch-means standard error is exercised too
 TABLE_SCENARIO = defaults.default_scenario(8, 2, n_realizations=300, seed=11,
                                            beta=1.0)
@@ -832,7 +844,7 @@ class TestGainTables:
         ref = mimo.monte_carlo_terms(TABLE_SCENARIO, *UNIT_TABLE, method)
         got = mimo.monte_carlo_terms(TABLE_SCENARIO, gains, budget, method)
         phi2 = abs(gains.phi) ** 2
-        shot = gains.rho_sn * abs(gains.phi_sn) ** 2 * budget.sigma_sq_sn
+        shot = budget.sn_coeff * abs(gains.phi_sn) ** 2
         if method == "MRC":
             signal = gains.rho * phi2**2
             scale = {"ds": signal, "ls": signal, "ui": signal,
@@ -852,8 +864,8 @@ class TestGainTables:
     def test_zero_signal_table_has_zero_rate(self, method):
         # no desired signal and a zero denominator: SINR 0, not inf or NaN,
         # on the sampled and the closed-form path alike
-        gains = SimpleNamespace(rho=0.0, rho_sn=0.0, phi=1.0 + 0j, phi_sn=1.0 + 0j)
-        budget = SimpleNamespace(sigma_sq_sn=0.0, n_sum=0.0)
+        gains = SimpleNamespace(rho=0.0, phi=1.0 + 0j, phi_sn=1.0 + 0j)
+        budget = SimpleNamespace(sn_coeff=0.0, n_sum=0.0)
         res = mimo.monte_carlo_rate(TABLE_SCENARIO, gains, budget, method)
         assert not res.capped
         for values in (res.sinr, res.rate, res.bound, res.standard_error):

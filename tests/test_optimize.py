@@ -20,7 +20,6 @@ from raqr.frontend import (
     noise_budget,
     p1_of_lo,
     scheme_powers,
-    sn_reference_term,
     with_powers,
 )
 from raqr.optimize import (
@@ -41,7 +40,7 @@ from raqr.optimize import (
     optimal_plo_tn,
 )
 
-from conftest import rel_err
+from conftest import box_points, rel_err
 
 # The coupling-power stationary point has a floor near gamma2^2 / (2 a23),
 # about 0.38 W for the shipped vapor parameters: far outside any sane
@@ -138,7 +137,7 @@ class TestNormalizedNoise:
         cn = normalized_noise(op, NoiseWeights(0, wts.dc_shot, 0, 0), system) * c_norm
         tn = normalized_noise(op, NoiseWeights(0, 0, wts.thermal, 0), system) * c_norm
         qpn = wts.projection * c_norm
-        assert rel_err(sn, sn_reference_term(gains, chain)) < 1e-12
+        assert rel_err(sn, budget.n_sn) < 1e-12
         assert rel_err(cn, budget.n_cn) < 1e-12
         assert rel_err(tn, budget.n_tn) < 1e-12
         # both shipped points run with the servo locked, so no projection loss
@@ -331,23 +330,6 @@ class TestOptimalPl:
             assert w_up < w_dn
 
 
-# the whole design box (W): the default Newton bracket in p0, the crossover
-# sweep range in p_lo, 0.1-100 mW of coupling and 1 uW-100 mW of local beam;
-# the balanced scheme also draws its local-beam phase
-_BOX = {"p0": (-6.0, -1.0), "pc": (-4.0, -1.0), "p_lo": (-9.0, -3.0),
-        "pl": (-6.0, -1.0)}
-
-
-@st.composite
-def box_points(draw):
-    scheme = draw(st.sampled_from(["DIOD", "BCOD"]))
-    names = ("p0", "pc", "p_lo") + (("pl",) if scheme == "BCOD" else ())
-    knobs = {k: 10.0 ** draw(st.floats(*_BOX[k])) for k in names}
-    if scheme == "BCOD":
-        knobs["phi_l"] = draw(st.floats(-1.2, 1.2))
-    return defaults.default_point(scheme, **knobs)
-
-
 def _finite_ratios(op, system):
     """p1 > 0 and p_g^2 kappa^2 a normal float, so every ratio of W is
     finite and carries full precision."""
@@ -441,35 +423,35 @@ class TestNewtonProbe:
             newton_optimal_p0(diod, wts, system, chain, p0_bounds=(1e-6, 1e-1))
 
 
-def _budget(n_cn=0.0, n_tn=0.0):
-    return NoiseBudget(n_cn=n_cn, n_tn=n_tn, n_qpn=0.0, sigma_sq_sn=0.0, sn_coeff=0.0)
+def _budget(n_cn=0.0, n_tn=0.0, n_sn=0.0):
+    return NoiseBudget(n_cn=n_cn, n_tn=n_tn, n_qpn=0.0, sn_coeff=n_sn / 2.0)
 
 
 class TestClassifyRegime:
     def test_thermal_dominant(self):
-        assert classify_regime(_budget(n_cn=1.0, n_tn=10.0), 0.5) == "thermal"
+        assert classify_regime(_budget(n_cn=1.0, n_tn=10.0, n_sn=0.5)) == "thermal"
 
     def test_dc_shot_dominant(self):
-        assert classify_regime(_budget(n_cn=10.0, n_tn=1.0), 0.5) == "dc-shot"
+        assert classify_regime(_budget(n_cn=10.0, n_tn=1.0, n_sn=0.5)) == "dc-shot"
 
     def test_signal_noise_dominant(self):
-        assert classify_regime(_budget(n_cn=1.0, n_tn=0.5), 10.0) == (
+        assert classify_regime(_budget(n_cn=1.0, n_tn=0.5, n_sn=10.0)) == (
             "user-signal-dependent"
         )
 
     def test_mixed_within_three_db(self):
         # ratio 1.9 is under 3 dB (2.0x), so no single mechanism dominates
-        assert classify_regime(_budget(n_cn=1.9, n_tn=1.0), 0.1) == "mixed"
+        assert classify_regime(_budget(n_cn=1.9, n_tn=1.0, n_sn=0.1)) == "mixed"
 
     def test_clear_above_three_db(self):
-        assert classify_regime(_budget(n_cn=2.1, n_tn=1.0), 0.1) == "dc-shot"
+        assert classify_regime(_budget(n_cn=2.1, n_tn=1.0, n_sn=0.1)) == "dc-shot"
 
     def test_all_zero_is_mixed(self):
-        assert classify_regime(_budget(), 0.0) == "mixed"
+        assert classify_regime(_budget()) == "mixed"
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            classify_regime(_budget(n_cn=-1.0), 0.0)
+            classify_regime(_budget(n_cn=-1.0))
 
     def test_shipped_points(self, diod, bcod, chain, system):
         assert classify_at(diod, chain, system) == "thermal"

@@ -36,6 +36,8 @@ from raqr.waveform import (
     write_waveform,
 )
 
+from conftest import component_sn_variance
+
 FS = 16 * 75e3
 
 
@@ -156,17 +158,8 @@ class TestNoiseStatistics:
         for op in (diod, bcod):
             user = defaults.weak_user(20.0, op)
             wf = simulate_waveform(op, chain, user, system, n / FS, FS, seed=7)
-            g = baseband_gains(op, chain, system)
             measured = np.var(wf.sn) * (2.0 * chain.bw / FS)
-            pred = (
-                0.5
-                * chain.sigma_sq_sn
-                * effective_gain(op, chain)
-                * chain.alpha
-                * g.p_sn_bar_sq
-                * g.kappa**2
-                * user.u_x**2
-            )
+            pred = component_sn_variance(op, chain, system, user)
             assert abs(measured - pred) / pred <= 0.05
 
     def test_sn_variance_linear_in_user_power(self, system, diod, chain):
