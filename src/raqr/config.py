@@ -194,9 +194,14 @@ class ExperimentConfig:
     raw: dict = field(compare=False, repr=False)
 
 
+# libyaml's scanner and parser where PyYAML was built with them; both loaders
+# share the Python resolver, so YAML 1.1's "2.0e17 is a string" still holds
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def _parse_yaml(text: str, source: str) -> dict:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         if mark is None:
@@ -372,7 +377,7 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
     if recipe is not None:
         from .recipes import check_recipe
 
-        check_recipe(recipe, sweep, arr["n_users"])
+        check_recipe(recipe, sweep, arr["n_users"], op.p_lo)
 
     # Philox keys [seed, chunk] pass through float64 from 2**63 on, where
     # neighbouring seeds would share a stream

@@ -113,14 +113,19 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     return paths
 
 
-def check_recipe(name: str | None, sweep: SweepSpec, n_users: int) -> None:
+def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
+                 p_lo: float) -> None:
     """Raise ValidationError unless ``name`` is a recipe that sweeps
-    ``sweep.variable`` over values it can run; config validation and
-    ``run_recipe`` both call this.
+    ``sweep.variable`` over values it can run at the configured LO power
+    ``p_lo``; config validation and ``run_recipe`` both call this.
 
     A sensor sweep rounds each value to a count, which must be >= 1, and
     for ``rate-vs-M`` (zero forcing) above ``n_users``. The sweep is
-    monotone, so its ends bound every count.
+    monotone, so its ends bound every count. The LO drives the RF
+    transition, and without it the reception gain and the transduction
+    slope vanish, so ``p_lo`` must be positive wherever the recipe reads it:
+    everywhere but ``sn-vs-ratio``, which builds its own operating points,
+    and a ``lo_power_w`` sweep of ``rate-vs-parameter``, which sets it.
     """
     if name is None:
         raise ValidationError("recipe", "no recipe selected")
@@ -138,11 +143,17 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int) -> None:
             if count < least:
                 raise ValidationError(key, f"rounds to {count} sensors; recipe "
                                       f"{name} needs at least {least}")
+    sets_lo = name == "sn-vs-ratio" or (
+        name == "rate-vs-parameter" and sweep.variable == "lo_power_w")
+    if p_lo <= 0.0 and not sets_lo:
+        raise ValidationError("operating_point.lo_power_w",
+                              f"must be > 0 for recipe {name}, which needs an "
+                              "RF LO drive")
 
 
 def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
     name = config.recipe
-    check_recipe(name, config.sweep, config.n_users)
+    check_recipe(name, config.sweep, config.n_users, config.op.p_lo)
     try:
         result = RECIPES[name](config, threads)
     except (ValidationError, RecipeError):

@@ -22,6 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -155,12 +156,13 @@ def simulate_waveform(
     # Per-sample steps run in place (ufunc out= or augmented assignment) in
     # the operand order of the plain expression, so every value is the
     # expression's bit for bit; dropping each intermediate once used keeps
-    # at most six n-sample arrays alive, the five outputs among them.
+    # at most six n-sample arrays alive, the five outputs among them, beside
+    # the cached cos(beta). That is fetched first: built on a miss before
+    # the call's own arrays, it sits below them in the heap, which can then
+    # shrink back once they are freed.
+    cos_b = _beat_cos(n, sample_rate, f_delta, user.theta_x - op.theta_lo)
     t = np.arange(n, dtype=float)
     t /= sample_rate
-    cos_b = np.multiply(t, 2.0 * math.pi * f_delta)  # the beat phase beta ...
-    cos_b += user.theta_x - op.theta_lo
-    np.cos(cos_b, out=cos_b)  # ... and its cosine
 
     # exact chain: instantaneous envelope -> per-sample atomic response
     omega_rf = np.multiply(cos_b, 2.0 * u_lo * u_x)
@@ -177,8 +179,7 @@ def simulate_waveform(
     p1_lo = p1_of_lo(op, system)
     (_, _, p_cn_lo), _, (e_g, _, _) = scheme_powers(op, p1_lo)
     i_dc = _detector_current(p1_lo, op.phi0, op, chain)
-    i_approx = cos_b
-    i_approx *= e_g * kappa_of_point(op, system) * u_x
+    i_approx = np.multiply(cos_b, e_g * kappa_of_point(op, system) * u_x)
     np.subtract(1.0, i_approx, out=i_approx)
     i_approx *= i_dc
 
@@ -271,9 +272,10 @@ def _numtaps(f_delta: float, sample_rate: float) -> int:
     return int(min(511, max(65, round(8.0 * spp)))) | 1
 
 
+@lru_cache(maxsize=8, typed=True)
 def _lowpass_taps(f_delta: float, sample_rate: float) -> np.ndarray:
     """Linear-phase FIR matching a 6th-order Butterworth magnitude, cutoff
-    at half the beat frequency.
+    at half the beat frequency; cached and read-only.
 
     Frequency sampling as scipy's firwin2 does it for a type I filter, and
     equal to its taps bit for bit: the gain, interpolated on a power-of-two
@@ -294,7 +296,41 @@ def _lowpass_taps(f_delta: float, sample_rate: float) -> np.ndarray:
     window = np.zeros(numtaps)
     for k, a in enumerate((0.54, 1.0 - 0.54)):
         window += a * np.cos(k * fac)
-    return taps * window
+    taps = taps * window  # a copy, so the cache keeps no irfft buffer alive
+    taps.flags.writeable = False
+    return taps
+
+
+# The beat phasors and the taps depend only on (n, sample rate, beat, phase
+# offset), which repeat on every call of a sweep, so the most recent few are
+# kept between calls; typed keys keep a float32 beat apart from an equal
+# float64 one. Every caller shares them, so they are read-only. With the user
+# and LO phases equal, the simulator's cos(beta) is the demodulator's cosine:
+# x + 0.0 differs from x only at -0.0, whose cosine is the same 1.0.
+
+
+@lru_cache(maxsize=2, typed=True)
+def _beat_cos(n: int, sample_rate: float, f_delta: float, offset: float) -> np.ndarray:
+    """cos(2 pi f_delta t + offset) at t = arange(n) / sample_rate."""
+    x = np.arange(n, dtype=float)
+    x /= sample_rate
+    x *= 2.0 * math.pi * f_delta
+    x += offset
+    np.cos(x, out=x)
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=2, typed=True)
+def _beat_negsin(n: int, sample_rate: float, f_delta: float) -> np.ndarray:
+    """-sin(2 pi f_delta t) at t = arange(n) / sample_rate."""
+    x = np.arange(n, dtype=float)
+    x /= sample_rate
+    x *= 2.0 * math.pi * f_delta
+    np.sin(x, out=x)
+    np.negative(x, out=x)
+    x.flags.writeable = False
+    return x
 
 
 def settling_samples(f_delta: float, sample_rate: float) -> int:
@@ -324,21 +360,18 @@ def demodulate_iq(
         raise InsufficientLength(
             f"{n} samples is under 8 beat periods at f_delta={f_delta:g} Hz"
         )
-    ph = np.arange(n, dtype=float)
-    ph /= sample_rate
-    ph *= 2.0 * math.pi * f_delta
+    # the cached arrays first, below this call's own in the heap
     taps = _lowpass_taps(f_delta, sample_rate)
+    cos_ph = _beat_cos(n, sample_rate, f_delta, 0.0)
+    negsin_ph = _beat_negsin(n, sample_rate, f_delta)
     # each branch is mixed in one buffer and filtered straight into its part
     # of z; numpy divides complex by real as a multiplication by the
     # reciprocal, so this equals (i + 1j q) / sqrt(2) bit for bit
     scale = 1.0 / math.sqrt(2.0)
     z = np.empty(n, dtype=complex)
-    mixed = np.cos(ph)
-    mixed *= v
+    mixed = np.multiply(cos_ph, v)
     np.multiply(np.convolve(taps, mixed)[:n], scale, out=z.real)
-    np.sin(ph, out=mixed)
-    np.negative(mixed, out=mixed)
-    mixed *= v
+    np.multiply(negsin_ph, v, out=mixed)
     np.multiply(np.convolve(taps, mixed)[:n], scale, out=z.imag)
     return z
 

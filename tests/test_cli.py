@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from raqr import cli, config, defaults, mimo
 from raqr.config import (
@@ -19,6 +20,7 @@ from raqr.config import (
     serialize,
 )
 from raqr.recipes import (
+    RECIPE_SWEEPS,
     RecipeError,
     _csv_lines,
     list_recipes,
@@ -36,6 +38,10 @@ SENSOR_SWEEP = ("sweep:\n  variable: n_sensors\n  start: {}\n  stop: {}\n"
                 "  points: 2\n  scale: linear\n")
 
 
+# PyYAML's pure-Python loader, and libyaml's where PyYAML was built with it
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
 def write_config(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -47,13 +53,42 @@ def default_cfg():
     return load_config(default_config_path())
 
 
+# a short sweep of each variable, for configs without an RF LO drive
+ZERO_LO_SWEEPS = {
+    "lo_power_w": "  start: 1.0e-07\n  stop: 1.0e-04\n  points: 2\n  scale: log\n",
+    "probe_power_w": "  start: 1.0e-04\n  stop: 1.0e-02\n  points: 2\n  scale: log\n",
+    "coupling_power_w": "  start: 1.0e-03\n  stop: 1.0e-01\n  points: 2\n"
+                        "  scale: log\n",
+    "n_sensors": "  start: 16\n  stop: 32\n  points: 2\n  scale: log\n",
+    "ratio_db": "  start: 10.0\n  stop: 30.0\n  points: 2\n  scale: linear\n",
+    "detuning_khz": "  start: -100.0\n  stop: 100.0\n  points: 3\n  scale: linear\n",
+}
+
+
 class TestParsing:
-    def test_malformed_yaml_reports_position(self, tmp_path):
+    def test_malformed_yaml_reports_position(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "atomic:\n  x: [1,\n")
-        with pytest.raises(ParseError) as err:
-            load_config(path)
-        assert isinstance(err.value.line, int)
-        assert isinstance(err.value.column, int)
+        for loader in LOADERS:
+            monkeypatch.setattr(config, "_LOADER", loader)
+            with pytest.raises(ParseError) as err:
+                load_config(path)
+            assert (err.value.line, err.value.column) == (3, 1), loader
+
+    def test_loader_is_libyaml_where_present(self):
+        assert config._LOADER is LOADERS[-1]
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+    @pytest.mark.parametrize("path", sorted(config._CONFIG_DIR.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_both_loaders_read_the_packaged_configs_alike(self, path):
+        def typed(node):
+            if isinstance(node, dict):
+                return {k: typed(v) for k, v in node.items()}
+            return type(node), node
+
+        text = path.read_text(encoding="utf-8")
+        docs = [yaml.load(text, Loader=loader) for loader in LOADERS]
+        assert typed(docs[0]) == typed(docs[1])
 
     def test_top_level_must_be_mapping(self, tmp_path):
         path = write_config(tmp_path, "- 1\n- 2\n")
@@ -478,16 +513,17 @@ class TestRunRecipe:
         root = manifest["annotations"][0]["power_w"]
         assert 1e-7 < root < 1e-4
 
-    def test_module_error_carries_recipe_context(self, tmp_path):
+    def test_module_error_carries_recipe_context(self, tmp_path, monkeypatch):
         import dataclasses
 
-        # with no RF LO drive the reception gain is zero, which validation
-        # lets through and the large-array limit refuses
+        def refuse(*args, **kwargs):
+            raise ValueError("reception gain rho*|phi|^2 must be positive")
+
+        monkeypatch.setattr(mimo, "asymptotic_rate", refuse)
         cfg = load_config(
             write_config(
                 tmp_path,
                 "recipe: power-scaling\n"
-                "operating_point:\n  lo_power_w: 0.0\n"
                 "sweep:\n  variable: n_sensors\n  start: 4\n  stop: 8\n"
                 "  points: 2\n  scale: log\n",
             )
@@ -497,6 +533,27 @@ class TestRunRecipe:
             run_recipe(cfg)
         assert type(err.value.__cause__) is ValueError
         assert "reception gain" in str(err.value.__cause__)
+
+    @pytest.mark.parametrize("recipe, variable", [
+        (recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
+        for variable in variables])
+    def test_zero_lo_power_is_rejected_or_runs(self, tmp_path, capsys, recipe,
+                                               variable):
+        path = write_config(
+            tmp_path,
+            f"recipe: {recipe}\noperating_point:\n  lo_power_w: 0.0\n"
+            f"array:\n  realizations: 100\nsweep:\n  variable: {variable}\n"
+            + ZERO_LO_SWEEPS[variable],
+        )
+        rc = cli.main(["validate", "--config", str(path)])
+        err = capsys.readouterr().err
+        if rc == 2:
+            assert err.startswith("error: operating_point.lo_power_w: "), err
+            return
+        assert rc == 0, err
+        rc = cli.main(["run", recipe, "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
 
     def test_sweep_variable_mismatch(self, tmp_path):
         # selecting a recipe checks its sweep when the config loads

@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raqr import defaults
+from raqr import defaults, waveform
 from raqr.atomic import ZeroProbe, steady_state_numeric
 from raqr.constants import epsilon_0, hbar
 from raqr.frontend import (
@@ -444,7 +446,8 @@ def _peak_bytes(call):
 class TestAllocation:
     """The chain builds little beyond what it returns: simulate_waveform's
     five output columns plus the noise draw, and demodulate_iq's complex
-    result, its two mixing buffers and one filter output."""
+    result, its mixing buffer and one filter output. The cached beat phasors
+    are built once and then retained."""
 
     N = 40_000
 
@@ -459,7 +462,145 @@ class TestAllocation:
     def test_demodulation_peak(self, rng):
         v = rng.normal(0.0, 1.0, self.N)
         peak = _peak_bytes(lambda: demodulate_iq(v, 75e3, FS))
-        assert peak <= 5.5 * 8 * self.N
+        assert peak <= 4.5 * 8 * self.N
+
+    def test_caches_retain_one_cosine_and_one_sine(self, system, chain, bcod):
+        # with the user and LO phases equal the simulator and the
+        # demodulator share one cosine; the taps add a few kilobytes. A
+        # short chain first imports what the chain imports lazily.
+        user = defaults.weak_user(20.0, bcod)
+        _demod_chain(bcod, chain, user, system, 1000, FS, seed=1)
+        _clear_caches()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _demod_chain(bcod, chain, user, system, self.N, FS, seed=1)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained <= 2 * 8 * self.N + 8 * 1024
+
+
+_CACHES = (waveform._beat_cos, waveform._beat_negsin, waveform._lowpass_taps)
+
+
+def _clear_caches():
+    for cached in _CACHES:
+        cached.cache_clear()
+
+
+def _demod_chain(op, chain, user, system, n, sample_rate, seed):
+    """Every output of one simulate/demodulate/estimate pass, as a dict."""
+    wf = simulate_waveform(op, chain, user, system, n / sample_rate, sample_rate,
+                           seed)
+    out = {name: getattr(wf, name) for name in ("t", "v_exact", "v_approx", "sn",
+                                                "cn", "v_dc", "f_delta")}
+    out["z"] = demodulate_iq(down_convert(wf.v_exact, wf.v_dc), wf.f_delta,
+                             sample_rate)
+    out["estimate"] = baseband_estimate(out["z"], wf.f_delta, sample_rate)
+    return out
+
+
+def _assert_same(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert np.array_equal(got[name], value), name
+
+
+@st.composite
+def chain_specs(draw):
+    """(op, user, n, sample_rate, seed) over both schemes, beats of either
+    sign, 16-40 samples per beat period and user phases off the LO's."""
+    scheme = draw(st.sampled_from(["DIOD", "BCOD"]))
+    op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
+    f_delta = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2e4, 2e5))
+    user = defaults.weak_user(draw(st.floats(15.0, 40.0)), op,
+                              theta_x=draw(st.floats(-math.pi, math.pi)),
+                              f_delta=f_delta)
+    sample_rate = draw(st.floats(16.5, 40.0)) * abs(f_delta)
+    return op, user, draw(st.integers(400, 4000)), sample_rate, draw(
+        st.integers(0, 2**32))
+
+
+class TestCaches:
+    """The beat phasors and taps kept between calls change no output."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(specs=st.lists(chain_specs(), min_size=1, max_size=4), data=st.data())
+    def test_interleaved_calls_equal_cold_calls_and_the_expressions(
+            self, system, chain, specs, data):
+        # a call repeated later in the list finds its arrays cached, unless
+        # the calls between evicted them
+        order = data.draw(st.lists(st.sampled_from(range(len(specs))),
+                                   min_size=1, max_size=6), label="order")
+
+        def run(i):
+            op, user, n, sample_rate, seed = specs[i]
+            return _demod_chain(op, chain, user, system, n, sample_rate, seed)
+
+        warm = [run(i) for i in order]
+        # the demodulations once more, in the reverse order
+        for i, out in zip(order[::-1], warm[::-1]):
+            v = down_convert(out["v_exact"], out["v_dc"])
+            assert np.array_equal(demodulate_iq(v, out["f_delta"], specs[i][3]),
+                                  out["z"])
+        for i, out in zip(order, warm):
+            _clear_caches()
+            _assert_same(out, run(i))
+            op, user, n, sample_rate, seed = specs[i]
+            ref = _reference_waveform(op, chain, user, system, n, sample_rate,
+                                      seed, "closed-form")
+            for name in ("t", "v_exact", "v_approx", "sn", "cn", "v_dc"):
+                assert np.array_equal(out[name], ref[name]), name
+            v = down_convert(ref["v_exact"], ref["v_dc"])
+            assert np.array_equal(
+                out["z"], _reference_demodulation(v, out["f_delta"], sample_rate))
+
+    def test_writing_into_outputs_leaves_the_next_call_alone(self, system, chain,
+                                                             bcod):
+        user = defaults.weak_user(20.0, bcod, theta_x=0.3)
+        args = (bcod, chain, user, system, 4000, FS, 2)
+        first = _demod_chain(*args)
+        kept = {name: np.copy(value) for name, value in first.items()}
+        for name in ("t", "v_exact", "v_approx", "sn", "cn", "z"):
+            first[name][:] = 7.0
+        _assert_same(_demod_chain(*args), kept)
+
+    def test_cached_arrays_are_read_only(self):
+        for arr in (waveform._beat_cos(64, FS, 75e3, 0.5),
+                    waveform._beat_negsin(64, FS, 75e3),
+                    _lowpass_taps(75e3, FS)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_threads_running_the_chain_at_once(self, system, chain):
+        # more distinct keys than cache entries, so the threads also evict
+        # each other's arrays
+        specs = [(op, defaults.weak_user(ratio, op, theta_x=theta), n, FS, seed)
+                 for seed, (op, ratio, theta, n) in enumerate([
+                     (defaults.diod_point(), 20.0, 0.0, 4000),
+                     (defaults.bcod_point(), 25.0, 0.7, 4000),
+                     (defaults.diod_point(), 30.0, -1.1, 3001),
+                     (defaults.bcod_point(), 15.0, 0.0, 2500),
+                     (defaults.bcod_point(), 35.0, 2.0, 3001),
+                 ])]
+
+        def run(spec):
+            op, user, n, sample_rate, seed = spec
+            return _demod_chain(op, chain, user, system, n, sample_rate, seed)
+
+        serial = [run(spec) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(run, spec) for spec in specs * 4]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, got in enumerate(results):
+            _assert_same(got, serial[k % len(specs)])
 
 
 class TestEndToEnd:
