@@ -377,7 +377,8 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
     if recipe is not None:
         from .recipes import check_recipe
 
-        check_recipe(recipe, sweep, arr["n_users"], op.p_lo)
+        check_recipe(recipe, sweep, arr["n_users"], op.p_lo,
+                     arr["transmit_power"])
 
     # Philox keys [seed, chunk] pass through float64 from 2**63 on, where
     # neighbouring seeds would share a stream

@@ -50,6 +50,9 @@ __all__ = [
 # realizations per RNG substream; chunk c of a run with seed s draws from
 # Philox keyed [s, c], so results are identical however chunks are scheduled
 CHUNK = 256
+# draws a chunk phases and combines at a time; only the channel is held for
+# the whole chunk, and no output depends on this length
+_SUB = 32
 # fewest realizations a Monte-Carlo run accepts; config validation reads it
 MIN_REALIZATIONS = 100
 
@@ -189,8 +192,10 @@ def _draw(rng, batch, scenario, parts="hsbw", out=None):
     diagonal b (..., M), AWGN w (..., M). ``parts`` picks a subset.
 
     ``out`` may map a part to the array it is written into, and ``"x"`` to a
-    float scratch array of the channel's shape that the channel's real and
-    imaginary draws pass through; whatever it leaves out is allocated."""
+    float scratch array (L, M, K) that the channel's real and then imaginary
+    draws pass through in consecutive pieces of L snapshots; consecutive
+    fills continue one stream, so L changes no value. Whatever ``out``
+    leaves out is allocated."""
     m, k = scenario.n_sensors, scenario.n_users
     shapes = {"h": (m, k), "s": (k,), "b": (m,), "w": (m,)}
     out = out or {}
@@ -203,8 +208,13 @@ def _draw(rng, batch, scenario, parts="hsbw", out=None):
             continue
         x = np.empty(shape, complex) if x is None else x
         scratch = out.get("x") if part == "h" else None
-        x.real = rng.standard_normal(shape, out=scratch)
-        x.imag = rng.standard_normal(shape, out=scratch)
+        for block in (x.real, x.imag):
+            if scratch is None:
+                block[...] = rng.standard_normal(shape)
+                continue
+            for i in range(0, len(block), len(scratch)):
+                piece = block[i:i + len(scratch)]
+                piece[...] = rng.standard_normal(out=scratch[:len(piece)])
         if part == "h":
             np.multiply(x, np.sqrt(scenario.beta / 2.0), out=x)
         else:
@@ -466,39 +476,52 @@ def crossover_threshold(
 
 
 def _workspace(scenario, n):
-    """One worker's arrays for chunks of up to ``n`` draws: the float scratch,
-    the channel (phased in place) and its conjugate, all (n, M, K), then the
-    Gram matrices and the combining products of the shot and AWGN columns."""
+    """One worker's arrays for chunks of up to ``n`` draws. The channel
+    (n, M, K) is the one array a chunk holds whole; it is phased in place.
+    The rest serve one sub-batch of L = min(n, ``_SUB``) draws: the float
+    scratch that the channel's draws pass through and the channel's
+    conjugate, both (L, M, K), then the Gram matrices and the combining
+    products of the shot and AWGN columns."""
     m, k = scenario.n_sensors, scenario.n_users
+    sub = min(n, _SUB)
     return {
-        "x": np.empty((n, m, k)),
         "h": np.empty((n, m, k), complex),
-        "conj": np.empty((n, m, k), complex),
-        "gram": np.empty((n, k, k), complex),
-        "z": np.empty((n, k, 2), complex),
-        "zf": np.empty((n, k, 2), complex),
+        "x": np.empty((sub, m, k)),
+        "conj": np.empty((sub, m, k), complex),
+        "gram": np.empty((sub, k, k), complex),
+        "z": np.empty((sub, k, 2), complex),
+        "zf": np.empty((sub, k, 2), complex),
     }
 
 
 def _chunk_stats(scenario, method, chunk_index, n, workspace):
-    """Gain-free term accumulators over one Philox substream, drawn by
-    ``_draw`` and combined by ``_project`` as a snapshot batch written into
-    ``workspace`` (a prefix of it for a short chunk); ``_scale`` supplies the
-    front-end gains and noise variances."""
-    ws = {key: x[:n] for key, x in workspace.items()}
+    """Gain-free term accumulators over one Philox substream. ``_draw`` fills
+    the chunk's channel (a prefix of the workspace's for a short chunk)
+    through the sub-batch scratch; the phasing, ``_project`` and the
+    per-draw statistics then run one sub-batch at a time in the workspace's
+    sub-batch arrays and write (n, K) per-draw arrays, which are summed over
+    the chunk. ``_scale`` supplies the front-end gains and noise variances."""
     rng = np.random.Generator(np.random.Philox(key=[scenario.seed, chunk_index]))
-    h, s, b, w = _draw(rng, (n,), scenario, out=ws)
-    a = _phased(scenario, h, out=h)
+    h, s, b, w = _draw(rng, (n,), scenario,
+                       out={"h": workspace["h"][:n], "x": workspace["x"]})
     ps = (np.sqrt(scenario.p) * s)[..., None]
-    # shot and AWGN columns side by side, combined in one product
-    cols = np.stack([b * (a @ ps)[..., 0], w], axis=-1)
-    t, z = _project(a, method, cols, out={**ws, "z": [ws["z"]], "zf": [ws["zf"]]})
-    t_diag = np.diagonal(t, axis1=-2, axis2=-1)
-    ui = (t @ ps)[..., 0] - t_diag * ps[..., 0]
-
-    # mean accumulator; self-coupling, interference, shot and AWGN energies
-    energy = _abs_sq(np.stack([t_diag, ui, z[..., 0], z[..., 1]])).sum(axis=1)
-    return np.vstack([t_diag.sum(axis=0), energy]), n
+    # per draw: the self-coupling, then its energy and the interference, shot
+    # and AWGN energies; ZF's coupling is the real identity, and summing it
+    # as complex would move the ZF terms by an ulp
+    diag = np.empty((n, scenario.n_users), complex if method == "MRC" else float)
+    energy = np.empty((4,) + diag.shape)
+    step = len(workspace["x"])
+    for i in range(0, n, step):
+        j = slice(i, i + step)
+        a = _phased(scenario, h[j], out=h[j])
+        ws = {key: workspace[key][:len(a)] for key in ("conj", "gram", "z", "zf")}
+        # shot and AWGN columns side by side, combined in one product
+        cols = np.stack([b[j] * (a @ ps[j])[..., 0], w[j]], axis=-1)
+        t, z = _project(a, method, cols, out={**ws, "z": [ws["z"]], "zf": [ws["zf"]]})
+        t_diag = diag[j] = np.diagonal(t, axis1=-2, axis2=-1)
+        ui = (t @ ps[j])[..., 0] - t_diag * ps[j][..., 0]
+        energy[:, j] = _abs_sq(np.stack([t_diag, ui, z[..., 0], z[..., 1]]))
+    return np.vstack([diag.sum(axis=0), energy.sum(axis=1)]), n
 
 
 def _scale(method, gains, budget):
@@ -518,8 +541,9 @@ def _scale(method, gains, budget):
 
 def _run_chunks(scenario, method, threads):
     """Chunk results in chunk order. Worker j of T runs chunks j, j + T, ...
-    through one workspace of its own, so no chunk allocates its large arrays
-    and the schedule cannot change a result."""
+    through one workspace of its own, a chunk's channel plus one sub-batch's
+    arrays, so no chunk allocates its large arrays and the schedule cannot
+    change a result."""
     n = scenario.n_realizations
     if n < MIN_REALIZATIONS:
         raise ValueError(f"need at least {MIN_REALIZATIONS} realizations")

@@ -114,10 +114,11 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
 
 
 def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
-                 p_lo: float) -> None:
+                 p_lo: float, transmit_power: float) -> None:
     """Raise ValidationError unless ``name`` is a recipe that sweeps
     ``sweep.variable`` over values it can run at the configured LO power
-    ``p_lo``; config validation and ``run_recipe`` both call this.
+    ``p_lo`` and user power ``transmit_power``; config validation and
+    ``run_recipe`` both call this.
 
     A sensor sweep rounds each value to a count, which must be >= 1, and
     for ``rate-vs-M`` (zero forcing) above ``n_users``. The sweep is
@@ -126,6 +127,9 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
     slope vanish, so ``p_lo`` must be positive wherever the recipe reads it:
     everywhere but ``sn-vs-ratio``, which builds its own operating points,
     and a ``lo_power_w`` sweep of ``rate-vs-parameter``, which sets it.
+    ``power-scaling`` reports its bound relative to the asymptotic rate,
+    which is 0 without user power, so there ``transmit_power`` must be
+    positive.
     """
     if name is None:
         raise ValidationError("recipe", "no recipe selected")
@@ -149,11 +153,16 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
         raise ValidationError("operating_point.lo_power_w",
                               f"must be > 0 for recipe {name}, which needs an "
                               "RF LO drive")
+    if transmit_power <= 0.0 and name == "power-scaling":
+        raise ValidationError("array.transmit_power",
+                              f"must be > 0 for recipe {name}, which divides "
+                              "by the asymptotic rate")
 
 
 def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
     name = config.recipe
-    check_recipe(name, config.sweep, config.n_users, config.op.p_lo)
+    check_recipe(name, config.sweep, config.n_users, config.op.p_lo,
+                 config.transmit_power)
     try:
         result = RECIPES[name](config, threads)
     except (ValidationError, RecipeError):

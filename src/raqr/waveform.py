@@ -18,12 +18,10 @@ detection bandwidth B reproduces the band-integrated budget terms.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -401,51 +399,3 @@ def _series(samples, name: str, dtype) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {x.shape}")
     return x
 
-
-# --------------------------------------------------------------------------
-# columnar dump with JSON sidecar
-
-
-_COLUMNS = ("t", "v_exact", "v_approx", "sn", "cn")
-
-
-def write_waveform(path, wf: Waveform) -> None:
-    """Columnar little-endian float64 dump plus a JSON parameter sidecar.
-
-    Column order: time, exact voltage, approximated voltage, the
-    signal-dependent noise component, the LO-level noise component. Each
-    column is stored contiguously.
-    """
-    path = Path(path)
-    data = np.stack([getattr(wf, name) for name in _COLUMNS])
-    data.astype("<f8").tofile(path)
-    sidecar = {
-        "columns": list(_COLUMNS),
-        "n_samples": len(wf),
-        "v_dc": wf.v_dc,
-        "f_delta": wf.f_delta,
-        "sample_rate": wf.sample_rate,
-        "params": wf.params,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def read_waveform(path) -> Waveform:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    n = sidecar["n_samples"]
-    data = np.fromfile(path, dtype="<f8").reshape(len(_COLUMNS), n)
-    cols = dict(zip(sidecar["columns"], data))
-    return Waveform(
-        t=cols["t"],
-        v_exact=cols["v_exact"],
-        v_approx=cols["v_approx"],
-        sn=cols["sn"],
-        cn=cols["cn"],
-        v_dc=sidecar["v_dc"],
-        f_delta=sidecar["f_delta"],
-        sample_rate=sidecar["sample_rate"],
-        params=sidecar["params"],
-    )

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -99,3 +100,20 @@ def log_slope(f, x, tau=0.03):
         return (f(x * math.exp(t)) - f(x * math.exp(-t))) / (2.0 * t)
 
     return (4.0 * d(tau / 2.0) - d(tau)) / (3.0 * x)
+
+
+def peak_bytes(call):
+    """Peak of the memory ``call`` allocates, traced on a second call so
+    that one-time set-up does not count."""
+    call()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -555,6 +555,27 @@ class TestRunRecipe:
                        "--out", str(tmp_path / "out")])
         assert rc == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("recipe, variable", [
+        (recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
+        for variable in variables])
+    def test_zero_transmit_power_is_rejected_or_runs(self, tmp_path, capsys,
+                                                     recipe, variable):
+        path = write_config(
+            tmp_path,
+            f"recipe: {recipe}\narray:\n  transmit_power: 0.0\n"
+            f"  realizations: 100\nsweep:\n  variable: {variable}\n"
+            + ZERO_LO_SWEEPS[variable],
+        )
+        rc = cli.main(["validate", "--config", str(path)])
+        err = capsys.readouterr().err
+        if rc == 2:
+            assert err.startswith("error: array.transmit_power: "), err
+            return
+        assert rc == 0, err
+        rc = cli.main(["run", recipe, "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+
     def test_sweep_variable_mismatch(self, tmp_path):
         # selecting a recipe checks its sweep when the config loads
         with pytest.raises(ValidationError, match="sweep.variable"):

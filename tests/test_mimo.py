@@ -7,6 +7,7 @@ import inspect
 import math
 import sys
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from raqr import defaults, mimo
 from raqr.frontend import baseband_gains, noise_budget, with_powers
 
-from conftest import rel_err, run_fresh
+from conftest import peak_bytes, rel_err, run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -736,6 +737,31 @@ class TestMonteCarlo:
         assert abs(slope + 1.0) < 0.05
 
 
+def whole_chunk_stats(scenario, method, chunk_index, n):
+    """The engine's chunk statistics with the whole chunk drawn, phased and
+    combined as one (n, M, K) batch: the reference that the sub-batched
+    engine reproduces byte for byte, dtype included."""
+    rng = np.random.Generator(np.random.Philox(key=[scenario.seed, chunk_index]))
+    h, s, b, w = mimo._draw(rng, (n,), scenario)
+    a = mimo._phased(scenario, h, out=h)
+    ps = (np.sqrt(scenario.p) * s)[..., None]
+    cols = np.stack([b * (a @ ps)[..., 0], w], axis=-1)
+    t, z = mimo._project(a, method, cols)
+    t_diag = np.diagonal(t, axis1=-2, axis2=-1)
+    ui = (t @ ps)[..., 0] - t_diag * ps[..., 0]
+    energy = mimo._abs_sq(np.stack([t_diag, ui, z[..., 0], z[..., 1]])).sum(axis=1)
+    return np.vstack([t_diag.sum(axis=0), energy])
+
+
+def _outcome(call):
+    """A call's result as (dtype, bytes), or the type of what it raised."""
+    try:
+        x = call()
+    except (mimo.RankDeficient, mimo.DimensionError) as exc:
+        return type(exc)
+    return x.dtype, x.tobytes()
+
+
 class TestChunkWorkspace:
     """The engine draws and combines into one reused workspace per worker."""
 
@@ -788,6 +814,38 @@ class TestChunkWorkspace:
         )
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 10_000
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(2, 64), method=st.sampled_from(["MRC", "ZF"]),
+           n=st.one_of(st.integers(1, mimo._SUB - 1), st.integers(1, mimo.CHUNK)),
+           theta=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_sub_batches_reproduce_the_whole_chunk(
+            self, m, method, n, theta, seed, data):
+        k = data.draw(st.integers(1, m - 1))
+        sc = defaults.default_scenario(m, k, theta_arrival=theta, seed=seed)
+        want = _outcome(lambda: whole_chunk_stats(sc, method, 2, n))
+        for sub in (mimo._SUB, 1, 7, mimo.CHUNK):
+            with mock.patch.object(mimo, "_SUB", sub):
+                ws = mimo._workspace(sc, mimo.CHUNK)
+            got = _outcome(lambda: mimo._chunk_stats(sc, method, 2, n, ws)[0])
+            assert got == want, sub
+
+    def test_workspace_is_little_more_than_the_channel(self):
+        m, k = 100, 10
+        sc = defaults.default_scenario(m, k)
+        ws = mimo._workspace(sc, mimo.CHUNK)
+        # the channel's whole-chunk conjugate and float scratch made 2.64x
+        assert sum(x.nbytes for x in ws.values()) <= 1.3 * mimo.CHUNK * m * k * 16
+
+    @pytest.mark.parametrize("method", ["MRC", "ZF"])
+    def test_warm_chunk_allocates_little(self, method):
+        m, k = 100, 10
+        sc = defaults.default_scenario(m, k, seed=1)
+        ws = mimo._workspace(sc, mimo.CHUNK)
+        peak = peak_bytes(lambda: mimo._chunk_stats(sc, method, 0, mimo.CHUNK, ws))
+        # whole-chunk temporaries peaked at 0.50x the channel's bytes
+        assert peak <= 0.3 * mimo.CHUNK * m * k * 16
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Time-domain chain: simulation, decomposition, demodulation, file dumps."""
+"""Time-domain chain: simulation, decomposition, demodulation."""
 
 import dataclasses
 import math
@@ -32,13 +32,11 @@ from raqr.waveform import (
     demodulate_iq,
     down_convert,
     effective_gain,
-    read_waveform,
     settling_samples,
     simulate_waveform,
-    write_waveform,
 )
 
-from conftest import component_sn_variance
+from conftest import component_sn_variance, peak_bytes
 
 FS = 16 * 75e3
 
@@ -426,23 +424,6 @@ class TestReferenceEquality:
                               64 / FS, FS, seed=0)
 
 
-def _peak_bytes(call):
-    """Peak of the memory ``call`` allocates, traced on a second call so
-    that one-time set-up does not count."""
-    call()
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 class TestAllocation:
     """The chain builds little beyond what it returns: simulate_waveform's
     five output columns plus the noise draw, and demodulate_iq's complex
@@ -455,13 +436,13 @@ class TestAllocation:
     def test_simulation_peak(self, system, chain, scheme):
         op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
         user = defaults.weak_user(20.0, op)
-        peak = _peak_bytes(lambda: simulate_waveform(
+        peak = peak_bytes(lambda: simulate_waveform(
             op, chain, user, system, self.N / FS, FS, seed=1))
         assert peak <= 6.5 * 8 * self.N
 
     def test_demodulation_peak(self, rng):
         v = rng.normal(0.0, 1.0, self.N)
-        peak = _peak_bytes(lambda: demodulate_iq(v, 75e3, FS))
+        peak = peak_bytes(lambda: demodulate_iq(v, 75e3, FS))
         assert peak <= 4.5 * 8 * self.N
 
     def test_caches_retain_one_cosine_and_one_sine(self, system, chain, bcod):
@@ -659,38 +640,3 @@ class TestEndToEnd:
         a60 = amp(dataclasses.replace(bcod, phi_l=math.pi / 3.0))
         assert a60 / a0 == pytest.approx(0.5, rel=1e-3)
 
-
-class TestFileDump:
-    def test_roundtrip_is_exact(self, system, diod, chain, tmp_path):
-        user = defaults.weak_user(20.0, diod)
-        wf = simulate_waveform(diod, chain, user, system, 256 / FS, FS, seed=5)
-        path = tmp_path / "wf.bin"
-        write_waveform(path, wf)
-        rt = read_waveform(path)
-        for name in ("t", "v_exact", "v_approx", "sn", "cn"):
-            assert np.array_equal(getattr(wf, name), getattr(rt, name))
-        assert rt.v_dc == wf.v_dc
-        assert rt.f_delta == wf.f_delta
-        assert rt.sample_rate == wf.sample_rate
-        assert rt.params == wf.params
-
-    def test_sidecar_records_run_parameters(self, system, bcod, chain, tmp_path):
-        import json
-
-        user = defaults.weak_user(20.0, bcod)
-        wf = simulate_waveform(bcod, chain, user, system, 256 / FS, FS, seed=5)
-        write_waveform(tmp_path / "wf.bin", wf)
-        side = json.loads((tmp_path / "wf.bin.json").read_text())
-        assert side["columns"] == ["t", "v_exact", "v_approx", "sn", "cn"]
-        assert side["n_samples"] == 256
-        assert side["params"]["scheme"] == "BCOD"
-        assert side["params"]["seed"] == 5
-
-    def test_file_is_plain_little_endian_doubles(self, system, diod, quiet, tmp_path):
-        user = defaults.weak_user(20.0, diod)
-        wf = simulate_waveform(diod, quiet, user, system, 64 / FS, FS, seed=5)
-        path = tmp_path / "wf.bin"
-        write_waveform(path, wf)
-        raw = np.fromfile(path, dtype="<f8")
-        assert raw.size == 5 * 64
-        assert np.array_equal(raw[:64], wf.t)
