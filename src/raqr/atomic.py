@@ -90,8 +90,10 @@ class DriveConfig:
     delta_rf: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("omega_p", "omega_c", "omega_rf"):
-            if np.any(np.less(getattr(self, name), 0)):
+        for name, x in vars(self).items():
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} must be finite")
+            if name.startswith("omega") and np.less(x, 0).any():
                 raise ValueError(f"{name} must be >= 0")
 
 
@@ -204,17 +206,25 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
     ||L v|| / ||L|| still exceeds ``RESIDUAL_RTOL``, an SVD diagnostic
     decides between a genuinely degenerate null space and plain failure.
 
-    A stack of drives is solved in blocks of at most ``BLOCK`` and gives a
-    stack of density matrices, each bit-identical to its own single-drive
-    solve; one member that fails raises for the whole stack.
+    A stack of drives gives a stack of density matrices, each bit-identical
+    to its own single-drive solve; one member that fails raises for the
+    whole stack. Members that are equal byte for byte (so 0.0 and -0.0 stay
+    apart) share one solve: the distinct ones are solved in blocks of at
+    most ``BLOCK`` and then spread back over the stack.
     """
     shape = np.broadcast(*vars(drive).values()).shape
     flat = {k: np.broadcast_to(x, shape).ravel() for k, x in vars(drive).items()}
-    v = np.empty((np.prod(shape, dtype=int), 16), dtype=complex)
+    keys = np.empty(np.prod(shape, dtype=int), dtype=[(k, x.dtype) for k, x in flat.items()])
+    for k, x in flat.items():
+        keys[k] = x
+    _, first, inverse = np.unique(
+        keys.view(np.dtype((np.void, keys.itemsize))), return_index=True, return_inverse=True)
+    distinct = {k: x[first] for k, x in flat.items()}
+    v = np.empty((len(first), 16), dtype=complex)
     for lo in range(0, len(v), BLOCK):
-        block = DriveConfig(**{k: x[lo:lo + BLOCK] for k, x in flat.items()})
+        block = DriveConfig(**{k: x[lo:lo + BLOCK] for k, x in distinct.items()})
         v[lo:lo + BLOCK] = _null_vectors(build_liouvillian(system, block))
-    return _finalize(v.reshape(shape + (16,)))
+    return DensityMatrix(_finalize(v).matrix[inverse].reshape(shape + (4, 4)))
 
 
 def _null_vectors(liou: np.ndarray) -> np.ndarray:
@@ -269,11 +279,23 @@ def _null_vectors(liou: np.ndarray) -> np.ndarray:
 
 
 def _finalize(v: np.ndarray) -> DensityMatrix:
+    """Density matrices of a stack of solver vectors, Hermitian by construction.
+
+    Raises ``NonPhysical`` where the smallest eigenvalue of any member lies
+    below ``DensityMatrix.EIG_FLOOR``. One batched Cholesky factorization of
+    rho - EIG_FLOOR/2 * I certifies the whole stack: it succeeds only if
+    every eigenvalue exceeds EIG_FLOOR/2 up to rounding (~1e-15), so no
+    member it passes could fail the floor. Only when it fails does
+    ``eigvalsh`` decide, which keeps every decision that of the floor.
+    """
     rho = v.reshape(v.shape[:-1] + (4, 4))
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0  # strip solver round-off asymmetry
-    low = np.linalg.eigvalsh(rho).min(initial=np.inf)
-    if low < DensityMatrix.EIG_FLOOR:
-        raise NonPhysical(f"steady state has eigenvalue {low:.3e}")
+    try:
+        np.linalg.cholesky(rho - 0.5 * DensityMatrix.EIG_FLOOR * np.eye(4))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(rho).min(initial=np.inf)
+        if low < DensityMatrix.EIG_FLOOR:
+            raise NonPhysical(f"steady state has eigenvalue {low:.3e}") from None
     return DensityMatrix(rho)
 
 

@@ -321,6 +321,36 @@ class TestOracleEquivalence:
         assert worst <= 1e-9
 
 
+def _stack(rows):
+    """A 1-D stack of drives from (omega_p, omega_c, omega_rf, delta_p,
+    delta_c, delta_rf) rows."""
+    cols = np.array(rows).T
+    return DriveConfig(
+        omega_p=cols[0], omega_c=cols[1], omega_rf=cols[2],
+        delta_p=cols[3], delta_c=cols[4], delta_rf=cols[5],
+    )
+
+
+def _assert_members_match(system, stack, members):
+    """The stack's solve equals each member's own call, or, where any member
+    has no physical steady state, raises for the whole stack."""
+    singles = []
+    for drive in members:
+        try:
+            singles.append(steady_state_numeric(system, drive).matrix)
+        except (DegenerateNullSpace, NonPhysical):
+            singles.append(None)
+    if any(m is None for m in singles):
+        with pytest.raises((DegenerateNullSpace, NonPhysical)):
+            steady_state_numeric(system, stack)
+        return
+    rho = steady_state_numeric(system, stack)
+    assert rho.matrix.shape == (len(members), 4, 4)
+    for i, single in enumerate(singles):
+        assert np.array_equal(rho.matrix[i], single)
+        assert rho.rho21[i] == complex(single[1, 0])
+
+
 def _members(drive, n):
     """The single drives of a 1-D stack of n drives."""
     return [
@@ -353,46 +383,82 @@ class TestDriveStack:
     )
     def test_each_member_matches_its_own_call(self, drives, gamma):
         sys_ = defaults.cesium_system(gamma=gamma, gamma3=1e4, gamma4=2e4)
-        cols = np.array(drives).T
-        stack = DriveConfig(
-            omega_p=cols[0], omega_c=cols[1], omega_rf=cols[2],
-            delta_p=cols[3], delta_c=cols[4], delta_rf=cols[5],
-        )
+        stack = _stack(drives)
         members = _members(stack, len(drives))
         liou = build_liouvillian(sys_, stack)
         assert liou.shape == (len(drives), 16, 16)
         for i, drive in enumerate(members):
             assert np.array_equal(liou[i], build_liouvillian(sys_, drive))
+        _assert_members_match(sys_, stack, members)
 
-        singles = []
-        for drive in members:
-            try:
-                singles.append(steady_state_numeric(sys_, drive).matrix)
-            except (DegenerateNullSpace, NonPhysical):
-                singles.append(None)
-        if any(m is None for m in singles):
-            with pytest.raises((DegenerateNullSpace, NonPhysical)):
-                steady_state_numeric(sys_, stack)
-            return
-        rho = steady_state_numeric(sys_, stack)
-        assert rho.matrix.shape == (len(drives), 4, 4)
-        for i, single in enumerate(singles):
-            assert np.array_equal(rho.matrix[i], single)
-            assert rho.rho21[i] == complex(single[1, 0])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pool=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e9),
+                st.floats(0.0, 1e8),
+                st.floats(0.0, 1e9),
+                *[st.sampled_from([0.0, -0.0]) | st.floats(-1e8, 1e8)] * 3,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=16),
+        gamma=st.floats(0.0, 1e6),
+    )
+    def test_repeated_members_match_their_own_calls(self, pool, picks, gamma):
+        """Members drawn with repeats from a small pool share their solves;
+        each must still equal its own single-drive call, and one member
+        with no physical steady state must still fail the whole stack."""
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=1e4, gamma4=2e4)
+        stack = _stack([pool[i % len(pool)] for i in picks])
+        _assert_members_match(sys_, stack, _members(stack, len(picks)))
 
     def test_stack_across_block_edges(self, system, diod):
+        # once as distinct drives, once with every drive repeated: the
+        # distinct drives span three blocks either way
         n = 2 * atomic.BLOCK + 1
-        drive = defaults.drive_for(
-            diod, system,
-            omega_rf=np.geomspace(1e5, 1e11, n),
-            delta_rf=np.linspace(-2e7, 2e7, n),
-        )
-        rho = steady_state_numeric(system, drive)
-        assert rho.matrix.shape == (n, 4, 4)
-        for i, single in enumerate(_members(drive, n)):
-            assert np.array_equal(
-                rho.matrix[i], steady_state_numeric(system, single).matrix
+        for repeats in (1, 2):
+            drive = defaults.drive_for(
+                diod, system,
+                omega_rf=np.tile(np.geomspace(1e5, 1e11, n), repeats),
+                delta_rf=np.tile(np.linspace(-2e7, 2e7, n), repeats),
             )
+            rho = steady_state_numeric(system, drive)
+            assert rho.matrix.shape == (repeats * n, 4, 4)
+            for i, single in enumerate(_members(drive, repeats * n)):
+                assert np.array_equal(
+                    rho.matrix[i], steady_state_numeric(system, single).matrix
+                )
+
+    @pytest.mark.parametrize(
+        "omega_rf, delta_rf, distinct",
+        [
+            ([1e6, 2e6, 1e6, 1e6, 2e6], 0.0, 2),
+            ([1e6] * 4, [0.0, -0.0, 0.0, -0.0], 2),  # zeros compare by bytes
+            (np.tile([1e6, 2e6, 3e6], atomic.BLOCK), 0.0, 3),
+            (np.geomspace(1e5, 1e9, atomic.BLOCK + 3), 0.0, atomic.BLOCK + 3),
+            (np.full((3, 2), 1e6), [0.0, 5e5], 2),
+            (np.zeros(0), 0.0, 0),
+        ],
+    )
+    def test_one_solve_per_distinct_drive(
+        self, system, monkeypatch, omega_rf, delta_rf, distinct
+    ):
+        """One solve plus two refinement passes per distinct member."""
+        solved = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            solved.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        drive = DriveConfig(
+            omega_p=1e7, omega_c=1e6, omega_rf=np.asarray(omega_rf), delta_rf=delta_rf
+        )
+        steady_state_numeric(system, drive)
+        assert sum(solved) == 3 * distinct
 
     def test_diagnostic_path_recovers_each_member(self, diod, monkeypatch):
         """With the direct solve failing, every member goes to the SVD
@@ -400,10 +466,11 @@ class TestDriveStack:
         result and the direct solve's state. Transit and Rydberg decay keep
         L well conditioned, so the two routes can be held to 1e-9."""
         system = defaults.cesium_system(gamma=2e3, gamma3=1e4, gamma4=2e4)
-        n = 9
+        pick = [0, 1, 0, 2, 3, 0, 4, 0, 4]  # five distinct drives, four repeats
+        n = len(pick)
         drive = defaults.drive_for(
-            diod, system, omega_rf=np.geomspace(1e6, 1e10, n),
-            delta_rf=np.linspace(-1e6, 1e6, n),
+            diod, system, omega_rf=np.geomspace(1e6, 1e10, 5)[pick],
+            delta_rf=np.linspace(-1e6, 1e6, 5)[pick],
         )
         direct = steady_state_numeric(system, drive).rho21
 
@@ -432,8 +499,9 @@ class TestDriveStack:
             DriveConfig(omega_p=1e7, omega_c=np.array([1e6, -1.0]), omega_rf=0.0)
 
     def test_empty_stack(self, system):
-        drive = DriveConfig(omega_p=1e7, omega_c=1e6, omega_rf=np.zeros(0))
-        assert steady_state_numeric(system, drive).matrix.shape == (0, 4, 4)
+        for shape in ((0,), (3, 0)):
+            drive = DriveConfig(omega_p=1e7, omega_c=1e6, omega_rf=np.zeros(shape))
+            assert steady_state_numeric(system, drive).matrix.shape == shape + (4, 4)
 
 
 class TestDensityMatrixValidation:
@@ -451,14 +519,22 @@ class TestDensityMatrixValidation:
         DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)).validate()
 
     def test_steady_state_uses_the_same_eigenvalue_floor(self):
-        # a solver vector whose smallest eigenvalue lies between the floor
-        # (-1e-8) and the looser -1e-6 that the steady state once accepted
-        def vector(low):
-            return np.diag([1.0 - low, 0.0, 0.0, low]).astype(complex).ravel()
-
-        with pytest.raises(NonPhysical):
-            atomic._finalize(vector(-1e-7))
-        assert atomic._finalize(vector(-1e-9)).matrix[3, 3] == -1e-9
+        """Solver vectors whose smallest eigenvalue lies on either side of
+        the floor (-1e-8) and of the Cholesky certificate's shift (-5e-9),
+        singly and as stacks that mix accepted members with a rejected one:
+        each decision is that of ``eigvalsh`` against the floor. -1e-7 lies
+        between the floor and the looser -1e-6 that the steady state once
+        accepted."""
+        lows = (-1e-7, -1.01e-8, -0.99e-8, -0.6e-8, -0.5e-8, -0.4e-8, -1e-9, 0.0)
+        for stack in [(low,) for low in lows] + [lows, lows[2:], lows[:0:-1]]:
+            v = np.array([np.diag([1.0 - low, 0.0, 0.0, low]).ravel() for low in stack],
+                         dtype=complex)
+            low = np.linalg.eigvalsh(v.reshape(-1, 4, 4)).min()
+            if low < DensityMatrix.EIG_FLOOR:
+                with pytest.raises(NonPhysical, match=f"eigenvalue {low:.3e}$"):
+                    atomic._finalize(v)
+            else:
+                assert np.array_equal(atomic._finalize(v).matrix[:, 3, 3], stack)
 
 
 class TestValidation:
@@ -469,6 +545,17 @@ class TestValidation:
     def test_negative_rabi_rejected(self):
         with pytest.raises(ValueError):
             DriveConfig(omega_p=-1.0, omega_c=0.0, omega_rf=0.0)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stack"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["omega_p", "omega_c", "omega_rf", "delta_p", "delta_c", "delta_rf"]
+    )
+    def test_non_finite_drive_rejected(self, name, bad, stacked):
+        fields = dict(omega_p=1e7, omega_c=1e6, omega_rf=1e6)
+        fields[name] = np.array([1e6, bad, 2e6]) if stacked else bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            DriveConfig(**fields)
 
     def test_atomic_system_requires_positive_cell(self):
         with pytest.raises(ValueError):

@@ -576,6 +576,22 @@ class TestRunRecipe:
                        "--out", str(tmp_path / "out")])
         assert rc == 0, capsys.readouterr().err
 
+    # the sweep's span and its conversion to rad/s overflow, by design
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_detuning_is_a_named_error(self, tmp_path, capsys):
+        # ±1e308 kHz is finite in the config but not once converted to rad/s
+        path = write_config(
+            tmp_path,
+            "recipe: detuning-loss\nsweep:\n  variable: detuning_khz\n"
+            "  start: -1.0e+308\n  stop: 1.0e+308\n  points: 3\n  scale: linear\n",
+        )
+        rc = cli.main(["run", "detuning-loss", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: recipe detuning-loss: delta_rf must be finite\n")
+
     def test_sweep_variable_mismatch(self, tmp_path):
         # selecting a recipe checks its sweep when the config loads
         with pytest.raises(ValidationError, match="sweep.variable"):
