@@ -8,7 +8,10 @@ the ``absorption_strength`` (density, probe dipole, linewidth, cell length)
 and the drive-dependent denominator. Probe attenuation, the conversion slope
 kappa, every log-derivative used by the optimizer, the optimizer's
 stationary points and the atomic ``DriveConfig`` (``drive_for``) are
-expressed in them.
+expressed in them. ``SmallSignal`` is the one small-signal evaluation of an
+operating point: the transmitted probe power P1, kappa and their p0
+log-derivatives from a single ``drive_terms``, which the gain table, the
+noise functional, its p0 derivative and the linearized waveform each read.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -264,38 +268,68 @@ def probe_power(p0: float, chi_imag, system: AtomicSystem):
     return power
 
 
-def p1_of_lo(op: OperatingPoint, system: AtomicSystem) -> float:
-    """Transmitted probe power at the LO-only operating point, closed form.
+class SmallSignal:
+    """One small-signal evaluation of an operating point: the transmitted
+    probe power P1 at the LO-only point, the conversion slope kappa and
+    their p0 log-derivatives, all from one ``drive_terms``. Each is formed
+    when read, and the terms when first needed, so a reader raises only what
+    the quantities it reads raise.
 
-    P1 = P0 exp(-strength * a34 P_LO / denom) with the ``drive_terms``;
-    monotone decreasing in P_LO and equal to P0 at P_LO = 0. Exact at
+    P1 = P0 exp(-strength * a34 P_LO / denom), monotone decreasing in P_LO
+    and P0 at P_LO = 0; kappa = (2 strength mu34 / hbar) * sqrt(ell) * s *
+    (u + s) / denom^2 in (V/m)^-1, 0 at P_LO = 0. kappa equals
+    (pi d mu34 / lambda_p hbar) * Im chi'(Omega_LO); the definitional
+    cross-check against ``chi_prime_resonant`` is a test. Both are exact at
     resonance with the default relaxation set.
     """
-    if op.p0 <= 0:
-        raise ZeroProbe("p0 must be > 0")
-    if op.p_lo == 0.0:
-        return op.p0
-    t = drive_terms(op, system)
-    return op.p0 * math.exp(-t.strength * t.a34 * op.p_lo / t.denom)
+
+    def __init__(self, op: OperatingPoint, system: AtomicSystem):
+        if op.p0 <= 0:
+            raise ZeroProbe("p0 must be > 0")
+        self.op, self.system = op, system
+
+    @cached_property
+    def terms(self) -> DriveTerms:
+        return drive_terms(self.op, self.system)
+
+    @property
+    def p1(self) -> float:
+        if self.op.p_lo == 0.0:
+            return self.op.p0
+        t = self.terms
+        return self.op.p0 * math.exp(-t.strength * t.a34 * self.op.p_lo / t.denom)
+
+    @property
+    def kappa(self) -> float:
+        if self.op.p_lo == 0.0:
+            return 0.0
+        t = self.terms
+        return (
+            2.0 * t.strength * self.system.mu34 / hbar * math.sqrt(t.ell) * t.s
+            * (t.u + t.s) / t.denom**2
+        )
+
+    @property
+    def dlnp1_dp0(self) -> float:
+        a12, _, _, s, u, lo, strength, denom = self.terms
+        return (1.0 / self.op.p0
+                + strength * lo * a12 * (4.0 * s + 2.0 * (lo + u)) / denom**2)
+
+    @property
+    def dlnkappa_dp0(self) -> float:
+        a12, _, _, s, u, lo, _, denom = self.terms
+        ddenom_dp0 = a12 * (4.0 * s + 2.0 * (lo + u))
+        return 1.0 / self.op.p0 + a12 / (u + s) - 2.0 * ddenom_dp0 / denom
+
+
+def p1_of_lo(op: OperatingPoint, system: AtomicSystem) -> float:
+    """Transmitted probe power at the LO-only operating point, closed form."""
+    return SmallSignal(op, system).p1
 
 
 def kappa_of_point(op: OperatingPoint, system: AtomicSystem) -> float:
-    """Conversion slope kappa(Omega_LO) in (V/m)^-1, closed form.
-
-    kappa = (2 strength mu34 / hbar) * sqrt(ell) * s * (u + s) / denom^2
-    with the ``drive_terms``. Equals (pi d mu34 / lambda_p hbar) *
-    Im chi'(Omega_LO); the definitional cross-check against
-    ``chi_prime_resonant`` is a test.
-    """
-    if op.p0 <= 0:
-        raise ZeroProbe("p0 must be > 0")
-    if op.p_lo == 0.0:
-        return 0.0
-    t = drive_terms(op, system)
-    return (
-        2.0 * t.strength * system.mu34 / hbar * math.sqrt(t.ell) * t.s * (t.u + t.s)
-        / t.denom**2
-    )
+    """Conversion slope kappa(Omega_LO) in (V/m)^-1, closed form."""
+    return SmallSignal(op, system).kappa
 
 
 def kappa_from_chi_prime(op: OperatingPoint, system: AtomicSystem) -> float:
@@ -305,29 +339,27 @@ def kappa_from_chi_prime(op: OperatingPoint, system: AtomicSystem) -> float:
     return math.pi * system.l_cell * system.mu34 / (system.lambda_p * hbar) * im
 
 
-# log-derivatives of the closed forms (consumed by the optimizer and the
-# finite-difference acceptance test)
+# log-derivatives of the closed forms (checked against finite differences
+# by the acceptance test); their P0 entries are ``SmallSignal``'s
 
 
 def dlnp1(op: OperatingPoint, system: AtomicSystem) -> tuple[float, float, float]:
     """(d ln P1 / d P_LO, d ln P1 / d Pc, d ln P1 / d P0), per watt."""
-    a12, a23, a34, s, u, lo, strength, denom = drive_terms(op, system)
+    small = SmallSignal(op, system)
+    _, a23, a34, s, u, lo, strength, denom = small.terms
     d_plo = -strength * a34 * 2.0 * s * (s + u) / denom**2
     d_pc = strength * lo * 2.0 * s * a23 / denom**2
-    d_p0 = 1.0 / op.p0 + strength * lo * a12 * (4.0 * s + 2.0 * (lo + u)) / denom**2
-    return d_plo, d_pc, d_p0
+    return d_plo, d_pc, small.dlnp1_dp0
 
 
 def dlnkappa(op: OperatingPoint, system: AtomicSystem) -> tuple[float, float, float]:
     """(d ln kappa / d P_LO, d ln kappa / d Pc, d ln kappa / d P0)."""
-    a12, a23, a34, s, u, lo, _, denom = drive_terms(op, system)
-    w = u + s
+    small = SmallSignal(op, system)
+    _, a23, a34, s, u, lo, _, denom = small.terms
     ddenom_dlo = 2.0 * s + system.gamma2**2
-    ddenom_dp0 = a12 * (4.0 * s + 2.0 * (lo + u))
     d_plo = a34 * (1.0 / (2.0 * lo) - 2.0 * ddenom_dlo / denom)
-    d_pc = a23 * (1.0 / w - 4.0 * s / denom)
-    d_p0 = 1.0 / op.p0 + a12 / w - 2.0 * ddenom_dp0 / denom
-    return d_plo, d_pc, d_p0
+    d_pc = a23 * (1.0 / (u + s) - 4.0 * s / denom)
+    return d_plo, d_pc, small.dlnkappa_dp0
 
 
 def envelope_approx_error(ratio_db: float, f_delta: float, n_periods: int) -> float:
@@ -396,7 +428,7 @@ def baseband_gains(
 
     rho    = 4 G Z0 alpha^2 p_g^2 k^2,  rho_sn = G Z0 alpha p_sn^2 k^2,
     Phi    = e^{-j theta_LO} cos(varphi),  Phi_sn = e^{-j theta_LO},
-    with the powers from ``scheme_powers``, k = ``kappa_of_point`` and
+    with the powers from ``scheme_powers``, k = ``SmallSignal.kappa`` and
     varphi = ``demod_phase(op)``.
     """
     phi_sn = cmath.exp(-1j * op.theta_lo)
@@ -406,8 +438,9 @@ def baseband_gains(
         raise MissingLocalBeam("balanced detection requires pl > 0")
     else:
         phi = math.cos(demod_phase(op)) * phi_sn
-    (p_g_sq, p_sn_sq, p_cn), _, _ = scheme_powers(op, p1_of_lo(op, system))
-    kap = kappa_of_point(op, system)
+    small = SmallSignal(op, system)
+    (p_g_sq, p_sn_sq, p_cn), _, _ = scheme_powers(op, small.p1)
+    kap = small.kappa
     gz = chain.g * chain.z0
     return BasebandGains(
         rho=4.0 * gz * chain.alpha**2 * p_g_sq * kap**2,

@@ -23,11 +23,9 @@ from .frontend import (
     DetectionChain,
     NoiseBudget,
     OperatingPoint,
+    SmallSignal,
     demod_phase,
-    dlnkappa,
-    dlnp1,
     drive_terms,
-    kappa_of_point,
     noise_budget,
     p1_of_lo,
     scheme_powers,
@@ -120,11 +118,12 @@ def normalized_noise(
     """Evaluate the noise functional at an operating point:
     W = (w_sn p_sn^2/p_g^2 + (w_cn p_cn + w_tn) / (p_g^2 kappa^2)) / |Phi|^2
     + w_qpn, with |Phi|^2 = cos^2(``demod_phase(op)``) as in the gain table."""
-    kappa = kappa_of_point(op, system)
+    small = SmallSignal(op, system)
+    kappa = small.kappa
     if kappa == 0.0 and (weights.dc_shot + weights.thermal) > 0.0:
         raise DivergentNoise("transduction slope is zero; DC-shot and thermal "
                              "terms are unbounded")
-    (pg_sq, _, pcn), (num, den), _ = scheme_powers(op, p1_of_lo(op, system))
+    (pg_sq, _, pcn), (num, den), _ = scheme_powers(op, small.p1)
     if pg_sq == 0.0:
         # probe fully absorbed (or no local beam): infinitely noisy, not an
         # error, so grids and line searches can step through opaque regions
@@ -146,12 +145,16 @@ def _fixed_point(op, system, candidate_of_gamma, update):
     """Iterate the load factor e_g - e_cn (1 direct, pl / (pl + p1)
     balanced) to self-consistency: it depends on the transmitted probe power
     at the optimum being solved for, so the closed form is refined until the
-    relative change is < 1e-8, or MaxIterations after 50 passes.
+    relative change is < 1e-8. The iteration runs while each pass shrinks
+    the change; once one does not (it can fall into a 2-cycle), or after 50
+    passes, bisection finds a root of map(g) - g to |map(g) - g| <= 1e-8 g
+    on [0, 1], which brackets it because the load factor lies in [0, 1].
+    MaxIterations after 100 bisection steps.
     """
     def load(o):
         return -scheme_powers(o, p1_of_lo(o, system))[2][2]
 
-    gamma = load(op)
+    gamma, change = load(op), math.inf
     for _ in range(50):
         result = candidate_of_gamma(gamma)
         if result.clamped:
@@ -159,9 +162,18 @@ def _fixed_point(op, system, candidate_of_gamma, update):
         gamma_new = load(update(op, result.power))
         if abs(gamma_new - gamma) <= 1e-8 * gamma:
             return candidate_of_gamma(gamma_new)
-        gamma = gamma_new
+        if abs(gamma_new - gamma) >= change:
+            break
+        gamma, change = gamma_new, abs(gamma_new - gamma)
+    lo, hi = 0.0, 1.0  # map(lo) - lo >= 0 >= map(hi) - hi
+    for _ in range(100):
+        gamma = 0.5 * (lo + hi)
+        excess = load(update(op, candidate_of_gamma(gamma).power)) - gamma
+        if abs(excess) <= 1e-8 * gamma:
+            return candidate_of_gamma(gamma)
+        lo, hi = (gamma, hi) if excess > 0.0 else (lo, gamma)
     raise MaxIterations(
-        f"load factor not self-consistent after 50 passes; last {gamma:.6e}")
+        f"load factor not self-consistent after 100 bisection steps; last {gamma:.6e}")
 
 
 def _pc_stationary(terms, system, gamma):
@@ -210,10 +222,6 @@ def optimal_plo_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
                         lambda o, v: with_powers(o, p_lo=v))
 
 
-def _gain_elasticity(op, system):
-    return scheme_powers(op, p1_of_lo(op, system))[2][0]
-
-
 def optimal_pc_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     """Coupling power that minimizes the thermal term (maximizes the
     demodulated signal). For the direct scheme that term, 1/(p_g^2 kappa^2),
@@ -221,7 +229,8 @@ def optimal_pc_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     e_g; the balanced scheme routes to the DC-shot optimum."""
     if op.scheme == "BCOD":
         return optimal_pc_cn(op, system)
-    return _pc_stationary(drive_terms(op, system), system, _gain_elasticity(op, system))
+    small = SmallSignal(op, system)
+    return _pc_stationary(small.terms, system, scheme_powers(op, small.p1)[2][0])
 
 
 def optimal_plo_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
@@ -230,7 +239,8 @@ def optimal_plo_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     DC-shot optimum for the balanced scheme."""
     if op.scheme == "BCOD":
         return optimal_plo_cn(op, system)
-    return _plo_stationary(drive_terms(op, system), system, _gain_elasticity(op, system))
+    small = SmallSignal(op, system)
+    return _plo_stationary(small.terms, system, scheme_powers(op, small.p1)[2][0])
 
 
 def optimal_pl(chain: DetectionChain, p1_at_lo: float, pl_max: float) -> float:
@@ -257,15 +267,15 @@ def _dw_dp0(op, weights, system):
     p1-elasticity times d ln p1/d p0, less 2 d ln kappa/d p0 where kappa
     enters. The demodulation phase does not depend on p0, so |Phi|^2 scales
     the three terms as it scales W."""
-    kappa = kappa_of_point(op, system)
+    small = SmallSignal(op, system)
+    kappa = small.kappa
     if kappa == 0.0:
         raise DivergentNoise("transduction slope is zero at p_lo = 0")
-    powers, (num, den), (e_g, de_sn, de_cn) = scheme_powers(op, p1_of_lo(op, system))
+    powers, (num, den), (e_g, de_sn, de_cn) = scheme_powers(op, small.p1)
     pg_sq, _, pcn = powers
     phi_sq = math.cos(demod_phase(op)) ** 2
     gk_sq = pg_sq * kappa**2 * phi_sq
-    _, _, l1 = dlnp1(op, system)
-    _, _, lk = dlnkappa(op, system)
+    l1, lk = small.dlnp1_dp0, small.dlnkappa_dp0
     return (weights.sig_shot * (num / den / phi_sq) * (de_sn * l1)
             + weights.dc_shot * (pcn / gk_sq) * (de_cn * l1 - 2.0 * lk)
             + weights.thermal * (1.0 / gk_sq) * (-e_g * l1 - 2.0 * lk))

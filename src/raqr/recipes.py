@@ -120,8 +120,10 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
     ``p_lo`` and user power ``transmit_power``; config validation and
     ``run_recipe`` both call this.
 
-    A sensor sweep rounds each value to a count, which must be >= 1, and
-    for ``rate-vs-M`` (zero forcing) above ``n_users``. The sweep is
+    Every sweep value must be finite, and so must a detuning once converted
+    to rad/s: a linear span of two finite ends can still overflow. A sensor
+    sweep rounds each value to a count, which must be >= 1, and for
+    ``rate-vs-M`` (zero forcing) above ``n_users``. The sweep is
     monotone, so its ends bound every count. The LO drives the RF
     transition, and without it the reception gain and the transduction
     slope vanish, so ``p_lo`` must be positive wherever the recipe reads it:
@@ -139,6 +141,14 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
     if sweep.variable not in RECIPE_SWEEPS[name]:
         raise ValidationError("sweep.variable", f"recipe {name} sweeps "
                               f"{' or '.join(RECIPE_SWEEPS[name])}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = sweep.values()
+        if sweep.variable == "detuning_khz":  # in rad/s, as detuning_loss drives
+            values = 2.0 * math.pi * (values * 1e3)
+    if not np.isfinite(values).all():
+        raise ValidationError(
+            "sweep.start" if not np.isfinite(values[0]) else "sweep.stop",
+            f"the sweep from {sweep.start:g} to {sweep.stop:g} overflows")
     if RECIPE_SWEEPS[name] == ("n_sensors",):
         least = n_users + 1 if name == "rate-vs-M" else 1
         ends = (("sweep.start", sweep.start), ("sweep.stop", sweep.stop))

@@ -31,11 +31,10 @@ from .frontend import (
     AtomicSystem,
     DetectionChain,
     OperatingPoint,
+    SmallSignal,
     UserSignal,
     dc_shot_power,
     drive_for,
-    kappa_of_point,
-    p1_of_lo,
     probe_output,
     probe_power,
     rf_field_amplitude,
@@ -174,10 +173,11 @@ def simulate_waveform(
     i_exact = _detector_current(p1_t, phase_t, op, chain)
 
     # linearized chain around the LO-only level; e_g: d ln p_g^2 / d ln p1
-    p1_lo = p1_of_lo(op, system)
+    small = SmallSignal(op, system)
+    p1_lo = small.p1
     (_, _, p_cn_lo), _, (e_g, _, _) = scheme_powers(op, p1_lo)
     i_dc = _detector_current(p1_lo, op.phi0, op, chain)
-    i_approx = np.multiply(cos_b, e_g * kappa_of_point(op, system) * u_x)
+    i_approx = np.multiply(cos_b, e_g * small.kappa * u_x)
     np.subtract(1.0, i_approx, out=i_approx)
     i_approx *= i_dc
 

@@ -576,21 +576,35 @@ class TestRunRecipe:
                        "--out", str(tmp_path / "out")])
         assert rc == 0, capsys.readouterr().err
 
-    # the sweep's span and its conversion to rad/s overflow, by design
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_detuning_is_a_named_error(self, tmp_path, capsys):
-        # ±1e308 kHz is finite in the config but not once converted to rad/s
+        # ±1e308 kHz is finite in the config, but the span between the ends
+        # overflows, so validate and run both refuse the sweep
         path = write_config(
             tmp_path,
             "recipe: detuning-loss\nsweep:\n  variable: detuning_khz\n"
             "  start: -1.0e+308\n  stop: 1.0e+308\n  points: 3\n  scale: linear\n",
         )
-        rc = cli.main(["run", "detuning-loss", "--config", str(path),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: recipe detuning-loss: delta_rf must be finite\n")
+        for argv in (["validate"], ["run", "detuning-loss",
+                                    "--out", str(tmp_path / "out")]):
+            assert cli.main(argv + ["--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "error: sweep.start: the sweep from -1e+308 to 1e+308 overflows\n")
+
+    @pytest.mark.parametrize("recipe, variable, start, stop, key", [
+        # finite in kHz and in Hz, not once converted to rad/s
+        ("detuning-loss", "detuning_khz", "-1.0e+305", "1.0e+305", "sweep.start"),
+        ("detuning-loss", "detuning_khz", "0.0", "1.0e+306", "sweep.stop"),
+        ("sn-vs-ratio", "ratio_db", "-1.0e+308", "1.0e+308", "sweep.start"),
+    ])
+    def test_overflowing_sweep_names_its_end(self, tmp_path, capsys, recipe,
+                                             variable, start, stop, key):
+        path = write_config(
+            tmp_path,
+            f"recipe: {recipe}\nsweep:\n  variable: {variable}\n"
+            f"  start: {start}\n  stop: {stop}\n  points: 3\n  scale: linear\n",
+        )
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
     def test_sweep_variable_mismatch(self, tmp_path):
         # selecting a recipe checks its sweep when the config loads

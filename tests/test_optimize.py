@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from raqr import defaults, optimize
+from raqr import defaults, frontend, optimize
 from raqr.frontend import (
     NoiseBudget,
     baseband_gains,
+    drive_terms,
     kappa_of_point,
     noise_budget,
     p1_of_lo,
@@ -286,7 +287,8 @@ class TestStationaryFormulas:
 
     def test_fixed_point_raises_when_load_factor_oscillates(self, bcod, system):
         # a local beam of 10 p1 has load factor 10/11 and one of p1/10 has
-        # 1/11; a candidate that answers each with the other never settles
+        # 1/11; a candidate that answers each with the other never settles,
+        # and map(g) - g jumps across zero at 0.5 without a root to bracket
         p1 = p1_of_lo(bcod, system)
 
         def candidate(gamma):
@@ -295,6 +297,58 @@ class TestStationaryFormulas:
         with pytest.raises(MaxIterations):
             optimize._fixed_point(bcod, system, candidate,
                                   lambda o, v: with_powers(o, pl=v))
+
+    def test_fixed_point_brackets_a_two_cycle(self, system):
+        # here the plain iteration swings between load factors near 0.012
+        # and 0.57; the root of map(g) - g on [0, 1] is self-consistent
+        op = defaults.bcod_point(p0=3.98e-3, pc=5.76e-2, p_lo=4.91e-8, pl=1.19e-5)
+        terms = drive_terms(op, system)
+        tried = []
+
+        def candidate(gamma):
+            tried.append(gamma)
+            return optimize._plo_stationary(terms, system, gamma)
+
+        star = optimize._fixed_point(op, system, candidate,
+                                     lambda o, v: with_powers(o, p_lo=v))
+        gamma = tried[-1]
+        at_star = with_powers(op, p_lo=star.power)
+        assert abs(-scheme_powers(at_star, p1_of_lo(at_star, system))[2][2]
+                   - gamma) <= 1e-8 * gamma
+        assert optimal_plo_cn(op, system) == star
+
+
+class TestOneEvaluation:
+    """Each reader of P1, kappa and their p0 slopes builds the drive terms
+    of a point once."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return drive_terms(*args)
+
+        for module in (frontend, optimize):
+            monkeypatch.setattr(module, "drive_terms", counted)
+        return calls
+
+    @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
+    def test_one_build_per_call(self, builds, chain, system, scheme):
+        op = defaults.default_point(scheme)
+        weights = NoiseWeights.from_chain(chain, system)
+        for call in (lambda: normalized_noise(op, weights, system),
+                     lambda: optimize._dw_dp0(op, weights, system),
+                     lambda: baseband_gains(op, chain, system)):
+            builds.clear()
+            call()
+            assert len(builds) == 1
+
+    def test_design_report_builds(self, builds, chain, system):
+        # 486 builds when each quantity built its own terms
+        design_report(defaults.bcod_point(), chain, system)
+        assert len(builds) <= 180
 
 
 class TestOptimalPl:
