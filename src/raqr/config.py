@@ -29,7 +29,9 @@ from .mimo import MIN_REALIZATIONS
 
 _CONFIG_DIR = Path(__file__).with_name("configs")
 
-E_A0 = 8.478353625e-30  # one atomic unit of dipole moment, C*m
+# one atomic unit of dipole moment e a0, C*m: a literal, e times the CODATA 2018
+# Bohr radius to ten digits (6.1e-10 relative above CODATA 2022's 8.4783536198e-30)
+E_A0 = 8.478353625e-30
 
 
 def n_atoms(n0: float, fwhm_p: float, l_cell: float) -> float:
@@ -377,8 +379,7 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
     if recipe is not None:
         from .recipes import check_recipe
 
-        check_recipe(recipe, sweep, arr["n_users"], op.p_lo,
-                     arr["transmit_power"])
+        check_recipe(recipe, sweep, arr["n_users"], op, arr["transmit_power"])
 
     # Philox keys [seed, chunk] pass through float64 from 2**63 on, where
     # neighbouring seeds would share a stream

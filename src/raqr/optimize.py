@@ -21,11 +21,11 @@ from .constants import Boltzmann, epsilon_0, hbar, speed_of_light
 from .frontend import (
     AtomicSystem,
     DetectionChain,
+    MissingLocalBeam,
     NoiseBudget,
     OperatingPoint,
     SmallSignal,
     demod_phase,
-    drive_terms,
     noise_budget,
     p1_of_lo,
     scheme_powers,
@@ -118,8 +118,12 @@ def normalized_noise(
     """Evaluate the noise functional at an operating point:
     W = (w_sn p_sn^2/p_g^2 + (w_cn p_cn + w_tn) / (p_g^2 kappa^2)) / |Phi|^2
     + w_qpn, with |Phi|^2 = cos^2(``demod_phase(op)``) as in the gain table."""
-    small = SmallSignal(op, system)
-    kappa = small.kappa
+    return _noise_of(SmallSignal(op, system), weights)
+
+
+def _noise_of(small: SmallSignal, weights: NoiseWeights) -> float:
+    """``normalized_noise`` at the point of an evaluation."""
+    op, kappa = small.op, small.kappa
     if kappa == 0.0 and (weights.dc_shot + weights.thermal) > 0.0:
         raise DivergentNoise("transduction slope is zero; DC-shot and thermal "
                              "terms are unbounded")
@@ -203,6 +207,19 @@ def _plo_stationary(terms, system, gamma):
     return StationaryPower(ell_star / a34, clamped=False)
 
 
+def _optimum(op, system, stationary, power, direct_thermal):
+    """Optimum of ``power`` ("pc" or "p_lo") by its ``stationary`` formula:
+    at load factor e_g for the direct thermal term, else at the load factor
+    ``_fixed_point`` refines. A balanced point needs pl > 0, as in the gain table."""
+    if op.scheme == "BCOD" and op.pl <= 0.0:
+        raise MissingLocalBeam("balanced detection requires pl > 0")
+    small = SmallSignal(op, system)
+    if direct_thermal and op.scheme == "DIOD":
+        return stationary(small.terms, system, scheme_powers(op, small.p1)[2][0])
+    return _fixed_point(op, system, lambda g: stationary(small.terms, system, g),
+                        lambda o, v: with_powers(o, **{power: v}))
+
+
 def optimal_pc_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     """Coupling power that minimizes the DC-shot term.
 
@@ -210,16 +227,12 @@ def optimal_pc_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     is refined to self-consistency and the formula is accurate in the
     strong-local-beam regime.
     """
-    terms = drive_terms(op, system)
-    return _fixed_point(op, system, lambda g: _pc_stationary(terms, system, g),
-                        lambda o, v: with_powers(o, pc=v))
+    return _optimum(op, system, _pc_stationary, "pc", False)
 
 
 def optimal_plo_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     """LO power that minimizes the DC-shot term."""
-    terms = drive_terms(op, system)
-    return _fixed_point(op, system, lambda g: _plo_stationary(terms, system, g),
-                        lambda o, v: with_powers(o, p_lo=v))
+    return _optimum(op, system, _plo_stationary, "p_lo", False)
 
 
 def optimal_pc_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
@@ -227,20 +240,14 @@ def optimal_pc_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     demodulated signal). For the direct scheme that term, 1/(p_g^2 kappa^2),
     has p1-elasticity -e_g, so the DC-shot formula applies at load factor
     e_g; the balanced scheme routes to the DC-shot optimum."""
-    if op.scheme == "BCOD":
-        return optimal_pc_cn(op, system)
-    small = SmallSignal(op, system)
-    return _pc_stationary(small.terms, system, scheme_powers(op, small.p1)[2][0])
+    return _optimum(op, system, _pc_stationary, "pc", True)
 
 
 def optimal_plo_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
     """LO power that minimizes the thermal term; as ``optimal_pc_tn``, the
     DC-shot formula at load factor e_g for the direct scheme, and the
     DC-shot optimum for the balanced scheme."""
-    if op.scheme == "BCOD":
-        return optimal_plo_cn(op, system)
-    small = SmallSignal(op, system)
-    return _plo_stationary(small.terms, system, scheme_powers(op, small.p1)[2][0])
+    return _optimum(op, system, _plo_stationary, "p_lo", True)
 
 
 def optimal_pl(chain: DetectionChain, p1_at_lo: float, pl_max: float) -> float:
@@ -261,14 +268,13 @@ def optimal_pl(chain: DetectionChain, p1_at_lo: float, pl_max: float) -> float:
 # probe power by Newton on the analytic derivative
 
 
-def _dw_dp0(op, weights, system):
+def _dw_dp0(small: SmallSignal, weights: NoiseWeights) -> float:
     """Analytic derivative of the noise functional in p0: the log-slope of
     each ratio p_sn^2/p_g^2, p_cn/(p_g^2 kappa^2), 1/(p_g^2 kappa^2) is its
     p1-elasticity times d ln p1/d p0, less 2 d ln kappa/d p0 where kappa
     enters. The demodulation phase does not depend on p0, so |Phi|^2 scales
     the three terms as it scales W."""
-    small = SmallSignal(op, system)
-    kappa = small.kappa
+    op, kappa = small.op, small.kappa
     if kappa == 0.0:
         raise DivergentNoise("transduction slope is zero at p_lo = 0")
     powers, (num, den), (e_g, de_sn, de_cn) = scheme_powers(op, small.p1)
@@ -291,73 +297,74 @@ def newton_optimal_p0(
 ) -> DesignResult:
     """Probe power minimizing the noise functional inside the bracket.
 
-    Newton iterates on the analytic derivative (curvature by central
-    differences); if it stalls, bisection on the derivative's sign change
-    takes over. When the derivative has no sign change in the bracket the
-    better endpoint is returned with the boundary flag set.
+    The low end first moves up to the first of 25 log-spaced candidates
+    where the cell transmits; P1 grows with p0, so an absorbed top end means
+    an absorbed bracket (ValueError). Newton then iterates on the analytic
+    derivative (curvature by central differences), reading W and dW/dp0 from
+    one evaluation per probe power; if it stalls, bisection on the
+    derivative's sign change takes over. When the derivative has no sign
+    change in the bracket the better endpoint is returned with the boundary
+    flag set.
     """
     max_iter = 100  # Newton steps before the final acceptance check
     lo, hi = p0_bounds
     if not 0.0 < lo < hi:
         raise ValueError("p0_bounds must satisfy 0 < lo < hi")
-    for end in (lo, hi):
-        if p1_of_lo(with_powers(op, p0=end), system) == 0.0:
-            raise ValueError(
-                f"probe fully absorbed at bracket end p0={end:g} W; "
-                "supply a bracket where the cell transmits"
-            )
 
-    def slope(p0):
-        return _dw_dp0(with_powers(op, p0=p0), weights, system)
+    def at(p0):
+        return SmallSignal(with_powers(op, p0=p0), system)
 
-    def value(p0):
-        return normalized_noise(with_powers(op, p0=p0), weights, system)
-
-    def finish(p0, iterations, boundary):
-        w = value(p0)
-        res = abs(slope(p0))
-        budget_point = with_powers(op, p0=p0)
-        regime = classify_at(budget_point, chain, system)
+    def finish(small, iterations, boundary):
         return DesignResult(
-            power=p0,
-            regime=regime,
-            w_value=w,
+            power=small.op.p0,
+            w_value=_noise_of(small, weights),
+            residual=abs(_dw_dp0(small, weights)),
+            regime=classify_at(small.op, chain, system),
             iterations=iterations,
-            residual=res,
             boundary=boundary,
         )
 
-    g_lo, g_hi = slope(lo), slope(hi)
+    for cand in [lo * (hi / lo) ** (i / 24.0) for i in range(25)]:
+        low = at(cand)
+        if low.p1 > 0.0:
+            lo = cand
+            break
+    else:
+        raise ValueError("probe fully absorbed across the whole p0 bracket")
+    high = at(hi)
+    g_lo, g_hi = _dw_dp0(low, weights), _dw_dp0(high, weights)
     if g_lo == 0.0:
-        return finish(lo, 0, False)
+        return finish(low, 0, False)
     if g_hi == 0.0:
-        return finish(hi, 0, False)
+        return finish(high, 0, False)
     if g_lo * g_hi > 0.0:
-        best = lo if value(lo) <= value(hi) else hi
+        best = low if _noise_of(low, weights) <= _noise_of(high, weights) else high
         return finish(best, 0, True)
 
     a, b, ga = lo, hi, g_lo
     p = math.sqrt(lo * hi)
     for it in range(1, max_iter + 1):
-        g = slope(p)
-        tol = 1e-10 * value(p) / p
+        small = at(p)
+        g = _dw_dp0(small, weights)
+        tol = 1e-10 * _noise_of(small, weights) / p
         if abs(g) <= tol:
-            return finish(p, it, False)
+            return finish(small, it, False)
         # keep a valid sign-change bracket for the fallback
         if g * ga > 0.0:
             a = p
         else:
             b = p
         h = 1e-5 * p
-        curv = (slope(p + h) - slope(p - h)) / (2.0 * h)
+        curv = (_dw_dp0(at(p + h), weights) - _dw_dp0(at(p - h), weights)) / (2.0 * h)
         step = g / curv if curv != 0.0 else 0.0
         p_new = p - step
         if not (a < p_new < b) or step == 0.0:
             p_new = 0.5 * (a + b)  # bisection fallback
         p = p_new
-    g = slope(p)
-    if abs(g) <= 1e-8 * value(p) / p:
-        return finish(p, max_iter, False)
+    small = at(p)
+    g = _dw_dp0(small, weights)
+    if abs(g) <= 1e-8 * _noise_of(small, weights) / p:
+        return finish(small, max_iter, False)
     raise MaxIterations(f"no convergence in {max_iter} iterations; |dW/dp0|={g:.3e}")
 
 
@@ -399,14 +406,6 @@ def design_report(
     """JSON-ready summary: per-regime optima, classification, and a
     noise-functional sensitivity table under +-10% power perturbations."""
     weights = NoiseWeights.from_chain(chain, system)
-    lo, hi = p0_bounds
-    # shrink the bracket past any fully-absorbed region at its low end
-    for cand in [lo * (hi / lo) ** (i / 24.0) for i in range(25)]:
-        if p1_of_lo(with_powers(op, p0=cand), system) > 0.0:
-            p0_bounds = (cand, hi)
-            break
-    else:
-        raise ValueError("probe fully absorbed across the whole p0 bracket")
 
     def as_entry(sp: StationaryPower):
         return {"power_w": sp.power, "clamped": sp.clamped}

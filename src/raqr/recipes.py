@@ -23,7 +23,8 @@ from .atomic import steady_state_numeric
 from .config import (SWEEP_VARIABLES, ExperimentConfig, SweepSpec, ValidationError,
                      fingerprint)
 from .constants import speed_of_light
-from .frontend import baseband_gains, noise_budget, p1_of_lo, with_powers
+from .frontend import (OperatingPoint, baseband_gains, noise_budget, p1_of_lo,
+                       with_powers)
 from .optimize import (
     NoiseWeights,
     normalized_noise,
@@ -114,10 +115,10 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
 
 
 def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
-                 p_lo: float, transmit_power: float) -> None:
+                 op: OperatingPoint, transmit_power: float) -> None:
     """Raise ValidationError unless ``name`` is a recipe that sweeps
-    ``sweep.variable`` over values it can run at the configured LO power
-    ``p_lo`` and user power ``transmit_power``; config validation and
+    ``sweep.variable`` over values it can run at the configured operating
+    point ``op`` and user power ``transmit_power``; config validation and
     ``run_recipe`` both call this.
 
     Every sweep value must be finite, and so must a detuning once converted
@@ -126,9 +127,12 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
     ``rate-vs-M`` (zero forcing) above ``n_users``. The sweep is
     monotone, so its ends bound every count. The LO drives the RF
     transition, and without it the reception gain and the transduction
-    slope vanish, so ``p_lo`` must be positive wherever the recipe reads it:
-    everywhere but ``sn-vs-ratio``, which builds its own operating points,
-    and a ``lo_power_w`` sweep of ``rate-vs-parameter``, which sets it.
+    slope vanish, so the LO power must be positive wherever the recipe reads
+    it: everywhere but ``sn-vs-ratio``, which builds its own operating
+    points, and a ``lo_power_w`` sweep of ``rate-vs-parameter``, which sets
+    it. Balanced detection has no gain without its local beam, so there the
+    local beam power must be positive too, except for ``sn-vs-ratio`` and
+    ``detuning-loss``, which never read the configured point's gains.
     ``power-scaling`` reports its bound relative to the asymptotic rate,
     which is 0 without user power, so there ``transmit_power`` must be
     positive.
@@ -159,10 +163,15 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
                                       f"{name} needs at least {least}")
     sets_lo = name == "sn-vs-ratio" or (
         name == "rate-vs-parameter" and sweep.variable == "lo_power_w")
-    if p_lo <= 0.0 and not sets_lo:
+    if op.p_lo <= 0.0 and not sets_lo:
         raise ValidationError("operating_point.lo_power_w",
                               f"must be > 0 for recipe {name}, which needs an "
                               "RF LO drive")
+    if (op.scheme == "BCOD" and op.pl <= 0.0
+            and name not in ("sn-vs-ratio", "detuning-loss")):
+        raise ValidationError("operating_point.local_beam_power_w",
+                              f"must be > 0 for recipe {name} with balanced "
+                              "detection, which needs a local beam")
     if transmit_power <= 0.0 and name == "power-scaling":
         raise ValidationError("array.transmit_power",
                               f"must be > 0 for recipe {name}, which divides "
@@ -171,7 +180,7 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
 
 def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
     name = config.recipe
-    check_recipe(name, config.sweep, config.n_users, config.op.p_lo,
+    check_recipe(name, config.sweep, config.n_users, config.op,
                  config.transmit_power)
     try:
         result = RECIPES[name](config, threads)

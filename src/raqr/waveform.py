@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -78,7 +78,6 @@ class Waveform:
     v_dc: float
     f_delta: float
     sample_rate: float
-    params: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.t)
@@ -204,24 +203,6 @@ def simulate_waveform(
     sn -= cn
 
     sqrt_g = math.sqrt(g_eff)
-    params = {
-        "scheme": op.scheme,
-        "p0": op.p0,
-        "pc": op.pc,
-        "p_lo": op.p_lo,
-        "pl": op.pl,
-        "u_x": u_x,
-        "p_x": user.power(op.a_e),
-        "f_lo": op.f_lo,
-        "f_c": user.f_c,
-        "theta_x": user.theta_x,
-        "theta_lo": op.theta_lo,
-        "sample_rate": sample_rate,
-        "duration": duration,
-        "seed": seed,
-        "rho_solver": rho_solver,
-        "sigma_sq_sn": chain.sigma_sq_sn,
-    }
     for i in (i_exact, i_approx):  # the voltages sqrt_g * i + cn + sn
         i *= sqrt_g
         i += cn
@@ -235,7 +216,6 @@ def simulate_waveform(
         v_dc=sqrt_g * float(i_dc),
         f_delta=f_delta,
         sample_rate=sample_rate,
-        params=params,
     )
 
 

@@ -555,6 +555,32 @@ class TestRunRecipe:
                        "--out", str(tmp_path / "out")])
         assert rc == 0, capsys.readouterr().err
 
+    # a null key falls back to the absent default, no local beam
+    @pytest.mark.parametrize("pl", ["0.0", "null"])
+    @pytest.mark.parametrize("recipe, variable", [
+        (recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
+        for variable in variables])
+    def test_balanced_point_without_local_beam_is_rejected_or_runs(
+            self, tmp_path, capsys, recipe, variable, pl):
+        path = write_config(
+            tmp_path,
+            f"recipe: {recipe}\noperating_point:\n  scheme: bcod\n"
+            f"  local_beam_power_w: {pl}\narray:\n  realizations: 100\n"
+            f"sweep:\n  variable: {variable}\n" + ZERO_LO_SWEEPS[variable],
+        )
+        rc = cli.main(["validate", "--config", str(path)])
+        err = capsys.readouterr().err
+        if rc == 2:
+            assert err.startswith(
+                "error: operating_point.local_beam_power_w: "), err
+            return
+        assert rc == 0, err
+        rc = cli.main(["run", recipe, "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        summary = (tmp_path / "out" / f"{recipe}_summary.json").read_text()
+        assert "NaN" not in summary
+
     @pytest.mark.parametrize("recipe, variable", [
         (recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
         for variable in variables])

@@ -14,7 +14,9 @@ from scipy.optimize import minimize_scalar
 
 from raqr import defaults, frontend, optimize
 from raqr.frontend import (
+    MissingLocalBeam,
     NoiseBudget,
+    SmallSignal,
     baseband_gains,
     drive_terms,
     kappa_of_point,
@@ -317,6 +319,17 @@ class TestStationaryFormulas:
                    - gamma) <= 1e-8 * gamma
         assert optimal_plo_cn(op, system) == star
 
+    # without a local beam the balanced receiver has no gain to optimize; at
+    # the second point the load-factor search would also reach a fully
+    # absorbed probe, where pl / (pl + p1) is 0 / 0
+    @pytest.mark.parametrize("overrides", [
+        {"pl": 0.0}, {"pl": 0.0, "p_lo": 1e300, "p0": 1e-100}])
+    @pytest.mark.parametrize("solver", [
+        optimal_pc_cn, optimal_plo_cn, optimal_pc_tn, optimal_plo_tn])
+    def test_balanced_optima_need_a_local_beam(self, system, solver, overrides):
+        with pytest.raises(MissingLocalBeam, match="requires pl > 0"):
+            solver(defaults.bcod_point(**overrides), system)
+
 
 class TestOneEvaluation:
     """Each reader of P1, kappa and their p0 slopes builds the drive terms
@@ -330,8 +343,8 @@ class TestOneEvaluation:
             calls.append(args)
             return drive_terms(*args)
 
-        for module in (frontend, optimize):
-            monkeypatch.setattr(module, "drive_terms", counted)
+        # optimize reads the terms through frontend.SmallSignal only
+        monkeypatch.setattr(frontend, "drive_terms", counted)
         return calls
 
     @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
@@ -339,16 +352,27 @@ class TestOneEvaluation:
         op = defaults.default_point(scheme)
         weights = NoiseWeights.from_chain(chain, system)
         for call in (lambda: normalized_noise(op, weights, system),
-                     lambda: optimize._dw_dp0(op, weights, system),
+                     lambda: optimize._dw_dp0(SmallSignal(op, system), weights),
                      lambda: baseband_gains(op, chain, system)):
             builds.clear()
             call()
             assert len(builds) == 1
 
     def test_design_report_builds(self, builds, chain, system):
-        # 486 builds when each quantity built its own terms
+        # 486 builds when each quantity built its own terms, 171 when Newton
+        # evaluated W and dW/dp0 at each probe power apart
         design_report(defaults.bcod_point(), chain, system)
-        assert len(builds) <= 180
+        assert len(builds) <= 140
+
+    def test_newton_builds_once_per_probe_power(self, builds, bcod, chain, system):
+        # the low end (its P1 test reads the same evaluation), the top end,
+        # then each step's p0 and its two curvature points (the converged
+        # step's p0 alone), and the regime's gain table
+        weights = NoiseWeights.from_chain(chain, system)
+        res = newton_optimal_p0(bcod, weights, system, chain,
+                                p0_bounds=(1e-3, 1e-1))
+        assert not res.boundary and res.iterations > 1
+        assert len(builds) == 2 + 3 * (res.iterations - 1) + 1 + 1
 
 
 class TestOptimalPl:
@@ -408,7 +432,7 @@ class TestDerivativeProperty:
         assume(all(_finite_ratios(o, system) for o in (op, up, dn)))
         fd = (normalized_noise(up, wts, system)
               - normalized_noise(dn, wts, system)) / (2.0 * h)
-        got = optimize._dw_dp0(op, wts, system)
+        got = optimize._dw_dp0(SmallSignal(op, system), wts)
         # relative to the slope, or to W / p0 where the terms cancel
         scale = max(abs(fd), normalized_noise(op, wts, system) / op.p0)
         assert abs(got - fd) <= 1e-5 * scale
@@ -471,10 +495,46 @@ class TestNewtonProbe:
         with pytest.raises(ValueError):
             newton_optimal_p0(diod, wts, system, chain, p0_bounds=(1e-1, 1e-3))
 
-    def test_rejects_opaque_bracket_end(self, diod, chain, system):
+    def test_shrinks_opaque_bracket_end(self, bcod, chain, system):
+        # the cell absorbs the probe fully below ~1e-3 W: the low end moves
+        # up to the first transmitting candidate instead of failing
         wts = NoiseWeights.from_chain(chain, system)
-        with pytest.raises(ValueError, match="absorbed"):
-            newton_optimal_p0(diod, wts, system, chain, p0_bounds=(1e-6, 1e-1))
+        assert p1_of_lo(with_powers(bcod, p0=1e-6), system) == 0.0
+        res = newton_optimal_p0(bcod, wts, system, chain, p0_bounds=(1e-6, 1e-1))
+        assert not res.boundary
+        ref = newton_optimal_p0(bcod, wts, system, chain, p0_bounds=self.BOUNDS)
+        assert rel_err(res.power, ref.power) < 1e-9
+
+    def test_rejects_wholly_opaque_bracket(self, diod, chain, system):
+        wts = NoiseWeights.from_chain(chain, system)
+        with pytest.raises(ValueError, match="across the whole p0 bracket"):
+            newton_optimal_p0(diod, wts, system, chain, p0_bounds=(1e-6, 1e-4))
+
+    @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
+    def test_matches_design_report(self, chain, system, scheme):
+        # the report's p0 entry is this call, at the same bracket; at the
+        # direct point both end in the same error
+        op = defaults.default_point(scheme)
+        wts = NoiseWeights.from_chain(chain, system)
+
+        def outcome(call):
+            try:
+                return call()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        direct = outcome(lambda: newton_optimal_p0(
+            op, wts, system, chain, p0_bounds=(1e-6, 1e-1)))
+        report = outcome(lambda: design_report(
+            op, chain, system, p0_bounds=(1e-6, 1e-1)))
+        if isinstance(report, tuple):
+            assert direct == report
+        else:
+            entry = report["optima"]["p0_newton"]
+            assert entry == {"power_w": direct.power, "w_value": direct.w_value,
+                             "iterations": direct.iterations,
+                             "residual": direct.residual,
+                             "boundary": direct.boundary}
 
 
 def _budget(n_cn=0.0, n_tn=0.0, n_sn=0.0):
