@@ -73,8 +73,8 @@ class AtomicSystem:
             raise ValueError("lambda_p must be > 0")
         if self.t2 <= 0:
             raise ValueError("t2 must be > 0")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
+        if not 1 <= self.n_atoms < np.inf:
+            raise ValueError("n_atoms must be >= 1 and finite")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -131,17 +131,17 @@ class DensityMatrix:
         return complex(r21) if r21.ndim == 0 else r21
 
 
-def _hamiltonian(drive: DriveConfig) -> np.ndarray:
-    """Rotating-frame Hamiltonian over hbar, rad/s, for the ladder chain;
-    (..., 4, 4) for a stack of drives."""
-    d3 = drive.delta_p + drive.delta_c
-    h = np.zeros(np.broadcast(*vars(drive).values()).shape + (4, 4), dtype=complex)
-    h[..., 0, 1] = h[..., 1, 0] = drive.omega_p
-    h[..., 1, 2] = h[..., 2, 1] = drive.omega_c
-    h[..., 2, 3] = h[..., 3, 2] = drive.omega_rf
-    h[..., 1, 1] = -2.0 * drive.delta_p
+def _hamiltonian(fields: dict) -> np.ndarray:
+    """Rotating-frame Hamiltonian over hbar, rad/s, for the ladder chain, from
+    the fields of a drive, by name; (..., 4, 4) for a stack of drives."""
+    d3 = fields["delta_p"] + fields["delta_c"]
+    h = np.zeros(np.broadcast(*fields.values()).shape + (4, 4), dtype=complex)
+    h[..., 0, 1] = h[..., 1, 0] = fields["omega_p"]
+    h[..., 1, 2] = h[..., 2, 1] = fields["omega_c"]
+    h[..., 2, 3] = h[..., 3, 2] = fields["omega_rf"]
+    h[..., 1, 1] = -2.0 * fields["delta_p"]
     h[..., 2, 2] = -2.0 * d3
-    h[..., 3, 3] = -2.0 * (d3 + drive.delta_rf)
+    h[..., 3, 3] = -2.0 * (d3 + fields["delta_rf"])
     return 0.5 * h
 
 
@@ -184,7 +184,11 @@ def build_liouvillian(system: AtomicSystem, drive: DriveConfig) -> np.ndarray:
     per-basis ``_rhs`` evaluation up to the signs of zeros. A stack of
     drives gives (..., 16, 16).
     """
-    h = _hamiltonian(drive)
+    return _liouvillian(system, _hamiltonian(vars(drive)))
+
+
+def _liouvillian(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
+    """``build_liouvillian`` of the Hamiltonian (or stack of them) ``h``."""
     fixed = _rhs(system, np.zeros((4, 4)), _BASIS).reshape(16, 16)
     out = (h.reshape(h.shape[:-2] + (16,)) @ _COMMUTATORS).reshape(h.shape[:-2] + (16, 16))
     return (out + fixed).swapaxes(-1, -2)
@@ -206,25 +210,17 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
     ||L v|| / ||L|| still exceeds ``RESIDUAL_RTOL``, an SVD diagnostic
     decides between a genuinely degenerate null space and plain failure.
 
-    A stack of drives gives a stack of density matrices, each bit-identical
-    to its own single-drive solve; one member that fails raises for the
-    whole stack. Members that are equal byte for byte (so 0.0 and -0.0 stay
-    apart) share one solve: the distinct ones are solved in blocks of at
-    most ``BLOCK`` and then spread back over the stack.
+    A stack of drives is solved in blocks of at most ``BLOCK`` and gives a
+    stack of density matrices, each bit-identical to its own single-drive
+    solve; one member that fails raises for the whole stack.
     """
     shape = np.broadcast(*vars(drive).values()).shape
     flat = {k: np.broadcast_to(x, shape).ravel() for k, x in vars(drive).items()}
-    keys = np.empty(np.prod(shape, dtype=int), dtype=[(k, x.dtype) for k, x in flat.items()])
-    for k, x in flat.items():
-        keys[k] = x
-    _, first, inverse = np.unique(
-        keys.view(np.dtype((np.void, keys.itemsize))), return_index=True, return_inverse=True)
-    distinct = {k: x[first] for k, x in flat.items()}
-    v = np.empty((len(first), 16), dtype=complex)
+    v = np.empty((np.prod(shape, dtype=int), 16), dtype=complex)
     for lo in range(0, len(v), BLOCK):
-        block = DriveConfig(**{k: x[lo:lo + BLOCK] for k, x in distinct.items()})
-        v[lo:lo + BLOCK] = _null_vectors(build_liouvillian(system, block))
-    return DensityMatrix(_finalize(v).matrix[inverse].reshape(shape + (4, 4)))
+        h = _hamiltonian({k: x[lo:lo + BLOCK] for k, x in flat.items()})
+        v[lo:lo + BLOCK] = _null_vectors(_liouvillian(system, h))
+    return _finalize(v.reshape(shape + (16,)))
 
 
 def _null_vectors(liou: np.ndarray) -> np.ndarray:

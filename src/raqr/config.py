@@ -35,8 +35,11 @@ E_A0 = 8.478353625e-30
 
 
 def n_atoms(n0: float, fwhm_p: float, l_cell: float) -> float:
-    """Atoms in the probe-illuminated column of the cell."""
-    return n0 * math.pi * (fwhm_p / 2.0) ** 2 * l_cell
+    """Atoms in the probe-illuminated column of the cell; inf past the float range."""
+    try:
+        return n0 * math.pi * (fwhm_p / 2.0) ** 2 * l_cell
+    except OverflowError:  # float ** raises where * gives inf; AtomicSystem rejects inf
+        return math.inf
 
 
 def responsivity(eta: float, lambda_p: float) -> float:

@@ -74,13 +74,12 @@ class MimoScenario:
     """Array geometry, user powers, and Monte-Carlo bookkeeping.
 
     ``beta`` and ``p`` accept scalars and are broadcast to one entry per
-    user. ``spacing`` defaults to half the LO wavelength.
+    user. The sensors sit half an LO wavelength apart.
     """
 
     n_sensors: int
     n_users: int
     lambda_lo: float
-    spacing: float | None = None
     theta_arrival: float = 0.0
     beta: np.ndarray = 1.0
     p: np.ndarray = 1.0
@@ -105,8 +104,6 @@ class MimoScenario:
             raise ValueError("transmit powers must be nonnegative")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "p", p)
-        if self.spacing is None:
-            object.__setattr__(self, "spacing", 0.5 * self.lambda_lo)
 
 
 @dataclass(frozen=True)
@@ -179,10 +176,7 @@ def large_scale_fading(distance_m: float, carrier_freq_hz: float) -> float:
 def lo_phase_progression(scenario: MimoScenario) -> np.ndarray:
     """Unit-modulus per-sensor phases of the obliquely arriving LO."""
     m = np.arange(scenario.n_sensors)
-    phase = (
-        2.0 * math.pi * scenario.spacing / scenario.lambda_lo
-        * math.sin(scenario.theta_arrival)
-    )
+    phase = math.pi * math.sin(scenario.theta_arrival)  # 2 pi d / lambda at d = lambda / 2
     return np.exp(-1j * phase * m)
 
 

@@ -214,8 +214,7 @@ def place_users(cfg: ExperimentConfig) -> np.ndarray:
     )
 
 
-def _scenario(cfg: ExperimentConfig, n_sensors: int, beta,
-              p=None, realizations: int | None = None) -> mimo.MimoScenario:
+def _scenario(cfg: ExperimentConfig, n_sensors: int, beta, p=None) -> mimo.MimoScenario:
     return mimo.MimoScenario(
         n_sensors=n_sensors,
         n_users=cfg.n_users,
@@ -223,7 +222,7 @@ def _scenario(cfg: ExperimentConfig, n_sensors: int, beta,
         beta=beta,
         p=cfg.transmit_power if p is None else p,
         seed=cfg.seed,
-        n_realizations=cfg.realizations if realizations is None else realizations,
+        n_realizations=cfg.realizations,
     )
 
 

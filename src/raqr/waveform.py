@@ -89,14 +89,18 @@ def _exact_transmission(omega_rf, op, system, rho_solver):
     At resonance chi is purely imaginary, so the closed form needs only
     Im chi, in real arithmetic, and its phase is phi0 for every sample.
     """
-    drive = drive_for(op, system, omega_rf=omega_rf)
     if rho_solver == "closed-form":
+        drive = drive_for(op, system, omega_rf=omega_rf)
         chi_im = rho21_resonant_imag(drive.omega_p, drive.omega_c, omega_rf, system.gamma2)
         chi_im *= susceptibility(1.0, system, drive.omega_p)  # chi is linear in rho21
         return probe_power(op.p0, chi_im, system), op.phi0
     if rho_solver == "liouvillian":
+        # one solve per distinct envelope; a sqrt is never -0.0, so equal means same bytes
+        distinct, inverse = np.unique(omega_rf, return_inverse=True)
+        drive = drive_for(op, system, omega_rf=distinct)
         chi = susceptibility(steady_state_numeric(system, drive).rho21, system, drive.omega_p)
-        return probe_output(op.p0, chi, system, phi0=op.phi0)
+        p1, phase = probe_output(op.p0, chi, system, phi0=op.phi0)
+        return p1[inverse], phase[inverse]
     raise ValueError(f"unknown rho_solver {rho_solver!r}")
 
 

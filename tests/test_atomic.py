@@ -146,7 +146,7 @@ class TestLiouvillian:
         basis = np.eye(16).reshape(16, 4, 4)
         for drive in (stack, _members(stack, len(drives))[0]):
             per_basis = atomic._rhs(
-                sys_, atomic._hamiltonian(drive)[..., None, :, :], basis)
+                sys_, atomic._hamiltonian(vars(drive))[..., None, :, :], basis)
             expected = per_basis.reshape(per_basis.shape[:-3] + (16, 16))
             assert np.array_equal(build_liouvillian(sys_, drive),
                                   expected.swapaxes(-1, -2))
@@ -407,16 +407,16 @@ class TestDriveStack:
         gamma=st.floats(0.0, 1e6),
     )
     def test_repeated_members_match_their_own_calls(self, pool, picks, gamma):
-        """Members drawn with repeats from a small pool share their solves;
-        each must still equal its own single-drive call, and one member
-        with no physical steady state must still fail the whole stack."""
+        """Members drawn with repeats from a small pool, zeros of either
+        sign among them: each must equal its own single-drive call, and one
+        member with no physical steady state must fail the whole stack."""
         sys_ = defaults.cesium_system(gamma=gamma, gamma3=1e4, gamma4=2e4)
         stack = _stack([pool[i % len(pool)] for i in picks])
         _assert_members_match(sys_, stack, _members(stack, len(picks)))
 
     def test_stack_across_block_edges(self, system, diod):
         # once as distinct drives, once with every drive repeated: the
-        # distinct drives span three blocks either way
+        # stack spans three blocks, then six, each member solved as given
         n = 2 * atomic.BLOCK + 1
         for repeats in (1, 2):
             drive = defaults.drive_for(
@@ -432,20 +432,19 @@ class TestDriveStack:
                 )
 
     @pytest.mark.parametrize(
-        "omega_rf, delta_rf, distinct",
+        "omega_rf, delta_rf",
         [
-            ([1e6, 2e6, 1e6, 1e6, 2e6], 0.0, 2),
-            ([1e6] * 4, [0.0, -0.0, 0.0, -0.0], 2),  # zeros compare by bytes
-            (np.tile([1e6, 2e6, 3e6], atomic.BLOCK), 0.0, 3),
-            (np.geomspace(1e5, 1e9, atomic.BLOCK + 3), 0.0, atomic.BLOCK + 3),
-            (np.full((3, 2), 1e6), [0.0, 5e5], 2),
-            (np.zeros(0), 0.0, 0),
+            ([1e6, 2e6, 1e6, 1e6, 2e6], 0.0),
+            ([1e6] * 4, [0.0, -0.0, 0.0, -0.0]),
+            (np.tile([1e6, 2e6, 3e6], atomic.BLOCK), 0.0),
+            (np.geomspace(1e5, 1e9, atomic.BLOCK + 3), 0.0),
+            (np.full((3, 2), 1e6), [0.0, 5e5]),
+            (np.zeros(0), 0.0),
         ],
     )
-    def test_one_solve_per_distinct_drive(
-        self, system, monkeypatch, omega_rf, delta_rf, distinct
-    ):
-        """One solve plus two refinement passes per distinct member."""
+    def test_one_solve_per_member(self, system, monkeypatch, omega_rf, delta_rf):
+        """One solve plus two refinement passes per member, repeated ones
+        included, in blocks of at most BLOCK."""
         solved = []
         solve = np.linalg.solve
 
@@ -458,7 +457,21 @@ class TestDriveStack:
             omega_p=1e7, omega_c=1e6, omega_rf=np.asarray(omega_rf), delta_rf=delta_rf
         )
         steady_state_numeric(system, drive)
-        assert sum(solved) == 3 * distinct
+        assert sum(solved) == 3 * np.broadcast(*vars(drive).values()).size
+        assert max(solved, default=0) <= atomic.BLOCK
+
+    def test_solve_constructs_no_drive(self, system, diod, monkeypatch):
+        """The caller's DriveConfig is the only check of its fields: the
+        solver builds its blocks from them without constructing another."""
+        n = 2 * atomic.BLOCK + 1
+        drives = [defaults.drive_for(diod, system),
+                  defaults.drive_for(diod, system, omega_rf=np.geomspace(1e5, 1e11, n))]
+        constructed = []
+        monkeypatch.setattr(DriveConfig, "__post_init__",
+                            lambda self: constructed.append(self))
+        for drive in drives:
+            steady_state_numeric(system, drive)
+        assert constructed == []
 
     def test_diagnostic_path_recovers_each_member(self, diod, monkeypatch):
         """With the direct solve failing, every member goes to the SVD

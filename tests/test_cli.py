@@ -689,6 +689,10 @@ class TestCliEntry:
         ("atomic:\n  dephasing_time_us: 0.0\n", "atomic.dephasing_time_us"),
         # zero probe width leaves no atoms in the probe column
         ("operating_point:\n  probe_fwhm_mm: 0.0\n", "operating_point.probe_fwhm_mm"),
+        # an atom count past the float range: overflowing, then infinite
+        ("operating_point:\n  probe_fwhm_mm: 1.0e+300\n", "operating_point.probe_fwhm_mm"),
+        ("atomic:\n  density_per_m3: 1.0e+300\n  cell_length_mm: 1.0e+300\n",
+         "operating_point.probe_fwhm_mm"),
         # the shipped local beam is still set for the direct scheme
         ("operating_point:\n  scheme: diod\n", "operating_point.local_beam_power_w"),
         # the dataclass checks compare with <, which NaN and inf slip past
@@ -704,7 +708,8 @@ class TestCliEntry:
         # 0.3 rounds to no sensor at all
         ("recipe: rate-vs-M\n" + SENSOR_SWEEP.format(16.4, 0.3), "sweep.stop"),
         ("recipe: power-scaling\n" + SENSOR_SWEEP.format(16.4, 0.3), "sweep.stop"),
-    ], ids=["probe-power", "gain", "dephasing-time", "probe-width", "diod-local-beam",
+    ], ids=["probe-power", "gain", "dephasing-time", "probe-width",
+            "atom-count-overflow", "atom-count-inf", "diod-local-beam",
             "nan", "inf", "minus-inf", "recipe-sweep", "realizations", "zf-sensors",
             "no-sensor", "power-scaling-no-sensor"])
     def test_validate_out_of_range_physics(self, tmp_path, capsys, text, key):

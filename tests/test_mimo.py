@@ -55,9 +55,13 @@ class TestScenario:
         assert sc.p.shape == (4,)
         assert np.all(sc.p == 1.0)
 
-    def test_default_half_wave_spacing(self):
-        sc = small_scenario()
-        assert rel_err(sc.spacing, 0.5 * sc.lambda_lo) < 1e-12
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -1.1, math.pi / 2])
+    def test_half_wave_lo_phase_progression(self, theta):
+        """Half-wave spacing: the LO phase steps by pi sin(theta) per sensor."""
+        sc = small_scenario(theta_arrival=theta)
+        m = np.arange(sc.n_sensors)
+        expected = np.exp(-1j * math.pi * m * math.sin(theta))
+        assert np.allclose(mimo.lo_phase_progression(sc), expected, rtol=1e-12, atol=0.0)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -724,6 +728,41 @@ class TestMonteCarlo:
         sc = small_scenario(n_realizations=50)
         with pytest.raises(ValueError):
             mimo.monte_carlo_rate(sc, gains, budget, "MRC")
+
+    @pytest.mark.parametrize("method", ["MRC", "ZF"])
+    @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
+    def test_engine_equals_the_snapshot_path(self, scheme, method):
+        """On chunk 0's draws, the snapshot path (build_received, then
+        detect) gives the engine's five term moments: the sample mean and
+        variance of the coupling in ds + ls, and the energies of ui, sn, n."""
+        point = defaults.diod_point if scheme == "DIOD" else defaults.bcod_point
+        op = point(phi_l=0.7, theta_lo=-0.4)
+        system, chain = defaults.cesium_system(), defaults.default_chain()
+        gains = baseband_gains(op, chain, system)
+        budget = noise_budget(op, chain, system, gains=gains)
+        sc = defaults.default_scenario(12, 4, theta_arrival=0.5, seed=11,
+                                       n_realizations=mimo.CHUNK)
+        engine = mimo.monte_carlo_terms(sc, gains, budget, method)
+
+        rng = np.random.Generator(np.random.Philox(key=[sc.seed, 0]))
+        h, s = mimo._draw(rng, (mimo.CHUNK,), sc, "hs")
+        received = mimo.build_received(h, sc, gains, budget, s, rng)
+        r = mimo.detect(received, h, sc, gains, method)
+        x = np.sqrt(gains.rho * sc.p) * s
+        coupling = (r.ds + r.ls) / x  # the self-coupling, per draw and user
+        snapshot = {
+            "ds": gains.rho * sc.p * mimo._abs_sq(coupling.mean(axis=0)),
+            "ls": gains.rho * sc.p * coupling.var(axis=0),
+            "ui": mimo._abs_sq(r.ui).mean(axis=0),
+            "sn": mimo._abs_sq(r.sn).mean(axis=0),
+            "n": mimo._abs_sq(r.n).mean(axis=0),
+        }
+        assert gains.phi.imag != 0.0 and engine["sn"].min() > 0.0
+        for key, want in engine.items():
+            # ZF's coupling is exactly 1, so the engine's spread is 0; the
+            # ratio (ds + ls) / x leaves the snapshot's a rounding error
+            atol = 1e-11 * engine["ds"].max() if key == "ls" else 0.0
+            assert np.allclose(snapshot[key], want, rtol=1e-11, atol=atol), key
 
     def test_interference_suppression_slope(self, gains, budget):
         # hardening: interference-to-signal ratio falls as 1/M

@@ -125,6 +125,33 @@ class TestSimulate:
             np.abs(cf.v_exact)
         )
 
+    @pytest.mark.parametrize("scheme, distinct", [("DIOD", 222), ("BCOD", 236)])
+    def test_liouvillian_solves_each_envelope_once(
+        self, system, quiet, monkeypatch, scheme, distinct
+    ):
+        """1,000 samples at a shipped point repeat their envelope from one
+        beat period to the next: one solve plus two refinement passes per
+        distinct envelope."""
+        op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
+        solved, drives = [], []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            solved.append(len(a))
+            return solve(a, b)
+
+        def steady_state(system, drive):
+            drives.append(drive)
+            return steady_state_numeric(system, drive)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr(waveform, "steady_state_numeric", steady_state)
+        simulate_waveform(op, quiet, defaults.weak_user(20.0, op), system,
+                          1000 / FS, FS, seed=0, rho_solver="liouvillian")
+        [drive] = drives
+        assert len(np.unique(drive.omega_rf)) == len(drive.omega_rf) == distinct
+        assert sum(solved) == 3 * distinct
+
     def test_overlay_rms_small_and_monotone(self, system, diod, bcod, quiet):
         """Linearized chain tracks the exact one to 1% at a 20 dB ratio and
         degrades monotonically as the user field grows."""
