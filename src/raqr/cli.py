@@ -18,7 +18,7 @@ from .config import (
     fingerprint,
     load_config,
 )
-from .recipes import RecipeError, list_recipes, run_recipe
+from .recipes import RecipeError, check_recipe, list_recipes, run_recipe
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,6 +78,8 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             cfg = load_config(args.config)
+            if cfg.recipe is not None:
+                check_recipe(cfg)
         except (ParseError, ValidationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -262,31 +262,36 @@ def _check_value(dotted: str, value, kind, exp):
 
 
 def _validate_raw(raw: dict) -> dict:
-    """Reject unknown keys and convert to SI; returns {section: {key: value}}
-    keyed by the raw names (converted values)."""
-    converted: dict = {}
+    """One pass over the merged keys: reject unknown ones, treat null as
+    absent and convert to SI. Returns each section's values under their model
+    field names (under the key where the schema lists none), and the top-level
+    scalars under their keys. Every section key is required but the local
+    beam power, which the direct scheme leaves out."""
+    si: dict = {}
     for key, value in raw.items():
-        if key in _SECTIONS:
-            schema = _SECTIONS[key]
-            out = {}
-            for sub, sub_value in value.items():
-                dotted = f"{key}.{sub}"
-                if sub not in schema:
-                    raise ValidationError(dotted, "unknown key")
-                if sub_value is None:
-                    continue  # explicit null falls back to "absent"
-                kind, exp = schema[sub][:2]
-                out[sub] = _check_value(dotted, sub_value, kind, exp)
-            converted[key] = out
-        elif key in _TOP_SCALARS:
-            if key == "recipe" and value is None:
-                converted[key] = None
-                continue
-            kind, exp = _TOP_SCALARS[key]
-            converted[key] = _check_value(key, value, kind, exp)
-        else:
+        if key in _TOP_SCALARS:
+            if key != "recipe" or value is not None:
+                si[key] = _check_value(key, value, *_TOP_SCALARS[key])
+            continue
+        if key not in _SECTIONS:
             raise ValidationError(key, "unknown key")
-    return converted
+        schema = _SECTIONS[key]
+        unknown = next((sub for sub in value if sub not in schema), None)
+        if unknown is not None:
+            raise ValidationError(f"{key}.{unknown}", "unknown key")
+        out = si[key] = {}
+        for sub, (kind, exp, *fields) in schema.items():
+            dotted = f"{key}.{sub}"
+            # an explicit null counts as absent
+            if value.get(sub) is not None:
+                out[fields[0] if fields else sub] = _check_value(
+                    dotted, value[sub], kind, exp)
+            elif sub != "local_beam_power_w":
+                raise ValidationError(dotted, "required key missing")
+    for name in _SECTIONS:
+        if name not in si:
+            raise ValidationError(name, "required section missing")
+    return si
 
 
 def _construct(cls, section: str, **fields):
@@ -299,23 +304,8 @@ def _construct(cls, section: str, **fields):
         raise ValidationError(key, str(exc)) from exc
 
 
-def _section(si: dict, name: str) -> dict:
-    """Section ``name``'s converted values under their model field names, or
-    under the key where the schema lists none. Every key is required but the
-    local beam power, which the direct scheme leaves out."""
-    if name not in si:
-        raise ValidationError(name, "required section missing")
-    values, out = si[name], {}
-    for key, (_, _, *fields) in _SECTIONS[name].items():
-        if key in values:
-            out[fields[0] if fields else key] = values[key]
-        elif key != "local_beam_power_w":
-            raise ValidationError(f"{name}.{key}", "required key missing")
-    return out
-
-
 def _build(si: dict, raw: dict) -> ExperimentConfig:
-    atomic, opv, det, arr, baseline, sw = (_section(si, name) for name in _SECTIONS)
+    atomic, opv, det, arr, baseline, sw = (si[name] for name in _SECTIONS)
 
     if atomic["n0"] <= 0:
         raise ValidationError("atomic.density_per_m3", "must be > 0")
@@ -377,13 +367,6 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
         key = "sweep.start" if sw["start"] <= 0 else "sweep.stop"
         raise ValidationError(key, "log sweeps need positive bounds")
 
-    sweep = SweepSpec(**sw)
-    recipe = si.get("recipe")
-    if recipe is not None:
-        from .recipes import check_recipe
-
-        check_recipe(recipe, sweep, arr["n_users"], op, arr["transmit_power"])
-
     # Philox keys [seed, chunk] pass through float64 from 2**63 on, where
     # neighbouring seeds would share a stream
     seed = si.get("seed", 0)
@@ -392,15 +375,17 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         system=system, op=op, chain=chain, f_carrier=f_carrier,
-        f_delta=f_delta, **arr, **baseline, sweep=sweep,
-        recipe=recipe, seed=seed, output_dir=si.get("output_dir", "out"),
-        raw=raw,
+        f_delta=f_delta, **arr, **baseline, sweep=SweepSpec(**sw),
+        recipe=si.get("recipe"), seed=seed,
+        output_dir=si.get("output_dir", "out"), raw=raw,
     )
 
 
 def load_config(path, *, recipe: str | None = None,
                 seed: int | None = None) -> ExperimentConfig:
-    """Parse, merge onto the shipped defaults, validate, convert to SI.
+    """Parse, merge onto the shipped defaults, validate, convert to SI. The
+    config is not judged against its recipe here: ``recipes.check_recipe``
+    does that.
 
     ``recipe`` and ``seed`` are CLI-level overrides applied after the merge
     (they participate in the fingerprint like any other key).

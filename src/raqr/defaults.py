@@ -12,19 +12,15 @@ from dataclasses import replace
 
 from .atomic import AtomicSystem
 from .config import _from_raw
-from .constants import speed_of_light
 from .frontend import (  # drive_for is re-exported for callers of this module
     DetectionChain, OperatingPoint, UserSignal, drive_for, rf_field_amplitude,
 )
 
-# The shipped file selects no recipe; validating one would import
-# ``recipes``, which imports this module.
 _SHIPPED = _from_raw({})
 
 F_CARRIER = _SHIPPED.f_carrier            # user carrier frequency, Hz
 F_DELTA = _SHIPPED.f_delta                # beat frequency inside the band, Hz
 USER_DISTANCE = _SHIPPED.region_center_m  # base-station-to-user range, m
-LAMBDA_LO = speed_of_light / F_CARRIER    # free-space LO wavelength, ~4.3 cm
 
 
 def cesium_system(**overrides) -> AtomicSystem:
@@ -80,7 +76,6 @@ def default_scenario(n_sensors: int, n_users: int = 10, **overrides):
     kwargs = dict(
         n_sensors=n_sensors,
         n_users=n_users,
-        lambda_lo=LAMBDA_LO,
         theta_arrival=0.0,
         beta=large_scale_fading(USER_DISTANCE, F_CARRIER),
         p=_SHIPPED.transmit_power,

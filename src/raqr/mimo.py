@@ -79,7 +79,6 @@ class MimoScenario:
 
     n_sensors: int
     n_users: int
-    lambda_lo: float
     theta_arrival: float = 0.0
     beta: np.ndarray = 1.0
     p: np.ndarray = 1.0
@@ -92,8 +91,6 @@ class MimoScenario:
         # Philox keys [seed, chunk] go through float64 from 2**63 on
         if not 0 <= self.seed < 2**63:
             raise ValueError("seed must be >= 0 and < 2**63")
-        if self.lambda_lo <= 0:
-            raise ValueError("lambda_lo must be positive")
         beta = np.broadcast_to(
             np.asarray(self.beta, dtype=float), (self.n_users,)
         ).copy()

@@ -20,11 +20,8 @@ import numpy as np
 
 from . import defaults, mimo
 from .atomic import steady_state_numeric
-from .config import (SWEEP_VARIABLES, ExperimentConfig, SweepSpec, ValidationError,
-                     fingerprint)
-from .constants import speed_of_light
-from .frontend import (OperatingPoint, baseband_gains, noise_budget, p1_of_lo,
-                       with_powers)
+from .config import SWEEP_VARIABLES, ExperimentConfig, ValidationError, fingerprint
+from .frontend import baseband_gains, noise_budget, p1_of_lo, with_powers
 from .optimize import (
     NoiseWeights,
     normalized_noise,
@@ -114,29 +111,29 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     return paths
 
 
-def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
-                 op: OperatingPoint, transmit_power: float) -> None:
-    """Raise ValidationError unless ``name`` is a recipe that sweeps
-    ``sweep.variable`` over values it can run at the configured operating
-    point ``op`` and user power ``transmit_power``; config validation and
-    ``run_recipe`` both call this.
+def check_recipe(config: ExperimentConfig) -> None:
+    """Raise ValidationError unless ``config.recipe`` is a recipe that sweeps
+    ``config.sweep.variable`` over values it can run at the configured
+    operating point and user power; ``raqr validate`` and ``run_recipe``
+    each call this once.
 
     Every sweep value must be finite, and so must a detuning once converted
     to rad/s: a linear span of two finite ends can still overflow. A sensor
     sweep rounds each value to a count, which must be >= 1, and for
     ``rate-vs-M`` (zero forcing) above ``n_users``. The sweep is
     monotone, so its ends bound every count. The LO drives the RF
-    transition, and without it the reception gain and the transduction
-    slope vanish, so the LO power must be positive wherever the recipe reads
-    it: everywhere but ``sn-vs-ratio``, which builds its own operating
-    points, and a ``lo_power_w`` sweep of ``rate-vs-parameter``, which sets
-    it. Balanced detection has no gain without its local beam, so there the
-    local beam power must be positive too, except for ``sn-vs-ratio`` and
-    ``detuning-loss``, which never read the configured point's gains.
-    ``power-scaling`` reports its bound relative to the asymptotic rate,
-    which is 0 without user power, so there ``transmit_power`` must be
-    positive.
+    transition and the probe beam carries the readout; without either the
+    reception gain and the transduction slope vanish, so the LO and probe
+    powers must be positive wherever the recipe reads them: everywhere but
+    ``sn-vs-ratio``, which builds its own operating points, and a sweep of
+    that power by ``rate-vs-parameter``, which sets it. Balanced detection
+    has no gain without its local beam, so there the local beam power must
+    be positive too, except for ``sn-vs-ratio`` and ``detuning-loss``,
+    which never read the configured point's gains. ``power-scaling``
+    reports its bound relative to the asymptotic rate, which is 0 without
+    user power, so there ``transmit_power`` must be positive.
     """
+    name, sweep, op = config.recipe, config.sweep, config.op
     if name is None:
         raise ValidationError("recipe", "no recipe selected")
     if name not in RECIPES:
@@ -154,25 +151,27 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
             "sweep.start" if not np.isfinite(values[0]) else "sweep.stop",
             f"the sweep from {sweep.start:g} to {sweep.stop:g} overflows")
     if RECIPE_SWEEPS[name] == ("n_sensors",):
-        least = n_users + 1 if name == "rate-vs-M" else 1
+        least = config.n_users + 1 if name == "rate-vs-M" else 1
         ends = (("sweep.start", sweep.start), ("sweep.stop", sweep.stop))
         for key, value in ends[:sweep.points]:
             count = int(round(value))
             if count < least:
                 raise ValidationError(key, f"rounds to {count} sensors; recipe "
                                       f"{name} needs at least {least}")
-    sets_lo = name == "sn-vs-ratio" or (
-        name == "rate-vs-parameter" and sweep.variable == "lo_power_w")
-    if op.p_lo <= 0.0 and not sets_lo:
-        raise ValidationError("operating_point.lo_power_w",
-                              f"must be > 0 for recipe {name}, which needs an "
-                              "RF LO drive")
+    for key, need in (("lo_power_w", "an RF LO drive"),
+                      ("probe_power_w", "a probe beam")):
+        sets_it = name == "sn-vs-ratio" or (
+            name == "rate-vs-parameter" and sweep.variable == key)
+        if getattr(op, _SWEEP_TO_POWER[key]) <= 0.0 and not sets_it:
+            raise ValidationError(f"operating_point.{key}",
+                                  f"must be > 0 for recipe {name}, which needs "
+                                  f"{need}")
     if (op.scheme == "BCOD" and op.pl <= 0.0
             and name not in ("sn-vs-ratio", "detuning-loss")):
         raise ValidationError("operating_point.local_beam_power_w",
                               f"must be > 0 for recipe {name} with balanced "
                               "detection, which needs a local beam")
-    if transmit_power <= 0.0 and name == "power-scaling":
+    if config.transmit_power <= 0.0 and name == "power-scaling":
         raise ValidationError("array.transmit_power",
                               f"must be > 0 for recipe {name}, which divides "
                               "by the asymptotic rate")
@@ -180,8 +179,7 @@ def check_recipe(name: str | None, sweep: SweepSpec, n_users: int,
 
 def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
     name = config.recipe
-    check_recipe(name, config.sweep, config.n_users, config.op,
-                 config.transmit_power)
+    check_recipe(config)
     try:
         result = RECIPES[name](config, threads)
     except (ValidationError, RecipeError):
@@ -218,7 +216,6 @@ def _scenario(cfg: ExperimentConfig, n_sensors: int, beta, p=None) -> mimo.MimoS
     return mimo.MimoScenario(
         n_sensors=n_sensors,
         n_users=cfg.n_users,
-        lambda_lo=speed_of_light / cfg.f_carrier,
         beta=beta,
         p=cfg.transmit_power if p is None else p,
         seed=cfg.seed,

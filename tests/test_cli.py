@@ -19,9 +19,11 @@ from raqr.config import (
     load_config,
     serialize,
 )
+from raqr import recipes
 from raqr.recipes import (
     RECIPE_SWEEPS,
     RecipeError,
+    check_recipe,
     _csv_lines,
     list_recipes,
     place_users,
@@ -63,6 +65,12 @@ ZERO_LO_SWEEPS = {
     "ratio_db": "  start: 10.0\n  stop: 30.0\n  points: 2\n  scale: linear\n",
     "detuning_khz": "  start: -100.0\n  stop: 100.0\n  points: 3\n  scale: linear\n",
 }
+
+# keys whose zero leaves no readout: the probe and RF dipoles, the probe
+# linewidth and the probe power
+ZERO_READOUT_KEYS = [("atomic", "rf_dipole_ea0"), ("atomic", "probe_dipole_ea0"),
+                     ("atomic", "probe_linewidth_mhz"),
+                     ("operating_point", "probe_power_w")]
 
 
 class TestParsing:
@@ -172,8 +180,9 @@ class TestValidation:
 
     def test_unknown_recipe(self, tmp_path):
         path = write_config(tmp_path, "recipe: make-coffee\n")
+        cfg = load_config(path)  # loading does not judge the recipe
         with pytest.raises(ValidationError, match="recipe"):
-            load_config(path)
+            check_recipe(cfg)
 
     def test_negative_seed(self, tmp_path):
         path = write_config(tmp_path, "seed: -1\n")
@@ -292,22 +301,34 @@ class TestDerivedQuantities:
     def test_scaled_units_land_on_the_nearest_double(self):
         raw = config._defaults_raw()
         si = config._validate_raw(raw)
-        scaled = [(section, key, exp)
+        scaled = [(section, key, exp, fields[0] if fields else key)
                   for section, schema in config._SECTIONS.items()
-                  for key, (_, exp, *_) in schema.items() if exp is not None]
+                  for key, (_, exp, *fields) in schema.items() if exp is not None]
         assert len(scaled) == 10
-        for section, key, exp in scaled:
+        for section, key, exp, name in scaled:
             written = raw[section][key]
-            assert si[section][key] == float(f"{written}e{exp}"), key
+            assert si[section][name] == float(f"{written}e{exp}"), key
 
     @pytest.mark.parametrize(
         "module", ["raqr.defaults", "raqr.config", "raqr.recipes", "raqr.cli"]
     )
     def test_imports_first_in_a_fresh_interpreter(self, module):
-        # defaults builds the shipped config at import, and config imports
-        # recipes lazily; neither edge may meet a half-initialised module
+        # defaults builds the shipped config at import; that edge may not
+        # meet a half-initialised module
         proc = run_fresh(f"import {module}")
         assert proc.returncode == 0, proc.stderr
+
+    def test_loading_a_config_leaves_the_recipe_layer_unloaded(self):
+        # the config layer builds a config without judging it against its
+        # recipe, so it never needs the recipe layer
+        proc = run_fresh(
+            "import sys\n"
+            "from raqr.config import default_config_path, load_config\n"
+            "load_config(default_config_path('rate-vs-M'))\n"
+            "print('raqr.recipes' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False"]
 
     @pytest.mark.parametrize(
         "module", ["raqr.atomic", "raqr.frontend", "raqr.optimize", "raqr.mimo",
@@ -602,6 +623,31 @@ class TestRunRecipe:
                        "--out", str(tmp_path / "out")])
         assert rc == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", ZERO_READOUT_KEYS,
+                             ids=[key for _, key in ZERO_READOUT_KEYS])
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_SWEEPS))
+    def test_zero_readout_key_is_rejected_or_runs(self, tmp_path, capsys,
+                                                  recipe, section, key):
+        # only sn-vs-ratio runs without the configured probe power: it
+        # builds its own operating points
+        raw = yaml.safe_load(default_config_path(recipe).read_text())
+        raw.setdefault("array", {})["realizations"] = 100
+        if recipe == "rate-vs-M":
+            raw["sweep"].update(start=16, stop=32, points=2)
+        raw.setdefault(section, {})[key] = 0.0
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        rc = cli.main(["validate", "--config", str(path)])
+        err = capsys.readouterr().err
+        if (recipe, key) != ("sn-vs-ratio", "probe_power_w"):
+            assert rc == 2 and err.startswith(f"error: {section}.{key}: "), err
+            return
+        assert rc == 0, err
+        rc = cli.main(["run", recipe, "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        summary = (tmp_path / "out" / f"{recipe}_summary.json").read_text()
+        assert "NaN" not in summary
+
     def test_overflowing_detuning_is_a_named_error(self, tmp_path, capsys):
         # ±1e308 kHz is finite in the config, but the span between the ends
         # overflows, so validate and run both refuse the sweep
@@ -633,9 +679,10 @@ class TestRunRecipe:
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
     def test_sweep_variable_mismatch(self, tmp_path):
-        # selecting a recipe checks its sweep when the config loads
+        # the recipe check reads the sweep of the loaded config
+        cfg = load_config(write_config(tmp_path, "recipe: waveform-overlay\n"))
         with pytest.raises(ValidationError, match="sweep.variable"):
-            load_config(write_config(tmp_path, "recipe: waveform-overlay\n"))
+            check_recipe(cfg)
 
     def test_run_recipe_checks_a_replaced_sweep(self, tmp_path):
         # a config changed after loading is checked again before it runs
@@ -790,6 +837,27 @@ class TestCliEntry:
                       "--out", str(tmp_path / seed), "--seed", seed])
             fps.append(capsys.readouterr().out.splitlines()[0])
         assert fps[0] != fps[1]
+
+    def test_check_recipe_runs_once_per_command(self, tmp_path, monkeypatch,
+                                                capsys):
+        calls = []
+
+        def spy(cfg):
+            calls.append(cfg.recipe)
+            check_recipe(cfg)
+
+        monkeypatch.setattr(recipes, "check_recipe", spy)
+        monkeypatch.setattr(cli, "check_recipe", spy)
+        path = write_config(tmp_path, SMALL_DETUNING)
+        assert cli.main(["run", "detuning-loss", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["detuning-loss"]
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert calls == ["detuning-loss"] * 2
+        # the shipped default names no recipe
+        assert cli.main(["validate", "--config", str(default_config_path())]) == 0
+        assert calls == ["detuning-loss"] * 2
+        capsys.readouterr()
 
     def test_packaged_recipe_configs_all_validate(self, capsys):
         from raqr.config import _CONFIG_DIR

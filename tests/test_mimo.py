@@ -436,7 +436,7 @@ def bound_cases(draw, method):
         fading, magnitude = (st.one_of(st.just(0.0), x) for x in (fading, magnitude))
     power = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
     sc = mimo.MimoScenario(
-        n_sensors=m, n_users=k, lambda_lo=1.0,
+        n_sensors=m, n_users=k,
         beta=draw(st.lists(fading, min_size=k, max_size=k)),
         p=draw(st.lists(power, min_size=k, max_size=k)))
     gains = SimpleNamespace(
