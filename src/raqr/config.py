@@ -29,6 +29,10 @@ from .mimo import MIN_REALIZATIONS
 
 _CONFIG_DIR = Path(__file__).with_name("configs")
 
+# most points a sweep may ask for: ten times the largest sweep in use, and
+# checked before any sweep array is built
+MAX_SWEEP_POINTS = 10_000
+
 # one atomic unit of dipole moment e a0, C*m: a literal, e times the CODATA 2018
 # Bohr radius to ten digits (6.1e-10 relative above CODATA 2022's 8.4783536198e-30)
 E_A0 = 8.478353625e-30
@@ -361,8 +365,8 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
         )
     if sw["scale"] not in ("linear", "log"):
         raise ValidationError("sweep.scale", "must be 'linear' or 'log'")
-    if sw["points"] < 0:
-        raise ValidationError("sweep.points", "must be >= 0")
+    if not 0 <= sw["points"] <= MAX_SWEEP_POINTS:
+        raise ValidationError("sweep.points", f"must be >= 0 and <= {MAX_SWEEP_POINTS}")
     if sw["scale"] == "log" and (sw["start"] <= 0 or sw["stop"] <= 0):
         key = "sweep.start" if sw["start"] <= 0 else "sweep.stop"
         raise ValidationError(key, "log sweeps need positive bounds")

@@ -15,6 +15,7 @@ from .config import _from_raw
 from .frontend import (  # drive_for is re-exported for callers of this module
     DetectionChain, OperatingPoint, UserSignal, drive_for, rf_field_amplitude,
 )
+from .mimo import MimoScenario, large_scale_fading
 
 _SHIPPED = _from_raw({})
 
@@ -71,8 +72,6 @@ def weak_user(ratio_db: float, op: OperatingPoint, *, theta_x: float = 0.0,
 def default_scenario(n_sensors: int, n_users: int = 10, **overrides):
     """Array scenario at the shipped carrier: half-wave spacing, all users
     at the nominal range with the shipped transmit power."""
-    from .mimo import MimoScenario, large_scale_fading
-
     kwargs = dict(
         n_sensors=n_sensors,
         n_users=n_users,

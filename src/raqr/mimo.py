@@ -221,27 +221,26 @@ def _phased(scenario, h, phi=1.0, out=None):
     return np.multiply(phi * lo_phase_progression(scenario)[:, None], h, out=out)
 
 
-def _project(a, method, *cols, out=None):
+def _project(a, method, cols, out=None):
     """The one combining kernel on a phased channel ``a`` (..., M, K):
-    ``(cᴴa, cᴴ·col for each col)`` for column blocks (..., M, n), with
-    combiners c = a (MRC) or a·G⁻¹ (ZF), G = aᴴa. The ZF coupling is the
-    identity by construction, so ZF leakage and interference are exactly 0.
+    ``(cᴴa, cᴴ·cols)`` for one column block (..., M, n), with combiners
+    c = a (MRC) or a·G⁻¹ (ZF), G = aᴴa. The ZF coupling is the identity by
+    construction, so ZF leakage and interference are exactly 0.
 
     ``out`` may give arrays to write into: ``"conj"`` (a's shape), ``"gram"``
-    (..., K, K), and ``"z"`` and ``"zf"``, one (..., K, n) array per column
-    block for aᴴ·col and for the ZF product G⁻¹aᴴ·col."""
+    (..., K, K), and ``"z"`` and ``"zf"`` (..., K, n) for aᴴ·cols and for the
+    ZF product G⁻¹aᴴ·cols."""
     out = out or {}
-    blanks = [None] * len(cols)
     a_h = np.conjugate(a, out=out.get("conj")).swapaxes(-1, -2)
     gram = np.matmul(a_h, a, out=out.get("gram"))
-    z = [np.matmul(a_h, col, out=o) for col, o in zip(cols, out.get("z", blanks))]
+    z = np.matmul(a_h, cols, out=out.get("z"))
     if method == "MRC":
-        return gram, *z
+        return gram, z
     if method != "ZF":
         raise ValueError(f"unknown detection method {method!r}")
     g_inv = _zf_inverse(gram, a.shape[-2])
-    return np.broadcast_to(np.eye(gram.shape[-1]), gram.shape), *(
-        np.matmul(g_inv, x, out=o) for x, o in zip(z, out.get("zf", blanks)))
+    return (np.broadcast_to(np.eye(gram.shape[-1]), gram.shape),
+            np.matmul(g_inv, z, out=out.get("zf")))
 
 
 def _zf_inverse(gram, n_sensors):
@@ -298,26 +297,19 @@ def combiner(
 
 
 def detect(
-    received: ReceivedSignal | np.ndarray,
+    received: ReceivedSignal,
     h: np.ndarray,
     scenario: MimoScenario,
     gains: BasebandGains,
     method: str,
 ) -> DetectionResult:
-    """Apply a combiner; with a full snapshot, also split the statistic.
-
-    A bare received vector yields only ``r`` (the component fields are
-    None): the split needs the snapshot's separately stored addends. A
-    leading axis on ``h`` and the snapshot makes a batch.
-    """
-    bare = isinstance(received, np.ndarray)
-    cols = [received] if bare else [received.y, received.shot, received.noise]
+    """Apply a combiner to a snapshot and split the statistic five ways.
+    A leading axis on ``h`` and the snapshot makes a batch."""
     a = _phased(scenario, h, gains.phi)
-    t, *z = _project(a, method, *(col[..., None] for col in cols))
-    r, *noise = [col[..., 0] for col in z]  # statistic, then shot and AWGN
-    if bare:
-        return DetectionResult(r, None, None, None, None, None, method)
-
+    # the statistic, shot and AWGN columns side by side, combined in one product
+    cols = np.stack([received.y, received.shot, received.noise], axis=-1)
+    t, z = _project(a, method, cols)
+    r, sn, n = np.moveaxis(z, -1, 0)
     x = np.sqrt(gains.rho * scenario.p) * received.symbols
     t_mean = 1.0  # ZF: the self-coupling is exactly 1
     if method == "MRC":  # hardening mean of the self-coupling entry
@@ -327,7 +319,7 @@ def detect(
     ls = t_diag * x - ds
     # off-diagonal leakage only; the diagonal entry is ds + ls
     ui = (t @ x[..., None])[..., 0] - t_diag * x
-    return DetectionResult(r, ds, ls, ui, *noise, method)
+    return DetectionResult(r, ds, ls, ui, sn, n, method)
 
 
 def _abs_sq(x):
@@ -508,7 +500,7 @@ def _chunk_stats(scenario, method, chunk_index, n, workspace):
         ws = {key: workspace[key][:len(a)] for key in ("conj", "gram", "z", "zf")}
         # shot and AWGN columns side by side, combined in one product
         cols = np.stack([b[j] * (a @ ps[j])[..., 0], w[j]], axis=-1)
-        t, z = _project(a, method, cols, out={**ws, "z": [ws["z"]], "zf": [ws["zf"]]})
+        t, z = _project(a, method, cols, out=ws)
         t_diag = diag[j] = np.diagonal(t, axis1=-2, axis2=-1)
         ui = (t @ ps[j])[..., 0] - t_diag * ps[j][..., 0]
         energy[:, j] = _abs_sq(np.stack([t_diag, ui, z[..., 0], z[..., 1]]))

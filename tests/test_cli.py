@@ -168,6 +168,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match="sweep.points"):
             load_config(path)
 
+    @pytest.mark.parametrize("points", [config.MAX_SWEEP_POINTS + 1, 10**15])
+    def test_too_many_points_fail_before_the_sweep_is_built(
+            self, tmp_path, capsys, points):
+        # 10**15 points would ask numpy for petabytes
+        at_cap = write_config(
+            tmp_path, f"sweep:\n  points: {config.MAX_SWEEP_POINTS}\n", "a.yaml")
+        assert load_config(at_cap).sweep.points == config.MAX_SWEEP_POINTS
+        path = write_config(
+            tmp_path, f"recipe: rate-vs-parameter\nsweep:\n  points: {points}\n")
+        with pytest.raises(ValidationError, match="sweep.points") as err:
+            load_config(path)
+        assert err.value.key == "sweep.points"
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: sweep.points: ")
+
     def test_unknown_sweep_variable(self, tmp_path):
         path = write_config(tmp_path, "sweep:\n  variable: phase_of_moon\n")
         with pytest.raises(ValidationError, match="sweep.variable"):

@@ -268,13 +268,19 @@ class TestDetect:
         scale = np.abs(det.r).max()
         assert np.all(np.abs(det.r - total) < 1e-12 * scale)
 
-    def test_bare_vector_gives_statistic_only(self, gains, budget, rng):
+    @pytest.mark.parametrize("method", ["MRC", "ZF"])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_statistic_and_noise_columns_match_the_combiner(
+            self, gains, budget, rng, method, batch):
+        # the stacked (y, shot, noise) block against per-column products cᴴx
         sc = small_scenario()
-        h, snap = self._snapshot(gains, budget, rng, sc)
-        det_full = mimo.detect(snap, h, sc, gains, "MRC")
-        det_bare = mimo.detect(snap.y, h, sc, gains, "MRC")
-        assert np.array_equal(det_bare.r, det_full.r)
-        assert det_bare.ds is None
+        h, s = mimo._draw(rng, batch, sc, "hs")
+        snap = mimo.build_received(h, sc, gains, budget, s, rng)
+        c_h = mimo.combiner(h, sc, gains, method).conj().swapaxes(-1, -2)
+        det = mimo.detect(snap, h, sc, gains, method)
+        for term, col in (("r", snap.y), ("sn", snap.shot), ("n", snap.noise)):
+            want = (c_h @ col[..., None])[..., 0]
+            assert _close(getattr(det, term), want), term
 
     def test_zf_noiseless_recovers_symbols(self, gains, budget, rng):
         sc = small_scenario()
@@ -309,7 +315,7 @@ class TestDetect:
         n = 10_000
         for _ in range(n):
             h, snap = self._snapshot(gains, budget, rng, sc)
-            acc += np.abs(mimo.detect(snap.y, h, sc, gains, "MRC").r) ** 2
+            acc += np.abs(mimo.detect(snap, h, sc, gains, "MRC").r) ** 2
         assert np.all(np.abs(acc / n - expected) < 0.05 * expected)
 
     def test_cross_moments_vanish(self, gains, budget, rng):
@@ -367,14 +373,12 @@ class TestSnapshotBatch:
         fields = ("y", "signal", "shot", "noise", "symbols")
         c = mimo.combiner(h, sc, gains, method)
         det = mimo.detect(snap, h, sc, gains, method)
-        bare = mimo.detect(snap.y, h, sc, gains, method)
         for i in range(len(h)):
             one = mimo.ReceivedSignal(**{f: getattr(snap, f)[i] for f in fields})
             assert _close(c[i], mimo.combiner(h[i], sc, gains, method))
             ref = mimo.detect(one, h[i], sc, gains, method)
             for term in ("r", "ds", "ls", "ui", "sn", "n"):
                 assert _close(getattr(det, term)[i], getattr(ref, term)), term
-            assert _close(bare.r[i], mimo.detect(one.y, h[i], sc, gains, method).r)
 
     @settings(max_examples=30, deadline=None)
     @given(stack=channel_stacks(min_users=2), data=st.data())
