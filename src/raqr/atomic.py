@@ -13,6 +13,7 @@ the all-resonant closed form for rho21. Tests hold them to 1e-9 agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -131,9 +132,10 @@ class DensityMatrix:
 
 def _hamiltonian(fields: dict) -> np.ndarray:
     """Rotating-frame Hamiltonian over hbar, rad/s, for the ladder chain, from
-    the fields of a drive, by name; (..., 4, 4) for a stack of drives."""
+    the fields of a drive, by name; real symmetric, (..., 4, 4) for a stack
+    of drives."""
     d3 = fields["delta_p"] + fields["delta_c"]
-    h = np.zeros(np.broadcast(*fields.values()).shape + (4, 4), dtype=complex)
+    h = np.zeros(np.broadcast(*fields.values()).shape + (4, 4))
     h[..., 0, 1] = h[..., 1, 0] = fields["omega_p"]
     h[..., 1, 2] = h[..., 2, 1] = fields["omega_c"]
     h[..., 2, 3] = h[..., 3, 2] = fields["omega_rf"]
@@ -166,6 +168,45 @@ _BASIS = np.eye(16).reshape(16, 4, 4)  # E_ij at index 4i + j
 # _BASIS: the drive part of L is the Hamiltonian's entries times this table.
 _COMMUTATORS = (-1j * (_BASIS[:, None] @ _BASIS - _BASIS @ _BASIS[:, None])).reshape(16, 256)
 _TRACE_ROW = np.eye(4).ravel()  # vec(identity): _TRACE_ROW @ vec(rho) = tr(rho)
+
+# Real coordinates of a Hermitian rho: x = (rho_ii, Re rho_ij, Im rho_ij) with
+# i < j, read elementwise from the diagonal and the upper triangle. rho is the
+# sum of x_c times the Hermitian basis matrix _HERMITIAN[c], so vec(rho) =
+# x @ _VEC_OF_X, whose entries are 0, 1 and +-j with one nonzero per column:
+# the product only places each x_c. The generator maps Hermitian matrices to
+# Hermitian matrices, so in x it is a real 16x16 map R.
+_DIAG = np.arange(4)
+_IU, _JU = np.triu_indices(4, 1)
+_HERMITIAN = np.zeros((16, 4, 4), dtype=complex)
+_HERMITIAN[_DIAG, _DIAG, _DIAG] = 1.0
+_HERMITIAN[4 + np.arange(6), _IU, _JU] = _HERMITIAN[4 + np.arange(6), _JU, _IU] = 1.0
+_HERMITIAN[10 + np.arange(6), _IU, _JU] = 1j
+_HERMITIAN[10 + np.arange(6), _JU, _IU] = -1j
+_VEC_OF_X = _HERMITIAN.reshape(16, 16)
+
+
+def _to_x(m: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian 4x4 matrices, on a new last axis."""
+    upper = m[..., _IU, _JU]
+    return np.concatenate([m[..., _DIAG, _DIAG].real, upper.real, upper.imag], axis=-1)
+
+
+# R's tables, laid out as row-major (16, 16) blocks: the real Hamiltonian's 16
+# entries times _DRIVE_X give R's drive part, and the rates _RATES times
+# _DECAY_X its decay and repump part. Column c of each block is x of the
+# generator's action on _HERMITIAN[c]: _COMMUTATORS on it for the drive, and
+# ``_rhs`` at H = 0 with that one rate set to 1 for the decay. Every entry is
+# 0, +-1/2 or +-1, and each drive entry of R sums at most two nonzero terms,
+# so a stack member's R does not depend on its stack.
+_DRIVE_X = _to_x((_VEC_OF_X @ _COMMUTATORS.reshape(16, 16, 16)).reshape(16, 16, 4, 4))
+_DRIVE_X = _DRIVE_X.swapaxes(-1, -2).reshape(16, 256)
+_RATES = ("gamma", "gamma2", "gamma3", "gamma4", "gamma_c")
+_DECAY_X = np.array([
+    _to_x(_rhs(SimpleNamespace(**{k: float(k == rate) for k in _RATES}),
+               np.zeros((4, 4)), _HERMITIAN)).T.ravel()
+    for rate in _RATES
+])
+_TRACE_X = _to_x(np.eye(4))  # _TRACE_X @ x = tr(rho)
 BLOCK = 64  # drives per batched solve: bounds the working set of a long stack
 RESIDUAL_RTOL = 1e-10
 
@@ -195,18 +236,27 @@ def _liouvillian(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
 def _norm(x: np.ndarray) -> np.ndarray:
     """Norm over the last axis, summed as np.linalg.norm sums one vector, so
     each member of a stack gets its single-vector value bit for bit."""
-    re, im = x.real[..., None, :], x.imag[..., None, :]
-    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    re = x.real[..., None, :]
+    sq = re @ re.swapaxes(-1, -2)
+    if np.iscomplexobj(x):
+        im = x.imag[..., None, :]
+        sq = sq + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq)[..., 0, 0]
 
 
 def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMatrix:
     """Unique physical null vector of the Liouvillian, as a density matrix.
 
-    Replaces one row of L with the vectorized trace constraint and solves the
-    square system (deterministic, no iteration to convergence), then applies
-    two iterative-refinement passes. Where the relative residual
-    ||L v|| / ||L|| still exceeds ``RESIDUAL_RTOL``, an SVD diagnostic
-    decides between a genuinely degenerate null space and plain failure.
+    Solves in the real coordinates x of a Hermitian rho, where the generator
+    is a real 16x16 map R: one row of R is replaced with the trace
+    constraint, and one real inverse of that square system gives the
+    solution and two iterative-refinement passes as products (deterministic,
+    no iteration to convergence). The same inverse gives the system's
+    1-norm condition number. A member whose relative residual
+    ||R x|| / ||R|| exceeds ``RESIDUAL_RTOL``, or whose condition number
+    exceeds 1 / ``RESIDUAL_RTOL``, is solved again by the complex
+    ``_null_vectors``, whose SVD diagnostic decides between a genuinely
+    degenerate null space and plain failure.
 
     A stack of drives is solved in blocks of at most ``BLOCK`` and gives a
     stack of density matrices, each bit-identical to its own single-drive
@@ -217,8 +267,55 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
     v = np.empty((np.prod(shape, dtype=int), 16), dtype=complex)
     for lo in range(0, len(v), BLOCK):
         h = _hamiltonian({k: x[lo:lo + BLOCK] for k, x in flat.items()})
-        v[lo:lo + BLOCK] = _null_vectors(_liouvillian(system, h))
+        v[lo:lo + BLOCK] = _steady_vectors(system, h)
     return _finalize(v.reshape(shape + (16,)))
+
+
+def _real_liouvillian(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
+    """R with x(d rho/dt) = R @ x(rho), for the Hamiltonian (or stack of
+    them) ``h``; ``build_liouvillian`` in real coordinates."""
+    fixed = (np.array([getattr(system, k) for k in _RATES]) @ _DECAY_X).reshape(16, 16)
+    out = h.reshape(h.shape[:-2] + (16,)) @ _DRIVE_X
+    return out.reshape(h.shape[:-2] + (16, 16)) + fixed
+
+
+def _norm1(m: np.ndarray) -> np.ndarray:
+    """1-norm (largest absolute column sum) of each matrix of a stack."""
+    return (np.ones(m.shape[-2]) @ np.abs(m)).max(axis=-1)
+
+
+def _steady_vectors(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
+    """vec(rho) of the trace-one steady states of an (n, 4, 4) stack of
+    Hamiltonians."""
+    gen = _real_liouvillian(system, h)
+    scale = _norm(gen.reshape(-1, 256))
+    a = gen.copy()
+    # Trace row scaled to the operator norm so it does not unbalance the solve.
+    a[:, 0, :] = _TRACE_X * scale[:, None]
+    b = np.zeros((len(a), 16, 1))
+    b[:, 0, 0] = scale
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # A member is exactly singular and the inverse does not say which;
+        # the complex path takes the whole block.
+        return _null_vectors(_liouvillian(system, h))
+    x = inv @ b
+    # Two refinement passes: cheap, and they recover ~3 digits when the slow
+    # population-exchange mode makes the system ill-conditioned.
+    for _ in range(2):
+        x = x + inv @ (b - a @ x)
+    x = x[..., 0]
+    # A residual at RESIDUAL_RTOL bounds the relative error by cond times
+    # it, a bound that says nothing once cond exceeds 1 / RESIDUAL_RTOL.
+    # NaN fails both comparisons.
+    residual = _norm((gen @ x[..., None])[..., 0]) / scale
+    cond = _norm1(a) * _norm1(inv)
+    flagged = ~((residual <= RESIDUAL_RTOL) & (cond <= 1.0 / RESIDUAL_RTOL))
+    v = x @ _VEC_OF_X
+    if flagged.any():
+        v[flagged] = _null_vectors(_liouvillian(system, h[flagged]))
+    return v
 
 
 def _null_vectors(liou: np.ndarray) -> np.ndarray:

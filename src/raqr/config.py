@@ -32,6 +32,14 @@ _CONFIG_DIR = Path(__file__).with_name("configs")
 # most points a sweep may ask for: ten times the largest sweep in use, and
 # checked before any sweep array is built
 MAX_SWEEP_POINTS = 10_000
+# Largest arrays a config may ask for, checked before a run allocates. A
+# Monte-Carlo worker holds about 4.9 kB per sensor-user pair (a 256-draw
+# complex channel plus one 32-draw sub-batch), 1.3 GB at both limits; the
+# sensor limit is twice the 4,096 that power-scaling sweeps to and binds both
+# ends of a sensor sweep. The engine runs realizations in 256-draw chunks.
+MAX_SENSORS = 8_192
+MAX_USERS = 32
+MAX_REALIZATIONS = 1_000_000
 
 # one atomic unit of dipole moment e a0, C*m: a literal, e times the CODATA 2018
 # Bohr radius to ten digits (6.1e-10 relative above CODATA 2022's 8.4783536198e-30)
@@ -343,11 +351,12 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
     chain = _construct(DetectionChain, "detection", **det,
                        alpha=responsivity(eta, atomic["lambda_p"]))
 
-    for key in ("n_sensors", "n_users"):
-        if arr[key] < 1:
-            raise ValidationError(f"array.{key}", "must be >= 1")
-    if arr["realizations"] < MIN_REALIZATIONS:
-        raise ValidationError("array.realizations", f"must be >= {MIN_REALIZATIONS}")
+    for key, most in (("n_sensors", MAX_SENSORS), ("n_users", MAX_USERS)):
+        if not 1 <= arr[key] <= most:
+            raise ValidationError(f"array.{key}", f"must be >= 1 and <= {most}")
+    if not MIN_REALIZATIONS <= arr["realizations"] <= MAX_REALIZATIONS:
+        raise ValidationError("array.realizations", f"must be >= {MIN_REALIZATIONS} "
+                              f"and <= {MAX_REALIZATIONS}")
     if arr["region_center_m"] <= 0:
         raise ValidationError("array.region_center_m", "must be > 0")
     if not 0 <= arr["region_radius_m"] < arr["region_center_m"]:

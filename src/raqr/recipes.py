@@ -20,7 +20,13 @@ import numpy as np
 
 from . import defaults, mimo
 from .atomic import steady_state_numeric
-from .config import SWEEP_VARIABLES, ExperimentConfig, ValidationError, fingerprint
+from .config import (
+    MAX_SENSORS,
+    SWEEP_VARIABLES,
+    ExperimentConfig,
+    ValidationError,
+    fingerprint,
+)
 from .frontend import baseband_gains, noise_budget, p1_of_lo, with_powers
 from .optimize import (
     NoiseWeights,
@@ -120,7 +126,8 @@ def check_recipe(config: ExperimentConfig) -> None:
     Every sweep value must be finite, and so must a detuning once converted
     to rad/s: a linear span of two finite ends can still overflow. A sensor
     sweep rounds each value to a count, which must be >= 1, and for
-    ``rate-vs-M`` (zero forcing) above ``n_users``. The sweep is
+    ``rate-vs-M`` (zero forcing) above ``n_users``, and at most
+    ``config.MAX_SENSORS``. The sweep is
     monotone, so its ends bound every count. The LO drives the RF
     transition and the probe beam carries the readout; without either the
     reception gain and the transduction slope vanish, so the LO and probe
@@ -158,6 +165,9 @@ def check_recipe(config: ExperimentConfig) -> None:
             if count < least:
                 raise ValidationError(key, f"rounds to {count} sensors; recipe "
                                       f"{name} needs at least {least}")
+            if count > MAX_SENSORS:
+                raise ValidationError(key, f"rounds to {count} sensors, above "
+                                      f"the limit of {MAX_SENSORS}")
     for key, need in (("lo_power_w", "an RF LO drive"),
                       ("probe_power_w", "a probe beam")):
         sets_it = name == "sn-vs-ratio" or (

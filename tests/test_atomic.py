@@ -360,6 +360,90 @@ def _members(drive, n):
     ]
 
 
+class TestRealCoordinates:
+    """The solver's real generator R acts on x = (rho_ii, Re rho_ij,
+    Im rho_ij), i < j, as the complex Liouvillian acts on vec(rho)."""
+
+    def test_tables_hold_halves_and_units(self):
+        for table in (atomic._DRIVE_X, atomic._DECAY_X):
+            assert np.isin(table, [0.0, 0.5, -0.5, 1.0, -1.0]).all()
+        # each drive entry of R sums at most two of H's entries, so a stack
+        # member's R is the same whatever order the product sums them in
+        assert (atomic._DRIVE_X != 0).sum(axis=0).max() == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        drive=st.tuples(
+            st.just(0.0) | st.floats(0.0, 1e9),
+            st.just(0.0) | st.floats(0.0, 1e8),
+            st.just(0.0) | st.floats(0.0, 1e9),
+            st.floats(-1e8, 1e8),
+            st.floats(-1e8, 1e8),
+            st.floats(-1e8, 1e8),
+        ),
+        rates=st.tuples(*[st.floats(0.0, 1e6)] * 4),
+        x=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+    )
+    def test_real_generator_is_the_liouvillian_in_x(self, drive, rates, x):
+        gamma, gamma3, gamma4, gamma_c = rates
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
+                                      gamma4=gamma4, gamma_c=gamma_c)
+        drive = _stack([drive])
+        x = np.array(x)
+        v = x @ atomic._VEC_OF_X
+        rho = v.reshape(4, 4)
+        # x <-> vec(rho) is exact both ways, and rho is Hermitian
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.array_equal(atomic._to_x(rho), x)
+        assert np.array_equal(atomic._to_x(rho) @ atomic._VEC_OF_X, v)
+        liou = build_liouvillian(sys_, drive)[0]
+        gen = atomic._real_liouvillian(sys_, atomic._hamiltonian(vars(drive)))[0]
+        expected = atomic._to_x((liou @ v).reshape(4, 4))
+        tol = 1e-14 * np.linalg.norm(liou) * np.linalg.norm(v)
+        assert np.max(np.abs(gen @ x - expected)) <= tol
+
+    @pytest.mark.parametrize("delta_c", [1e6, -1e6])
+    def test_ill_conditioned_member_is_not_returned_unchecked(self, delta_c):
+        """ROADMAP item 8's drive: the real system's residual passes, but its
+        condition number is far above 1 / RESIDUAL_RTOL, so the member goes
+        to the complex path, whose state has a negative eigenvalue. Without
+        the condition flag the real solve returns a state here."""
+        system = defaults.cesium_system()
+        with pytest.raises(NonPhysical):
+            steady_state_numeric(system, DriveConfig(
+                omega_p=1.0, omega_c=1.0, omega_rf=2e6, delta_c=delta_c))
+
+    def test_member_above_the_condition_threshold_takes_the_complex_path(
+            self, system, monkeypatch):
+        """Rabi rates of 1 rad/s against a 3e7 rad/s linewidth: the real
+        residual passes, the 1-norm condition number exceeds 1 / RESIDUAL_RTOL,
+        and only that member is solved again by the complex path."""
+        drive = DriveConfig(omega_p=np.array([1e7, 1.0]),
+                            omega_c=np.array([1e6, 1.0]),
+                            omega_rf=np.array([1e6, 1.0]))
+        weak = _members(drive, 2)[1]
+        gen = atomic._real_liouvillian(system, atomic._hamiltonian(vars(weak)))
+        a = gen.copy()
+        a[0] = atomic._TRACE_X * np.linalg.norm(gen)
+        assert np.linalg.cond(a, 1) > 1.0 / atomic.RESIDUAL_RTOL
+
+        routed = []
+        null_vectors = atomic._null_vectors
+
+        def spy(liou):
+            routed.append(liou)
+            return null_vectors(liou)
+
+        monkeypatch.setattr(atomic, "_null_vectors", spy)
+        rho = steady_state_numeric(system, drive)
+        [liou] = routed
+        assert np.array_equal(liou, build_liouvillian(system, _stack(
+            [[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])))
+        monkeypatch.undo()
+        complex_path = atomic._finalize(atomic._null_vectors(liou)[0])
+        assert np.array_equal(rho.matrix[1], complex_path.matrix)
+
+
 class TestDriveStack:
     """A stack of drives is the solver's batch: each member must be
     bit-identical to its own single-drive call, and one bad member must
@@ -442,23 +526,29 @@ class TestDriveStack:
             (np.zeros(0), 0.0),
         ],
     )
-    def test_one_solve_per_member(self, system, monkeypatch, omega_rf, delta_rf):
-        """One solve plus two refinement passes per member, repeated ones
-        included, in blocks of at most BLOCK."""
-        solved = []
-        solve = np.linalg.solve
+    def test_one_inverse_per_member(self, system, monkeypatch, omega_rf, delta_rf):
+        """One real inverse per member, repeated ones included, in blocks of
+        at most BLOCK, and no member falls back to the complex solve."""
+        inverted, solved = [], []
+        inv, solve = np.linalg.inv, np.linalg.solve
 
-        def spy(a, b):
+        def spy_inv(a):
+            inverted.append(len(a))
+            return inv(a)
+
+        def spy_solve(a, b):
             solved.append(len(a))
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr(np.linalg, "inv", spy_inv)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
         drive = DriveConfig(
             omega_p=1e7, omega_c=1e6, omega_rf=np.asarray(omega_rf), delta_rf=delta_rf
         )
         steady_state_numeric(system, drive)
-        assert sum(solved) == 3 * np.broadcast(*vars(drive).values()).size
-        assert max(solved, default=0) <= atomic.BLOCK
+        assert sum(inverted) == np.broadcast(*vars(drive).values()).size
+        assert max(inverted, default=0) <= atomic.BLOCK
+        assert solved == []
 
     def test_solve_constructs_no_drive(self, system, diod, monkeypatch):
         """The caller's DriveConfig is the only check of its fields: the
@@ -474,10 +564,11 @@ class TestDriveStack:
         assert constructed == []
 
     def test_diagnostic_path_recovers_each_member(self, diod, monkeypatch):
-        """With the direct solve failing, every member goes to the SVD
-        diagnostic, which must still give each member its own single-drive
-        result and the direct solve's state. Transit and Rydberg decay keep
-        L well conditioned, so the two routes can be held to 1e-9."""
+        """With the real inverse and the complex solve both failing, every
+        member goes to the SVD diagnostic, which must still give each member
+        its own single-drive result and the direct solve's state. Transit and
+        Rydberg decay keep L well conditioned, so the two routes can be held
+        to 1e-9."""
         system = defaults.cesium_system(gamma=2e3, gamma3=1e4, gamma4=2e4)
         pick = [0, 1, 0, 2, 3, 0, 4, 0, 4]  # five distinct drives, four repeats
         n = len(pick)
@@ -487,11 +578,21 @@ class TestDriveStack:
         )
         direct = steady_state_numeric(system, drive).rho21
 
-        def singular(a, b):
+        def singular(a, *b):
             raise np.linalg.LinAlgError("Singular matrix")
 
+        diagnosed = []
+        svd = np.linalg.svd
+
+        def spy_svd(a):
+            diagnosed.append(len(a))
+            return svd(a)
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
         monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
         rho = steady_state_numeric(system, drive)
+        assert sum(diagnosed) == n
         for i, single in enumerate(_members(drive, n)):
             assert np.array_equal(
                 rho.matrix[i], steady_state_numeric(system, single).matrix

@@ -183,6 +183,44 @@ class TestValidation:
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: sweep.points: ")
 
+    @pytest.mark.parametrize("key, limit, huge", [
+        ("n_sensors", config.MAX_SENSORS, 10**6),
+        ("n_users", config.MAX_USERS, 10**6),
+        ("realizations", config.MAX_REALIZATIONS, 10**15),
+    ])
+    def test_arrays_above_their_limit_fail_validation(
+            self, tmp_path, capsys, key, limit, huge):
+        # validated only: a run at the huge sizes would ask for tens of GB of
+        # Monte-Carlo workspace, or build a chunk list of ~4e12 entries
+        at_cap = write_config(tmp_path, f"array:\n  {key}: {limit}\n", "a.yaml")
+        assert getattr(load_config(at_cap), key) == limit
+        for value in (limit + 1, huge):
+            path = write_config(
+                tmp_path, f"recipe: rate-vs-parameter\narray:\n  {key}: {value}\n")
+            with pytest.raises(ValidationError) as err:
+                load_config(path)
+            assert err.value.key == f"array.{key}"
+            assert cli.main(["validate", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: array.{key}: ")
+
+    @pytest.mark.parametrize("recipe", ["rate-vs-M", "power-scaling"])
+    def test_sensor_sweep_ends_above_the_limit_fail_validation(
+            self, tmp_path, capsys, recipe):
+        cap = config.MAX_SENSORS
+        ok = write_config(tmp_path, f"recipe: {recipe}\n"
+                          + SENSOR_SWEEP.format(16, cap + 0.4), "a.yaml")
+        check_recipe(load_config(ok))
+        for start, stop, key in [(16, cap + 0.6, "sweep.stop"),
+                                 (cap + 1, 16, "sweep.start"),
+                                 (16, 1e6, "sweep.stop")]:
+            path = write_config(tmp_path, f"recipe: {recipe}\n"
+                                + SENSOR_SWEEP.format(start, stop))
+            with pytest.raises(ValidationError) as err:
+                check_recipe(load_config(path))
+            assert err.value.key == key
+            assert cli.main(["validate", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
     def test_unknown_sweep_variable(self, tmp_path):
         path = write_config(tmp_path, "sweep:\n  variable: phase_of_moon\n")
         with pytest.raises(ValidationError, match="sweep.variable"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raqr import defaults, waveform
+from raqr import atomic, defaults, waveform
 from raqr.atomic import ZeroProbe, steady_state_numeric
 from raqr.constants import epsilon_0, hbar
 from raqr.frontend import (
@@ -130,13 +130,17 @@ class TestSimulate:
         self, system, quiet, monkeypatch, scheme, distinct
     ):
         """1,000 samples at a shipped point repeat their envelope from one
-        beat period to the next: one solve plus two refinement passes per
-        distinct envelope."""
+        beat period to the next: one real inverse per distinct envelope, in
+        blocks of at most BLOCK, and no complex fallback solve."""
         op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
-        solved, drives = [], []
-        solve = np.linalg.solve
+        inverted, solved, drives = [], [], []
+        inv, solve = np.linalg.inv, np.linalg.solve
 
-        def spy(a, b):
+        def spy_inv(a):
+            inverted.append(len(a))
+            return inv(a)
+
+        def spy_solve(a, b):
             solved.append(len(a))
             return solve(a, b)
 
@@ -144,13 +148,16 @@ class TestSimulate:
             drives.append(drive)
             return steady_state_numeric(system, drive)
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr(np.linalg, "inv", spy_inv)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
         monkeypatch.setattr(waveform, "steady_state_numeric", steady_state)
         simulate_waveform(op, quiet, defaults.weak_user(20.0, op), system,
                           1000 / FS, FS, seed=0, rho_solver="liouvillian")
         [drive] = drives
         assert len(np.unique(drive.omega_rf)) == len(drive.omega_rf) == distinct
-        assert sum(solved) == 3 * distinct
+        assert sum(inverted) == distinct
+        assert max(inverted) <= atomic.BLOCK
+        assert solved == []
 
     def test_overlay_rms_small_and_monotone(self, system, diod, bcod, quiet):
         """Linearized chain tracks the exact one to 1% at a 20 dB ratio and
