@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .config import (
@@ -38,8 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the config seed")
     run.add_argument("--out", default=None,
                      help="override the config output directory")
-    run.add_argument("--threads", type=int, default=None,
-                     help="worker threads; falls back to RAQR_THREADS, then 1")
+    run.add_argument("--threads", type=int, default=1,
+                     help="worker threads, default 1")
 
     validate = sub.add_parser("validate", help="check a config and print its "
                                                "fingerprint")
@@ -47,24 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-recipes", help="print the recipe registry")
     return parser
-
-
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        threads = flag
-    else:
-        env = os.environ.get("RAQR_THREADS", "")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValidationError("RAQR_THREADS",
-                                      f"not an integer: {env!r}")
-        else:
-            threads = 1
-    if threads < 1:
-        raise ValidationError("threads", "must be >= 1")
-    return threads
 
 
 def main(argv=None) -> int:
@@ -87,12 +68,13 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ValidationError("threads", "must be >= 1")
         path = args.config or default_config_path(args.recipe)
         cfg = load_config(path, recipe=args.recipe, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
-        paths = run_recipe(cfg, threads=threads)
+        paths = run_recipe(cfg, threads=args.threads)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

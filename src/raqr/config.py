@@ -235,9 +235,9 @@ def _parse_yaml(text: str, source: str) -> dict:
     return doc
 
 
-def _defaults_raw() -> dict:
-    path = _CONFIG_DIR / "default.yaml"
-    return _parse_yaml(path.read_text(encoding="utf-8"), str(path))
+# the packaged defaults, parsed once; _merge copies each section it merges into
+_DEFAULT_PATH = _CONFIG_DIR / "default.yaml"
+_DEFAULTS = _parse_yaml(_DEFAULT_PATH.read_text(encoding="utf-8"), str(_DEFAULT_PATH))
 
 
 def _merge(base: dict, overlay: dict) -> dict:
@@ -410,7 +410,7 @@ def load_config(path, *, recipe: str | None = None,
 
 def _from_raw(user: dict, *, recipe: str | None = None,
               seed: int | None = None) -> ExperimentConfig:
-    merged = _merge(_defaults_raw(), user)
+    merged = _merge(_DEFAULTS, user)
     if recipe is not None:
         merged["recipe"] = recipe
     if seed is not None:
@@ -425,7 +425,7 @@ def default_config_path(recipe: str | None = None) -> Path:
         candidate = _CONFIG_DIR / f"{recipe}.yaml"
         if candidate.exists():
             return candidate
-    return _CONFIG_DIR / "default.yaml"
+    return _DEFAULT_PATH
 
 
 def serialize(config: ExperimentConfig) -> str:

@@ -580,7 +580,7 @@ def monte_carlo_rates(
     draws: the term moments are homogeneous in the gain table, so each table
     rescales the same gain-free statistics, and its bound is ``sinr_lb``.
     Entry i is identical to ``monte_carlo_rate(scenario, *tables[i], method)``."""
-    _expectations(scenario, method)  # a bad method or shape raises before any draw
+    expected = _expectations(scenario, method)  # a bad method or shape raises first
     results = _run_chunks(scenario, method, threads)
     sums = np.stack([r[0] for r in results], axis=1)  # (5, chunks, users)
     counts = np.array([[r[1]] for r in results])
@@ -602,7 +602,9 @@ def monte_carlo_rates(
             with np.errstate(invalid="ignore"):
                 se = batch.std(axis=0, ddof=1) / math.sqrt(len(counts))
             se[np.isinf(batch).any(axis=0)] = np.inf
-        bound = sinr_lb(scenario, gains, budget, method).rate
+        # sinr_lb's closed-form moments, from the statistics already at hand
+        bound = _rate_from_terms(
+            _terms_from_stats(scenario, gains, factors * expected))[1]
         out.append(RateResult(
             sinr=sinr, rate=rate, bound=bound, n_samples=count,
             standard_error=se, capped=capped, method=method, terms=terms,

@@ -48,6 +48,12 @@ class MaxIterations(Exception):
     did not converge."""
 
 
+class OpaqueGrid(Exception):
+    """The normalized noise is infinite at every point of a swept power grid
+    (the cell is opaque throughout), so no closed-form optimum can be held
+    against the grid."""
+
+
 @dataclass(frozen=True)
 class NoiseWeights:
     """Per-mechanism coefficients of the normalized noise functional:

@@ -30,6 +30,7 @@ from .config import (
 from .frontend import baseband_gains, noise_budget, p1_of_lo, with_powers
 from .optimize import (
     NoiseWeights,
+    OpaqueGrid,
     normalized_noise,
     optimal_pc_cn,
     optimal_pc_tn,
@@ -37,7 +38,7 @@ from .optimize import (
     optimal_plo_cn,
     optimal_plo_tn,
 )
-from .waveform import WeakLO, simulate_waveform
+from .waveform import MIN_SAMPLES_PER_BEAT, WeakLO, simulate_waveform
 
 
 class RecipeError(Exception):
@@ -127,11 +128,13 @@ def check_recipe(config: ExperimentConfig) -> None:
     to rad/s: a linear span of two finite ends can still overflow. A sensor
     sweep rounds each value to a count, which must be >= 1, and for
     ``rate-vs-M`` (zero forcing) above ``n_users``, and at most
-    ``config.MAX_SENSORS``. The sweep is
-    monotone, so its ends bound every count. The LO drives the RF
-    transition and the probe beam carries the readout; without either the
-    reception gain and the transduction slope vanish, so the LO and probe
-    powers must be positive wherever the recipe reads them: everywhere but
+    ``config.MAX_SENSORS``. A ratio sweep scales the LO field by
+    10 ** (-ratio / 20) into the user field, a factor that must be finite
+    and nonzero. The sweep is monotone, so its ends bound every count and
+    factor. The LO drives the RF transition and the probe beam carries the
+    readout; without either the reception gain and the transduction slope
+    vanish, so the LO and probe powers must be positive wherever the recipe
+    reads them: everywhere but
     ``sn-vs-ratio``, which builds its own operating points, and a sweep of
     that power by ``rate-vs-parameter``, which sets it. Balanced detection
     has no gain without its local beam, so there the local beam power must
@@ -157,10 +160,19 @@ def check_recipe(config: ExperimentConfig) -> None:
         raise ValidationError(
             "sweep.start" if not np.isfinite(values[0]) else "sweep.stop",
             f"the sweep from {sweep.start:g} to {sweep.stop:g} overflows")
+    ends = (("sweep.start", sweep.start), ("sweep.stop", sweep.stop))[:sweep.points]
+    if RECIPE_SWEEPS[name] == ("ratio_db",):
+        for key, value in ends:
+            try:  # as defaults.weak_user scales the LO field
+                factor = 10.0 ** (-value / 20.0)
+            except OverflowError:
+                factor = math.inf
+            if not 0.0 < factor < math.inf:
+                raise ValidationError(key, f"a ratio of {value:g} dB scales the "
+                                      f"user field by {factor:g}")
     if RECIPE_SWEEPS[name] == ("n_sensors",):
         least = config.n_users + 1 if name == "rate-vs-M" else 1
-        ends = (("sweep.start", sweep.start), ("sweep.stop", sweep.stop))
-        for key, value in ends[:sweep.points]:
+        for key, value in ends:
             count = int(round(value))
             if count < least:
                 raise ValidationError(key, f"rounds to {count} sensors; recipe "
@@ -253,7 +265,7 @@ def waveform_overlay(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     """Exact vs linearized detector waveforms at a few LO-to-user ratios,
     noise generators off so the deviation column is pure model error."""
     quiet = dataclasses.replace(cfg.chain, sigma_sq_sn=0.0)
-    fs = 16.0 * cfg.f_delta
+    fs = MIN_SAMPLES_PER_BEAT * cfg.f_delta
     duration = 150.0 / cfg.f_delta  # 150 beat periods
     rows, series, per_ratio = [], [], {}
     for ratio in cfg.sweep.values():
@@ -285,7 +297,7 @@ def waveform_overlay(cfg: ExperimentConfig, threads: int) -> RecipeResult:
 def sn_vs_ratio(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     """Sampled variance of the signal-dependent shot component against its
     closed form, swept over the LO-to-user ratio for both detector schemes."""
-    fs = 16.0 * cfg.f_delta
+    fs = MIN_SAMPLES_PER_BEAT * cfg.f_delta
     n_samples = 40_000
     rows, series = [], []
     worst, worst_strong = 0.0, 0.0
@@ -357,6 +369,9 @@ def siso_optima(cfg: ExperimentConfig, threads: int) -> RecipeResult:
                 with_powers(cfg.op, **{attr: float(star)}), weights, cfg.system
             )
             idx = int(np.argmin(values))
+            if values[idx] == math.inf:
+                raise OpaqueGrid(f"series {label}: the normalized noise is "
+                                 "infinite at every grid point")
             gap_db = abs(10.0 * math.log10(w_star / values[idx]))
             annotations.append({"kind": "optimum", "series": label,
                                 "power_w": float(star)})

@@ -42,6 +42,10 @@ from .frontend import (
 )
 
 
+# lowest sample rate the simulator takes, in samples per beat period
+MIN_SAMPLES_PER_BEAT = 16.0
+
+
 class WeakLO(UserWarning):
     """Local oscillator less than 10 dB above the user field; the
     linearized chain is unreliable but the simulation still runs."""
@@ -136,8 +140,9 @@ def simulate_waveform(
     """
     f_delta = user.f_c - op.f_lo
     _check_beat(f_delta, sample_rate)
-    if sample_rate < 16.0 * abs(f_delta):
-        raise ValueError("sample_rate must be at least 16x the beat frequency")
+    if sample_rate < MIN_SAMPLES_PER_BEAT * abs(f_delta):
+        raise ValueError(f"sample_rate must be at least {MIN_SAMPLES_PER_BEAT:g}x "
+                         "the beat frequency")
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
     n = int(round(duration * sample_rate))

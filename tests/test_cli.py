@@ -82,6 +82,23 @@ class TestParsing:
                 load_config(path)
             assert (err.value.line, err.value.column) == (3, 1), loader
 
+    def test_load_config_parses_only_the_user_file(self, tmp_path, monkeypatch):
+        # the packaged defaults are parsed once, at import, and a merge leaves
+        # them as they were
+        sources, parse = [], config._parse_yaml
+        before = yaml.safe_dump(config._DEFAULTS)
+
+        def spy(text, source):
+            sources.append(source)
+            return parse(text, source)
+
+        monkeypatch.setattr(config, "_parse_yaml", spy)
+        path = write_config(tmp_path, "seed: 3\natomic:\n  cell_length_mm: 2.0\n")
+        cfg = load_config(path)
+        assert (cfg.seed, cfg.system.l_cell) == (3, 2e-3)
+        assert sources == [str(path)]
+        assert yaml.safe_dump(config._DEFAULTS) == before
+
     def test_loader_is_libyaml_where_present(self):
         assert config._LOADER is LOADERS[-1]
 
@@ -352,7 +369,7 @@ class TestDerivedQuantities:
         assert default_cfg.op == defaults.bcod_point()
 
     def test_scaled_units_land_on_the_nearest_double(self):
-        raw = config._defaults_raw()
+        raw = config._DEFAULTS
         si = config._validate_raw(raw)
         scaled = [(section, key, exp, fields[0] if fields else key)
                   for section, schema in config._SECTIONS.items()
@@ -720,6 +737,11 @@ class TestRunRecipe:
         ("detuning-loss", "detuning_khz", "-1.0e+305", "1.0e+305", "sweep.start"),
         ("detuning-loss", "detuning_khz", "0.0", "1.0e+306", "sweep.stop"),
         ("sn-vs-ratio", "ratio_db", "-1.0e+308", "1.0e+308", "sweep.start"),
+        # the user field, 10 ** (-ratio / 20) of the LO's, overflows or is zero
+        ("sn-vs-ratio", "ratio_db", "-1.0e+300", "20.0", "sweep.start"),
+        ("sn-vs-ratio", "ratio_db", "0.0", "7000.0", "sweep.stop"),
+        ("waveform-overlay", "ratio_db", "-1.0e+300", "20.0", "sweep.start"),
+        ("waveform-overlay", "ratio_db", "0.0", "7000.0", "sweep.stop"),
     ])
     def test_overflowing_sweep_names_its_end(self, tmp_path, capsys, recipe,
                                              variable, start, stop, key):
@@ -730,6 +752,23 @@ class TestRunRecipe:
         )
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    def test_opaque_grid_is_a_named_error(self, tmp_path, capsys):
+        # a 1e-30 W probe leaves the cell opaque over the whole coupling grid
+        import dataclasses
+
+        from raqr.optimize import OpaqueGrid
+
+        path = write_config(tmp_path, "recipe: siso-optima\noperating_point:\n"
+                                      "  probe_power_w: 1.0e-30\n")
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert cli.main(["run", "siso-optima", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "series coupling_power_w:dc_shot" in capsys.readouterr().err
+        cfg = dataclasses.replace(load_config(path), output_dir=str(tmp_path))
+        with pytest.raises(RecipeError) as err:
+            run_recipe(cfg)
+        assert isinstance(err.value.__cause__, OpaqueGrid)
 
     def test_sweep_variable_mismatch(self, tmp_path):
         # the recipe check reads the sweep of the loaded config
@@ -859,17 +898,23 @@ class TestCliEntry:
     def test_bad_thread_count(self, capsys):
         assert cli.main(["run", "detuning-loss", "--threads", "0"]) == 2
 
-    def test_env_thread_fallback(self, tmp_path, monkeypatch, capsys):
+    def test_threads_come_from_the_flag_alone(self, tmp_path, monkeypatch,
+                                             capsys):
+        # the environment is not read: no flag means one worker
+        calls = []
+
+        def spy(cfg, threads):
+            calls.append(threads)
+            return run_recipe(cfg, threads=threads)
+
+        monkeypatch.setattr(cli, "run_recipe", spy)
         monkeypatch.setenv("RAQR_THREADS", "not-a-number")
         path = write_config(tmp_path, SMALL_DETUNING)
-        rc = cli.main(["run", "detuning-loss", "--config", str(path),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "RAQR_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("RAQR_THREADS", "2")
-        rc = cli.main(["run", "detuning-loss", "--config", str(path),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 0
+        for flag in ([], ["--threads", "2"]):
+            rc = cli.main(["run", "detuning-loss", "--config", str(path),
+                           "--out", str(tmp_path / "out")] + flag)
+            assert rc == 0, capsys.readouterr().err
+        assert calls == [1, 2]
 
     def test_run_writes_and_reports(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_DETUNING)

@@ -938,6 +938,18 @@ class TestGainTables:
         bound = mimo.sinr_lb(TABLE_SCENARIO, gains, budget, method)
         assert np.array_equal(res.bound, bound.rate, equal_nan=True)
 
+    def test_expectations_are_derived_once_per_call(self, monkeypatch):
+        # every table's bound reuses the one set of closed-form statistics
+        calls, expectations = [], mimo._expectations
+
+        def spy(scenario, method):
+            calls.append(method)
+            return expectations(scenario, method)
+
+        monkeypatch.setattr(mimo, "_expectations", spy)
+        mimo.monte_carlo_rates(TABLE_SCENARIO, [UNIT_TABLE] * 3, "MRC")
+        assert calls == ["MRC"]
+
     @settings(max_examples=60, deadline=None)
     @given(table=gain_tables(), method=st.sampled_from(["MRC", "ZF"]))
     def test_terms_scale_as_closed_form_exponents(self, table, method):
