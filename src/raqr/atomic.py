@@ -260,7 +260,15 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
 
     A stack of drives is solved in blocks of at most ``BLOCK`` and gives a
     stack of density matrices, each bit-identical to its own single-drive
-    solve; one member that fails raises for the whole stack.
+    solve; one member that fails raises for the whole stack. The stack is
+    solved as given, repeats included; callers share repeated drives.
+
+    The Hamiltonian is real, so negating all three detunings maps the
+    steady state rho to U rho* U, U = diag(1, -1, 1, -1): an antiunitary
+    symmetry of the generator. In the real coordinates it only flips
+    signs, so the solve reproduces it to rounding, and bit for bit on the
+    shipped detuning sweeps; ``recipes.detuning_loss`` relies on it to
+    solve each |delta_rf| once.
     """
     shape = np.broadcast(*vars(drive).values()).shape
     flat = {k: np.broadcast_to(x, shape).ravel() for k, x in vars(drive).items()}

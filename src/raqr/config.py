@@ -24,7 +24,7 @@ import yaml
 
 from .atomic import AtomicSystem
 from .constants import elementary_charge, hbar, speed_of_light
-from .frontend import DetectionChain, OperatingPoint
+from .frontend import DetectionChain, OperatingPoint, beam_coefficient
 from .mimo import MIN_REALIZATIONS
 
 _CONFIG_DIR = Path(__file__).with_name("configs")
@@ -316,6 +316,14 @@ def _construct(cls, section: str, **fields):
         raise ValidationError(key, str(exc)) from exc
 
 
+def _beam_coefficient(mu: float, fwhm: float) -> float:
+    """``frontend.beam_coefficient``, nan where it raises."""
+    try:
+        return beam_coefficient(mu, fwhm)
+    except ArithmeticError:
+        return math.nan
+
+
 def _build(si: dict, raw: dict) -> ExperimentConfig:
     atomic, opv, det, arr, baseline, sw = (si[name] for name in _SECTIONS)
 
@@ -344,6 +352,15 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
     )
     op = _construct(OperatingPoint, "operating_point", **opv,
                     f_lo=f_carrier - f_delta)
+    # a width whose square under- or overflows leaves its beam no finite,
+    # nonzero Rabi coefficient; it is the width's fault only where a 1 mm
+    # beam on the same dipole has one
+    for key, mu, fwhm in (("probe_fwhm_mm", system.mu12, op.fwhm_p),
+                          ("coupling_fwhm_mm", system.mu23, op.fwhm_c)):
+        a = _beam_coefficient(mu, fwhm)
+        if not 0.0 < a < math.inf and 0.0 < _beam_coefficient(mu, 1e-3) < math.inf:
+            raise ValidationError(f"operating_point.{key}",
+                                  f"leaves a Rabi coefficient of {a:g}")
 
     eta = det.pop("quantum_efficiency")
     if not 0.0 < eta <= 1.0:

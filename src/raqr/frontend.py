@@ -182,11 +182,18 @@ def rabi_coefficients(op: OperatingPoint, system: AtomicSystem) -> tuple[float, 
     a = (mu/hbar)^2 * 8 ln2 / (pi c eps0 FWHM^2). Plane RF wave through the
     aperture: P = 0.5 c eps0 A_e |U|^2, so a = (mu/hbar)^2 * 2/(c eps0 A_e).
     """
-    ce = speed_of_light * epsilon_0
-    a12 = (system.mu12 / hbar) ** 2 * 8.0 * LN2 / (math.pi * ce * op.fwhm_p**2)
-    a23 = (system.mu23 / hbar) ** 2 * 8.0 * LN2 / (math.pi * ce * op.fwhm_c**2)
-    a34 = (system.mu34 / hbar) ** 2 * 2.0 / (ce * op.a_e)
+    a12 = beam_coefficient(system.mu12, op.fwhm_p)
+    a23 = beam_coefficient(system.mu23, op.fwhm_c)
+    a34 = (system.mu34 / hbar) ** 2 * 2.0 / (speed_of_light * epsilon_0 * op.a_e)
     return a12, a23, a34
+
+
+def beam_coefficient(mu: float, fwhm: float) -> float:
+    """a with Omega^2 = a * P for a Gaussian beam of width ``fwhm`` driving a
+    transition of dipole ``mu``; raises ArithmeticError where a square
+    overflows or the width's is zero."""
+    ce = speed_of_light * epsilon_0
+    return (mu / hbar) ** 2 * 8.0 * LN2 / (math.pi * ce * fwhm**2)
 
 
 def absorption_strength(system: AtomicSystem) -> float:

@@ -81,19 +81,12 @@ def _csv_lines(rows) -> list[str]:
 
 def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     """Write the CSV (skipped when there are no rows), the plot manifest,
-    and the scalar summary. Returns {kind: path}."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    csv_name = None
-    if result.rows:
-        csv_path = out / f"{result.name}.csv"
-        lines = [f"# fingerprint={fp}", ",".join(result.columns)]
-        lines.extend(_csv_lines(result.rows))
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths["csv"] = csv_path
-        csv_name = csv_path.name
+    and the scalar summary. Returns {kind: path}.
 
+    Both JSON files are strict JSON: a NaN or infinity raises ValueError
+    before any file is written."""
+    out = Path(out_dir)
+    csv_name = f"{result.name}.csv" if result.rows else None
     manifest = {
         "figure": result.name,
         "fingerprint": fp,
@@ -102,19 +95,21 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
         "series": result.series,
         "annotations": result.annotations,
     }
-    manifest_path = out / f"{result.name}_manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    paths["manifest"] = manifest_path
-
     summary = {"recipe": result.name, "fingerprint": fp, "seed": seed}
     summary.update(result.summary)
-    summary_path = out / f"{result.name}_summary.json"
-    summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    paths["summary"] = summary_path
+    texts = {kind: json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+             for kind, doc in (("manifest", manifest), ("summary", summary))}
+
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    if csv_name is not None:
+        lines = [f"# fingerprint={fp}", ",".join(result.columns)]
+        lines.extend(_csv_lines(result.rows))
+        paths["csv"] = out / csv_name
+        paths["csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for kind, text in texts.items():
+        paths[kind] = out / f"{result.name}_{kind}.json"
+        paths[kind].write_text(text, encoding="utf-8")
     return paths
 
 
@@ -130,18 +125,22 @@ def check_recipe(config: ExperimentConfig) -> None:
     ``rate-vs-M`` (zero forcing) above ``n_users``, and at most
     ``config.MAX_SENSORS``. A ratio sweep scales the LO field by
     10 ** (-ratio / 20) into the user field, a factor that must be finite
-    and nonzero. The sweep is monotone, so its ends bound every count and
-    factor. The LO drives the RF transition and the probe beam carries the
-    readout; without either the reception gain and the transduction slope
-    vanish, so the LO and probe powers must be positive wherever the recipe
-    reads them: everywhere but
-    ``sn-vs-ratio``, which builds its own operating points, and a sweep of
-    that power by ``rate-vs-parameter``, which sets it. Balanced detection
+    and nonzero; ``sn-vs-ratio`` divides by the closed-form shot variance
+    4 P_user sn_coeff at each of its two points, which must be finite and
+    nonzero too. The sweep is monotone, so its ends bound every count,
+    factor and variance. The LO drives the RF transition and the probe
+    beam carries the readout; without either the reception gain and the
+    transduction slope vanish, so the LO and probe powers must be positive
+    wherever the recipe reads them: everywhere but ``sn-vs-ratio``, which
+    builds its own operating points, and a sweep of that power by
+    ``rate-vs-parameter``, which sets it. Balanced detection
     has no gain without its local beam, so there the local beam power must
     be positive too, except for ``sn-vs-ratio`` and ``detuning-loss``,
     which never read the configured point's gains. ``power-scaling``
     reports its bound relative to the asymptotic rate, which is 0 without
-    user power, so there ``transmit_power`` must be positive.
+    user power, so there ``transmit_power`` must be positive. ``siso-optima``
+    minimizes a thermal-only objective, which is 0 everywhere at T = 0, so
+    there the temperature must be positive.
     """
     name, sweep, op = config.recipe, config.sweep, config.op
     if name is None:
@@ -170,6 +169,22 @@ def check_recipe(config: ExperimentConfig) -> None:
             if not 0.0 < factor < math.inf:
                 raise ValidationError(key, f"a ratio of {value:g} dB scales the "
                                       f"user field by {factor:g}")
+    if name == "sn-vs-ratio":
+        try:
+            points = _ratio_points(config)
+        except (ArithmeticError, ValueError):
+            points = []  # a point without a budget fails its run, not its sweep
+        for point, budget in points:
+            for key, value in ends:
+                try:
+                    closed = _closed_sn(config, value, point, budget)[1]
+                except OverflowError:  # the user field squared
+                    closed = math.inf
+                if not 0.0 < closed < math.inf:
+                    raise ValidationError(
+                        key, f"at a ratio of {value:g} dB the {point.scheme} point's "
+                        f"closed-form shot variance is {closed:g} V^2 (sn_coeff "
+                        f"{budget.sn_coeff:g})")
     if RECIPE_SWEEPS[name] == ("n_sensors",):
         least = config.n_users + 1 if name == "rate-vs-M" else 1
         for key, value in ends:
@@ -193,6 +208,10 @@ def check_recipe(config: ExperimentConfig) -> None:
         raise ValidationError("operating_point.local_beam_power_w",
                               f"must be > 0 for recipe {name} with balanced "
                               "detection, which needs a local beam")
+    if config.chain.temperature <= 0.0 and name == "siso-optima":
+        raise ValidationError("detection.temperature_k",
+                              f"must be > 0 for recipe {name}, whose thermal "
+                              "regime has no noise to minimize without it")
     if config.transmit_power <= 0.0 and name == "power-scaling":
         raise ValidationError("array.transmit_power",
                               f"must be > 0 for recipe {name}, which divides "
@@ -204,12 +223,13 @@ def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
     check_recipe(config)
     try:
         result = RECIPES[name](config, threads)
+        # a NaN or infinity in the JSON artifacts fails the run here
+        return emit_plotdata(result, config.output_dir, fingerprint(config),
+                             seed=config.seed)
     except (ValidationError, RecipeError):
         raise
     except Exception as exc:
         raise RecipeError(name, exc) from exc
-    return emit_plotdata(result, config.output_dir, fingerprint(config),
-                         seed=config.seed)
 
 
 def list_recipes() -> list[str]:
@@ -301,20 +321,15 @@ def sn_vs_ratio(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     n_samples = 40_000
     rows, series = [], []
     worst, worst_strong = 0.0, 0.0
-    geometry = {k: getattr(cfg.op, k) for k in ("f_lo", "a_e", "fwhm_p", "fwhm_c")}
-    for offset, op in ((0, defaults.diod_point(**geometry)),
-                       (1000, defaults.bcod_point(**geometry))):
+    for offset, (op, budget) in zip((0, 1000), _ratio_points(cfg)):
         label = op.scheme.lower()
         series.append({"label": label, "filter": {"series": label}})
-        budget = noise_budget(op, cfg.chain, cfg.system)
         for i, ratio in enumerate(cfg.sweep.values()):
-            user = defaults.weak_user(float(ratio), op, f_delta=cfg.f_delta)
+            user, closed = _closed_sn(cfg, float(ratio), op, budget)
             wf = simulate_waveform(op, cfg.chain, user, cfg.system,
                                    n_samples / fs, fs,
                                    seed=cfg.seed + offset + i)
             measured = float(np.var(wf.sn) * (2.0 * cfg.chain.bw / fs))
-            # the budget's own coefficient, not a copy of its formula
-            closed = 4.0 * user.power(op.a_e) * budget.sn_coeff
             dev = abs(measured - closed) / closed
             worst = max(worst, dev)
             if ratio >= 20.0:
@@ -331,6 +346,22 @@ def sn_vs_ratio(cfg: ExperimentConfig, threads: int) -> RecipeResult:
                  "max_rel_deviation_20db_up": worst_strong,
                  "samples_per_point": n_samples},
     )
+
+
+def _ratio_points(cfg: ExperimentConfig) -> list:
+    """sn-vs-ratio's direct and balanced operating points at the configured
+    beam geometry, each with its noise budget."""
+    geometry = {k: getattr(cfg.op, k) for k in ("f_lo", "a_e", "fwhm_p", "fwhm_c")}
+    return [(op, noise_budget(op, cfg.chain, cfg.system))
+            for op in (defaults.diod_point(**geometry), defaults.bcod_point(**geometry))]
+
+
+def _closed_sn(cfg: ExperimentConfig, ratio: float, op, budget):
+    """The user ``ratio`` dB below the LO field, and the closed-form variance
+    4 P_user sn_coeff of its in-band shot component: the budget's own
+    coefficient, not a copy of its formula."""
+    user = defaults.weak_user(ratio, op, f_delta=cfg.f_delta)
+    return user, 4.0 * user.power(op.a_e) * budget.sn_coeff
 
 
 def siso_optima(cfg: ExperimentConfig, threads: int) -> RecipeResult:
@@ -404,10 +435,14 @@ def detuning_loss(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     on-resonance coherence magnitude. Qualitative: peak location, symmetry,
     and half width."""
     detunings = cfg.sweep.values() * 1e3  # kHz -> Hz
-    # the on-resonance reference is member 0 of the same stack
-    drive = defaults.drive_for(
-        cfg.op, cfg.system, delta_rf=np.append(0.0, 2.0 * math.pi * detunings))
-    mag = np.abs(steady_state_numeric(cfg.system, drive).rho21)
+    # with delta_p = delta_c = 0 the state at -delta_rf is U rho* U,
+    # U = diag(1, -1, 1, -1), of the one at +delta_rf, so |rho21| is even:
+    # each |delta_rf| is solved once, the on-resonance reference (entry 0)
+    # among them, and indexed back through the inverse
+    distinct, inverse = np.unique(
+        np.abs(np.append(0.0, 2.0 * math.pi * detunings)), return_inverse=True)
+    drive = defaults.drive_for(cfg.op, cfg.system, delta_rf=distinct)
+    mag = np.abs(steady_state_numeric(cfg.system, drive).rho21)[inverse]
     response = mag[1:] / mag[0]
     rows = list(zip(detunings.tolist(), response.tolist()))
     summary = {}

@@ -1,5 +1,6 @@
 """Master-equation core: generator structure, steady states, closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -674,3 +675,56 @@ class TestValidation:
     def test_atomic_system_requires_positive_cell(self):
         with pytest.raises(ValueError):
             defaults.cesium_system(l_cell=0.0)
+
+
+_U = np.array([1.0, -1.0, 1.0, -1.0])  # U = diag(1, -1, 1, -1)
+
+
+def _mirror(matrix):
+    """U rho* U for a density matrix or a stack of them."""
+    return _U[:, None] * matrix.conj() * _U
+
+
+def _negated(drive):
+    return dataclasses.replace(drive, delta_p=-drive.delta_p,
+                               delta_c=-drive.delta_c, delta_rf=-drive.delta_rf)
+
+
+class TestDetuningMirror:
+    """The Hamiltonian is real, so negating every detuning maps the steady
+    state rho to U rho* U; ``recipes.detuning_loss`` relies on it to solve
+    each |delta_rf| once."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        drive=st.tuples(
+            st.just(0.0) | st.floats(0.0, 1e9),
+            st.just(0.0) | st.floats(0.0, 1e8),
+            st.just(0.0) | st.floats(0.0, 1e9),
+            *[st.floats(-1e8, 1e8).filter(bool)] * 3,
+        ),
+        rates=st.tuples(*[st.just(0.0) | st.floats(1.0, 1e6)] * 4),
+    )
+    def test_negated_detunings_give_the_mirror_state(self, drive, rates):
+        gamma, gamma3, gamma4, gamma_c = rates
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
+                                      gamma4=gamma4, gamma_c=gamma_c)
+        drive = _stack([drive])
+        try:
+            rho = steady_state_numeric(sys_, drive).matrix
+        except (DegenerateNullSpace, NonPhysical) as exc:
+            with pytest.raises(type(exc)):
+                steady_state_numeric(sys_, _negated(drive))
+            return
+        flipped = steady_state_numeric(sys_, _negated(drive)).matrix
+        assert np.max(np.abs(flipped - _mirror(rho))) <= 1e-10 * np.max(np.abs(rho))
+
+    def test_benchmark_grid_mirrors_bit_for_bit(self, system, bcod):
+        """The shipped point on the 1001-point detuning-loss grid of +-200 MHz:
+        the solve at -delta_rf equals the mirror of the one at +delta_rf."""
+        delta_rf = 2.0 * math.pi * (np.linspace(-2e5, 2e5, 1001) * 1e3)
+        rho = steady_state_numeric(
+            system, defaults.drive_for(bcod, system, delta_rf=delta_rf)).matrix
+        flipped = steady_state_numeric(
+            system, defaults.drive_for(bcod, system, delta_rf=-delta_rf)).matrix
+        assert np.array_equal(flipped, _mirror(rho))

@@ -533,6 +533,39 @@ class TestRunRecipe:
         first = paths["csv"].read_text().splitlines()[0]
         assert first == f"# fingerprint={fingerprint(cfg)}"
 
+    @pytest.mark.parametrize("sweep, n_solved", [
+        (None, 49),  # the packaged sweep: 62 drives, 49 distinct |delta_rf|
+        ("  start: -2.0e+05\n  stop: 2.0e+05\n  points: 1001\n", 501),
+        ("  start: -5.0e+04\n  stop: 2.0e+05\n  points: 101\n", 81),
+    ], ids=["packaged", "symmetric", "asymmetric"])
+    def test_detuning_loss_solves_each_magnitude_once(
+            self, tmp_path, monkeypatch, sweep, n_solved):
+        """The response equals the one from the whole stack, the reference
+        and every signed detuning solved as given, while only the distinct
+        |delta_rf| go to the solver: the state at -delta_rf mirrors the one
+        at +delta_rf."""
+        path = default_config_path("detuning-loss")
+        if sweep is not None:
+            path = write_config(tmp_path, "recipe: detuning-loss\nsweep:\n"
+                                "  variable: detuning_khz\n  scale: linear\n"
+                                + sweep)
+        cfg = load_config(path)
+        delta_rf = np.append(0.0, 2.0 * math.pi * (cfg.sweep.values() * 1e3))
+        drive = defaults.drive_for(cfg.op, cfg.system, delta_rf=delta_rf)
+        mag = np.abs(recipes.steady_state_numeric(cfg.system, drive).rho21)
+
+        solved = []
+        solve = recipes.steady_state_numeric
+
+        def spy(system, drive):
+            solved.append(np.size(drive.delta_rf))
+            return solve(system, drive)
+
+        monkeypatch.setattr(recipes, "steady_state_numeric", spy)
+        result = recipes.detuning_loss(cfg, 1)
+        assert solved == [n_solved]
+        assert np.array_equal([r[1] for r in result.rows], mag[1:] / mag[0])
+
     def test_reruns_are_byte_identical(self, tmp_path):
         import dataclasses
 
@@ -558,6 +591,25 @@ class TestRunRecipe:
         # a column may change type from row to row
         rows = [self.CSV_VALUES, self.CSV_VALUES[::-1], self.CSV_VALUES]
         assert _csv_lines(rows) == [",".join(map(self._fmt, row)) for row in rows]
+
+    def test_json_artifacts_are_strict(self, tmp_path, monkeypatch):
+        """A NaN or infinity in the manifest or summary fails the run before
+        any artifact is written."""
+        import dataclasses
+
+        cfg = load_config(write_config(tmp_path, SMALL_DETUNING))
+        cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
+        for bad in (math.nan, math.inf):
+            result = recipes.RecipeResult(name="detuning-loss", columns=["x"],
+                                          rows=[(1.0,)], axes={},
+                                          summary={"value": bad})
+            with pytest.raises(ValueError):
+                recipes.emit_plotdata(result, tmp_path / "out", "fp", seed=0)
+            monkeypatch.setitem(recipes.RECIPES, "detuning-loss",
+                                lambda cfg, threads, result=result: result)
+            with pytest.raises(RecipeError, match="JSON"):
+                run_recipe(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_empty_sweep_manifest_without_csv(self, tmp_path):
         import dataclasses
@@ -847,10 +899,23 @@ class TestCliEntry:
         # 0.3 rounds to no sensor at all
         ("recipe: rate-vs-M\n" + SENSOR_SWEEP.format(16.4, 0.3), "sweep.stop"),
         ("recipe: power-scaling\n" + SENSOR_SWEEP.format(16.4, 0.3), "sweep.stop"),
+        # the thermal regime's objective is 0 everywhere at T = 0
+        ("recipe: siso-optima\ndetection:\n  temperature_k: 0.0\n",
+         "detection.temperature_k"),
+        # the user field squares to 0 W at 3300 dB below the LO
+        ("recipe: sn-vs-ratio\nsweep:\n  variable: ratio_db\n  start: 10.0\n"
+         "  stop: 3300.0\n  points: 3\n  scale: linear\n", "sweep.stop"),
+        # the width squares to 0 m^2 or overflows: no finite Rabi coefficient
+        ("recipe: power-scaling\n" + SENSOR_SWEEP.format(64, 4096)
+         + "operating_point:\n  coupling_fwhm_mm: 1.0e-300\n",
+         "operating_point.coupling_fwhm_mm"),
+        ("operating_point:\n  coupling_fwhm_mm: 1.0e+300\n",
+         "operating_point.coupling_fwhm_mm"),
     ], ids=["probe-power", "gain", "dephasing-time", "probe-width",
             "atom-count-overflow", "atom-count-inf", "diod-local-beam",
             "nan", "inf", "minus-inf", "recipe-sweep", "realizations", "zf-sensors",
-            "no-sensor", "power-scaling-no-sensor"])
+            "no-sensor", "power-scaling-no-sensor", "siso-optima-zero-kelvin",
+            "zero-user-power", "coupling-width-underflow", "coupling-width-overflow"])
     def test_validate_out_of_range_physics(self, tmp_path, capsys, text, key):
         path = write_config(tmp_path, text)
         assert cli.main(["validate", "--config", str(path)]) == 2
