@@ -261,7 +261,9 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
     A stack of drives is solved in blocks of at most ``BLOCK`` and gives a
     stack of density matrices, each bit-identical to its own single-drive
     solve; one member that fails raises for the whole stack. The stack is
-    solved as given, repeats included; callers share repeated drives.
+    solved as given, repeats included; callers share repeated drives. The
+    Liouvillian waveform solves only the distinct envelopes of one beat
+    period (``waveform._exact_transmission``).
 
     The Hamiltonian is real, so negating all three detunings maps the
     steady state rho to U rho* U, U = diag(1, -1, 1, -1): an antiunitary

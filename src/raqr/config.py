@@ -73,7 +73,8 @@ class ParseError(Exception):
 
 
 class ValidationError(ValueError):
-    """Well-formed text with an invalid key; ``key`` is the dotted path."""
+    """Well-formed text with an invalid key; ``key`` is the dotted path, or
+    the derived quantity at fault where no one key is."""
 
     def __init__(self, key: str, message: str = "invalid value"):
         self.key = key

@@ -183,10 +183,11 @@ def _draw(rng, batch, scenario, parts="hsbw", out=None):
     diagonal b (..., M), AWGN w (..., M). ``parts`` picks a subset.
 
     ``out`` may map a part to the array it is written into, and ``"x"`` to a
-    float scratch array (L, M, K) that the channel's real and then imaginary
-    draws pass through in consecutive pieces of L snapshots; consecutive
-    fills continue one stream, so L changes no value. Whatever ``out``
-    leaves out is allocated."""
+    contiguous float scratch array (L, M, K) that the real and then
+    imaginary draws of each complex part pass through in consecutive pieces
+    (L channel, L·M symbol or L·K noise snapshots); consecutive fills
+    continue one stream, so L changes no value. Whatever ``out`` leaves
+    out is allocated."""
     m, k = scenario.n_sensors, scenario.n_users
     shapes = {"h": (m, k), "s": (k,), "b": (m,), "w": (m,)}
     out = out or {}
@@ -198,18 +199,21 @@ def _draw(rng, batch, scenario, parts="hsbw", out=None):
             drawn.append(rng.standard_normal(shape, out=x))
             continue
         x = np.empty(shape, complex) if x is None else x
-        scratch = out.get("x") if part == "h" else None
+        scratch = out.get("x")
+        # the channel is scaled once drawn; s and w on the copy, by the
+        # reciprocal, as numpy divides complex by real
+        scale = 1.0 if part == "h" else 1.0 / math.sqrt(2.0)
         for block in (x.real, x.imag):
             if scratch is None:
-                block[...] = rng.standard_normal(shape)
+                np.multiply(rng.standard_normal(shape), scale, out=block)
                 continue
-            for i in range(0, len(block), len(scratch)):
-                piece = block[i:i + len(scratch)]
-                piece[...] = rng.standard_normal(out=scratch[:len(piece)])
+            rows = scratch.size // math.prod(shape[1:])
+            for i in range(0, len(block), rows):
+                piece = block[i:i + rows]
+                buf = scratch.reshape(-1)[:piece.size].reshape(piece.shape)
+                np.multiply(rng.standard_normal(out=buf), scale, out=piece)
         if part == "h":
             np.multiply(x, np.sqrt(scenario.beta / 2.0), out=x)
-        else:
-            np.divide(x, math.sqrt(2.0), out=x)
         drawn.append(x)
     return drawn
 

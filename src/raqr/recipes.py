@@ -127,13 +127,14 @@ def check_recipe(config: ExperimentConfig) -> None:
     10 ** (-ratio / 20) into the user field, a factor that must be finite
     and nonzero; ``sn-vs-ratio`` divides by the closed-form shot variance
     4 P_user sn_coeff at each of its two points, which must be finite and
-    nonzero too. The sweep is monotone, so its ends bound every count,
-    factor and variance. The LO drives the RF transition and the probe
-    beam carries the readout; without either the reception gain and the
-    transduction slope vanish, so the LO and probe powers must be positive
-    wherever the recipe reads them: everywhere but ``sn-vs-ratio``, which
-    builds its own operating points, and a sweep of that power by
-    ``rate-vs-parameter``, which sets it. Balanced detection
+    nonzero too; where it fails at every end of the sweep, the error names
+    sn_coeff rather than an end. The sweep is monotone, so its ends bound
+    every count, factor and variance. The LO drives the RF transition and
+    the probe beam carries the readout; without either the reception gain
+    and the transduction slope vanish, so the LO and probe powers must be
+    positive wherever the recipe reads them: everywhere but
+    ``sn-vs-ratio``, which builds its own operating points, and a sweep of
+    that power by ``rate-vs-parameter``, which sets it. Balanced detection
     has no gain without its local beam, so there the local beam power must
     be positive too, except for ``sn-vs-ratio`` and ``detuning-loss``,
     which never read the configured point's gains. ``power-scaling``
@@ -175,16 +176,26 @@ def check_recipe(config: ExperimentConfig) -> None:
         except (ArithmeticError, ValueError):
             points = []  # a point without a budget fails its run, not its sweep
         for point, budget in points:
+            failed = []
             for key, value in ends:
                 try:
                     closed = _closed_sn(config, value, point, budget)[1]
                 except OverflowError:  # the user field squared
                     closed = math.inf
                 if not 0.0 < closed < math.inf:
-                    raise ValidationError(
-                        key, f"at a ratio of {value:g} dB the {point.scheme} point's "
-                        f"closed-form shot variance is {closed:g} V^2 (sn_coeff "
-                        f"{budget.sn_coeff:g})")
+                    failed.append((key, value, closed))
+            if len(failed) == len(ends):  # no ratio of the sweep can run
+                raise ValidationError(
+                    "sn_coeff", f"the {point.scheme} point's closed-form shot "
+                    f"variance is {' and '.join(f'{c:g}' for _, _, c in failed)} V^2 "
+                    f"at {' and '.join(f'{v:g}' for _, v, _ in failed)} dB (sn_coeff "
+                    f"{budget.sn_coeff:g}), so no ratio of the sweep can run")
+            if failed:
+                key, value, closed = failed[0]
+                raise ValidationError(
+                    key, f"at a ratio of {value:g} dB the {point.scheme} point's "
+                    f"closed-form shot variance is {closed:g} V^2 (sn_coeff "
+                    f"{budget.sn_coeff:g})")
     if RECIPE_SWEEPS[name] == ("n_sensors",):
         least = config.n_users + 1 if name == "rate-vs-M" else 1
         for key, value in ends:

@@ -1022,6 +1022,25 @@ class TestCliEntry:
         assert calls == ["detuning-loss"] * 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        # sn_coeff is 0 or NaN: the variance fails at both ends of the sweep
+        ("atomic", "probe_linewidth_mhz", 1e-300, "sn_coeff"),
+        ("atomic", "density_per_m3", 1e300, "sn_coeff"),
+        ("operating_point", "effective_area_cm2", 1e-300, "sn_coeff"),
+        ("atomic", "dressing_dipole_cm", 1e300, "sn_coeff"),
+        # a subnormal sn_coeff: the variance underflows at 30 dB only
+        ("detection", "gain", 1e-300, "sweep.stop"),
+    ])
+    def test_sn_vs_ratio_names_sn_coeff_when_no_ratio_can_run(
+            self, tmp_path, capsys, section, key, value, named):
+        raw = yaml.safe_load(default_config_path("sn-vs-ratio").read_text())
+        raw.setdefault(section, {})[key] = value
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: "), err
+        assert "the DIOD point's" in err and "sn_coeff" in err, err
+
     def test_packaged_recipe_configs_all_validate(self, capsys):
         from raqr.config import _CONFIG_DIR
 

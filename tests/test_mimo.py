@@ -881,6 +881,21 @@ class TestChunkWorkspace:
         # the channel's whole-chunk conjugate and float scratch made 2.64x
         assert sum(x.nbytes for x in ws.values()) <= 1.3 * mimo.CHUNK * m * k * 16
 
+    def test_warm_draw_allocates_only_its_outputs(self):
+        # the channel and the AWGN pass through the workspace's scratch, so
+        # no (n, M) float block (204,800 bytes here) is allocated beside the
+        # outputs
+        m, k, n = 100, 10, mimo.CHUNK
+        sc = defaults.default_scenario(m, k, seed=1)
+        ws = mimo._workspace(sc, n)
+
+        def draw():
+            rng = np.random.Generator(np.random.Philox(key=[sc.seed, 0]))
+            return mimo._draw(rng, (n,), sc, out={"h": ws["h"], "x": ws["x"]})
+
+        outputs = sum(x.nbytes for x in draw()[1:])  # s, b, w; h is the workspace's
+        assert peak_bytes(draw) <= outputs + n * m * 8 // 8
+
     @pytest.mark.parametrize("method", ["MRC", "ZF"])
     def test_warm_chunk_allocates_little(self, method):
         m, k = 100, 10

@@ -125,13 +125,17 @@ class TestSimulate:
             np.abs(cf.v_exact)
         )
 
-    @pytest.mark.parametrize("scheme, distinct", [("DIOD", 222), ("BCOD", 236)])
+    @pytest.mark.parametrize("scheme, n, distinct", [
+        ("DIOD", 1000, 11), ("BCOD", 1000, 10),
+        ("DIOD", 40_000, 11), ("BCOD", 40_000, 10),
+    ])
     def test_liouvillian_solves_each_envelope_once(
-        self, system, quiet, monkeypatch, scheme, distinct
+        self, system, quiet, monkeypatch, scheme, n, distinct
     ):
-        """1,000 samples at a shipped point repeat their envelope from one
-        beat period to the next: one real inverse per distinct envelope, in
-        blocks of at most BLOCK, and no complex fallback solve."""
+        """At 16 samples per beat the envelope is read as periodic: one real
+        inverse per distinct envelope of the first beat period, however
+        long the waveform, in blocks of at most BLOCK, and no complex
+        fallback solve."""
         op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
         inverted, solved, drives = [], [], []
         inv, solve = np.linalg.inv, np.linalg.solve
@@ -152,10 +156,10 @@ class TestSimulate:
         monkeypatch.setattr(np.linalg, "solve", spy_solve)
         monkeypatch.setattr(waveform, "steady_state_numeric", steady_state)
         simulate_waveform(op, quiet, defaults.weak_user(20.0, op), system,
-                          1000 / FS, FS, seed=0, rho_solver="liouvillian")
+                          n / FS, FS, seed=0, rho_solver="liouvillian")
         [drive] = drives
         assert len(np.unique(drive.omega_rf)) == len(drive.omega_rf) == distinct
-        assert sum(inverted) == distinct
+        assert sum(inverted) == distinct <= 16  # at most one per sample of a period
         assert max(inverted) <= atomic.BLOCK
         assert solved == []
 
@@ -336,10 +340,13 @@ class TestScipyEquivalence:
         assert np.array_equal(demodulate_iq(v, fd, fs), ref)
 
 
-def _reference_waveform(op, chain, user, system, n, sample_rate, seed, rho_solver):
+def _reference_waveform(op, chain, user, system, n, sample_rate, seed, rho_solver,
+                        period=None):
     """The chain as plain numpy expressions, complex arithmetic and all, with
     the guards left out: the values simulate_waveform must give bit for
-    bit."""
+    bit. The Liouvillian solve at sample k takes the envelope of sample
+    k mod period; by default period is the whole number of samples per beat
+    where that is below n, else n."""
     f_delta = user.f_c - op.f_lo
     u_lo = rf_field_amplitude(op.p_lo, op.a_e)
     u_x = user.u_x
@@ -356,7 +363,11 @@ def _reference_waveform(op, chain, user, system, n, sample_rate, seed, rho_solve
                + 2.0 * omega_p**4)
         r21 = -1j * gamma2 * omega_p * orf2 / den
     else:
-        r21 = steady_state_numeric(system, drive).rho21
+        if period is None:
+            spp = sample_rate / abs(f_delta)
+            period = int(spp) if spp == round(spp) and spp < n else n
+        solved = drive_for(op, system, omega_rf=omega_rf[np.arange(n) % period])
+        r21 = steady_state_numeric(system, solved).rho21
     chi = -2.0 * system.n0 * system.mu12**2 / (epsilon_0 * hbar * omega_p) * r21
     arg = math.pi * system.l_cell / system.lambda_p
     p1_t, phase_t = op.p0 * np.exp(-2.0 * arg * chi.imag), op.phi0 + arg * chi.real
@@ -434,6 +445,37 @@ class TestReferenceEquality:
             phi0=phi0, phi_l=phi_l)
         user = defaults.weak_user(ratio_db, op, theta_x=theta_x)
         self._check(op, chain, user, system, n, seed, rho_solver)
+
+    @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
+    def test_periodic_envelope_is_within_1e_12_of_per_sample_solves(
+            self, system, chain, scheme):
+        op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
+        user = defaults.weak_user(20.0, op, theta_x=0.4)
+        n = 4000
+        wf = simulate_waveform(op, chain, user, system, n / FS, FS, 5,
+                               rho_solver="liouvillian")
+        ref = _reference_waveform(op, chain, user, system, n, FS, 5, "liouvillian",
+                                  period=n)
+        assert not np.array_equal(wf.v_exact, ref["v_exact"])  # the rule is in use
+        assert np.all(np.abs(wf.v_exact - ref["v_exact"])
+                      <= 1e-12 * np.abs(ref["v_exact"]))
+        # sn is the small remainder of the shot noise xi sqrt(G_eff I) past cn
+        assert np.all(np.abs(wf.sn - ref["sn"]) <= 1e-12 * np.abs(ref["sn"] + ref["cn"]))
+        for name in ("t", "v_approx", "cn"):
+            assert np.array_equal(getattr(wf, name), ref[name]), name
+
+    @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
+    def test_fractional_samples_per_beat_solve_every_envelope(self, system, chain,
+                                                              scheme):
+        op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
+        user = defaults.weak_user(20.0, op, theta_x=-0.8)
+        sample_rate, n = 16.5 * 75e3, 3000
+        wf = simulate_waveform(op, chain, user, system, n / sample_rate, sample_rate,
+                               6, rho_solver="liouvillian")
+        ref = _reference_waveform(op, chain, user, system, n, sample_rate, 6,
+                                  "liouvillian", period=n)
+        for name in ("t", "v_exact", "v_approx", "sn", "cn"):
+            assert np.array_equal(getattr(wf, name), ref[name]), name
 
     def test_weak_lo_warns_and_computes_the_same(self, system, chain, bcod):
         with pytest.warns(WeakLO):
