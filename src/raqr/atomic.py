@@ -163,10 +163,6 @@ def _rhs(system: AtomicSystem, h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-_BASIS = np.eye(16).reshape(16, 4, 4)  # E_ij at index 4i + j
-# -j[E_ab, E_ij] at row 4a + b, flattened as _rhs lays out its action on
-# _BASIS: the drive part of L is the Hamiltonian's entries times this table.
-_COMMUTATORS = (-1j * (_BASIS[:, None] @ _BASIS - _BASIS @ _BASIS[:, None])).reshape(16, 256)
 _TRACE_ROW = np.eye(4).ravel()  # vec(identity): _TRACE_ROW @ vec(rho) = tr(rho)
 
 # Real coordinates of a Hermitian rho: x = (rho_ii, Re rho_ij, Im rho_ij) with
@@ -183,6 +179,9 @@ _HERMITIAN[4 + np.arange(6), _IU, _JU] = _HERMITIAN[4 + np.arange(6), _JU, _IU] 
 _HERMITIAN[10 + np.arange(6), _IU, _JU] = 1j
 _HERMITIAN[10 + np.arange(6), _JU, _IU] = -1j
 _VEC_OF_X = _HERMITIAN.reshape(16, 16)
+# T^-1 of T = _VEC_OF_X.T, exact: T's columns are orthogonal with squared
+# norms 1 and 2, so T^-1 = T^H over them. L on vec(rho) is T R T^-1.
+_X_OF_VEC = _VEC_OF_X.conj() / np.abs(_VEC_OF_X).sum(axis=1, keepdims=True)
 
 
 def _to_x(m: np.ndarray) -> np.ndarray:
@@ -193,14 +192,16 @@ def _to_x(m: np.ndarray) -> np.ndarray:
 
 # R's tables, laid out as row-major (16, 16) blocks: the real Hamiltonian's 16
 # entries times _DRIVE_X give R's drive part, and the rates _RATES times
-# _DECAY_X its decay and repump part. Column c of each block is x of the
-# generator's action on _HERMITIAN[c]: _COMMUTATORS on it for the drive, and
-# ``_rhs`` at H = 0 with that one rate set to 1 for the decay. Every entry is
-# 0, +-1/2 or +-1, and each drive entry of R sums at most two nonzero terms,
-# so a stack member's R does not depend on its stack.
-_DRIVE_X = _to_x((_VEC_OF_X @ _COMMUTATORS.reshape(16, 16, 16)).reshape(16, 16, 4, 4))
-_DRIVE_X = _DRIVE_X.swapaxes(-1, -2).reshape(16, 256)
+# _DECAY_X its decay and repump part. Column c of each block is x of
+# ``_rhs`` acting on _HERMITIAN[c]: at zero rates with H the unit matrix
+# E_k for the drive table's block k, and at H = 0 with that one rate set to
+# 1 for the decay. Every entry is 0, +-1/2 or +-1, and each drive entry of R
+# sums at most two nonzero terms, so a stack member's R does not depend on
+# its stack.
 _RATES = ("gamma", "gamma2", "gamma3", "gamma4", "gamma_c")
+_DRIVE_X = _to_x(_rhs(SimpleNamespace(**dict.fromkeys(_RATES, 0.0)),
+                      np.eye(16).reshape(16, 1, 4, 4), _HERMITIAN))
+_DRIVE_X = _DRIVE_X.swapaxes(-1, -2).reshape(16, 256)
 _DECAY_X = np.array([
     _to_x(_rhs(SimpleNamespace(**{k: float(k == rate) for k in _RATES}),
                np.zeros((4, 4)), _HERMITIAN)).T.ravel()
@@ -214,23 +215,17 @@ RESIDUAL_RTOL = 1e-10
 def build_liouvillian(system: AtomicSystem, drive: DriveConfig) -> np.ndarray:
     """16x16 complex superoperator L with vec(d rho/dt) = L @ vec(rho).
 
-    vec() is the row-major flatten of the 4x4 matrix. Column 4i + j is
-    ``_rhs`` acting on the basis matrix E_ij, which keeps the vectorization
-    identities out of the code entirely. L is affine in H: the decay and
-    repump part is ``_rhs`` at H = 0, taken once, and the drive part is one
-    product of H's 16 entries with the constant ``_COMMUTATORS``. Every
-    entry of that product sums at most two exact terms, so L equals the
-    per-basis ``_rhs`` evaluation up to the signs of zeros. A stack of
-    drives gives (..., 16, 16).
+    vec() is the row-major flatten of the 4x4 matrix. This is the
+    generator's definition, evaluated per basis matrix: column 4i + j is
+    ``_rhs`` acting on E_ij, which keeps the vectorization identities out of
+    the code entirely. The solver never calls it: it builds only the real R
+    (``_real_liouvillian``), and its complex fallback takes L as the fixed
+    change of coordinates T R T^-1 of R. A stack of drives gives
+    (..., 16, 16), each member its own single-drive L bit for bit.
     """
-    return _liouvillian(system, _hamiltonian(vars(drive)))
-
-
-def _liouvillian(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
-    """``build_liouvillian`` of the Hamiltonian (or stack of them) ``h``."""
-    fixed = _rhs(system, np.zeros((4, 4)), _BASIS).reshape(16, 16)
-    out = (h.reshape(h.shape[:-2] + (16,)) @ _COMMUTATORS).reshape(h.shape[:-2] + (16, 16))
-    return (out + fixed).swapaxes(-1, -2)
+    h = _hamiltonian(vars(drive))
+    per_basis = _rhs(system, h[..., None, :, :], np.eye(16).reshape(16, 4, 4))
+    return per_basis.reshape(h.shape[:-2] + (16, 16)).swapaxes(-1, -2)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -256,7 +251,8 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
     ||R x|| / ||R|| exceeds ``RESIDUAL_RTOL``, or whose condition number
     exceeds 1 / ``RESIDUAL_RTOL``, is solved again by the complex
     ``_null_vectors``, whose SVD diagnostic decides between a genuinely
-    degenerate null space and plain failure.
+    degenerate null space and plain failure. R is the only generator built:
+    that path takes L = T R T^-1, R in vec(rho) coordinates (``_X_OF_VEC``).
 
     A stack of drives is solved in blocks of at most ``BLOCK`` and gives a
     stack of density matrices, each bit-identical to its own single-drive
@@ -309,7 +305,7 @@ def _steady_vectors(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         # A member is exactly singular and the inverse does not say which;
         # the complex path takes the whole block.
-        return _null_vectors(_liouvillian(system, h))
+        return _null_vectors(_VEC_OF_X.T @ gen @ _X_OF_VEC)
     x = inv @ b
     # Two refinement passes: cheap, and they recover ~3 digits when the slow
     # population-exchange mode makes the system ill-conditioned.
@@ -324,13 +320,13 @@ def _steady_vectors(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
     flagged = ~((residual <= RESIDUAL_RTOL) & (cond <= 1.0 / RESIDUAL_RTOL))
     v = x @ _VEC_OF_X
     if flagged.any():
-        v[flagged] = _null_vectors(_liouvillian(system, h[flagged]))
+        v[flagged] = _null_vectors(_VEC_OF_X.T @ gen[flagged] @ _X_OF_VEC)
     return v
 
 
 def _null_vectors(liou: np.ndarray) -> np.ndarray:
-    """Trace-one null vectors of an (n, 16, 16) stack of Liouvillians."""
-    # ||L||_F over L's memory order, the order np.linalg.norm reads one L in
+    """Trace-one null vectors of an (n, 16, 16) stack of L = T R T^-1."""
+    # ||L||_F summed column by column: outcomes at the thresholds turn on it
     scale = _norm(liou.swapaxes(-1, -2).reshape(-1, 256))
     if np.any(scale == 0.0):
         raise DegenerateNullSpace("zero generator: every state is steady")

@@ -13,7 +13,6 @@ threshold against that baseline.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -544,6 +543,7 @@ def _run_chunks(scenario, method, threads):
 
     if workers == 1:
         return work(0)
+    from concurrent.futures import ThreadPoolExecutor  # not at import: cold start
     results = [None] * len(sizes)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for j, part in enumerate(pool.map(work, range(workers))):

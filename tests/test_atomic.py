@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raqr import atomic, defaults
+from raqr import atomic, defaults, recipes
 from raqr.atomic import (
     AtomicSystem,
     DegenerateNullSpace,
@@ -22,7 +22,9 @@ from raqr.atomic import (
     steady_state_numeric,
     susceptibility,
 )
+from raqr.config import default_config_path, load_config
 from raqr.frontend import rabi_coefficients
+from raqr.waveform import MIN_SAMPLES_PER_BEAT, simulate_waveform
 
 from conftest import central_diff, rel_err
 
@@ -32,6 +34,20 @@ def random_hermitian_unit_trace(rng):
     h = (a + a.conj().T) / 2.0
     h = h + 4.0 * np.eye(4)  # push toward positive so it could be a state
     return h / h.trace()
+
+
+# The box of the generator properties: zero Rabi rates drawn on purpose,
+# where the null space can be degenerate, and the four relaxation rates the
+# default system leaves at zero.
+DRIVE_BOX = st.tuples(
+    st.just(0.0) | st.floats(0.0, 1e9),
+    st.just(0.0) | st.floats(0.0, 1e8),
+    st.just(0.0) | st.floats(0.0, 1e9),
+    st.floats(-1e8, 1e8),
+    st.floats(-1e8, 1e8),
+    st.floats(-1e8, 1e8),
+)
+RATE_BOX = st.tuples(*[st.floats(0.0, 1e6)] * 4)  # gamma, gamma3, gamma4, gamma_c
 
 
 class TestLiouvillian:
@@ -118,39 +134,16 @@ class TestLiouvillian:
         assert np.allclose(tr_map, expected, atol=1e-9)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        drives=st.lists(
-            st.tuples(
-                st.just(0.0) | st.floats(0.0, 1e9),
-                st.just(0.0) | st.floats(0.0, 1e8),
-                st.just(0.0) | st.floats(0.0, 1e9),
-                st.floats(-1e8, 1e8),
-                st.floats(-1e8, 1e8),
-                st.floats(-1e8, 1e8),
-            ),
-            min_size=1,
-            max_size=8,
-        ),
-        rates=st.tuples(*[st.floats(0.0, 1e6)] * 4),
-    )
-    def test_matches_the_per_basis_definition(self, drives, rates):
-        """The decay part plus the Hamiltonian-times-table product is the
-        right-hand side applied to each basis matrix at the full H."""
+    @given(drives=st.lists(DRIVE_BOX, min_size=1, max_size=8), rates=RATE_BOX)
+    def test_each_stack_member_is_its_own_build(self, drives, rates):
         gamma, gamma3, gamma4, gamma_c = rates
         sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
                                       gamma4=gamma4, gamma_c=gamma_c)
-        cols = np.array(drives).T
-        stack = DriveConfig(
-            omega_p=cols[0], omega_c=cols[1], omega_rf=cols[2],
-            delta_p=cols[3], delta_c=cols[4], delta_rf=cols[5],
-        )
-        basis = np.eye(16).reshape(16, 4, 4)
-        for drive in (stack, _members(stack, len(drives))[0]):
-            per_basis = atomic._rhs(
-                sys_, atomic._hamiltonian(vars(drive))[..., None, :, :], basis)
-            expected = per_basis.reshape(per_basis.shape[:-3] + (16, 16))
-            assert np.array_equal(build_liouvillian(sys_, drive),
-                                  expected.swapaxes(-1, -2))
+        stack = _stack(drives)
+        liou = build_liouvillian(sys_, stack)
+        assert liou.shape == (len(drives), 16, 16)
+        for i, drive in enumerate(_members(stack, len(drives))):
+            assert np.array_equal(liou[i], build_liouvillian(sys_, drive))
 
 
 class TestSteadyState:
@@ -372,17 +365,38 @@ class TestRealCoordinates:
         # member's R is the same whatever order the product sums them in
         assert (atomic._DRIVE_X != 0).sum(axis=0).max() == 2
 
+    def test_coordinate_change_is_exact(self):
+        """T = _VEC_OF_X.T takes x to vec(rho); its inverse has entries 0, 1,
+        1/2 and +-j/2, so both products are the identity bit for bit."""
+        t, t_inv = atomic._VEC_OF_X.T, atomic._X_OF_VEC
+        assert np.array_equal(t @ t_inv, np.eye(16))
+        assert np.array_equal(t_inv @ t, np.eye(16))
+        assert np.isin(t_inv, [0.0, 1.0, 0.5, 0.5j, -0.5j]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(drives=st.lists(DRIVE_BOX, min_size=1, max_size=8), rates=RATE_BOX)
+    def test_complex_view_of_r_is_the_per_basis_definition(self, drives, rates):
+        """``build_liouvillian`` is ``_rhs`` on each basis matrix E_ij, one at
+        a time, and the complex path's L = T R T^-1 equals it to within 2
+        ulp of ||L||: each entry is one rounded sum of two exact terms."""
+        gamma, gamma3, gamma4, gamma_c = rates
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
+                                      gamma4=gamma4, gamma_c=gamma_c)
+        stack = _stack(drives)
+        h = atomic._hamiltonian(vars(stack))
+        view = atomic._VEC_OF_X.T @ atomic._real_liouvillian(sys_, h) @ atomic._X_OF_VEC
+        for i, drive in enumerate(_members(stack, len(drives))):
+            liou = build_liouvillian(sys_, drive)
+            cols = [atomic._rhs(sys_, h[i], e).ravel()
+                    for e in np.eye(16).reshape(16, 4, 4)]
+            assert np.array_equal(liou, np.array(cols).T)
+            ulp = np.spacing(np.linalg.norm(liou))
+            assert np.max(np.abs(view[i] - liou)) <= 2.0 * ulp
+
     @settings(max_examples=60, deadline=None)
     @given(
-        drive=st.tuples(
-            st.just(0.0) | st.floats(0.0, 1e9),
-            st.just(0.0) | st.floats(0.0, 1e8),
-            st.just(0.0) | st.floats(0.0, 1e9),
-            st.floats(-1e8, 1e8),
-            st.floats(-1e8, 1e8),
-            st.floats(-1e8, 1e8),
-        ),
-        rates=st.tuples(*[st.floats(0.0, 1e6)] * 4),
+        drive=DRIVE_BOX,
+        rates=RATE_BOX,
         x=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
     )
     def test_real_generator_is_the_liouvillian_in_x(self, drive, rates, x):
@@ -438,11 +452,53 @@ class TestRealCoordinates:
         monkeypatch.setattr(atomic, "_null_vectors", spy)
         rho = steady_state_numeric(system, drive)
         [liou] = routed
-        assert np.array_equal(liou, build_liouvillian(system, _stack(
-            [[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])))
+        assert np.array_equal(liou[0], atomic._VEC_OF_X.T @ gen @ atomic._X_OF_VEC)
         monkeypatch.undo()
         complex_path = atomic._finalize(atomic._null_vectors(liou)[0])
         assert np.array_equal(rho.matrix[1], complex_path.matrix)
+
+    def test_no_recipe_or_workload_drive_takes_the_complex_path(
+            self, system, monkeypatch):
+        """The packaged detuning-loss sweep, at its shipped points and at the
+        benchmark's 1,001, the LO-only drives at both shipped points, and
+        their 1,000-sample Liouvillian waveforms at 20 dB: no member is
+        routed to the complex path, and the largest condition number stays
+        within 1 / RESIDUAL_RTOL, so the rounding of L = T R T^-1 reaches
+        none of their values."""
+        routed, solved = [], []
+        null_vectors, steady_vectors = atomic._null_vectors, atomic._steady_vectors
+
+        def route(liou):
+            routed.append(len(liou))
+            return null_vectors(liou)
+
+        def solve(sys_, h):
+            solved.append((sys_, h))
+            return steady_vectors(sys_, h)
+
+        monkeypatch.setattr(atomic, "_null_vectors", route)
+        monkeypatch.setattr(atomic, "_steady_vectors", solve)
+        cfg = load_config(default_config_path("detuning-loss"))
+        recipes.detuning_loss(cfg, 1)
+        recipes.detuning_loss(dataclasses.replace(
+            cfg, sweep=dataclasses.replace(cfg.sweep, points=1001)), 1)
+        chain = defaults.default_chain()
+        fs = MIN_SAMPLES_PER_BEAT * defaults.F_DELTA
+        for op in (defaults.diod_point(), defaults.bcod_point()):
+            steady_state_numeric(system, defaults.drive_for(op, system))
+            simulate_waveform(op, chain, defaults.weak_user(20.0, op), system,
+                              1000 / fs, fs, seed=0, rho_solver="liouvillian")
+        assert routed == []
+
+        worst = 0.0
+        for sys_, h in solved:
+            gen = atomic._real_liouvillian(sys_, h)
+            a = gen.copy()
+            a[:, 0, :] = atomic._TRACE_X * atomic._norm(gen.reshape(-1, 256))[:, None]
+            worst = max(worst, np.linalg.cond(a, 1).max())
+        # 573 distinct drives: 49 and 501 |delta_rf|, 2 LO-only, 11 + 10 envelopes
+        assert sum(len(h) for _, h in solved) == 573
+        assert worst <= 1.0 / atomic.RESIDUAL_RTOL
 
 
 class TestDriveStack:

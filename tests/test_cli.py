@@ -439,6 +439,17 @@ class TestDerivedQuantities:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "256 (1+0j) []", "4800 False"]
 
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        # concurrent.futures and the logging it imports cost cold start a
+        # few ms; only a Monte-Carlo run with more than one worker needs them
+        proc = run_fresh(
+            "import sys\n"
+            "import raqr.recipes, raqr.cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False"]
+
     def test_no_package_module_imports_scipy(self):
         # scipy is a test-only dependency; a runtime import would bring
         # back its second of start-up and 70 MiB without any test failing
