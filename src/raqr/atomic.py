@@ -67,10 +67,10 @@ class AtomicSystem:
         # without the probe or RF dipole, or the probe linewidth, the
         # readout vanishes or the steady state is not unique
         for name in ("mu12", "mu34", "gamma2", "l_cell", "lambda_p", "t2"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("mu23", "gamma3", "gamma4", "gamma", "gamma_c", "n0"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 1 <= self.n_atoms < np.inf:
             raise ValueError("n_atoms must be >= 1 and finite")

@@ -61,12 +61,12 @@ class OperatingPoint:
         if self.scheme not in ("DIOD", "BCOD"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         for name in ("p0", "pc", "p_lo", "pl"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.scheme == "DIOD" and self.pl != 0.0:
             raise ValueError("pl must be 0 for the direct detection scheme")
         for name in ("fwhm_p", "fwhm_c", "a_e"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
 
 
@@ -88,13 +88,13 @@ class DetectionChain:
 
     def __post_init__(self) -> None:
         for name in ("g", "alpha", "z0", "bw", "i_sat"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ValueError("temperature must be >= 0")
         if self.sigma_sq_sn is None:
             object.__setattr__(self, "sigma_sq_sn", 2.0 * elementary_charge * self.bw)
-        elif self.sigma_sq_sn < 0:
+        elif not self.sigma_sq_sn >= 0:
             raise ValueError("sigma_sq_sn must be >= 0")
 
 
@@ -107,9 +107,9 @@ class UserSignal:
     theta_x: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.u_x < 0:
+        if not self.u_x >= 0:
             raise ValueError("u_x must be >= 0")
-        if self.f_c <= 0:
+        if not self.f_c > 0:
             raise ValueError("f_c must be > 0")
 
     def power(self, a_e: float) -> float:

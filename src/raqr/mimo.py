@@ -94,9 +94,9 @@ class MimoScenario:
             np.asarray(self.beta, dtype=float), (self.n_users,)
         ).copy()
         p = np.broadcast_to(np.asarray(self.p, dtype=float), (self.n_users,)).copy()
-        if np.any(beta < 0):
+        if not np.all(beta >= 0):
             raise ValueError("large-scale fading must be nonnegative")
-        if np.any(p < 0):
+        if not np.all(p >= 0):
             raise ValueError("transmit powers must be nonnegative")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "p", p)

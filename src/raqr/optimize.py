@@ -67,7 +67,7 @@ class NoiseWeights:
 
     def __post_init__(self):
         for name in ("sig_shot", "dc_shot", "thermal", "projection"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
 
     @classmethod
@@ -213,47 +213,31 @@ def _plo_stationary(terms, system, gamma):
     return StationaryPower(ell_star / a34, clamped=False)
 
 
-def _optimum(op, system, stationary, power, direct_thermal):
-    """Optimum of ``power`` ("pc" or "p_lo") by its ``stationary`` formula:
-    at load factor e_g for the direct thermal term, else at the load factor
-    ``_fixed_point`` refines. A balanced point needs pl > 0, as in the gain table."""
+def optimal_power(op: OperatingPoint, system: AtomicSystem, power: str,
+                  regime: str) -> StationaryPower:
+    """The ``power`` ("pc" or "p_lo", the ``with_powers`` field) that
+    minimizes the ``regime`` term ("dc_shot" or "thermal", the
+    ``NoiseWeights`` field); any other name raises ValueError.
+
+    The DC-shot formula runs at the load factor e_g - e_cn that
+    ``_fixed_point`` refines: exact for the direct scheme, and accurate in
+    the strong-local-beam regime for the balanced one, which also routes its
+    thermal term to this DC-shot optimum. The direct thermal term,
+    1/(p_g^2 kappa^2), has p1-elasticity -e_g, so the same formula applies
+    at load factor e_g. A balanced point needs pl > 0, as in the gain table.
+    """
+    if power not in ("pc", "p_lo"):
+        raise ValueError(f"power must be 'pc' or 'p_lo', not {power!r}")
+    if regime not in ("dc_shot", "thermal"):
+        raise ValueError(f"regime must be 'dc_shot' or 'thermal', not {regime!r}")
     if op.scheme == "BCOD" and op.pl <= 0.0:
         raise MissingLocalBeam("balanced detection requires pl > 0")
+    stationary = _pc_stationary if power == "pc" else _plo_stationary
     small = SmallSignal(op, system)
-    if direct_thermal and op.scheme == "DIOD":
+    if regime == "thermal" and op.scheme == "DIOD":
         return stationary(small.terms, system, scheme_powers(op, small.p1)[2][0])
     return _fixed_point(op, system, lambda g: stationary(small.terms, system, g),
                         lambda o, v: with_powers(o, **{power: v}))
-
-
-def optimal_pc_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
-    """Coupling power that minimizes the DC-shot term.
-
-    Exact for the direct scheme; for the balanced scheme the load factor
-    is refined to self-consistency and the formula is accurate in the
-    strong-local-beam regime.
-    """
-    return _optimum(op, system, _pc_stationary, "pc", False)
-
-
-def optimal_plo_cn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
-    """LO power that minimizes the DC-shot term."""
-    return _optimum(op, system, _plo_stationary, "p_lo", False)
-
-
-def optimal_pc_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
-    """Coupling power that minimizes the thermal term (maximizes the
-    demodulated signal). For the direct scheme that term, 1/(p_g^2 kappa^2),
-    has p1-elasticity -e_g, so the DC-shot formula applies at load factor
-    e_g; the balanced scheme routes to the DC-shot optimum."""
-    return _optimum(op, system, _pc_stationary, "pc", True)
-
-
-def optimal_plo_tn(op: OperatingPoint, system: AtomicSystem) -> StationaryPower:
-    """LO power that minimizes the thermal term; as ``optimal_pc_tn``, the
-    DC-shot formula at load factor e_g for the direct scheme, and the
-    DC-shot optimum for the balanced scheme."""
-    return _optimum(op, system, _plo_stationary, "p_lo", True)
 
 
 def optimal_pl(chain: DetectionChain, p1_at_lo: float, pl_max: float) -> float:
@@ -410,18 +394,19 @@ def design_report(
     p0_bounds: tuple[float, float] = (1e-6, 1e-1),
 ) -> dict:
     """JSON-ready summary: per-regime optima, classification, and a
-    noise-functional sensitivity table under +-10% power perturbations."""
+    noise-functional sensitivity table under +-10% power perturbations.
+
+    ``optima`` holds the four ``optimal_power`` pairs as ``pc_dc_shot``,
+    ``plo_dc_shot``, ``pc_thermal`` and ``plo_thermal``, in that order (at a
+    balanced point the thermal entries are the DC-shot optima), then the
+    local-beam power at a balanced point and the Newton probe power."""
     weights = NoiseWeights.from_chain(chain, system)
-
-    def as_entry(sp: StationaryPower):
-        return {"power_w": sp.power, "clamped": sp.clamped}
-
-    optima = {
-        "pc_dc_shot": as_entry(optimal_pc_cn(op, system)),
-        "plo_dc_shot": as_entry(optimal_plo_cn(op, system)),
-        "pc_thermal": as_entry(optimal_pc_tn(op, system)),
-        "plo_thermal": as_entry(optimal_plo_tn(op, system)),
-    }
+    optima = {}
+    for regime in ("dc_shot", "thermal"):
+        for power in ("pc", "p_lo"):
+            star = optimal_power(op, system, power, regime)
+            optima[f"{power.replace('_', '')}_{regime}"] = {
+                "power_w": star.power, "clamped": star.clamped}
     if op.scheme == "BCOD":
         optima["pl"] = {
             "power_w": optimal_pl(chain, p1_of_lo(op, system), pl_max),

@@ -32,11 +32,8 @@ from .optimize import (
     NoiseWeights,
     OpaqueGrid,
     normalized_noise,
-    optimal_pc_cn,
-    optimal_pc_tn,
     optimal_pl,
-    optimal_plo_cn,
-    optimal_plo_tn,
+    optimal_power,
 )
 from .waveform import MIN_SAMPLES_PER_BEAT, WeakLO, simulate_waveform
 
@@ -385,17 +382,12 @@ def siso_optima(cfg: ExperimentConfig, threads: int) -> RecipeResult:
         "thermal": NoiseWeights(0.0, 0.0, wts.thermal, 0.0),
     }
     sweeps = {
-        "coupling_power_w": ("pc", np.geomspace(1e-3, 1.0, 121)),
-        "lo_power_w": ("p_lo", np.geomspace(1e-8, 1e-3, 121)),
-    }
-    formulas = {
-        ("coupling_power_w", "dc_shot"): optimal_pc_cn,
-        ("coupling_power_w", "thermal"): optimal_pc_tn,
-        ("lo_power_w", "dc_shot"): optimal_plo_cn,
-        ("lo_power_w", "thermal"): optimal_plo_tn,
+        "coupling_power_w": np.geomspace(1e-3, 1.0, 121),
+        "lo_power_w": np.geomspace(1e-8, 1e-3, 121),
     }
     rows, series, annotations, summary = [], [], [], {}
-    for sweep_name, (attr, grid) in sweeps.items():
+    for sweep_name, grid in sweeps.items():
+        attr = _SWEEP_TO_POWER[sweep_name]
         for regime, weights in regimes.items():
             label = f"{sweep_name}:{regime}"
             series.append({"label": label, "filter": {"series": label}})
@@ -406,7 +398,7 @@ def siso_optima(cfg: ExperimentConfig, threads: int) -> RecipeResult:
             ])
             for x, w in zip(grid, values):
                 rows.append((label, float(x), float(w)))
-            star = formulas[(sweep_name, regime)](cfg.op, cfg.system)
+            star = optimal_power(cfg.op, cfg.system, attr, regime)
             w_star = normalized_noise(
                 with_powers(cfg.op, **{attr: float(star)}), weights, cfg.system
             )

@@ -30,10 +30,7 @@ from raqr.optimize import (
     NoiseWeights,
     newton_optimal_p0,
     normalized_noise,
-    optimal_pc_cn,
-    optimal_pc_tn,
-    optimal_plo_cn,
-    optimal_plo_tn,
+    optimal_power,
 )
 from raqr.waveform import WeakLO, simulate_waveform
 
@@ -186,44 +183,35 @@ def test_criterion_04_shot_variance(system, diod, bcod, chain):
 
 def test_criterion_05_stationary_points(chain, system, bcod):
     t0 = perf_counter()
-    cn = NoiseWeights(0.0, 1.0, 0.0, 0.0)
-    tn = NoiseWeights(0.0, 0.0, 1.0, 0.0)
 
-    def gap_db(op, sys_, attr, star, weights, lo, hi):
+    def gap_db(op, sys_, power, regime, lo, hi):
+        # the optimum of the ``regime`` term alone, at unit weight
+        star = optimal_power(op, sys_, power, regime)
+        assert not star.clamped
+        weights = dataclasses.replace(NoiseWeights(0.0, 0.0, 0.0, 0.0),
+                                      **{regime: 1.0})
+
         def f(x):
-            return normalized_noise(with_powers(op, **{attr: x}), weights,
+            return normalized_noise(with_powers(op, **{power: x}), weights,
                                     sys_)
         _, w_min = golden_min(f, lo, hi)
         return abs(10.0 * math.log10(f(float(star)) / w_min))
 
-    worst_diod = 0.0
     diod_thin = thin_diod()
     diod_real = defaults.diod_point()
-    for attr, star_fn, weights, op, sys_, lo, hi in (
-        ("pc", optimal_pc_cn, cn, diod_thin, THIN, 1e-6, 1e-1),
-        ("pc", optimal_pc_tn, tn, diod_thin, THIN, 1e-6, 1e-1),
-        ("p_lo", optimal_plo_cn, cn, diod_real, system, 1e-8, 1e-3),
-        ("p_lo", optimal_plo_tn, tn, diod_real, system, 1e-8, 1e-3),
-    ):
-        star = star_fn(op, sys_)
-        assert not star.clamped
-        worst_diod = max(worst_diod,
-                         gap_db(op, sys_, attr, star, weights, lo, hi))
+    worst_diod = max(gap_db(op, sys_, power, regime, lo, hi)
+                     for power, op, sys_, lo, hi in (
+                         ("pc", diod_thin, THIN, 1e-6, 1e-1),
+                         ("p_lo", diod_real, system, 1e-8, 1e-3))
+                     for regime in ("dc_shot", "thermal"))
     assert worst_diod <= 0.1
 
-    worst_bcod = 0.0
     bcod_thin = thin_bcod()
     assert bcod_thin.pl >= 100.0 * p1_of_lo(bcod_thin, THIN)
-    for attr, star_fn, weights, lo, hi in (
-        ("pc", optimal_pc_cn, cn, 1e-6, 1e-1),
-        ("pc", optimal_pc_tn, tn, 1e-6, 1e-1),
-        ("p_lo", optimal_plo_cn, cn, 1e-10, 1e-3),
-        ("p_lo", optimal_plo_tn, tn, 1e-10, 1e-3),
-    ):
-        star = star_fn(bcod_thin, THIN)
-        assert not star.clamped
-        worst_bcod = max(worst_bcod,
-                         gap_db(bcod_thin, THIN, attr, star, weights, lo, hi))
+    worst_bcod = max(gap_db(bcod_thin, THIN, power, regime, lo, hi)
+                     for power, lo, hi in (("pc", 1e-6, 1e-1),
+                                           ("p_lo", 1e-10, 1e-3))
+                     for regime in ("dc_shot", "thermal"))
     assert worst_bcod <= 0.5
 
     wts = NoiseWeights.from_chain(chain, system)

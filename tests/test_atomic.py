@@ -732,6 +732,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             defaults.cesium_system(l_cell=0.0)
 
+    @pytest.mark.parametrize("name", [
+        "mu12", "mu23", "mu34", "gamma2", "gamma3", "gamma4", "gamma",
+        "gamma_c", "n0", "l_cell", "lambda_p", "t2"])
+    def test_atomic_system_rejects_nan(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            defaults.cesium_system(**{name: math.nan})
+
 
 _U = np.array([1.0, -1.0, 1.0, -1.0])  # U = diag(1, -1, 1, -1)
 

@@ -20,6 +20,7 @@ from raqr.config import (
     serialize,
 )
 from raqr import recipes
+from raqr.optimize import optimal_power
 from raqr.recipes import (
     RECIPE_SWEEPS,
     RecipeError,
@@ -1122,6 +1123,17 @@ class TestRecipeSummaries:
             assert not entry["clamped"]
             assert entry["gap_db"] <= 0.5
         assert summary["local_beam_w"] > 0
+
+    def test_siso_optima_closed_forms(self, tmp_path):
+        import dataclasses
+
+        cfg = load_config(default_config_path("siso-optima"))
+        cfg = dataclasses.replace(cfg, output_dir=str(tmp_path))
+        summary = json.loads(run_recipe(cfg)["summary"].read_text())
+        for sweep, power in (("coupling_power_w", "pc"), ("lo_power_w", "p_lo")):
+            for regime in ("dc_shot", "thermal"):
+                star = optimal_power(cfg.op, cfg.system, power, regime)
+                assert summary[f"{sweep}:{regime}"]["closed_form_w"] == star.power
 
 
 class TestSweepValues:

@@ -385,6 +385,29 @@ class TestUserSignal:
             UserSignal(u_x=-1.0, f_c=defaults.F_CARRIER)
 
 
+class TestNanRejected:
+    """A NaN field fails its sign check as a negative one does, under the
+    field's name (the config layer maps the error to its key by that word)."""
+
+    @pytest.mark.parametrize(
+        "name", ["p0", "pc", "p_lo", "pl", "fwhm_p", "fwhm_c", "a_e"])
+    def test_operating_point(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            defaults.bcod_point(**{name: math.nan})
+
+    @pytest.mark.parametrize(
+        "name", ["g", "alpha", "z0", "bw", "i_sat", "temperature", "sigma_sq_sn"])
+    def test_detection_chain(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            defaults.default_chain(**{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["u_x", "f_c"])
+    def test_user_signal(self, name):
+        fields = {"u_x": 1.0, "f_c": defaults.F_CARRIER, name: math.nan}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            UserSignal(**fields)
+
+
 # Frozen 2024-08: confirmed against an adaptive-quadrature integral of the
 # same L2 ratio (rel gap 3e-15).
 GOLDEN_ENVELOPE_10DB = 0.029318041444327217

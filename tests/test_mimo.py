@@ -75,6 +75,14 @@ class TestScenario:
         with pytest.raises(ValueError):
             small_scenario(beta=-1e-12)
 
+    @pytest.mark.parametrize("per_user", [False, True], ids=["scalar", "per-user"])
+    @pytest.mark.parametrize("name, what", [("beta", "large-scale fading"),
+                                            ("p", "transmit powers")])
+    def test_rejects_nan(self, name, what, per_user):
+        value = np.array([1e-12, math.nan, 1e-12, 1e-12]) if per_user else math.nan
+        with pytest.raises(ValueError, match=f"^{what} must be nonnegative"):
+            small_scenario(**{name: value})
+
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
     def test_rejects_seed_outside_a_philox_key_word(self, seed):
         with pytest.raises(ValueError, match="seed"):

@@ -36,11 +36,8 @@ from raqr.optimize import (
     design_report,
     newton_optimal_p0,
     normalized_noise,
-    optimal_pc_cn,
-    optimal_pc_tn,
     optimal_pl,
-    optimal_plo_cn,
-    optimal_plo_tn,
+    optimal_power,
 )
 
 from conftest import box_points, rel_err
@@ -70,14 +67,13 @@ def thin_bcod(**overrides):
     return defaults.bcod_point(**kw)
 
 
-def term_weights(term):
-    # single-term weight vectors; the stationary points do not depend on the
-    # overall scale of the retained weight
-    return {
-        "sn": NoiseWeights(1.0, 0.0, 0.0, 0.0),
-        "cn": NoiseWeights(0.0, 1.0, 0.0, 0.0),
-        "tn": NoiseWeights(0.0, 0.0, 1.0, 0.0),
-    }[term]
+def term_weights(regime):
+    # the single NoiseWeights term ``regime`` at unit weight; the stationary
+    # points do not depend on the overall scale of the retained weight
+    return dataclasses.replace(NoiseWeights(0.0, 0.0, 0.0, 0.0), **{regime: 1.0})
+
+
+REGIMES = ("dc_shot", "thermal")
 
 
 def grid_refine(f, lo, hi, n=1000):
@@ -116,6 +112,11 @@ class TestNoiseWeights:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             NoiseWeights(-1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("name", ["sig_shot", "dc_shot", "thermal", "projection"])
+    def test_rejects_nan(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            dataclasses.replace(NoiseWeights(0.0, 0.0, 0.0, 0.0), **{name: math.nan})
 
 
 class TestNormalizedNoise:
@@ -178,17 +179,11 @@ class TestNormalizedNoise:
 
 
 class TestStationaryFormulas:
-    @pytest.mark.parametrize(
-        "maker, solver, term",
-        [
-            (thin_diod, optimal_pc_cn, "cn"),
-            (thin_diod, optimal_pc_tn, "tn"),
-        ],
-    )
-    def test_direct_coupling_optima_match_grid(self, maker, solver, term):
-        op = maker()
-        star = solver(op, THIN)
-        w = term_weights(term)
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_direct_coupling_optima_match_grid(self, regime):
+        op = thin_diod()
+        star = optimal_power(op, THIN, "pc", regime)
+        w = term_weights(regime)
 
         def objective(pc):
             return normalized_noise(with_powers(op, pc=pc), w, THIN)
@@ -202,8 +197,8 @@ class TestStationaryFormulas:
         # the balanced closed form is exact only as Pl >> P1; at 100x the
         # residual argmin offset is far below the acceptance resolution
         op = thin_bcod()
-        star = optimal_pc_cn(op, THIN)
-        w = term_weights("cn")
+        star = optimal_power(op, THIN, "pc", "dc_shot")
+        w = term_weights("dc_shot")
 
         def objective(pc):
             return normalized_noise(with_powers(op, pc=pc), w, THIN)
@@ -212,13 +207,10 @@ class TestStationaryFormulas:
         assert not edge
         assert rel_err(star.power, ref) < 1e-3
 
-    @pytest.mark.parametrize(
-        "solver, term",
-        [(optimal_plo_cn, "cn"), (optimal_plo_tn, "tn")],
-    )
-    def test_direct_lo_optima_match_grid(self, diod, system, solver, term):
-        star = solver(diod, system)
-        w = term_weights(term)
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_direct_lo_optima_match_grid(self, diod, system, regime):
+        star = optimal_power(diod, system, "p_lo", regime)
+        w = term_weights(regime)
 
         def objective(p_lo):
             return normalized_noise(with_powers(diod, p_lo=p_lo), w, system)
@@ -229,8 +221,8 @@ class TestStationaryFormulas:
 
     def test_balanced_lo_optimum_strong_local_beam(self):
         op = thin_bcod()
-        star = optimal_plo_cn(op, THIN)
-        w = term_weights("cn")
+        star = optimal_power(op, THIN, "p_lo", "dc_shot")
+        w = term_weights("dc_shot")
 
         def objective(p_lo):
             return normalized_noise(with_powers(op, p_lo=p_lo), w, THIN)
@@ -242,8 +234,8 @@ class TestStationaryFormulas:
     def test_objective_within_tenth_db_of_grid(self, diod, system):
         # acceptance-style check: objective value at the closed form within
         # 0.1 dB of the polished grid minimum
-        star = optimal_plo_cn(diod, system)
-        w = term_weights("cn")
+        star = optimal_power(diod, system, "p_lo", "dc_shot")
+        w = term_weights("dc_shot")
 
         def objective(p_lo):
             return normalized_noise(with_powers(diod, p_lo=p_lo), w, system)
@@ -252,26 +244,19 @@ class TestStationaryFormulas:
         gap_db = 10.0 * math.log10(objective(star.power) / objective(ref))
         assert abs(gap_db) < 0.1
 
+    @pytest.mark.parametrize("regime", REGIMES)
     @pytest.mark.parametrize(
-        "solver, knob, box",
-        [
-            (optimal_pc_cn, "pc", (1e-6, 1e-1)),
-            (optimal_pc_tn, "pc", (1e-6, 1e-1)),
-            (optimal_plo_cn, "p_lo", (1e-10, 1e-3)),
-            (optimal_plo_tn, "p_lo", (1e-10, 1e-3)),
-        ],
-    )
-    def test_derivative_sign_change(self, solver, knob, box):
+        "power, box", [("pc", (1e-6, 1e-1)), ("p_lo", (1e-10, 1e-3))])
+    def test_derivative_sign_change(self, power, box, regime):
         # a genuine interior minimum: the objective slopes down just below
         # the returned power and up just above it
         op = thin_diod()
-        star = solver(op, THIN)
+        star = optimal_power(op, THIN, power, regime)
         assert box[0] < star.power < box[1]
-        term = "cn" if solver in (optimal_pc_cn, optimal_plo_cn) else "tn"
-        w = term_weights(term)
+        w = term_weights(regime)
 
         def objective(x):
-            return normalized_noise(with_powers(op, **{knob: x}), w, THIN)
+            return normalized_noise(with_powers(op, **{power: x}), w, THIN)
 
         below = objective(star.power * 0.995)
         at = objective(star.power)
@@ -279,12 +264,12 @@ class TestStationaryFormulas:
         assert below > at and above > at
 
     def test_clamped_at_vanishing_lo(self):
-        star = optimal_pc_cn(thin_diod(p_lo=1e-12), THIN)
+        star = optimal_power(thin_diod(p_lo=1e-12), THIN, "pc", "dc_shot")
         assert star.power == 0.0
         assert star.clamped
 
     def test_float_protocol(self):
-        star = optimal_pc_cn(thin_diod(), THIN)
+        star = optimal_power(thin_diod(), THIN, "pc", "dc_shot")
         assert float(star) == star.power
 
     def test_fixed_point_raises_when_load_factor_oscillates(self, bcod, system):
@@ -317,18 +302,28 @@ class TestStationaryFormulas:
         at_star = with_powers(op, p_lo=star.power)
         assert abs(-scheme_powers(at_star, p1_of_lo(at_star, system))[2][2]
                    - gamma) <= 1e-8 * gamma
-        assert optimal_plo_cn(op, system) == star
+        assert optimal_power(op, system, "p_lo", "dc_shot") == star
 
     # without a local beam the balanced receiver has no gain to optimize; at
     # the second point the load-factor search would also reach a fully
     # absorbed probe, where pl / (pl + p1) is 0 / 0
     @pytest.mark.parametrize("overrides", [
         {"pl": 0.0}, {"pl": 0.0, "p_lo": 1e300, "p0": 1e-100}])
-    @pytest.mark.parametrize("solver", [
-        optimal_pc_cn, optimal_plo_cn, optimal_pc_tn, optimal_plo_tn])
-    def test_balanced_optima_need_a_local_beam(self, system, solver, overrides):
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("power", ["pc", "p_lo"])
+    def test_balanced_optima_need_a_local_beam(self, system, power, regime,
+                                               overrides):
         with pytest.raises(MissingLocalBeam, match="requires pl > 0"):
-            solver(defaults.bcod_point(**overrides), system)
+            optimal_power(defaults.bcod_point(**overrides), system, power, regime)
+
+    @pytest.mark.parametrize("power, regime, bad", [
+        ("p0", "dc_shot", "power"), ("pl", "thermal", "power"),
+        ("P_LO", "dc_shot", "power"), ("pc", "sig_shot", "regime"),
+        ("p_lo", "projection", "regime"), ("pc", "cn", "regime")])
+    def test_unknown_power_or_regime_rejected(self, diod, system, power,
+                                              regime, bad):
+        with pytest.raises(ValueError, match=f"^{bad} must be"):
+            optimal_power(diod, system, power, regime)
 
 
 class TestOneEvaluation:
@@ -582,6 +577,22 @@ class TestDesignReport:
             "pl", "p0_newton",
         }
         assert set(blob["sensitivity"]) == {"p0", "pc", "p_lo", "pl"}
+
+    @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
+    def test_optima_in_order(self, chain, system, scheme):
+        # the census prints the report's repr, so the key order is output;
+        # each stationary entry is the optimal_power call it names
+        op = defaults.default_point(scheme)
+        rep = design_report(op, chain, system, p0_bounds=(1e-3, 1e-1))
+        pairs = [("pc", "dc_shot"), ("p_lo", "dc_shot"), ("pc", "thermal"),
+                 ("p_lo", "thermal")]
+        keys = ["pc_dc_shot", "plo_dc_shot", "pc_thermal", "plo_thermal"]
+        tail = ["pl", "p0_newton"] if scheme == "BCOD" else ["p0_newton"]
+        assert list(rep["optima"]) == keys + tail
+        for key, (power, regime) in zip(keys, pairs):
+            star = optimal_power(op, system, power, regime)
+            assert rep["optima"][key] == {"power_w": star.power,
+                                          "clamped": star.clamped}
 
     def test_direct_report_omits_local_beam(self, diod, chain, system):
         rep = design_report(diod, chain, system, p0_bounds=(1e-3, 1e-1))
