@@ -306,17 +306,20 @@ def _steady_vectors(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
         # A member is exactly singular and the inverse does not say which;
         # the complex path takes the whole block.
         return _null_vectors(_VEC_OF_X.T @ gen @ _X_OF_VEC)
-    x = inv @ b
-    # Two refinement passes: cheap, and they recover ~3 digits when the slow
-    # population-exchange mode makes the system ill-conditioned.
-    for _ in range(2):
-        x = x + inv @ (b - a @ x)
-    x = x[..., 0]
-    # A residual at RESIDUAL_RTOL bounds the relative error by cond times
-    # it, a bound that says nothing once cond exceeds 1 / RESIDUAL_RTOL.
-    # NaN fails both comparisons.
-    residual = _norm((gen @ x[..., None])[..., 0]) / scale
-    cond = _norm1(a) * _norm1(inv)
+    # A near-singular member's inverse can hold inf or NaN; the flag below
+    # routes such a member to the complex path, so the products stay quiet.
+    with np.errstate(invalid="ignore", over="ignore"):
+        x = inv @ b
+        # Two refinement passes: cheap, and they recover ~3 digits when the
+        # slow population-exchange mode makes the system ill-conditioned.
+        for _ in range(2):
+            x = x + inv @ (b - a @ x)
+        x = x[..., 0]
+        # A residual at RESIDUAL_RTOL bounds the relative error by cond times
+        # it, a bound that says nothing once cond exceeds 1 / RESIDUAL_RTOL.
+        # NaN fails both comparisons.
+        residual = _norm((gen @ x[..., None])[..., 0]) / scale
+        cond = _norm1(a) * _norm1(inv)
     flagged = ~((residual <= RESIDUAL_RTOL) & (cond <= 1.0 / RESIDUAL_RTOL))
     v = x @ _VEC_OF_X
     if flagged.any():

@@ -25,16 +25,10 @@ __all__ = [
     "RankDeficient",
     "NoCrossing",
     "MimoScenario",
-    "ReceivedSignal",
-    "DetectionResult",
     "BoundResult",
     "RateResult",
     "large_scale_fading",
     "lo_phase_progression",
-    "gen_channel",
-    "build_received",
-    "combiner",
-    "detect",
     "closed_form_moments",
     "sinr_lb",
     "asymptotic_rate",
@@ -103,35 +97,6 @@ class MimoScenario:
 
 
 @dataclass(frozen=True)
-class ReceivedSignal:
-    """One array snapshot with its three addends kept separate."""
-
-    y: np.ndarray
-    signal: np.ndarray
-    shot: np.ndarray
-    noise: np.ndarray
-    symbols: np.ndarray
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Per-user decision statistics and their five-way split.
-
-    ``r == ds + ls + ui + sn + n`` exactly; the desired-signal part uses the
-    ensemble-mean combining coefficient, so ``ls`` carries the realization's
-    deviation from channel hardening.
-    """
-
-    r: np.ndarray
-    ds: np.ndarray
-    ls: np.ndarray
-    ui: np.ndarray
-    sn: np.ndarray
-    n: np.ndarray
-    method: str
-
-
-@dataclass(frozen=True)
 class BoundResult:
     sinr: np.ndarray
     rate: np.ndarray
@@ -176,74 +141,60 @@ def lo_phase_progression(scenario: MimoScenario) -> np.ndarray:
     return np.exp(-1j * phase * m)
 
 
-def _draw(rng, batch, scenario, parts="hsbw", out=None):
-    """Unit-variance draws for a batch of snapshots in the one fixed order:
-    channel h (..., M, K; variance beta per user), symbols s (..., K), shot
-    diagonal b (..., M), AWGN w (..., M). ``parts`` picks a subset.
+def _draw(rng, scenario, h, scratch):
+    """Unit-variance draws for ``len(h)`` realizations in the one fixed
+    order: channel (n, M, K; variance beta per user), written into ``h``,
+    then symbols s (n, K), shot diagonal b (n, M) and AWGN w (n, M).
 
-    ``out`` may map a part to the array it is written into, and ``"x"`` to a
-    contiguous float scratch array (L, M, K) that the real and then
-    imaginary draws of each complex part pass through in consecutive pieces
-    (L channel, L·M symbol or L·K noise snapshots); consecutive fills
-    continue one stream, so L changes no value. Whatever ``out`` leaves
-    out is allocated."""
-    m, k = scenario.n_sensors, scenario.n_users
-    shapes = {"h": (m, k), "s": (k,), "b": (m,), "w": (m,)}
-    out = out or {}
-    drawn = []
-    for part in (p for p in "hsbw" if p in parts):
-        shape = batch + shapes[part]
-        x = out.get(part)
-        if part == "b":
-            drawn.append(rng.standard_normal(shape, out=x))
-            continue
-        x = np.empty(shape, complex) if x is None else x
-        scratch = out.get("x")
-        # the channel is scaled once drawn; s and w on the copy, by the
-        # reciprocal, as numpy divides complex by real
-        scale = 1.0 if part == "h" else 1.0 / math.sqrt(2.0)
+    The real and then imaginary draws of each complex part pass through the
+    contiguous float scratch array (L, M, K) in consecutive pieces (L
+    channel, L·M symbol or L·K noise draws); consecutive fills continue one
+    stream, so L changes no value."""
+    n, m, k = h.shape
+
+    def fill(x, scale):
+        rows = scratch.size // math.prod(x.shape[1:])
         for block in (x.real, x.imag):
-            if scratch is None:
-                np.multiply(rng.standard_normal(shape), scale, out=block)
-                continue
-            rows = scratch.size // math.prod(shape[1:])
-            for i in range(0, len(block), rows):
+            for i in range(0, n, rows):
                 piece = block[i:i + rows]
                 buf = scratch.reshape(-1)[:piece.size].reshape(piece.shape)
                 np.multiply(rng.standard_normal(out=buf), scale, out=piece)
-        if part == "h":
-            np.multiply(x, np.sqrt(scenario.beta / 2.0), out=x)
-        drawn.append(x)
-    return drawn
+        return x
+
+    # the channel is scaled once drawn; s and w on the copy, by the
+    # reciprocal, as numpy divides complex by real
+    np.multiply(fill(h, 1.0), np.sqrt(scenario.beta / 2.0), out=h)
+    s = fill(np.empty((n, k), complex), 1.0 / math.sqrt(2.0))
+    b = rng.standard_normal((n, m))
+    w = fill(np.empty((n, m), complex), 1.0 / math.sqrt(2.0))
+    return h, s, b, w
 
 
-def _phased(scenario, h, phi=1.0, out=None):
-    """Phased channel phi·D·H of one snapshot (M, K) or a batch (..., M, K),
-    written into ``out`` when given (``out=h`` phases in place); the
-    Monte-Carlo engine keeps phi = 1 and scales afterwards."""
-    return np.multiply(phi * lo_phase_progression(scenario)[:, None], h, out=out)
+def _phased(scenario, h):
+    """Phase a batch of channels (..., M, K) in place by the LO progression
+    D; the engine applies Φ afterwards, through ``_scale``."""
+    return np.multiply(lo_phase_progression(scenario)[:, None], h, out=h)
 
 
-def _project(a, method, cols, out=None):
+def _project(a, method, cols, out):
     """The one combining kernel on a phased channel ``a`` (..., M, K):
     ``(cᴴa, cᴴ·cols)`` for one column block (..., M, n), with combiners
     c = a (MRC) or a·G⁻¹ (ZF), G = aᴴa. The ZF coupling is the identity by
     construction, so ZF leakage and interference are exactly 0.
 
-    ``out`` may give arrays to write into: ``"conj"`` (a's shape), ``"gram"``
+    ``out`` holds the arrays written into: ``"conj"`` (a's shape), ``"gram"``
     (..., K, K), and ``"z"`` and ``"zf"`` (..., K, n) for aᴴ·cols and for the
     ZF product G⁻¹aᴴ·cols."""
-    out = out or {}
-    a_h = np.conjugate(a, out=out.get("conj")).swapaxes(-1, -2)
-    gram = np.matmul(a_h, a, out=out.get("gram"))
-    z = np.matmul(a_h, cols, out=out.get("z"))
+    a_h = np.conjugate(a, out=out["conj"]).swapaxes(-1, -2)
+    gram = np.matmul(a_h, a, out=out["gram"])
+    z = np.matmul(a_h, cols, out=out["z"])
     if method == "MRC":
         return gram, z
     if method != "ZF":
         raise ValueError(f"unknown detection method {method!r}")
     g_inv = _zf_inverse(gram, a.shape[-2])
     return (np.broadcast_to(np.eye(gram.shape[-1]), gram.shape),
-            np.matmul(g_inv, z, out=out.get("zf")))
+            np.matmul(g_inv, z, out=out["zf"]))
 
 
 def _zf_inverse(gram, n_sensors):
@@ -262,67 +213,6 @@ def _zf_inverse(gram, n_sensors):
     if not np.all(cond <= 1e12):
         raise RankDeficient("channel Gram matrix is numerically singular")
     return g_inv
-
-
-def gen_channel(scenario: MimoScenario, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. Rayleigh columns, per-user variance beta_k per sensor."""
-    return _draw(rng, (), scenario, "h")[0]
-
-
-def build_received(
-    h: np.ndarray,
-    scenario: MimoScenario,
-    gains: BasebandGains,
-    budget: NoiseBudget,
-    s: np.ndarray,
-    rng: np.random.Generator,
-) -> ReceivedSignal:
-    """Assemble an array snapshot for unit-variance symbols ``s``; a leading
-    axis on ``h`` or ``s`` makes a batch of snapshots."""
-    s = np.asarray(s, dtype=complex)
-    v = (_phased(scenario, h) @ (np.sqrt(scenario.p) * s)[..., None])[..., 0]
-    b, w = _draw(rng, v.shape[:-1], scenario, "bw")
-    signal = math.sqrt(gains.rho) * gains.phi * v
-    shot = math.sqrt(budget.sn_coeff) * gains.phi_sn * (b * v)
-    noise = w * math.sqrt(budget.n_sum)
-    return ReceivedSignal(
-        y=signal + shot + noise, signal=signal, shot=shot, noise=noise, symbols=s
-    )
-
-
-def combiner(
-    h: np.ndarray, scenario: MimoScenario, gains: BasebandGains, method: str
-) -> np.ndarray:
-    """Per-user combining vectors as columns; MRC matches the phased
-    channel, ZF inverts it. A leading axis on ``h`` makes a batch."""
-    a = _phased(scenario, h, gains.phi)
-    return _project(a, method, np.eye(scenario.n_sensors))[1].conj().swapaxes(-1, -2)
-
-
-def detect(
-    received: ReceivedSignal,
-    h: np.ndarray,
-    scenario: MimoScenario,
-    gains: BasebandGains,
-    method: str,
-) -> DetectionResult:
-    """Apply a combiner to a snapshot and split the statistic five ways.
-    A leading axis on ``h`` and the snapshot makes a batch."""
-    a = _phased(scenario, h, gains.phi)
-    # the statistic, shot and AWGN columns side by side, combined in one product
-    cols = np.stack([received.y, received.shot, received.noise], axis=-1)
-    t, z = _project(a, method, cols)
-    r, sn, n = np.moveaxis(z, -1, 0)
-    x = np.sqrt(gains.rho * scenario.p) * received.symbols
-    t_mean = 1.0  # ZF: the self-coupling is exactly 1
-    if method == "MRC":  # hardening mean of the self-coupling entry
-        t_mean = abs(gains.phi) ** 2 * scenario.n_sensors * scenario.beta
-    t_diag = np.diagonal(t, axis1=-2, axis2=-1)
-    ds = t_mean * x
-    ls = t_diag * x - ds
-    # off-diagonal leakage only; the diagonal entry is ds + ls
-    ui = (t @ x[..., None])[..., 0] - t_diag * x
-    return DetectionResult(r, ds, ls, ui, sn, n, method)
 
 
 def _abs_sq(x):
@@ -488,8 +378,7 @@ def _chunk_stats(scenario, method, chunk_index, n, workspace):
     sub-batch arrays and write (n, K) per-draw arrays, which are summed over
     the chunk. ``_scale`` supplies the front-end gains and noise variances."""
     rng = np.random.Generator(np.random.Philox(key=[scenario.seed, chunk_index]))
-    h, s, b, w = _draw(rng, (n,), scenario,
-                       out={"h": workspace["h"][:n], "x": workspace["x"]})
+    h, s, b, w = _draw(rng, scenario, workspace["h"][:n], workspace["x"])
     ps = (np.sqrt(scenario.p) * s)[..., None]
     # per draw: the self-coupling, then its energy and the interference, shot
     # and AWGN energies; ZF's coupling is the real identity, and summing it
@@ -499,11 +388,11 @@ def _chunk_stats(scenario, method, chunk_index, n, workspace):
     step = len(workspace["x"])
     for i in range(0, n, step):
         j = slice(i, i + step)
-        a = _phased(scenario, h[j], out=h[j])
+        a = _phased(scenario, h[j])
         ws = {key: workspace[key][:len(a)] for key in ("conj", "gram", "z", "zf")}
         # shot and AWGN columns side by side, combined in one product
         cols = np.stack([b[j] * (a @ ps[j])[..., 0], w[j]], axis=-1)
-        t, z = _project(a, method, cols, out=ws)
+        t, z = _project(a, method, cols, ws)
         t_diag = diag[j] = np.diagonal(t, axis1=-2, axis2=-1)
         ui = (t @ ps[j])[..., 0] - t_diag * ps[j][..., 0]
         energy[:, j] = _abs_sq(np.stack([t_diag, ui, z[..., 0], z[..., 1]]))

@@ -186,6 +186,17 @@ class TestSteadyState:
                 system, DriveConfig(omega_p=1e7, omega_c=1e6, omega_rf=0.0)
             )
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_real_solve_is_routed_without_a_warning(self, system):
+        # a subnormal RF Rabi rate against a 1e8 rad/s detuning: the real
+        # inverse holds NaN, and the flag that NaN raises sends the member to
+        # the complex path, which names the outcome
+        drive = DriveConfig(omega_p=1.0, omega_c=1.5,
+                            omega_rf=2.2250738585072014e-308,
+                            delta_p=1e-300, delta_c=-1.0, delta_rf=1e8)
+        with pytest.raises(DegenerateNullSpace):
+            steady_state_numeric(system, drive)
+
     def test_matches_closed_form_at_representative_point(self, system, diod):
         drive = defaults.drive_for(diod, system)
         num = steady_state_numeric(system, drive).rho21
