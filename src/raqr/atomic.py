@@ -339,18 +339,24 @@ def _null_vectors(liou: np.ndarray) -> np.ndarray:
     b = np.zeros((len(a), 16, 1), dtype=complex)
     b[:, 0, 0] = scale
 
-    try:
-        v = np.linalg.solve(a, b)
-        # Two refinement passes: cheap, and they recover ~3 digits when the
-        # slow population-exchange mode makes the system ill-conditioned.
-        for _ in range(2):
-            v = v + np.linalg.solve(a, b - a @ v)
-    except np.linalg.LinAlgError:
-        # A member is exactly singular and the solve does not say which; the
-        # diagnostic raises for it, as it has no unique trace-one null vector.
-        v = np.full_like(b, np.nan)
-    v = v[..., 0]
-    failed = ~(_norm((liou @ v[..., None])[..., 0]) / scale <= RESIDUAL_RTOL)
+    # A near-singular member's solve can overflow; the residual of inf or
+    # NaN fails the comparison and sends it to the diagnostic, so the
+    # products stay quiet.
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            v = np.linalg.solve(a, b)
+            # Two refinement passes: cheap, and they recover ~3 digits when
+            # the slow population-exchange mode makes the system
+            # ill-conditioned.
+            for _ in range(2):
+                v = v + np.linalg.solve(a, b - a @ v)
+        except np.linalg.LinAlgError:
+            # A member is exactly singular and the solve does not say which;
+            # the diagnostic raises for it, as it has no unique trace-one
+            # null vector.
+            v = np.full_like(b, np.nan)
+        v = v[..., 0]
+        failed = ~(_norm((liou @ v[..., None])[..., 0]) / scale <= RESIDUAL_RTOL)
     if not failed.any():
         return v
 

@@ -197,6 +197,20 @@ class TestSteadyState:
         with pytest.raises(DegenerateNullSpace):
             steady_state_numeric(system, drive)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_complex_solve_is_diagnosed_without_a_warning(self):
+        # no decay and a vanishing coupling Rabi rate: the complex solve
+        # overflows, and the inf residual sends the member to the SVD
+        # diagnostic, which finds a three-dimensional null space
+        sys_ = defaults.cesium_system(gamma=0.0, gamma3=0.0, gamma4=0.0,
+                                      gamma_c=0.0)
+        drive = DriveConfig(omega_p=272.0, omega_c=2.0187283633607474e-49,
+                            omega_rf=1.0, delta_p=1.0, delta_c=1.0,
+                            delta_rf=6.0)
+        for d in (drive, _negated(drive)):
+            with pytest.raises(DegenerateNullSpace, match="dimension 3"):
+                steady_state_numeric(sys_, d)
+
     def test_matches_closed_form_at_representative_point(self, system, diod):
         drive = defaults.drive_for(diod, system)
         num = steady_state_numeric(system, drive).rho21

@@ -186,6 +186,43 @@ def quiet_budget(budget):
     return dataclasses.replace(budget, n_cn=0.0, n_tn=0.0, n_qpn=0.0, sn_coeff=0.0)
 
 
+def engine_columns(scenario, a, s, b, w):
+    """The shot and AWGN columns (..., M, 2) that the engine combines on a
+    phased channel ``a``, formed as ``_chunk_stats`` forms them."""
+    v = (a @ (np.sqrt(scenario.p) * s)[..., None])[..., 0]
+    return np.stack([b * v, w], axis=-1)
+
+
+def project(a, method, cols):
+    """``_project`` into fresh arrays sized to its arguments."""
+    lead, k, n = a.shape[:-2], a.shape[-1], cols.shape[-1]
+    out = {"conj": np.empty(a.shape, complex),
+           "gram": np.empty(lead + (k, k), complex),
+           "z": np.empty(lead + (k, n), complex),
+           "zf": np.empty(lead + (k, n), complex)}
+    return mimo._project(a, method, cols, out)
+
+
+@st.composite
+def channel_stacks(draw, min_users=1):
+    """A phased stack of channels (n, M, K) with M > K, and its shot and
+    AWGN columns."""
+    k = draw(st.integers(min_users, 4))
+    sc = defaults.default_scenario(
+        draw(st.integers(k + 1, k + 12)), k,
+        theta_arrival=draw(st.floats(-math.pi / 2, math.pi / 2)),
+        beta=draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    h, s, b, w = oracle_draws(sc, 0, draw(st.integers(1, 5)))
+    a = mimo._phased(sc, h)
+    return sc, a, engine_columns(sc, a, s, b, w)
+
+
+def _close(got, want):
+    return np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+
 class TestChannel:
     def test_zero_fading_zero_column(self):
         sc = small_scenario(beta=[1e-12, 0.0, 1e-12, 1e-12])
@@ -275,6 +312,52 @@ class TestModel:
 
 
 class TestCombiner:
+    def test_mrc_is_phased_channel(self):
+        # the MRC combiner is the phased channel a = D·H itself (Φ enters
+        # through _scale): the coupling is aᴴa and the products aᴴ·cols
+        sc = small_scenario(theta_arrival=0.5)
+        h, s, b, w = oracle_draws(sc, 0, 8)
+        d = mimo.lo_phase_progression(sc)
+        a = mimo._phased(sc, h.copy())
+        assert np.array_equal(a, d[:, None] * h)
+        cols = engine_columns(sc, a, s, b, w)
+        t, z = project(a, "MRC", cols)
+        a_h = a.conj().swapaxes(-1, -2)
+        assert np.array_equal(t, a_h @ a)
+        assert np.array_equal(z, a_h @ cols)
+
+    def test_zf_inverts(self):
+        # combining the channel's own columns gives G⁻¹aᴴa, the identity,
+        # beside the coupling that is the identity by construction
+        sc = small_scenario(theta_arrival=0.5)
+        a = mimo._phased(sc, oracle_draws(sc, 0, 8)[0])
+        t, z = project(a, "ZF", a)
+        eye = np.broadcast_to(np.eye(sc.n_users), t.shape)
+        assert np.array_equal(t, eye)
+        assert np.allclose(z, eye, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("method", ["MRC", "ZF"])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_statistic_and_noise_columns_match_the_combiner(
+            self, gains, budget, method, batch):
+        # the engine's coupling and stacked (shot, AWGN) block, scaled by
+        # the combiner's factor c as _scale scales them, against the
+        # oracle's per-column products cᴴa, cᴴ·shot and cᴴ·noise
+        sc = small_scenario(theta_arrival=0.5)
+        det = oracle(sc, gains, budget, method, 3)
+        h, s, b, w = oracle_draws(sc, 0, 3)
+        a = mimo._phased(sc, h)
+        cols = engine_columns(sc, a, s, b, w)
+        pick = slice(None) if batch else 0
+        t, z = project(a[pick], method, cols[pick])
+        c = np.conj(gains.phi) if method == "MRC" else 1.0 / gains.phi
+        coupling = c * gains.phi * np.diagonal(t, axis1=-2, axis2=-1)
+        shot = c * math.sqrt(budget.sn_coeff) * gains.phi_sn * z[..., 0]
+        noise = c * math.sqrt(budget.n_sum) * z[..., 1]
+        for got, want in ((coupling, det.coupling), (shot, det.sn), (noise, det.n)):
+            assert got.shape == want[pick].shape
+            assert _close(got, want[pick])
+
     def test_zf_needs_tall_channel(self, gains, budget):
         sc = small_scenario(n_sensors=4, n_users=4, n_realizations=256)
         with pytest.raises(mimo.DimensionError):
@@ -382,6 +465,29 @@ def bound_cases(draw, method):
         phi_sn=cmath.exp(1j * draw(_ANGLE)))
     budget = SimpleNamespace(sn_coeff=draw(_NONNEG), n_sum=draw(_NONNEG))
     return sc, gains, budget
+
+
+class TestSnapshotBatch:
+    """A leading axis on the channel makes a batch of independent snapshots."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=channel_stacks(), method=st.sampled_from(["MRC", "ZF"]))
+    def test_each_member_matches_its_own_snapshot(self, stack, method):
+        _, a, cols = stack
+        t, z = project(a, method, cols)
+        for i in range(len(a)):
+            t_i, z_i = project(a[i], method, cols[i])
+            assert _close(t[i], t_i) and _close(z[i], z_i)
+
+    @settings(max_examples=30, deadline=None)
+    @given(stack=channel_stacks(min_users=2), data=st.data())
+    def test_one_ill_conditioned_member_fails_the_stack(self, stack, data):
+        _, a, cols = stack
+        bad = data.draw(st.integers(0, len(a) - 1))
+        a[bad, :, 1] = a[bad, :, 0]
+        project(a, "MRC", cols)  # MRC inverts nothing
+        with pytest.raises(mimo.RankDeficient):
+            project(a, "ZF", cols)
 
 
 class TestClosedFormBounds:
