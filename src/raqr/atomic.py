@@ -98,30 +98,12 @@ class DriveConfig:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """4x4 steady-state density matrix, or a stack of them, with physicality checks."""
+    """4x4 steady-state density matrix, or a stack of them; the solver
+    rejects a state whose smallest eigenvalue lies below ``EIG_FLOOR``."""
 
     matrix: np.ndarray
 
-    TRACE_TOL = 1e-9
     EIG_FLOOR = -1e-8
-
-    def validate(self) -> "DensityMatrix":
-        m = self.matrix
-        if m.shape != (4, 4):
-            raise ValueError("density matrix must be 4x4")
-        if not np.allclose(m, m.conj().T, atol=1e-9):
-            raise NonPhysical("density matrix is not Hermitian")
-        if abs(m.trace() - 1.0) > self.TRACE_TOL:
-            raise NonPhysical(f"trace {m.trace():.12g} deviates from 1")
-        diag = np.diag(m)
-        if np.max(np.abs(diag.imag)) > 1e-9:
-            raise NonPhysical("diagonal entries are not real")
-        if diag.real.min() < -1e-9 or diag.real.max() > 1.0 + 1e-9:
-            raise NonPhysical("population outside [0, 1]")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if eigs.min() < self.EIG_FLOOR:
-            raise NonPhysical(f"negative eigenvalue {eigs.min():.3e}")
-        return self
 
     @property
     def rho21(self) -> complex | np.ndarray:
@@ -212,22 +194,6 @@ BLOCK = 64  # drives per batched solve: bounds the working set of a long stack
 RESIDUAL_RTOL = 1e-10
 
 
-def build_liouvillian(system: AtomicSystem, drive: DriveConfig) -> np.ndarray:
-    """16x16 complex superoperator L with vec(d rho/dt) = L @ vec(rho).
-
-    vec() is the row-major flatten of the 4x4 matrix. This is the
-    generator's definition, evaluated per basis matrix: column 4i + j is
-    ``_rhs`` acting on E_ij, which keeps the vectorization identities out of
-    the code entirely. The solver never calls it: it builds only the real R
-    (``_real_liouvillian``), and its complex fallback takes L as the fixed
-    change of coordinates T R T^-1 of R. A stack of drives gives
-    (..., 16, 16), each member its own single-drive L bit for bit.
-    """
-    h = _hamiltonian(vars(drive))
-    per_basis = _rhs(system, h[..., None, :, :], np.eye(16).reshape(16, 4, 4))
-    return per_basis.reshape(h.shape[:-2] + (16, 16)).swapaxes(-1, -2)
-
-
 def _norm(x: np.ndarray) -> np.ndarray:
     """Norm over the last axis, summed as np.linalg.norm sums one vector, so
     each member of a stack gets its single-vector value bit for bit."""
@@ -279,7 +245,7 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
 
 def _real_liouvillian(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
     """R with x(d rho/dt) = R @ x(rho), for the Hamiltonian (or stack of
-    them) ``h``; ``build_liouvillian`` in real coordinates."""
+    them) ``h``: the generator ``_rhs`` in real coordinates."""
     fixed = (np.array([getattr(system, k) for k in _RATES]) @ _DECAY_X).reshape(16, 16)
     out = h.reshape(h.shape[:-2] + (16,)) @ _DRIVE_X
     return out.reshape(h.shape[:-2] + (16, 16)) + fixed
@@ -444,24 +410,3 @@ def susceptibility(rho21: complex, system: AtomicSystem, omega_p: float) -> comp
     if omega_p == 0.0:
         raise ZeroProbe("omega_p must be > 0")
     return -2.0 * system.n0 * system.mu12**2 / (epsilon_0 * hbar * omega_p) * rho21
-
-
-def chi_prime_resonant(
-    system: AtomicSystem, omega_p: float, omega_c: float, omega_lo: float
-) -> tuple[float, float]:
-    """(Im, Re) of d chi / d omega_rf at resonance, evaluated at omega_lo.
-
-    Im part: (4 N0 mu12^2 / eps0 hbar) * omega_lo * gamma2 * (2 O_c^2 O_p^2 +
-    2 O_p^4) / [(2 O_p^2 + gamma2^2) omega_lo^2 + 2 O_c^2 O_p^2 + 2 O_p^4]^2.
-    The Re part is exactly 0 at resonance (the coherence stays on the
-    imaginary axis for every RF amplitude).
-    """
-    if omega_p <= 0.0:
-        raise ZeroProbe("omega_p must be > 0")
-    a = 2.0 * omega_c**2 * omega_p**2 + 2.0 * omega_p**4
-    den = (2.0 * omega_p**2 + system.gamma2**2) * omega_lo**2 + a
-    im = (
-        4.0 * system.n0 * system.mu12**2 / (epsilon_0 * hbar)
-        * omega_lo * system.gamma2 * a / den**2
-    )
-    return im, 0.0

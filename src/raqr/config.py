@@ -446,12 +446,6 @@ def default_config_path(recipe: str | None = None) -> Path:
     return _DEFAULT_PATH
 
 
-def serialize(config: ExperimentConfig) -> str:
-    """Canonical YAML of the fully merged raw keys; reloading it rebuilds an
-    equal config."""
-    return yaml.safe_dump(config.raw, sort_keys=True, default_flow_style=False)
-
-
 def fingerprint(config: ExperimentConfig) -> str:
     """16 hex characters identifying everything that can change the science."""
     payload = {k: v for k, v in config.raw.items() if k != "output_dir"}

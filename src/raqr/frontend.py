@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import AtomicSystem, DriveConfig, ZeroProbe, chi_prime_resonant
+from .atomic import AtomicSystem, DriveConfig, ZeroProbe
 from .constants import Boltzmann, elementary_charge, epsilon_0, hbar, speed_of_light
 
 LN2 = math.log(2.0)
@@ -134,12 +134,15 @@ class BasebandGains:
     p_cn_bar: float
 
     def __post_init__(self) -> None:
-        if self.rho < 0 or self.rho_sn < 0:
+        # each check written so that NaN fails it
+        if not (self.rho >= 0 and self.rho_sn >= 0):
             raise ValueError("gains must be >= 0")
-        if abs(abs(self.phi_sn) - 1.0) > 1e-9:
+        if not abs(abs(self.phi_sn) - 1.0) <= 1e-9:
             raise ValueError("phi_sn must have unit modulus")
-        if abs(self.phi) > 1.0 + 1e-9:
+        if not abs(self.phi) <= 1.0 + 1e-9:
             raise ValueError("|phi| must be <= 1")
+        if not self.p_cn_bar >= 0:
+            raise ValueError("p_cn_bar must be >= 0")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -159,7 +162,7 @@ class NoiseBudget:
 
     def __post_init__(self) -> None:
         for name in ("n_cn", "n_tn", "n_qpn", "sn_coeff"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
     @property
@@ -285,9 +288,9 @@ class SmallSignal:
     P1 = P0 exp(-strength * a34 P_LO / denom), monotone decreasing in P_LO
     and P0 at P_LO = 0; kappa = (2 strength mu34 / hbar) * sqrt(ell) * s *
     (u + s) / denom^2 in (V/m)^-1, 0 at P_LO = 0. kappa equals
-    (pi d mu34 / lambda_p hbar) * Im chi'(Omega_LO); the definitional
-    cross-check against ``chi_prime_resonant`` is a test. Both are exact at
-    resonance with the default relaxation set.
+    (pi d mu34 / lambda_p hbar) * Im chi'(Omega_LO), the susceptibility
+    slope in the RF Rabi rate; the tests hold the two to 1e-12. Both are
+    exact at resonance with the default relaxation set.
     """
 
     def __init__(self, op: OperatingPoint, system: AtomicSystem):
@@ -332,61 +335,6 @@ class SmallSignal:
 def p1_of_lo(op: OperatingPoint, system: AtomicSystem) -> float:
     """Transmitted probe power at the LO-only operating point, closed form."""
     return SmallSignal(op, system).p1
-
-
-def kappa_of_point(op: OperatingPoint, system: AtomicSystem) -> float:
-    """Conversion slope kappa(Omega_LO) in (V/m)^-1, closed form."""
-    return SmallSignal(op, system).kappa
-
-
-def kappa_from_chi_prime(op: OperatingPoint, system: AtomicSystem) -> float:
-    """Second route to kappa via the susceptibility slope (cross-check)."""
-    t = drive_terms(op, system)
-    im, _ = chi_prime_resonant(system, math.sqrt(t.s), math.sqrt(t.u), math.sqrt(t.ell))
-    return math.pi * system.l_cell * system.mu34 / (system.lambda_p * hbar) * im
-
-
-# log-derivatives of the closed forms (checked against finite differences
-# by the acceptance test); their P0 entries are ``SmallSignal``'s
-
-
-def dlnp1(op: OperatingPoint, system: AtomicSystem) -> tuple[float, float, float]:
-    """(d ln P1 / d P_LO, d ln P1 / d Pc, d ln P1 / d P0), per watt."""
-    small = SmallSignal(op, system)
-    _, a23, a34, s, u, lo, strength, denom = small.terms
-    d_plo = -strength * a34 * 2.0 * s * (s + u) / denom**2
-    d_pc = strength * lo * 2.0 * s * a23 / denom**2
-    return d_plo, d_pc, small.dlnp1_dp0
-
-
-def dlnkappa(op: OperatingPoint, system: AtomicSystem) -> tuple[float, float, float]:
-    """(d ln kappa / d P_LO, d ln kappa / d Pc, d ln kappa / d P0)."""
-    small = SmallSignal(op, system)
-    _, a23, a34, s, u, lo, _, denom = small.terms
-    ddenom_dlo = 2.0 * s + system.gamma2**2
-    d_plo = a34 * (1.0 / (2.0 * lo) - 2.0 * ddenom_dlo / denom)
-    d_pc = a23 * (1.0 / (u + s) - 4.0 * s / denom)
-    return d_plo, d_pc, small.dlnkappa_dp0
-
-
-def envelope_approx_error(ratio_db: float, f_delta: float, n_periods: int) -> float:
-    """Relative L2 error of the strong-LO envelope approximation.
-
-    Exact envelope sqrt(U_LO^2 + 2 U_LO U_x cos(2 pi f_d t) + U_x^2) versus
-    the first-order U_LO + U_x cos(2 pi f_d t), sampled at 1024 points per
-    beat period over ``n_periods`` whole periods, normalized by the L2 norm
-    of the exact envelope. Strictly decreasing in ratio_db.
-    """
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    u_lo = 1.0
-    u_x = 10.0 ** (-ratio_db / 20.0)
-    n = 1024 * int(n_periods)
-    t = np.arange(n) / 1024.0  # time in beat periods; f_delta cancels
-    c = np.cos(2.0 * math.pi * t)
-    exact = np.sqrt(u_lo**2 + 2.0 * u_lo * u_x * c + u_x**2)
-    approx = u_lo + u_x * c
-    return float(np.linalg.norm(exact - approx) / np.linalg.norm(exact))
 
 
 # --------------------------------------------------------------------------

@@ -79,7 +79,7 @@ class MimoScenario:
     n_realizations: int = 10_000
 
     def __post_init__(self):
-        if self.n_sensors < 1 or self.n_users < 1:
+        if not (self.n_sensors >= 1 and self.n_users >= 1):
             raise ValueError("need at least one sensor and one user")
         # Philox keys [seed, chunk] go through float64 from 2**63 on
         if not 0 <= self.seed < 2**63:

@@ -100,6 +100,10 @@ class StationaryPower:
     power: float
     clamped: bool = False
 
+    def __post_init__(self):
+        if not self.power >= 0:
+            raise ValueError(f"stationary power {self.power} must be >= 0")
+
     def __float__(self):
         return self.power
 

@@ -124,9 +124,10 @@ def check_recipe(config: ExperimentConfig) -> None:
     10 ** (-ratio / 20) into the user field, a factor that must be finite
     and nonzero; ``sn-vs-ratio`` divides by the closed-form shot variance
     4 P_user sn_coeff at each of its two points, which must be finite and
-    nonzero too; where it fails at every end of the sweep, the error names
-    sn_coeff rather than an end. The sweep is monotone, so its ends bound
-    every count, factor and variance. The LO drives the RF transition and
+    nonzero too; where it fails at every end of the sweep, or a point's
+    budget is out of range, the error names sn_coeff rather than an end.
+    The sweep is monotone, so its ends bound every count, factor and
+    variance. The LO drives the RF transition and
     the probe beam carries the readout; without either the reception gain
     and the transduction slope vanish, so the LO and probe powers must be
     positive wherever the recipe reads them: everywhere but
@@ -170,7 +171,7 @@ def check_recipe(config: ExperimentConfig) -> None:
     if name == "sn-vs-ratio":
         try:
             points = _ratio_points(config)
-        except (ArithmeticError, ValueError):
+        except ArithmeticError:
             points = []  # a point without a budget fails its run, not its sweep
         for point, budget in points:
             failed = []
@@ -358,10 +359,17 @@ def sn_vs_ratio(cfg: ExperimentConfig, threads: int) -> RecipeResult:
 
 def _ratio_points(cfg: ExperimentConfig) -> list:
     """sn-vs-ratio's direct and balanced operating points at the configured
-    beam geometry, each with its noise budget."""
+    beam geometry, each with its noise budget; a budget out of range (NaN
+    at an extreme config) raises ValidationError on sn_coeff."""
     geometry = {k: getattr(cfg.op, k) for k in ("f_lo", "a_e", "fwhm_p", "fwhm_c")}
-    return [(op, noise_budget(op, cfg.chain, cfg.system))
-            for op in (defaults.diod_point(**geometry), defaults.bcod_point(**geometry))]
+    points = []
+    for op in (defaults.diod_point(**geometry), defaults.bcod_point(**geometry)):
+        try:
+            points.append((op, noise_budget(op, cfg.chain, cfg.system)))
+        except ValueError as exc:
+            raise ValidationError("sn_coeff", f"the {op.scheme} point's noise "
+                                  f"budget is out of range ({exc})") from exc
+    return points
 
 
 def _closed_sn(cfg: ExperimentConfig, ratio: float, op, budget):

@@ -83,9 +83,6 @@ class Waveform:
     f_delta: float
     sample_rate: float
 
-    def __len__(self):
-        return len(self.t)
-
 
 def _exact_transmission(omega_rf, op, system, rho_solver, period):
     """Instantaneous probe transmission: power P1 and accumulated phase.

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import raqr
 from raqr import defaults
-from raqr.frontend import kappa_of_point, p1_of_lo, scheme_powers
+from raqr.frontend import SmallSignal, p1_of_lo, scheme_powers
 from raqr.waveform import effective_gain
 
 
@@ -77,7 +77,7 @@ def component_sn_variance(op, chain, system, user):
     independent of ``NoiseBudget.sn_coeff``."""
     p_sn_sq = scheme_powers(op, p1_of_lo(op, system))[0][1]
     return (0.5 * chain.sigma_sq_sn * effective_gain(op, chain) * chain.alpha
-            * p_sn_sq * kappa_of_point(op, system) ** 2 * user.u_x**2)
+            * p_sn_sq * SmallSignal(op, system).kappa ** 2 * user.u_x**2)
 
 
 def rel_err(a, b):

@@ -14,14 +14,12 @@ from scipy.optimize import minimize_scalar
 from raqr import cli, defaults, mimo
 from raqr.atomic import (
     DriveConfig,
-    chi_prime_resonant,
     rho21_resonant,
     steady_state_numeric,
     susceptibility,
 )
 from raqr.frontend import (
     baseband_gains,
-    dlnp1,
     noise_budget,
     p1_of_lo,
     with_powers,
@@ -35,6 +33,7 @@ from raqr.optimize import (
 from raqr.waveform import WeakLO, simulate_waveform
 
 from conftest import central_diff, component_sn_variance, log_slope, rel_err
+from oracles import chi_prime_resonant, dlnp1
 
 FS = 16 * 75e3
 

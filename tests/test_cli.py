@@ -17,7 +17,6 @@ from raqr.config import (
     default_config_path,
     fingerprint,
     load_config,
-    serialize,
 )
 from raqr import recipes
 from raqr.optimize import optimal_power
@@ -307,7 +306,8 @@ class TestMergeAndFingerprint:
         assert cfg.system == default_cfg.system
 
     def test_round_trip_identity(self, tmp_path, default_cfg):
-        path = write_config(tmp_path, serialize(default_cfg), "rt.yaml")
+        text = yaml.safe_dump(default_cfg.raw, sort_keys=True, default_flow_style=False)
+        path = write_config(tmp_path, text, "rt.yaml")
         again = load_config(path)
         assert again == default_cfg
         assert fingerprint(again) == fingerprint(default_cfg)
@@ -966,6 +966,19 @@ class TestCliEntry:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: sweep.start: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_with_a_nan_gain_table_fails(self, tmp_path, capsys):
+        """An LO of 1e300 W makes the gain table NaN: the run fails (exit
+        1) instead of writing a rate of 0."""
+        raw = yaml.safe_load(default_config_path("rate-vs-M").read_text())
+        raw.setdefault("operating_point", {})["lo_power_w"] = 1.0e300
+        raw.setdefault("array", {})["realizations"] = mimo.MIN_REALIZATIONS
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        rc = cli.main(["run", "rate-vs-M", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: recipe rate-vs-M: ")
         assert not (tmp_path / "out").exists()
 
     def test_run_unknown_recipe(self, capsys):

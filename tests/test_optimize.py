@@ -19,7 +19,6 @@ from raqr.frontend import (
     SmallSignal,
     baseband_gains,
     drive_terms,
-    kappa_of_point,
     noise_budget,
     p1_of_lo,
     scheme_powers,
@@ -410,7 +409,7 @@ def _finite_ratios(op, system):
     if p1 <= 0.0:
         return False
     pg_sq = scheme_powers(op, p1)[0][0]
-    return pg_sq * kappa_of_point(op, system) ** 2 >= sys.float_info.min
+    return pg_sq * SmallSignal(op, system).kappa ** 2 >= sys.float_info.min
 
 
 class TestDerivativeProperty:

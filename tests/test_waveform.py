@@ -16,8 +16,8 @@ from raqr.constants import epsilon_0, hbar
 from raqr.frontend import (
     UserSignal,
     baseband_gains,
+    SmallSignal,
     drive_for,
-    kappa_of_point,
     p1_of_lo,
     rf_field_amplitude,
     scheme_powers,
@@ -381,7 +381,7 @@ def _reference_waveform(op, chain, user, system, n, sample_rate, seed, rho_solve
     p1_lo = p1_of_lo(op, system)
     (_, _, p_cn_lo), _, (e_g, _, _) = scheme_powers(op, p1_lo)
     i_dc = current(p1_lo, op.phi0)
-    i_approx = i_dc * (1.0 - e_g * kappa_of_point(op, system) * u_x * cos_b)
+    i_approx = i_dc * (1.0 - e_g * SmallSignal(op, system).kappa * u_x * cos_b)
     i_env = chain.alpha * scheme_powers(op, p1_t)[0][2]
 
     g_eff = effective_gain(op, chain)

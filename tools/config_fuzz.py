@@ -8,9 +8,9 @@ times 32 keys times 3 values, 672 configs. Each one is loaded and checked
 with ``check_recipe``, as ``raqr validate`` does; one that fails there is
 ``rejected``. One that passes runs at ``MIN_REALIZATIONS`` realizations and
 one thread into a temporary directory, and is ``ok`` or the type name of
-the run failure's cause. The script prints a tally of the outcomes and the
-sha256 over the per-config lines ``<recipe> <key> <value> <outcome>``, in
-grid order. The package is imported from the ``src`` directory next to this
+the run failure's cause. The script prints the per-config lines ``<recipe>
+<key> <value> <outcome>`` in grid order, then a tally of the outcomes and
+the sha256 over those lines. The package is imported from the ``src`` directory next to this
 script, so running the script from two checkouts and diffing the outputs
 shows whether a change moved any outcome:
 
@@ -83,6 +83,7 @@ def main() -> int:
                 result = outcome(path, root / "out")
                 tally[result] += 1
                 lines.append(f"{recipe} {section}.{key} {value!r} {result}\n")
+    print("".join(lines), end="")
     for kind, count in sorted(tally.items()):
         print(f"tally {kind} {count}")
     print(f"sha256 {hashlib.sha256(''.join(lines).encode()).hexdigest()}")

@@ -5,9 +5,10 @@ The grid takes each Rabi rate (probe, coupling, RF) from {0, 1, 1e3, 1e6,
 -1e6, 2e6} rad/s: 7**3 * 4**3 = 21,952 drives, solved on the default cesium
 system (no transit, Rydberg or collisional relaxation, so much of the grid
 has no unique steady state). Each drive's outcome is ``returned`` or the
-name of the exception it raised. The script prints a tally of the outcomes
-and the sha256 over the per-drive outcome names, one per line in grid
-order. The package is imported from the ``src`` directory next to this
+name of the exception it raised. The script prints one line per drive in
+grid order, ``<omega_p> <omega_c> <omega_rf> <delta_p> <delta_c> <delta_rf>
+<outcome>``, then a tally of the outcomes and the sha256 over the outcome
+names alone, one per line. The package is imported from the ``src`` directory next to this
 script, so running the script from two checkouts and diffing the outputs
 shows whether a change moved any solver outcome:
 
@@ -41,12 +42,12 @@ def outcome(system, drive: DriveConfig) -> str:
 
 def main() -> int:
     system = defaults.cesium_system()
-    names = [
-        outcome(system, DriveConfig(omega_p=wp, omega_c=wc, omega_rf=wr,
-                                    delta_p=dp, delta_c=dc, delta_rf=dr))
-        for wp, wc, wr, dp, dc, dr in itertools.product(RABI, RABI, RABI,
-                                                        DETUNING, DETUNING, DETUNING)
-    ]
+    names = []
+    for wp, wc, wr, dp, dc, dr in itertools.product(RABI, RABI, RABI,
+                                                    DETUNING, DETUNING, DETUNING):
+        names.append(outcome(system, DriveConfig(omega_p=wp, omega_c=wc, omega_rf=wr,
+                                                 delta_p=dp, delta_c=dc, delta_rf=dr)))
+        print(wp, wc, wr, dp, dc, dr, names[-1])
     for kind, count in sorted(Counter(names).items()):
         print(f"tally {kind} {count}")
     digest = hashlib.sha256("".join(f"{n}\n" for n in names).encode()).hexdigest()
