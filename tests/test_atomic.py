@@ -462,7 +462,7 @@ class TestRealCoordinates:
                             omega_c=np.array([1e6, 1.0]),
                             omega_rf=np.array([1e6, 1.0]))
         weak = _members(drive, 2)[1]
-        gen = atomic._real_liouvillian(system, atomic._hamiltonian(vars(weak)))
+        gen = generator(system, weak)
         a = gen.copy()
         a[0] = atomic._TRACE_X * np.linalg.norm(gen)
         assert np.linalg.cond(a, 1) > 1.0 / atomic.RESIDUAL_RTOL

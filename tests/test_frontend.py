@@ -377,21 +377,21 @@ _RANGE_CHECKED = {
 }
 
 
-def _valid_model(name):
-    """A valid instance of the model dataclass ``name``."""
+def _valid_models():
+    """A valid instance of each model dataclass, by class name."""
     system, chain, bcod = (defaults.cesium_system(), defaults.default_chain(),
                            defaults.bcod_point())
     return {
-        "AtomicSystem": lambda: system,
-        "OperatingPoint": lambda: bcod,
-        "DetectionChain": lambda: chain,
-        "UserSignal": lambda: UserSignal(u_x=1.0, f_c=defaults.F_CARRIER),
-        "BasebandGains": lambda: baseband_gains(bcod, chain, system),
-        "NoiseBudget": lambda: noise_budget(bcod, chain, system),
-        "NoiseWeights": lambda: NoiseWeights.from_chain(chain, system),
-        "MimoScenario": lambda: MimoScenario(n_sensors=4, n_users=2),
-        "StationaryPower": lambda: StationaryPower(1e-3),
-    }[name]()
+        "AtomicSystem": system,
+        "OperatingPoint": bcod,
+        "DetectionChain": chain,
+        "UserSignal": UserSignal(u_x=1.0, f_c=defaults.F_CARRIER),
+        "BasebandGains": baseband_gains(bcod, chain, system),
+        "NoiseBudget": noise_budget(bcod, chain, system),
+        "NoiseWeights": NoiseWeights.from_chain(chain, system),
+        "MimoScenario": MimoScenario(n_sensors=4, n_users=2),
+        "StationaryPower": StationaryPower(1e-3),
+    }
 
 
 class TestNanRejected:
@@ -402,9 +402,9 @@ class TestNanRejected:
         (cls, name) for cls, names in _RANGE_CHECKED.items() for name in names])
     def test_every_range_checked_field(self, cls, name):
         """Over the nine model dataclasses: a valid instance with one
-        range-checked field set to NaN raises ValueError. A NaN gain table
-        once ran to a rate of 0 with no error."""
-        valid = _valid_model(cls)
+        range-checked field set to NaN raises ValueError, so a NaN gain
+        table cannot run on to a rate of 0."""
+        valid = _valid_models()[cls]
         with pytest.raises(ValueError):
             dataclasses.replace(valid, **{name: math.nan})
 
