@@ -145,8 +145,6 @@ def _rhs(system: AtomicSystem, h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-_TRACE_ROW = np.eye(4).ravel()  # vec(identity): _TRACE_ROW @ vec(rho) = tr(rho)
-
 # Real coordinates of a Hermitian rho: x = (rho_ii, Re rho_ij, Im rho_ij) with
 # i < j, read elementwise from the diagonal and the upper triangle. rho is the
 # sum of x_c times the Hermitian basis matrix _HERMITIAN[c], so vec(rho) =
@@ -161,9 +159,6 @@ _HERMITIAN[4 + np.arange(6), _IU, _JU] = _HERMITIAN[4 + np.arange(6), _JU, _IU] 
 _HERMITIAN[10 + np.arange(6), _IU, _JU] = 1j
 _HERMITIAN[10 + np.arange(6), _JU, _IU] = -1j
 _VEC_OF_X = _HERMITIAN.reshape(16, 16)
-# T^-1 of T = _VEC_OF_X.T, exact: T's columns are orthogonal with squared
-# norms 1 and 2, so T^-1 = T^H over them. L on vec(rho) is T R T^-1.
-_X_OF_VEC = _VEC_OF_X.conj() / np.abs(_VEC_OF_X).sum(axis=1, keepdims=True)
 
 
 def _to_x(m: np.ndarray) -> np.ndarray:
@@ -195,14 +190,11 @@ RESIDUAL_RTOL = 1e-10
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    """Norm over the last axis, summed as np.linalg.norm sums one vector, so
-    each member of a stack gets its single-vector value bit for bit."""
-    re = x.real[..., None, :]
-    sq = re @ re.swapaxes(-1, -2)
-    if np.iscomplexobj(x):
-        im = x.imag[..., None, :]
-        sq = sq + im @ im.swapaxes(-1, -2)
-    return np.sqrt(sq)[..., 0, 0]
+    """Norm over the last axis of a real array, summed as np.linalg.norm
+    sums one vector, so each member of a stack gets its single-vector value
+    bit for bit."""
+    row = x[..., None, :]
+    return np.sqrt(row @ row.swapaxes(-1, -2))[..., 0, 0]
 
 
 def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMatrix:
@@ -214,11 +206,12 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
     solution and two iterative-refinement passes as products (deterministic,
     no iteration to convergence). The same inverse gives the system's
     1-norm condition number. A member whose relative residual
-    ||R x|| / ||R|| exceeds ``RESIDUAL_RTOL``, or whose condition number
-    exceeds 1 / ``RESIDUAL_RTOL``, is solved again by the complex
-    ``_null_vectors``, whose SVD diagnostic decides between a genuinely
-    degenerate null space and plain failure. R is the only generator built:
-    that path takes L = T R T^-1, R in vec(rho) coordinates (``_X_OF_VEC``).
+    ||R x|| / ||R||_F exceeds ``RESIDUAL_RTOL``, or whose condition number
+    exceeds 1 / ``RESIDUAL_RTOL``, is solved again by ``_fallback``: an LU
+    solve of the same real system with two refinement passes, accepted on
+    the same residual test, and otherwise an SVD of R that decides between
+    a genuinely degenerate null space and plain failure. Every decision is
+    made on R; no complex generator is built.
 
     A stack of drives is solved in blocks of at most ``BLOCK`` and gives a
     stack of density matrices, each bit-identical to its own single-drive
@@ -256,6 +249,21 @@ def _norm1(m: np.ndarray) -> np.ndarray:
     return (np.ones(m.shape[-2]) @ np.abs(m)).max(axis=-1)
 
 
+def _residual(gen: np.ndarray, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """||R x|| / ||R||_F of each member, for a stack of R, x and ||R||_F."""
+    return _norm((gen @ x[..., None])[..., 0]) / scale
+
+
+def _refined(solve, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x of a x = b for a stack, from ``solve`` (r -> a^-1 r) and two
+    refinement passes: cheap, and they recover ~3 digits when the slow
+    population-exchange mode makes the system ill-conditioned."""
+    x = solve(b)
+    for _ in range(2):
+        x = x + solve(b - a @ x)
+    return x[..., 0]
+
+
 def _steady_vectors(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
     """vec(rho) of the trace-one steady states of an (n, 4, 4) stack of
     Hamiltonians."""
@@ -270,65 +278,49 @@ def _steady_vectors(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         # A member is exactly singular and the inverse does not say which;
-        # the complex path takes the whole block.
-        return _null_vectors(_VEC_OF_X.T @ gen @ _X_OF_VEC)
+        # the fallback takes the whole block.
+        return _fallback(gen, a, b, scale) @ _VEC_OF_X
     # A near-singular member's inverse can hold inf or NaN; the flag below
-    # routes such a member to the complex path, so the products stay quiet.
+    # routes such a member to the fallback, so the products stay quiet.
     with np.errstate(invalid="ignore", over="ignore"):
-        x = inv @ b
-        # Two refinement passes: cheap, and they recover ~3 digits when the
-        # slow population-exchange mode makes the system ill-conditioned.
-        for _ in range(2):
-            x = x + inv @ (b - a @ x)
-        x = x[..., 0]
+        x = _refined(lambda r: inv @ r, a, b)
         # A residual at RESIDUAL_RTOL bounds the relative error by cond times
         # it, a bound that says nothing once cond exceeds 1 / RESIDUAL_RTOL.
         # NaN fails both comparisons.
-        residual = _norm((gen @ x[..., None])[..., 0]) / scale
+        residual = _residual(gen, x, scale)
         cond = _norm1(a) * _norm1(inv)
     flagged = ~((residual <= RESIDUAL_RTOL) & (cond <= 1.0 / RESIDUAL_RTOL))
-    v = x @ _VEC_OF_X
     if flagged.any():
-        v[flagged] = _null_vectors(_VEC_OF_X.T @ gen[flagged] @ _X_OF_VEC)
-    return v
+        x[flagged] = _fallback(gen[flagged], a[flagged], b[flagged], scale[flagged])
+    return x @ _VEC_OF_X
 
 
-def _null_vectors(liou: np.ndarray) -> np.ndarray:
-    """Trace-one null vectors of an (n, 16, 16) stack of L = T R T^-1."""
-    # ||L||_F summed column by column: outcomes at the thresholds turn on it
-    scale = _norm(liou.swapaxes(-1, -2).reshape(-1, 256))
+def _fallback(gen: np.ndarray, a: np.ndarray, b: np.ndarray,
+              scale: np.ndarray) -> np.ndarray:
+    """x of the steady states of members the real inverse could not vouch
+    for. ``a`` and ``b`` are their trace-replaced systems, solved again by
+    LU and accepted on the residual test; a member that fails it takes R's
+    SVD null vector where R's null space is one-dimensional, and raises
+    ``DegenerateNullSpace`` otherwise."""
     if np.any(scale == 0.0):
         raise DegenerateNullSpace("zero generator: every state is steady")
-    a = liou.copy()
-    # Trace row scaled to the operator norm so it does not unbalance the solve.
-    a[:, 0, :] = _TRACE_ROW * scale[:, None]
-    b = np.zeros((len(a), 16, 1), dtype=complex)
-    b[:, 0, 0] = scale
-
     # A near-singular member's solve can overflow; the residual of inf or
     # NaN fails the comparison and sends it to the diagnostic, so the
     # products stay quiet.
     with np.errstate(invalid="ignore", over="ignore"):
         try:
-            v = np.linalg.solve(a, b)
-            # Two refinement passes: cheap, and they recover ~3 digits when
-            # the slow population-exchange mode makes the system
-            # ill-conditioned.
-            for _ in range(2):
-                v = v + np.linalg.solve(a, b - a @ v)
+            x = _refined(lambda r: np.linalg.solve(a, r), a, b)
         except np.linalg.LinAlgError:
             # A member is exactly singular and the solve does not say which;
-            # the diagnostic raises for it, as it has no unique trace-one
-            # null vector.
-            v = np.full_like(b, np.nan)
-        v = v[..., 0]
-        failed = ~(_norm((liou @ v[..., None])[..., 0]) / scale <= RESIDUAL_RTOL)
+            # every member goes to the diagnostic.
+            x = np.full(b.shape[:-1], np.nan)
+        failed = ~(_residual(gen, x, scale) <= RESIDUAL_RTOL)
     if not failed.any():
-        return v
+        return x
 
-    # Diagnostic path: inspect the spectrum of each failed member's L.
-    liou, scale = liou[failed], scale[failed]
-    _, svals, vh = np.linalg.svd(liou)
+    # Diagnostic path: inspect the spectrum of each failed member's R.
+    gen, scale = gen[failed], scale[failed]
+    _, svals, vh = np.linalg.svd(gen)
     nullity = np.sum(svals < RESIDUAL_RTOL * svals[:, :1], axis=-1)
     if np.any(nullity != 1):
         raise DegenerateNullSpace(
@@ -336,18 +328,18 @@ def _null_vectors(liou: np.ndarray) -> np.ndarray:
             f"at tolerance {RESIDUAL_RTOL:g}"
         )
     # Unique null direction exists; take it from the SVD and normalize trace.
-    null = vh[:, -1].conj()
-    tr = np.trace(null.reshape(-1, 4, 4), axis1=-2, axis2=-1)
+    null = vh[:, -1]
+    tr = null @ _TRACE_X
     if np.any(np.abs(tr) < 1e-12):
         raise DegenerateNullSpace("null vector is traceless; cannot normalize")
     null = null / tr[:, None]
-    residual = _norm((liou @ null[..., None])[..., 0]) / scale
-    if np.any(residual > RESIDUAL_RTOL):
+    residual = _residual(gen, null, scale)
+    if not np.all(residual <= RESIDUAL_RTOL):
         raise DegenerateNullSpace(
             f"steady-state residual {residual.max():.3e} exceeds {RESIDUAL_RTOL:g}"
         )
-    v[failed] = null
-    return v
+    x[failed] = null
+    return x
 
 
 def _finalize(v: np.ndarray) -> DensityMatrix:

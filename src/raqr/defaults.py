@@ -50,14 +50,6 @@ def bcod_point(**overrides) -> OperatingPoint:
     return replace(_SHIPPED.op, **overrides)
 
 
-def default_point(scheme: str = "DIOD", **overrides) -> OperatingPoint:
-    if scheme == "DIOD":
-        return diod_point(**overrides)
-    if scheme == "BCOD":
-        return bcod_point(**overrides)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def weak_user(ratio_db: float, op: OperatingPoint, *, theta_x: float = 0.0,
               f_delta: float = F_DELTA) -> UserSignal:
     """User signal ``ratio_db`` below the RF LO field amplitude."""

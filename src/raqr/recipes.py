@@ -339,6 +339,7 @@ def sn_vs_ratio(cfg: ExperimentConfig, threads: int) -> RecipeResult:
                                    n_samples / fs, fs,
                                    seed=cfg.seed + offset + i)
             measured = float(np.var(wf.sn) * (2.0 * cfg.chain.bw / fs))
+            del wf  # the next point's simulation need not hold these arrays
             dev = abs(measured - closed) / closed
             worst = max(worst, dev)
             if ratio >= 20.0:

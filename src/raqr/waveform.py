@@ -111,7 +111,8 @@ def _exact_transmission(omega_rf, op, system, rho_solver, period):
         drive = drive_for(op, system, omega_rf=distinct)
         chi = susceptibility(steady_state_numeric(system, drive).rho21, system, drive.omega_p)
         p1, phase = probe_output(op.p0, chi, system, phi0=op.phi0)
-        inverse = np.resize(inverse, len(omega_rf))  # sample k reads k mod period
+        n = len(omega_rf)
+        inverse = np.tile(inverse, -(-n // period))[:n]  # sample k reads k mod period
         return p1[inverse], phase[inverse]
     raise ValueError(f"unknown rho_solver {rho_solver!r}")
 

@@ -1,7 +1,8 @@
 """Reference definitions the tests hold the package to.
 
 Each is a second route to a quantity the package computes another way: the
-Liouvillian as its per-basis definition, the susceptibility slope at
+Liouvillian as its per-basis definition and the solver's real generator
+mapped to the same vec(rho) coordinates, the susceptibility slope at
 resonance, kappa through that slope, the closed-form log-derivatives of P1
 and kappa in all three powers, and the physicality checks of a density
 matrix. None is on a path the package runs.
@@ -26,6 +27,17 @@ def per_basis_liouvillian(system: AtomicSystem, drive: DriveConfig) -> np.ndarra
     h = atomic._hamiltonian(vars(drive))
     cols = [atomic._rhs(system, h, e).ravel() for e in np.eye(16).reshape(16, 4, 4)]
     return np.array(cols).T
+
+
+# T^-1 of T = atomic._VEC_OF_X.T, which takes the solver's real coordinates x
+# to vec(rho), exact: T's columns are orthogonal with squared norms 1 and 2,
+# so T^-1 = T^H over them.
+X_OF_VEC = atomic._VEC_OF_X.conj() / np.abs(atomic._VEC_OF_X).sum(axis=1, keepdims=True)
+
+
+def complex_view(gen: np.ndarray) -> np.ndarray:
+    """L = T R T^-1 on vec(rho) of the real generator R (or a stack of them)."""
+    return atomic._VEC_OF_X.T @ gen @ X_OF_VEC
 
 
 def assert_physical(m: np.ndarray) -> None:

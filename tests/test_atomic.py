@@ -25,7 +25,9 @@ from raqr.frontend import rabi_coefficients
 from raqr.waveform import MIN_SAMPLES_PER_BEAT, simulate_waveform
 
 from conftest import central_diff, rel_err
-from oracles import assert_physical, chi_prime_resonant, per_basis_liouvillian
+from oracles import (
+    X_OF_VEC, assert_physical, chi_prime_resonant, complex_view, per_basis_liouvillian,
+)
 
 
 def random_hermitian_unit_trace(rng):
@@ -71,7 +73,7 @@ class TestLiouvillian:
         omega_p = 2.0 * math.pi * 3.1e6
         g2 = system.gamma2
         gen = generator(system, DriveConfig(omega_p=omega_p, omega_c=0.0, omega_rf=0.0))
-        liou = atomic._VEC_OF_X.T @ gen @ atomic._X_OF_VEC
+        liou = complex_view(gen)
         sel = [0, 1, 4, 5]  # row-major vec indices of the 2x2 block
         block = liou[np.ix_(sel, sel)]
 
@@ -193,7 +195,7 @@ class TestSteadyState:
     def test_non_finite_real_solve_is_routed_without_a_warning(self, system):
         # a subnormal RF Rabi rate against a 1e8 rad/s detuning: the real
         # inverse holds NaN, and the flag that NaN raises sends the member to
-        # the complex path, which names the outcome
+        # the fallback, which names the outcome
         drive = DriveConfig(omega_p=1.0, omega_c=1.5,
                             omega_rf=2.2250738585072014e-308,
                             delta_p=1e-300, delta_c=-1.0, delta_rf=1e8)
@@ -201,15 +203,23 @@ class TestSteadyState:
             steady_state_numeric(system, drive)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_complex_solve_is_diagnosed_without_a_warning(self):
-        # no decay and a vanishing coupling Rabi rate: the complex solve
-        # overflows, and the inf residual sends the member to the SVD
-        # diagnostic, which finds a three-dimensional null space
+    def test_vanishing_coupling_is_solved_in_real_coordinates(self):
+        """No decay but the probe's, and a coupling Rabi rate from 2e-49 to
+        1e-6 rad/s: every member is flagged, and the fallback's LU solve
+        of R returns rho21 within 1e-12 of a 50-digit solve of the same R,
+        without a warning. The detuning-negated drive gives -conj(rho21).
+        At zero coupling the SVD of R finds a three-dimensional null space."""
         sys_ = defaults.cesium_system(gamma=0.0, gamma3=0.0, gamma4=0.0,
                                       gamma_c=0.0)
-        drive = DriveConfig(omega_p=272.0, omega_c=2.0187283633607474e-49,
-                            omega_rf=1.0, delta_p=1.0, delta_c=1.0,
-                            delta_rf=6.0)
+        ref = 5.057058811907896e-13 - 8.293128220000435e-6j  # 50-digit solve
+        for omega_c in (2.0187283633607474e-49, 1e-30, 1e-20, 1e-10, 1e-8, 1e-6):
+            drive = DriveConfig(omega_p=272.0, omega_c=omega_c, omega_rf=1.0,
+                                delta_p=1.0, delta_c=1.0, delta_rf=6.0)
+            assert rel_err(steady_state_numeric(sys_, drive).rho21, ref) <= 1e-12
+            negated = steady_state_numeric(sys_, _negated(drive)).rho21
+            assert rel_err(negated, -ref.conjugate()) <= 1e-12
+        drive = DriveConfig(omega_p=272.0, omega_c=0.0, omega_rf=1.0,
+                            delta_p=1.0, delta_c=1.0, delta_rf=6.0)
         for d in (drive, _negated(drive)):
             with pytest.raises(DegenerateNullSpace, match="dimension 3"):
                 steady_state_numeric(sys_, d)
@@ -374,6 +384,18 @@ def _assert_members_match(system, stack, members):
         assert rho.rho21[i] == complex(single[1, 0])
 
 
+def _spy_fallback(monkeypatch):
+    """Record the number of members of each call to the solver's fallback."""
+    fallback, routed = atomic._fallback, []
+
+    def spy(gen, *args):
+        routed.append(len(gen))
+        return fallback(gen, *args)
+
+    monkeypatch.setattr(atomic, "_fallback", spy)
+    return routed
+
+
 def _members(drive, n):
     """The single drives of a 1-D stack of n drives."""
     return [
@@ -397,7 +419,7 @@ class TestRealCoordinates:
     def test_coordinate_change_is_exact(self):
         """T = _VEC_OF_X.T takes x to vec(rho); its inverse has entries 0, 1,
         1/2 and +-j/2, so both products are the identity bit for bit."""
-        t, t_inv = atomic._VEC_OF_X.T, atomic._X_OF_VEC
+        t, t_inv = atomic._VEC_OF_X.T, X_OF_VEC
         assert np.array_equal(t @ t_inv, np.eye(16))
         assert np.array_equal(t_inv @ t, np.eye(16))
         assert np.isin(t_inv, [0.0, 1.0, 0.5, 0.5j, -0.5j]).all()
@@ -405,14 +427,14 @@ class TestRealCoordinates:
     @settings(max_examples=60, deadline=None)
     @given(drives=st.lists(DRIVE_BOX, min_size=1, max_size=8), rates=RATE_BOX)
     def test_complex_view_of_r_is_the_per_basis_definition(self, drives, rates):
-        """The complex path's L = T R T^-1 equals the generator's definition,
+        """R's complex view L = T R T^-1 equals the generator's definition,
         ``_rhs`` on each basis matrix E_ij, to within 2 ulp of ||L||: each
         entry is one rounded sum of two exact terms."""
         gamma, gamma3, gamma4, gamma_c = rates
         sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
                                       gamma4=gamma4, gamma_c=gamma_c)
         stack = _stack(drives)
-        view = atomic._VEC_OF_X.T @ generator(sys_, stack) @ atomic._X_OF_VEC
+        view = complex_view(generator(sys_, stack))
         for i, drive in enumerate(_members(stack, len(drives))):
             liou = per_basis_liouvillian(sys_, drive)
             ulp = np.spacing(np.linalg.norm(liou))
@@ -443,21 +465,26 @@ class TestRealCoordinates:
         assert np.max(np.abs(gen @ x - expected)) <= tol
 
     @pytest.mark.parametrize("delta_c", [1e6, -1e6])
-    def test_ill_conditioned_member_is_not_returned_unchecked(self, delta_c):
+    def test_ill_conditioned_member_is_not_returned_unchecked(
+            self, delta_c, monkeypatch):
         """ROADMAP item 8's drive: the real system's residual passes, but its
         condition number is far above 1 / RESIDUAL_RTOL, so the member goes
-        to the complex path, whose state has a negative eigenvalue. Without
-        the condition flag the real solve returns a state here."""
+        to the fallback. Its populations are (1/3, 0, 1/3, 1/3) to 1e-12, as
+        a 50-digit solve of the same R gives them."""
         system = defaults.cesium_system()
-        with pytest.raises(NonPhysical):
-            steady_state_numeric(system, DriveConfig(
-                omega_p=1.0, omega_c=1.0, omega_rf=2e6, delta_c=delta_c))
+        routed = _spy_fallback(monkeypatch)
+        rho = steady_state_numeric(system, DriveConfig(
+            omega_p=1.0, omega_c=1.0, omega_rf=2e6, delta_c=delta_c))
+        assert routed == [1]
+        assert np.allclose(np.diag(rho.matrix).real, [1 / 3, 0.0, 1 / 3, 1 / 3],
+                           rtol=0.0, atol=1e-12)
 
-    def test_member_above_the_condition_threshold_takes_the_complex_path(
+    def test_member_above_the_condition_threshold_takes_the_fallback(
             self, system, monkeypatch):
         """Rabi rates of 1 rad/s against a 3e7 rad/s linewidth: the real
         residual passes, the 1-norm condition number exceeds 1 / RESIDUAL_RTOL,
-        and only that member is solved again by the complex path."""
+        and only that member is solved again by the fallback, on its own R;
+        the stack returns that solve bit for bit."""
         drive = DriveConfig(omega_p=np.array([1e7, 1.0]),
                             omega_c=np.array([1e6, 1.0]),
                             omega_rf=np.array([1e6, 1.0]))
@@ -467,41 +494,34 @@ class TestRealCoordinates:
         a[0] = atomic._TRACE_X * np.linalg.norm(gen)
         assert np.linalg.cond(a, 1) > 1.0 / atomic.RESIDUAL_RTOL
 
-        routed = []
-        null_vectors = atomic._null_vectors
+        fallback, routed = atomic._fallback, []
 
-        def spy(liou):
-            routed.append(liou)
-            return null_vectors(liou)
+        def spy(*args):
+            routed.append(args)
+            return fallback(*args)
 
-        monkeypatch.setattr(atomic, "_null_vectors", spy)
+        monkeypatch.setattr(atomic, "_fallback", spy)
         rho = steady_state_numeric(system, drive)
-        [liou] = routed
-        assert np.array_equal(liou[0], atomic._VEC_OF_X.T @ gen @ atomic._X_OF_VEC)
-        monkeypatch.undo()
-        complex_path = atomic._finalize(atomic._null_vectors(liou)[0])
-        assert np.array_equal(rho.matrix[1], complex_path.matrix)
+        [args] = routed
+        assert len(args[0]) == 1 and np.array_equal(args[0][0], gen)
+        own = atomic._finalize(fallback(*args)[0] @ atomic._VEC_OF_X)
+        assert np.array_equal(rho.matrix[1], own.matrix)
 
-    def test_no_recipe_or_workload_drive_takes_the_complex_path(
+    def test_no_recipe_or_workload_drive_takes_the_fallback(
             self, system, monkeypatch):
         """The packaged detuning-loss sweep, at its shipped points and at the
         benchmark's 1,001, the LO-only drives at both shipped points, and
         their 1,000-sample Liouvillian waveforms at 20 dB: no member is
-        routed to the complex path, and the largest condition number stays
-        within 1 / RESIDUAL_RTOL, so the rounding of L = T R T^-1 reaches
-        none of their values."""
-        routed, solved = [], []
-        null_vectors, steady_vectors = atomic._null_vectors, atomic._steady_vectors
-
-        def route(liou):
-            routed.append(len(liou))
-            return null_vectors(liou)
+        routed to the fallback, and the largest condition number stays
+        within 1 / RESIDUAL_RTOL, so each value is the real inverse's."""
+        solved = []
+        steady_vectors = atomic._steady_vectors
 
         def solve(sys_, h):
             solved.append((sys_, h))
             return steady_vectors(sys_, h)
 
-        monkeypatch.setattr(atomic, "_null_vectors", route)
+        routed = _spy_fallback(monkeypatch)
         monkeypatch.setattr(atomic, "_steady_vectors", solve)
         cfg = load_config(default_config_path("detuning-loss"))
         recipes.detuning_loss(cfg, 1)
@@ -524,6 +544,40 @@ class TestRealCoordinates:
         # 573 distinct drives: 49 and 501 |delta_rf|, 2 LO-only, 11 + 10 envelopes
         assert sum(len(h) for _, h in solved) == 573
         assert worst <= 1.0 / atomic.RESIDUAL_RTOL
+
+
+# The box of the solver property: Rabi rates in {0} U [1e-3, 1e9] rad/s and
+# detunings in [-2e6, 2e6] rad/s, log-uniform in the rates and with the solver
+# census's grid values drawn on purpose, where members reach the fallback.
+SOLVER_RABI = (st.just(0.0) | st.sampled_from([1.0, 1e3, 1e6, 2e6, 1e7, 1e9])
+               | st.floats(-3.0, 9.0).map(lambda e: 10.0 ** e))
+SOLVER_DETUNING = st.sampled_from([0.0, 1e6, -1e6, 2e6]) | st.floats(-2e6, 2e6)
+SOLVER_BOX = st.tuples(*[SOLVER_RABI] * 3, *[SOLVER_DETUNING] * 3)
+
+
+class TestSolverProperty:
+    """Over the drive box, on the default system (no relaxation but the
+    probe's) and on one with transit and Rydberg decay: each drive returns
+    a physical state that R vouches for or raises a named error, and a
+    stack is its members' single calls, fallback members included."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, deadline=None)
+    @given(drives=st.lists(SOLVER_BOX, min_size=1, max_size=8), relaxed=st.booleans())
+    def test_returned_states_are_vouched_for_by_r(self, drives, relaxed):
+        sys_ = defaults.cesium_system(
+            **({"gamma": 2e3, "gamma3": 1e4, "gamma4": 2e4} if relaxed else {}))
+        stack = _stack(drives)
+        for drive in _members(stack, len(drives)):
+            try:
+                rho = steady_state_numeric(sys_, drive).matrix
+            except (DegenerateNullSpace, NonPhysical):
+                continue
+            gen = generator(sys_, drive)
+            residual = np.linalg.norm(gen @ atomic._to_x(rho)) / np.linalg.norm(gen)
+            assert residual <= atomic.RESIDUAL_RTOL
+            assert np.linalg.eigvalsh(rho).min() >= DensityMatrix.EIG_FLOOR
+        _assert_members_match(sys_, stack, _members(stack, len(drives)))
 
 
 class TestDriveStack:
@@ -605,7 +659,7 @@ class TestDriveStack:
     )
     def test_one_inverse_per_member(self, system, monkeypatch, omega_rf, delta_rf):
         """One real inverse per member, repeated ones included, in blocks of
-        at most BLOCK, and no member falls back to the complex solve."""
+        at most BLOCK, and no member falls back to the LU solve."""
         inverted, solved = [], []
         inv, solve = np.linalg.inv, np.linalg.solve
 
@@ -641,10 +695,10 @@ class TestDriveStack:
         assert constructed == []
 
     def test_diagnostic_path_recovers_each_member(self, diod, monkeypatch):
-        """With the real inverse and the complex solve both failing, every
+        """With the real inverse and the LU solve both failing, every
         member goes to the SVD diagnostic, which must still give each member
         its own single-drive result and the direct solve's state. Transit and
-        Rydberg decay keep L well conditioned, so the two routes can be held
+        Rydberg decay keep R well conditioned, so the two routes can be held
         to 1e-9."""
         system = defaults.cesium_system(gamma=2e3, gamma3=1e4, gamma4=2e4)
         pick = [0, 1, 0, 2, 3, 0, 4, 0, 4]  # five distinct drives, four repeats

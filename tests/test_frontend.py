@@ -27,7 +27,7 @@ from raqr.frontend import (
 from raqr.mimo import MimoScenario
 from raqr.optimize import NoiseWeights, StationaryPower
 
-from conftest import box_points, log_slope, rel_err
+from conftest import box_points, default_point, log_slope, rel_err
 from oracles import dlnkappa, dlnp1, kappa_from_chi_prime
 
 
@@ -270,7 +270,7 @@ class TestSchemePowers:
     @given(scheme=st.sampled_from(["DIOD", "BCOD"]), p1=_LOG_POWER,
            pl=st.floats(-6.0, -1.0).map(lambda e: 10.0**e))
     def test_elasticities_match_finite_differences(self, scheme, p1, pl):
-        op = defaults.default_point(scheme, **({"pl": pl} if scheme == "BCOD" else {}))
+        op = default_point(scheme, **({"pl": pl} if scheme == "BCOD" else {}))
         powers, (num, den), (e_g, de_sn, de_cn) = scheme_powers(op, p1)
         tau = 1e-4
         up = scheme_powers(op, p1 * math.exp(tau))[0]
@@ -282,7 +282,7 @@ class TestSchemePowers:
 
     @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
     def test_arrays_match_scalars(self, scheme):
-        op = defaults.default_point(scheme)
+        op = default_point(scheme)
         p1 = np.geomspace(1e-9, 1e-1, 7)
         powers, fraction, elasticities = scheme_powers(op, p1)
         for i, x in enumerate(p1):

@@ -39,7 +39,7 @@ from raqr.optimize import (
     optimal_power,
 )
 
-from conftest import box_points, rel_err
+from conftest import box_points, default_point, rel_err
 
 # The coupling-power stationary point has a floor near gamma2^2 / (2 a23),
 # about 0.38 W for the shipped vapor parameters: far outside any sane
@@ -343,7 +343,7 @@ class TestOneEvaluation:
 
     @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
     def test_one_build_per_call(self, builds, chain, system, scheme):
-        op = defaults.default_point(scheme)
+        op = default_point(scheme)
         weights = NoiseWeights.from_chain(chain, system)
         for call in (lambda: normalized_noise(op, weights, system),
                      lambda: optimize._dw_dp0(SmallSignal(op, system), weights),
@@ -508,7 +508,7 @@ class TestNewtonProbe:
     def test_matches_design_report(self, chain, system, scheme):
         # the report's p0 entry is this call, at the same bracket; at the
         # direct point both end in the same error
-        op = defaults.default_point(scheme)
+        op = default_point(scheme)
         wts = NoiseWeights.from_chain(chain, system)
 
         def outcome(call):
@@ -581,7 +581,7 @@ class TestDesignReport:
     def test_optima_in_order(self, chain, system, scheme):
         # the census prints the report's repr, so the key order is output;
         # each stationary entry is the optimal_power call it names
-        op = defaults.default_point(scheme)
+        op = default_point(scheme)
         rep = design_report(op, chain, system, p0_bounds=(1e-3, 1e-1))
         pairs = [("pc", "dc_shot"), ("p_lo", "dc_shot"), ("pc", "thermal"),
                  ("p_lo", "thermal")]

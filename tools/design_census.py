@@ -39,8 +39,8 @@ def main() -> int:
     tally: Counter = Counter()
     for i, (p0, pc, p_lo, pl) in enumerate(draws.tolist()):
         scheme = "DIOD" if i % 2 == 0 else "BCOD"
-        op = defaults.default_point(scheme, p0=p0, pc=pc, p_lo=p_lo,
-                                    pl=pl if scheme == "BCOD" else 0.0)
+        point = defaults.diod_point if scheme == "DIOD" else defaults.bcod_point
+        op = point(p0=p0, pc=pc, p_lo=p_lo, pl=pl if scheme == "BCOD" else 0.0)
         try:
             outcome = repr(design_report(op, chain, system))
             kind = "report"
