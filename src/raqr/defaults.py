@@ -62,12 +62,11 @@ def weak_user(ratio_db: float, op: OperatingPoint, *, theta_x: float = 0.0,
 
 
 def default_scenario(n_sensors: int, n_users: int = 10, **overrides):
-    """Array scenario at the shipped carrier: half-wave spacing, all users
-    at the nominal range with the shipped transmit power."""
+    """Array scenario at the shipped carrier: all users at the nominal range
+    with the shipped transmit power."""
     kwargs = dict(
         n_sensors=n_sensors,
         n_users=n_users,
-        theta_arrival=0.0,
         beta=large_scale_fading(USER_DISTANCE, F_CARRIER),
         p=_SHIPPED.transmit_power,
         seed=_SHIPPED.seed,

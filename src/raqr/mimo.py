@@ -1,13 +1,14 @@
 """Multi-sensor array extension of the single-cell receiver.
 
 Equivalent complex-baseband model for an array of identical vapor-cell
-sensors sharing one free-space LO: per-sensor reception gain ``rho``, a
-diagonal LO phase progression across the array, user-signal-dependent shot
-noise entering through a per-sensor random diagonal, and an AWGN term that
-absorbs the DC-shot, thermal, and projection noise. On top of the model sit
-MRC/ZF detection, closed-form rate lower bounds, Monte-Carlo validation of
-every bound term, an RF-array baseline, and the operating-point crossover
-threshold against that baseline.
+sensors sharing one free-space LO: per-sensor reception gain ``rho``,
+user-signal-dependent shot noise entering through a per-sensor random
+diagonal, and an AWGN term that absorbs the DC-shot, thermal, and
+projection noise. A known unit-modulus LO phase per sensor is absorbed
+into the channel and leaves its law unchanged, so the channel is combined
+as drawn. On top of the model sit MRC/ZF detection, closed-form rate lower
+bounds, Monte-Carlo validation of every bound term, an RF-array baseline,
+and the operating-point crossover threshold against that baseline.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "BoundResult",
     "RateResult",
     "large_scale_fading",
-    "lo_phase_progression",
     "closed_form_moments",
     "sinr_lb",
     "asymptotic_rate",
@@ -43,8 +43,8 @@ __all__ = [
 # realizations per RNG substream; chunk c of a run with seed s draws from
 # Philox keyed [s, c], so results are identical however chunks are scheduled
 CHUNK = 256
-# draws a chunk phases and combines at a time; only the channel is held for
-# the whole chunk, and no output depends on this length
+# draws a chunk combines at a time; only the channel is held for the whole
+# chunk, and no output depends on this length
 _SUB = 32
 # fewest realizations a Monte-Carlo run accepts; config validation reads it
 MIN_REALIZATIONS = 100
@@ -67,12 +67,11 @@ class MimoScenario:
     """Array geometry, user powers, and Monte-Carlo bookkeeping.
 
     ``beta`` and ``p`` accept scalars and are broadcast to one entry per
-    user. The sensors sit half an LO wavelength apart.
+    user.
     """
 
     n_sensors: int
     n_users: int
-    theta_arrival: float = 0.0
     beta: np.ndarray = 1.0
     p: np.ndarray = 1.0
     seed: int = 0
@@ -118,7 +117,6 @@ class RateResult:
     n_samples: int
     standard_error: np.ndarray
     capped: bool
-    method: str
     terms: dict
 
 
@@ -132,13 +130,6 @@ def large_scale_fading(distance_m: float, carrier_freq_hz: float) -> float:
         - 20.0 * math.log10(carrier_freq_hz / 1e9)
     )
     return 10.0 ** (loss_db / 10.0)
-
-
-def lo_phase_progression(scenario: MimoScenario) -> np.ndarray:
-    """Unit-modulus per-sensor phases of the obliquely arriving LO."""
-    m = np.arange(scenario.n_sensors)
-    phase = math.pi * math.sin(scenario.theta_arrival)  # 2 pi d / lambda at d = lambda / 2
-    return np.exp(-1j * phase * m)
 
 
 def _draw(rng, scenario, h, scratch):
@@ -161,23 +152,17 @@ def _draw(rng, scenario, h, scratch):
                 np.multiply(rng.standard_normal(out=buf), scale, out=piece)
         return x
 
-    # the channel is scaled once drawn; s and w on the copy, by the
-    # reciprocal, as numpy divides complex by real
-    np.multiply(fill(h, 1.0), np.sqrt(scenario.beta / 2.0), out=h)
+    # each part is scaled in the copy out of the scratch, as a complex-by-real
+    # product scales it; s and w by the reciprocal, as numpy divides by real
+    fill(h, np.sqrt(scenario.beta / 2.0))
     s = fill(np.empty((n, k), complex), 1.0 / math.sqrt(2.0))
     b = rng.standard_normal((n, m))
     w = fill(np.empty((n, m), complex), 1.0 / math.sqrt(2.0))
     return h, s, b, w
 
 
-def _phased(scenario, h):
-    """Phase a batch of channels (..., M, K) in place by the LO progression
-    D; the engine applies Φ afterwards, through ``_scale``."""
-    return np.multiply(lo_phase_progression(scenario)[:, None], h, out=h)
-
-
 def _project(a, method, cols, out):
-    """The one combining kernel on a phased channel ``a`` (..., M, K):
+    """The one combining kernel on a channel ``a`` (..., M, K):
     ``(cᴴa, cᴴ·cols)`` for one column block (..., M, n), with combiners
     c = a (MRC) or a·G⁻¹ (ZF), G = aᴴa. The ZF coupling is the identity by
     construction, so ZF leakage and interference are exactly 0.
@@ -353,11 +338,11 @@ def crossover_threshold(
 
 def _workspace(scenario, n):
     """One worker's arrays for chunks of up to ``n`` draws. The channel
-    (n, M, K) is the one array a chunk holds whole; it is phased in place.
-    The rest serve one sub-batch of L = min(n, ``_SUB``) draws: the float
-    scratch that the channel's draws pass through and the channel's
-    conjugate, both (L, M, K), then the Gram matrices and the combining
-    products of the shot and AWGN columns."""
+    (n, M, K) is the one array a chunk holds whole. The rest serve one
+    sub-batch of L = min(n, ``_SUB``) draws: the float scratch that the
+    channel's draws pass through and the channel's conjugate, both
+    (L, M, K), then the Gram matrices and the combining products of the
+    shot and AWGN columns."""
     m, k = scenario.n_sensors, scenario.n_users
     sub = min(n, _SUB)
     return {
@@ -373,10 +358,10 @@ def _workspace(scenario, n):
 def _chunk_stats(scenario, method, chunk_index, n, workspace):
     """Gain-free term accumulators over one Philox substream. ``_draw`` fills
     the chunk's channel (a prefix of the workspace's for a short chunk)
-    through the sub-batch scratch; the phasing, ``_project`` and the
-    per-draw statistics then run one sub-batch at a time in the workspace's
-    sub-batch arrays and write (n, K) per-draw arrays, which are summed over
-    the chunk. ``_scale`` supplies the front-end gains and noise variances."""
+    through the sub-batch scratch; ``_project`` and the per-draw statistics
+    then run one sub-batch at a time in the workspace's sub-batch arrays and
+    write (n, K) per-draw arrays, summed over the chunk. ``_scale`` supplies
+    the front-end gains and noise variances."""
     rng = np.random.Generator(np.random.Philox(key=[scenario.seed, chunk_index]))
     h, s, b, w = _draw(rng, scenario, workspace["h"][:n], workspace["x"])
     ps = (np.sqrt(scenario.p) * s)[..., None]
@@ -388,7 +373,7 @@ def _chunk_stats(scenario, method, chunk_index, n, workspace):
     step = len(workspace["x"])
     for i in range(0, n, step):
         j = slice(i, i + step)
-        a = _phased(scenario, h[j])
+        a = h[j]
         ws = {key: workspace[key][:len(a)] for key in ("conj", "gram", "z", "zf")}
         # shot and AWGN columns side by side, combined in one product
         cols = np.stack([b[j] * (a @ ps[j])[..., 0], w[j]], axis=-1)
@@ -405,7 +390,7 @@ def _scale(method, gains, budget):
     |c|^2 for its variance, then the interference, shot and AWGN factors.
     Callers check ``method`` through ``_expectations`` first."""
     if method == "ZF" and gains.phi == 0:
-        raise RankDeficient("zero-forcing at phi = 0: the phased channel is zero")
+        raise RankDeficient("zero-forcing at phi = 0: the effective channel is zero")
     c = np.conj(gains.phi) if method == "MRC" else 1.0 / gains.phi
     c2 = abs(c) ** 2
     signal = gains.rho * c2**2 if method == "MRC" else 0.0
@@ -500,7 +485,7 @@ def monte_carlo_rates(
             _terms_from_stats(scenario, gains, factors * expected))[1]
         out.append(RateResult(
             sinr=sinr, rate=rate, bound=bound, n_samples=count,
-            standard_error=se, capped=capped, method=method, terms=terms,
+            standard_error=se, capped=capped, terms=terms,
         ))
     return out
 

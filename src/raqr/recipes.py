@@ -137,7 +137,9 @@ def check_recipe(config: ExperimentConfig) -> None:
     be positive too, except for ``sn-vs-ratio`` and ``detuning-loss``,
     which never read the configured point's gains. ``power-scaling``
     reports its bound relative to the asymptotic rate, which is 0 without
-    user power, so there ``transmit_power`` must be positive. ``siso-optima``
+    user power, so there ``transmit_power`` must be positive, and so must
+    the configured point's asymptotic rate, finite too; a point whose
+    asymptote cannot be formed fails its run instead. ``siso-optima``
     minimizes a thermal-only objective, which is 0 everywhere at T = 0, so
     there the temperature must be positive.
     """
@@ -225,6 +227,19 @@ def check_recipe(config: ExperimentConfig) -> None:
         raise ValidationError("array.transmit_power",
                               f"must be > 0 for recipe {name}, which divides "
                               "by the asymptotic rate")
+    if name == "power-scaling":
+        try:  # as power_scaling forms it
+            asym = mimo.asymptotic_rate(
+                *_gains_budget(config),
+                mimo.large_scale_fading(config.region_center_m, config.f_carrier),
+                energy=config.transmit_power)
+        except (ArithmeticError, ValueError):
+            pass  # a point without an asymptote fails its run
+        else:
+            if not 0.0 < asym < math.inf:
+                raise ValidationError(
+                    "asymptotic_rate", f"the configured point's asymptotic "
+                    f"rate is {asym:g} bps/Hz; recipe {name} divides by it")
 
 
 def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:

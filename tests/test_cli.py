@@ -757,6 +757,21 @@ class TestRunRecipe:
                        "--out", str(tmp_path / "out")])
         assert rc == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ("operating_point", "lo_power_w"), ("array", "transmit_power")])
+    def test_underflowing_asymptotic_rate_is_rejected(self, tmp_path, capsys,
+                                                      section, key):
+        # the asymptote power-scaling divides by underflows to 0 here
+        path = write_config(
+            tmp_path, f"recipe: power-scaling\n{section}:\n  {key}: 1.0e-300\n"
+            + SENSOR_SWEEP.format(16, 32))
+        for argv in (["validate"], ["run", "power-scaling",
+                                    "--out", str(tmp_path / "out")]):
+            assert cli.main(argv + ["--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: asymptotic_rate: "), err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, key", ZERO_READOUT_KEYS,
                              ids=[key for _, key in ZERO_READOUT_KEYS])
     @pytest.mark.parametrize("recipe", sorted(RECIPE_SWEEPS))
@@ -1115,7 +1130,7 @@ class TestRecipeSummaries:
             return mimo.RateResult(
                 sinr=2.0**rate - 1.0, rate=rate, bound=bound, n_samples=100,
                 standard_error=np.full(scenario.n_users, 0.1), capped=False,
-                method=method, terms={})
+                terms={})
 
         monkeypatch.setattr(mimo, "monte_carlo_rate", sampled)
         cfg = load_config(write_config(

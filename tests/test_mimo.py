@@ -56,14 +56,6 @@ class TestScenario:
         assert sc.p.shape == (4,)
         assert np.all(sc.p == 1.0)
 
-    @pytest.mark.parametrize("theta", [0.0, 0.3, -1.1, math.pi / 2])
-    def test_half_wave_lo_phase_progression(self, theta):
-        """Half-wave spacing: the LO phase steps by pi sin(theta) per sensor."""
-        sc = small_scenario(theta_arrival=theta)
-        m = np.arange(sc.n_sensors)
-        expected = np.exp(-1j * math.pi * m * math.sin(theta))
-        assert np.allclose(mimo.lo_phase_progression(sc), expected, rtol=1e-12, atol=0.0)
-
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             defaults.default_scenario(n_sensors=0, n_users=4)
@@ -140,21 +132,18 @@ def oracle_draws(scenario, chunk, n):
 def oracle(scenario, gains, budget, method, n):
     """``n`` realizations of the model on chunk 0's ``oracle_draws``:
 
-        y = √ρ·Φ·D·H·√p·s + √sn_coeff·Φ_sn·b⊙(D·H·√p·s) + √n_sum·w,
+        y = √ρ·Φ·H·√p·s + √sn_coeff·Φ_sn·b⊙(H·√p·s) + √n_sum·w,
 
-    combined with c = a (MRC) or c = a(aᴴa)⁻¹ (ZF), a = Φ·D·H, and each
+    combined with c = a (MRC) or c = a(aᴴa)⁻¹ (ZF), a = Φ·H, and each
     user's statistic r = cᴴy split into desired signal (at the hardening
     mean of the self-coupling cᴴa), leakage, interference, shot and AWGN."""
     h, s, b, w = oracle_draws(scenario, 0, n)
-    sensor = np.arange(scenario.n_sensors)
-    d = np.exp(-1j * math.pi * math.sin(scenario.theta_arrival) * sensor)
-    dh = d[:, None] * h
-    v = (dh @ (np.sqrt(scenario.p) * s)[..., None])[..., 0]
+    v = (h @ (np.sqrt(scenario.p) * s)[..., None])[..., 0]
     signal = math.sqrt(gains.rho) * gains.phi * v
     shot = math.sqrt(budget.sn_coeff) * gains.phi_sn * b * v
     noise = math.sqrt(budget.n_sum) * w
     y = signal + shot + noise
-    a = gains.phi * dh
+    a = gains.phi * h
     a_h = a.conj().swapaxes(-1, -2)
     c_h = a_h if method == "MRC" else np.linalg.solve(a_h @ a, a_h)
     t = c_h @ a
@@ -188,7 +177,7 @@ def quiet_budget(budget):
 
 def engine_columns(scenario, a, s, b, w):
     """The shot and AWGN columns (..., M, 2) that the engine combines on a
-    phased channel ``a``, formed as ``_chunk_stats`` forms them."""
+    channel ``a``, formed as ``_chunk_stats`` forms them."""
     v = (a @ (np.sqrt(scenario.p) * s)[..., None])[..., 0]
     return np.stack([b * v, w], axis=-1)
 
@@ -205,18 +194,16 @@ def project(a, method, cols):
 
 @st.composite
 def channel_stacks(draw, min_users=1):
-    """A phased stack of channels (n, M, K) with M > K, and its shot and
-    AWGN columns."""
+    """A stack of channels (n, M, K) with M > K, and its shot and AWGN
+    columns."""
     k = draw(st.integers(min_users, 4))
     sc = defaults.default_scenario(
         draw(st.integers(k + 1, k + 12)), k,
-        theta_arrival=draw(st.floats(-math.pi / 2, math.pi / 2)),
         beta=draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     h, s, b, w = oracle_draws(sc, 0, draw(st.integers(1, 5)))
-    a = mimo._phased(sc, h)
-    return sc, a, engine_columns(sc, a, s, b, w)
+    return sc, h, engine_columns(sc, h, s, b, w)
 
 
 def _close(got, want):
@@ -312,25 +299,43 @@ class TestModel:
 
 
 class TestCombiner:
-    def test_mrc_is_phased_channel(self):
-        # the MRC combiner is the phased channel a = D·H itself (Φ enters
+    def test_mrc_combiner_is_the_channel(self):
+        # the MRC combiner is the drawn channel a = H itself (Φ enters
         # through _scale): the coupling is aᴴa and the products aᴴ·cols
-        sc = small_scenario(theta_arrival=0.5)
-        h, s, b, w = oracle_draws(sc, 0, 8)
-        d = mimo.lo_phase_progression(sc)
-        a = mimo._phased(sc, h.copy())
-        assert np.array_equal(a, d[:, None] * h)
+        sc = small_scenario()
+        a, s, b, w = oracle_draws(sc, 0, 8)
         cols = engine_columns(sc, a, s, b, w)
         t, z = project(a, "MRC", cols)
         a_h = a.conj().swapaxes(-1, -2)
         assert np.array_equal(t, a_h @ a)
         assert np.array_equal(z, a_h @ cols)
 
+    @pytest.mark.parametrize("method", ["MRC", "ZF"])
+    def test_known_lo_phase_is_absorbed_into_the_channel(self, method):
+        # a unit-modulus phase D per sensor, known to the receiver, leaves
+        # the combined statistics of D·H with AWGN w equal to those of H
+        # with Dᴴw, which has w's law: the engine combines H as drawn
+        sc = small_scenario()
+        h, s, b, w = oracle_draws(sc, 0, 64)
+        d = np.exp(1j * np.random.default_rng(9).uniform(-math.pi, math.pi,
+                                                           sc.n_sensors))
+        ps = np.sqrt(sc.p) * s
+
+        def stats(a, w):
+            t, z = project(a, method, engine_columns(sc, a, s, b, w))
+            coupling = np.diagonal(t, axis1=-2, axis2=-1)
+            ui = (t @ ps[..., None])[..., 0] - coupling * ps
+            return [coupling] + [np.abs(x) ** 2 for x in
+                                 (coupling, ui, z[..., 0], z[..., 1])]
+
+        for got, want in zip(stats(d[:, None] * h, w), stats(h, d.conj() * w)):
+            assert _close(got, want)
+
     def test_zf_inverts(self):
         # combining the channel's own columns gives G⁻¹aᴴa, the identity,
         # beside the coupling that is the identity by construction
-        sc = small_scenario(theta_arrival=0.5)
-        a = mimo._phased(sc, oracle_draws(sc, 0, 8)[0])
+        sc = small_scenario()
+        a = oracle_draws(sc, 0, 8)[0]
         t, z = project(a, "ZF", a)
         eye = np.broadcast_to(np.eye(sc.n_users), t.shape)
         assert np.array_equal(t, eye)
@@ -343,10 +348,9 @@ class TestCombiner:
         # the engine's coupling and stacked (shot, AWGN) block, scaled by
         # the combiner's factor c as _scale scales them, against the
         # oracle's per-column products cᴴa, cᴴ·shot and cᴴ·noise
-        sc = small_scenario(theta_arrival=0.5)
+        sc = small_scenario()
         det = oracle(sc, gains, budget, method, 3)
-        h, s, b, w = oracle_draws(sc, 0, 3)
-        a = mimo._phased(sc, h)
+        a, s, b, w = oracle_draws(sc, 0, 3)
         cols = engine_columns(sc, a, s, b, w)
         pick = slice(None) if batch else 0
         t, z = project(a[pick], method, cols[pick])
@@ -372,8 +376,7 @@ class TestCombiner:
         h[5, :, 1] = h[5, :, 0]
         cols = np.zeros(h.shape[:2] + (2,), complex)
         with pytest.raises(mimo.RankDeficient):
-            mimo._project(mimo._phased(sc, h), "ZF", cols,
-                          mimo._workspace(sc, mimo._SUB))
+            mimo._project(h, "ZF", cols, mimo._workspace(sc, mimo._SUB))
 
     def test_zf_inverse_is_inv_under_the_cond_policy(self):
         # second columns from 1e-2 to 1e-9 away from the first, then an
@@ -513,7 +516,7 @@ class TestClosedFormBounds:
         assert np.array_equal(bound.rate, np.log2(1.0 + bound.sinr))
 
     def test_zf_refuses_zero_phi_and_zero_fading(self, gains, budget):
-        # phi = 0 zeroes the phased channel, beta_k = 0 a column of it: the
+        # phi = 0 zeroes the effective channel, beta_k = 0 a column of it: the
         # engine and the closed form both refuse
         sc = small_scenario(n_realizations=256)
         dark = dataclasses.replace(gains, phi=0j)
@@ -780,8 +783,7 @@ class TestMonteCarlo:
         system, chain = defaults.cesium_system(), defaults.default_chain()
         gains = baseband_gains(op, chain, system)
         budget = noise_budget(op, chain, system, gains=gains)
-        sc = defaults.default_scenario(12, 4, theta_arrival=0.5, seed=11,
-                                       n_realizations=mimo.CHUNK)
+        sc = defaults.default_scenario(12, 4, seed=11, n_realizations=mimo.CHUNK)
         engine = mimo.monte_carlo_terms(sc, gains, budget, method)
 
         det = oracle(sc, gains, budget, method, mimo.CHUNK)
@@ -819,11 +821,10 @@ class TestMonteCarlo:
 
 
 def whole_chunk_stats(scenario, method, chunk_index, n):
-    """The engine's chunk statistics on the oracle's draws, phased and
-    combined as one (n, M, K) batch: the reference that the sub-batched
-    engine reproduces byte for byte, dtype included."""
-    h, s, b, w = oracle_draws(scenario, chunk_index, n)
-    a = mimo._phased(scenario, h)
+    """The engine's chunk statistics on the oracle's draws, combined as one
+    (n, M, K) batch: the reference that the sub-batched engine reproduces
+    byte for byte, dtype included."""
+    a, s, b, w = oracle_draws(scenario, chunk_index, n)
     ps = (np.sqrt(scenario.p) * s)[..., None]
     cols = np.stack([b * (a @ ps)[..., 0], w], axis=-1)
     with mock.patch.object(mimo, "_SUB", n):
@@ -901,12 +902,11 @@ class TestChunkWorkspace:
     @settings(max_examples=25, deadline=None)
     @given(m=st.integers(2, 64), method=st.sampled_from(["MRC", "ZF"]),
            n=st.one_of(st.integers(1, mimo._SUB - 1), st.integers(1, mimo.CHUNK)),
-           theta=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1),
-           data=st.data())
+           seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_sub_batches_reproduce_the_whole_chunk(
-            self, m, method, n, theta, seed, data):
+            self, m, method, n, seed, data):
         k = data.draw(st.integers(1, m - 1))
-        sc = defaults.default_scenario(m, k, theta_arrival=theta, seed=seed)
+        sc = defaults.default_scenario(m, k, seed=seed)
         want = _outcome(lambda: whole_chunk_stats(sc, method, 2, n))
         for sub in (mimo._SUB, 1, 7, mimo.CHUNK):
             with mock.patch.object(mimo, "_SUB", sub):
