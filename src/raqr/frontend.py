@@ -16,7 +16,6 @@ noise functional, its p0 derivative and the linearized waveform each read.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -36,12 +35,13 @@ class MissingLocalBeam(ValueError):
 
 @dataclass(frozen=True, kw_only=True)
 class OperatingPoint:
-    """The controllable optical/RF powers plus beam geometry and phases.
+    """The controllable optical/RF powers plus beam geometry and phase.
 
     Powers in W; ``pl`` is the local optical beam (balanced scheme only and
-    must be 0 for the direct scheme). ``fwhm_p`` / ``fwhm_c`` are probe and
-    coupling beam FWHM diameters (m); ``a_e`` is the effective RF aperture
-    (m^2); ``f_lo`` the RF local-oscillator frequency (Hz).
+    must be 0 for the direct scheme), ``phi_l`` its phase from the probe's
+    at cell entry. ``fwhm_p`` / ``fwhm_c`` are probe and coupling beam FWHM
+    diameters (m); ``a_e`` is the effective RF aperture (m^2); ``f_lo`` the
+    RF local-oscillator frequency (Hz).
     """
 
     p0: float
@@ -49,9 +49,7 @@ class OperatingPoint:
     p_lo: float
     pl: float = 0.0
     scheme: str = "DIOD"
-    phi0: float = 0.0
     phi_l: float = 0.0
-    theta_lo: float = 0.0
     f_lo: float
     fwhm_p: float
     fwhm_c: float
@@ -122,23 +120,20 @@ class BasebandGains:
     """Signal transfer of the chain into complex baseband.
 
     ``rho`` (effective power gain) and ``rho_sn`` (signal-dependent-noise
-    gain) are the scheme-dependent composites, ``phi`` and ``phi_sn`` their
-    demodulation gains, and ``p_cn_bar`` the detected DC power that sets the
-    DC shot noise. The noise powers themselves live in ``NoiseBudget``.
+    gain) are the scheme-dependent composites, ``phi`` the real demodulation
+    gain (the shot noise's is 1), and ``p_cn_bar`` the detected DC power that
+    sets the DC shot noise. The noise powers themselves live in ``NoiseBudget``.
     """
 
     rho: float
     rho_sn: float
-    phi: complex
-    phi_sn: complex
+    phi: float
     p_cn_bar: float
 
     def __post_init__(self) -> None:
         # each check written so that NaN fails it
         if not (self.rho >= 0 and self.rho_sn >= 0):
             raise ValueError("gains must be >= 0")
-        if not abs(abs(self.phi_sn) - 1.0) <= 1e-9:
-            raise ValueError("phi_sn must have unit modulus")
         if not abs(self.phi) <= 1.0 + 1e-9:
             raise ValueError("|phi| must be <= 1")
         if not self.p_cn_bar >= 0:
@@ -256,14 +251,14 @@ def rf_field_amplitude(power: float, a_e: float) -> float:
 # probe propagation
 
 
-def probe_output(p0: float, chi, system: AtomicSystem, *, phi0: float = 0.0):
+def probe_output(p0: float, chi, system: AtomicSystem):
     """Probe power and phase after the cell, for a scalar or array chi.
 
-    P_p = ``probe_power(p0, chi.imag, system)``, phi_p = phi0 + (pi d /
-    lambda_p) Re chi (thin-medium convention, chi evaluated at cell entry).
+    P_p = ``probe_power(p0, chi.imag, system)``, phi_p = (pi d / lambda_p)
+    Re chi from the entry phase (thin-medium convention, chi at cell entry).
     """
     power = probe_power(p0, chi.imag, system)
-    return power, phi0 + math.pi * system.l_cell / system.lambda_p * chi.real
+    return power, math.pi * system.l_cell / system.lambda_p * chi.real
 
 
 def probe_power(p0: float, chi_imag, system: AtomicSystem):
@@ -370,10 +365,9 @@ def dc_shot_power(op: OperatingPoint, p1):
 
 def demod_phase(op: OperatingPoint) -> float:
     """The phase varphi of the demodulation gain cos(varphi): phi_l -
-    phi_p(Omega_LO) + psi_p for the balanced scheme, where phi_p(Omega_LO) =
-    phi0 and psi_p = 0 at resonance (Re chi = 0 for any RF level), and 0 for
-    the direct scheme."""
-    return 0.0 if op.scheme == "DIOD" else op.phi_l - op.phi0
+    phi_p(Omega_LO) + psi_p = phi_l for the balanced scheme, both probe terms
+    0 at resonance (Re chi = 0 for any RF level), and 0 for the direct one."""
+    return 0.0 if op.scheme == "DIOD" else op.phi_l
 
 
 def baseband_gains(
@@ -382,17 +376,12 @@ def baseband_gains(
     """Scheme-dependent complex-baseband gain table.
 
     rho    = 4 G Z0 alpha^2 p_g^2 k^2,  rho_sn = G Z0 alpha p_sn^2 k^2,
-    Phi    = e^{-j theta_LO} cos(varphi),  Phi_sn = e^{-j theta_LO},
-    with the powers from ``scheme_powers``, k = ``SmallSignal.kappa`` and
-    varphi = ``demod_phase(op)``.
+    Phi    = cos(varphi), real, with the powers from ``scheme_powers``,
+    k = ``SmallSignal.kappa`` and varphi = ``demod_phase(op)``. The RF LO's
+    phase is folded into the user phase theta_x.
     """
-    phi_sn = cmath.exp(-1j * op.theta_lo)
-    if op.scheme == "DIOD":
-        phi = phi_sn
-    elif op.pl <= 0.0:
+    if op.scheme == "BCOD" and op.pl <= 0.0:
         raise MissingLocalBeam("balanced detection requires pl > 0")
-    else:
-        phi = math.cos(demod_phase(op)) * phi_sn
     small = SmallSignal(op, system)
     (p_g_sq, p_sn_sq, p_cn), _, _ = scheme_powers(op, small.p1)
     kap = small.kappa
@@ -400,8 +389,7 @@ def baseband_gains(
     return BasebandGains(
         rho=4.0 * gz * chain.alpha**2 * p_g_sq * kap**2,
         rho_sn=gz * chain.alpha * p_sn_sq * kap**2,
-        phi=phi,
-        phi_sn=phi_sn,
+        phi=math.cos(demod_phase(op)),
         p_cn_bar=p_cn,
     )
 

@@ -278,8 +278,7 @@ def asymptotic_rate(
 def rf_gains(sigma_rf_sq: float) -> tuple[BasebandGains, NoiseBudget]:
     """Unit-gain transparent front end with a thermal-style AWGN floor: the
     conventional-array baseline expressed in the same interfaces."""
-    gains = BasebandGains(rho=1.0, rho_sn=0.0, phi=1.0 + 0.0j, phi_sn=1.0 + 0.0j,
-                          p_cn_bar=0.0)
+    gains = BasebandGains(rho=1.0, rho_sn=0.0, phi=1.0, p_cn_bar=0.0)
     budget = NoiseBudget(n_cn=0.0, n_tn=2.0 * sigma_rf_sq, n_qpn=0.0, sn_coeff=0.0)
     return gains, budget
 
@@ -386,16 +385,15 @@ def _chunk_stats(scenario, method, chunk_index, n, workspace):
 
 def _scale(method, gains, budget):
     """Per-statistic factors that turn gain-free statistics into a gain
-    table's: c for the mean self-coupling (conj(phi) for MRC, 1/phi for ZF),
-    |c|^2 for its variance, then the interference, shot and AWGN factors.
+    table's: c for the mean self-coupling (phi for MRC, 1/phi for ZF), |c|^2
+    for its variance, then the interference, shot and AWGN factors.
     Callers check ``method`` through ``_expectations`` first."""
     if method == "ZF" and gains.phi == 0:
         raise RankDeficient("zero-forcing at phi = 0: the effective channel is zero")
-    c = np.conj(gains.phi) if method == "MRC" else 1.0 / gains.phi
+    c = gains.phi if method == "MRC" else 1.0 / gains.phi
     c2 = abs(c) ** 2
     signal = gains.rho * c2**2 if method == "MRC" else 0.0
-    shot = budget.sn_coeff * abs(gains.phi_sn) ** 2
-    factors = [c, c2, signal, shot * c2, budget.n_sum * c2]
+    factors = [c, c2, signal, budget.sn_coeff * c2, budget.n_sum * c2]
     return np.array(factors, dtype=complex)[:, None]
 
 
@@ -513,8 +511,7 @@ def monte_carlo_rate(
     return monte_carlo_rates(scenario, [(gains, budget)], method, threads)[0]
 
 
-def bound_violation_alarm(result: RateResult, bound_rate=None) -> bool:
-    """True when a claimed lower bound sits above the sampled rate by more
-    than three standard errors for any user."""
-    bound = result.bound if bound_rate is None else np.asarray(bound_rate)
-    return bool(np.any(result.rate + 3.0 * result.standard_error < bound))
+def bound_violation_alarm(result: RateResult) -> bool:
+    """True when the closed-form lower bound sits above the sampled rate by
+    more than three standard errors for any user."""
+    return bool(np.any(result.rate + 3.0 * result.standard_error < result.bound))

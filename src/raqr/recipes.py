@@ -27,7 +27,8 @@ from .config import (
     ValidationError,
     fingerprint,
 )
-from .frontend import baseband_gains, noise_budget, p1_of_lo, with_powers
+from .constants import hbar
+from .frontend import LN2, baseband_gains, noise_budget, p1_of_lo, with_powers
 from .optimize import (
     NoiseWeights,
     OpaqueGrid,
@@ -141,7 +142,8 @@ def check_recipe(config: ExperimentConfig) -> None:
     the configured point's asymptotic rate, finite too; a point whose
     asymptote cannot be formed fails its run instead. ``siso-optima``
     minimizes a thermal-only objective, which is 0 everywhere at T = 0, so
-    there the temperature must be positive.
+    there the temperature must be positive. No divisor a recipe reads may
+    be 0; each is formed with ``*``, as ``**`` would raise on overflow.
     """
     name, sweep, op = config.recipe, config.sweep, config.op
     if name is None:
@@ -223,6 +225,18 @@ def check_recipe(config: ExperimentConfig) -> None:
         raise ValidationError("detection.temperature_k",
                               f"must be > 0 for recipe {name}, whose thermal "
                               "regime has no noise to minimize without it")
+    system, chain, mu23 = config.system, config.chain, config.system.mu23 / hbar
+    weights = name == "siso-optima" or (  # crossover_threshold builds them
+        name == "rate-vs-parameter" and sweep.variable in ("lo_power_w", "probe_power_w"))
+    for key, reads, what, divisor in (  # of the noise budget, weights and pc optimum
+            ("atomic.dephasing_time_us", name not in ("waveform-overlay", "detuning-loss"),
+             "N_atoms T2 mu34^2", system.n_atoms * system.t2 * (system.mu34 * system.mu34)),
+            ("detection.quantum_efficiency", weights, "z0 alpha^2",
+             2.0 * chain.z0 * (chain.alpha * chain.alpha)),
+            ("atomic.dressing_dipole_cm", name == "siso-optima",
+             "the coupling Rabi coefficient", mu23 * mu23 * 8.0 * LN2)):
+        if reads and divisor == 0.0:
+            raise ValidationError(key, f"{what} is 0, and recipe {name} divides by it")
     if config.transmit_power <= 0.0 and name == "power-scaling":
         raise ValidationError("array.transmit_power",
                               f"must be > 0 for recipe {name}, which divides "

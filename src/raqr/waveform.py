@@ -88,7 +88,7 @@ def _exact_transmission(omega_rf, op, system, rho_solver, period):
     """Instantaneous probe transmission: power P1 and accumulated phase.
 
     At resonance chi is purely imaginary, so the closed form needs only
-    Im chi, in real arithmetic, and its phase is phi0 for every sample.
+    Im chi, in real arithmetic, and its phase is 0 for every sample.
 
     The Liouvillian branch takes the envelope as periodic in ``period``
     samples: it solves each distinct envelope of the first period once and
@@ -104,13 +104,13 @@ def _exact_transmission(omega_rf, op, system, rho_solver, period):
         drive = drive_for(op, system, omega_rf=omega_rf)
         chi_im = rho21_resonant_imag(drive.omega_p, drive.omega_c, omega_rf, system.gamma2)
         chi_im *= susceptibility(1.0, system, drive.omega_p)  # chi is linear in rho21
-        return probe_power(op.p0, chi_im, system), op.phi0
+        return probe_power(op.p0, chi_im, system), 0.0
     if rho_solver == "liouvillian":
         # one solve per distinct envelope; a sqrt is never -0.0, so equal means same bytes
         distinct, inverse = np.unique(omega_rf[:period], return_inverse=True)
         drive = drive_for(op, system, omega_rf=distinct)
         chi = susceptibility(steady_state_numeric(system, drive).rho21, system, drive.omega_p)
-        p1, phase = probe_output(op.p0, chi, system, phi0=op.phi0)
+        p1, phase = probe_output(op.p0, chi, system)
         n = len(omega_rf)
         inverse = np.tile(inverse, -(-n // period))[:n]  # sample k reads k mod period
         return p1[inverse], phase[inverse]
@@ -174,7 +174,7 @@ def simulate_waveform(
     # the cached cos(beta). That is fetched first: built on a miss before
     # the call's own arrays, it sits below them in the heap, which can then
     # shrink back once they are freed.
-    cos_b = _beat_cos(n, sample_rate, f_delta, user.theta_x - op.theta_lo)
+    cos_b = _beat_cos(n, sample_rate, f_delta, user.theta_x)
     t = np.arange(n, dtype=float)
     t /= sample_rate
 
@@ -195,7 +195,7 @@ def simulate_waveform(
     small = SmallSignal(op, system)
     p1_lo = small.p1
     (_, _, p_cn_lo), _, (e_g, _, _) = scheme_powers(op, p1_lo)
-    i_dc = _detector_current(p1_lo, op.phi0, op, chain)
+    i_dc = _detector_current(p1_lo, 0.0, op, chain)
     i_approx = np.multiply(cos_b, e_g * small.kappa * u_x)
     np.subtract(1.0, i_approx, out=i_approx)
     i_approx *= i_dc
@@ -302,9 +302,9 @@ def _lowpass_taps(f_delta: float, sample_rate: float) -> np.ndarray:
 # The beat phasors and the taps depend only on (n, sample rate, beat, phase
 # offset), which repeat on every call of a sweep, so the most recent few are
 # kept between calls; typed keys keep a float32 beat apart from an equal
-# float64 one. Every caller shares them, so they are read-only. With the user
-# and LO phases equal, the simulator's cos(beta) is the demodulator's cosine:
-# x + 0.0 differs from x only at -0.0, whose cosine is the same 1.0.
+# float64 one. Every caller shares them, so they are read-only. With user
+# phase 0, the simulator's cos(beta) is the demodulator's cosine: x + 0.0
+# differs from x only at -0.0, whose cosine is the same 1.0.
 
 
 @lru_cache(maxsize=2, typed=True)

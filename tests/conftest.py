@@ -67,16 +67,13 @@ _BOX = {"p0": (-6.0, -1.0), "pc": (-4.0, -1.0), "p_lo": (-9.0, -3.0),
 
 
 @st.composite
-def box_points(draw, theta_lo=False):
-    """An operating point of either scheme drawn from the design box; with
-    ``theta_lo`` the RF LO phase is drawn too."""
+def box_points(draw):
+    """An operating point of either scheme drawn from the design box."""
     scheme = draw(st.sampled_from(["DIOD", "BCOD"]))
     names = ("p0", "pc", "p_lo") + (("pl",) if scheme == "BCOD" else ())
     knobs = {k: 10.0 ** draw(st.floats(*_BOX[k])) for k in names}
     if scheme == "BCOD":
         knobs["phi_l"] = draw(st.floats(-1.2, 1.2))
-    if theta_lo:
-        knobs["theta_lo"] = draw(st.floats(-math.pi, math.pi))
     return default_point(scheme, **knobs)
 
 

@@ -532,6 +532,20 @@ sweep:
 """
 
 
+# (recipe, section, key, value) where the value zeroes a divisor of the run:
+# N_atoms T2 mu34^2 in the noise budget, z0 alpha^2 in the noise weights and
+# the coupling Rabi coefficient in the coupling power optimum
+UNDERFLOWING_DIVISORS = [
+    (recipe, "atomic", "dephasing_time_us", 1e-300)
+    for recipe in ("power-scaling", "rate-vs-M", "rate-vs-parameter",
+                   "siso-optima", "sn-vs-ratio")
+] + [
+    (recipe, "detection", "quantum_efficiency", 1e-300)
+    for recipe in ("rate-vs-parameter", "siso-optima")
+] + [("siso-optima", "atomic", "dressing_dipole_cm", value)
+     for value in (0.0, 1e-300)]
+
+
 class TestRunRecipe:
     def test_artifact_set(self, tmp_path):
         cfg = load_config(write_config(tmp_path, SMALL_DETUNING))
@@ -771,6 +785,18 @@ class TestRunRecipe:
             err = capsys.readouterr().err
             assert err.startswith("error: asymptotic_rate: "), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("recipe, section, key, value", UNDERFLOWING_DIVISORS)
+    def test_underflowing_divisor_is_rejected(self, tmp_path, capsys, recipe,
+                                              section, key, value):
+        # the packaged config with a key whose value zeroes a divisor the
+        # run divides by: validation names the key
+        raw = yaml.safe_load(default_config_path(recipe).read_text())
+        raw.setdefault(section, {})[key] = value
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}.{key}: "), err
 
     @pytest.mark.parametrize("section, key", ZERO_READOUT_KEYS,
                              ids=[key for _, key in ZERO_READOUT_KEYS])
@@ -1151,6 +1177,19 @@ class TestRecipeSummaries:
             assert not entry["clamped"]
             assert entry["gap_db"] <= 0.5
         assert summary["local_beam_w"] > 0
+
+    def test_power_scaling_approaches_its_asymptote(self):
+        cfg = load_config(default_config_path("power-scaling"))
+        result = recipes.power_scaling(cfg, 1)
+        bounds = [row[1] for row in result.rows]
+        asym = result.summary["asymptotic_bpshz"]
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert all(bound < asym for bound in bounds)
+        assert result.summary["monotone"] is True
+        last_m, last_bound, _ = result.rows[-1]
+        assert result.summary["final_gap_rel"] == abs(last_bound - asym) / asym
+        assert last_m == 4096
+        assert result.summary["final_gap_rel"] == pytest.approx(0.00333, rel=1e-3)
 
     def test_siso_optima_closed_forms(self, tmp_path):
         import dataclasses

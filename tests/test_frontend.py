@@ -41,8 +41,8 @@ def numeric_p1(op, system):
 
 class TestProbeOutput:
     def test_transparent_cell(self, system):
-        p, phip = probe_output(3.0, 0.0 + 0.0j, system, phi0=0.7)
-        assert p == 3.0 and phip == 0.7
+        p, phip = probe_output(3.0, 0.0 + 0.0j, system)
+        assert p == 3.0 and phip == 0.0
 
     def test_half_amplitude_exponent(self, system):
         # (pi d / lambda) Im chi = ln 2  =>  field halves, power quarters
@@ -52,8 +52,8 @@ class TestProbeOutput:
 
     def test_phase_from_real_part(self, system):
         re = 0.3 * system.lambda_p / (math.pi * system.l_cell)
-        _, phip = probe_output(1.0, re + 0.0j, system, phi0=0.1)
-        assert phip == pytest.approx(0.4, rel=1e-12)
+        _, phip = probe_output(1.0, re + 0.0j, system)
+        assert phip == pytest.approx(0.3, rel=1e-12)
 
     def test_matches_p1_of_lo(self, system, diod):
         """Two independent code paths for the transmitted power."""
@@ -65,9 +65,9 @@ class TestProbeOutput:
 
     def test_arrays_match_scalars(self, system):
         chi = np.array([0.0, 1e-4 + 2e-3j, -3e-4 + 5e-2j])
-        p, phase = probe_output(0.04, chi, system, phi0=0.2)
+        p, phase = probe_output(0.04, chi, system)
         for k, c in enumerate(chi):
-            assert (p[k], phase[k]) == probe_output(0.04, complex(c), system, phi0=0.2)
+            assert (p[k], phase[k]) == probe_output(0.04, complex(c), system)
 
     def test_rejects_negative_power(self, system):
         with pytest.raises(ValueError, match="p0"):
@@ -191,20 +191,11 @@ class TestKappa:
 class TestGainTable:
     def test_diod_phase_identity(self, system, diod, chain):
         g = baseband_gains(diod, chain, system)
-        assert g.phi == g.phi_sn == 1.0 + 0.0j
+        assert g.phi == 1.0
         assert demod_phase(diod) == 0.0
 
-    def test_theta_lo_rotation(self, system, diod, chain):
-        g = baseband_gains(with_powers(diod), chain, system)
-        import dataclasses
-
-        rotated = dataclasses.replace(diod, theta_lo=0.5)
-        g2 = baseband_gains(rotated, chain, system)
-        assert g2.phi == pytest.approx(g.phi * np.exp(-0.5j))
-        assert abs(g2.phi_sn) == pytest.approx(1.0)
-
     def test_bcod_servo_locked_full_modulus(self, system, bcod, chain):
-        g = baseband_gains(bcod, chain, system)  # phi_l = phi0 = 0 default
+        g = baseband_gains(bcod, chain, system)  # phi_l = 0 default
         assert abs(g.phi) == pytest.approx(1.0)
         assert demod_phase(bcod) == 0.0
 
@@ -316,11 +307,11 @@ class TestNoiseBudget:
         assert chain.sigma_sq_sn == pytest.approx(2.0 * q * chain.bw, abs=0.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(op=box_points(theta_lo=True))
+    @given(op=box_points())
     def test_one_source_for_the_shot_coefficient(self, op):
         """sn_coeff is sigma_sn^2 rho_sn bit for bit, n_sn twice it, and
         N_QPN's |Phi|^2 the cos^2 of the demodulation phase, over the box
-        with the LO and local-beam phases drawn."""
+        with the local-beam phase drawn."""
         system, chain = defaults.cesium_system(), defaults.default_chain()
         gains = baseband_gains(op, chain, system)
         budget = noise_budget(op, chain, system, gains=gains)
@@ -369,7 +360,7 @@ _RANGE_CHECKED = {
     "DetectionChain": ("g", "alpha", "z0", "bw", "temperature", "i_sat",
                        "sigma_sq_sn"),
     "UserSignal": ("u_x", "f_c"),
-    "BasebandGains": ("rho", "rho_sn", "phi", "phi_sn", "p_cn_bar"),
+    "BasebandGains": ("rho", "rho_sn", "phi", "p_cn_bar"),
     "NoiseBudget": ("n_cn", "n_tn", "n_qpn", "sn_coeff"),
     "NoiseWeights": ("sig_shot", "dc_shot", "thermal", "projection"),
     "MimoScenario": ("n_sensors", "n_users", "beta", "p", "seed"),

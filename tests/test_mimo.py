@@ -129,18 +129,20 @@ def oracle_draws(scenario, chunk, n):
     return h, s, b, w
 
 
-def oracle(scenario, gains, budget, method, n):
+def oracle(scenario, gains, budget, method, n, phi_sn=1.0):
     """``n`` realizations of the model on chunk 0's ``oracle_draws``:
 
-        y = √ρ·Φ·H·√p·s + √sn_coeff·Φ_sn·b⊙(H·√p·s) + √n_sum·w,
+        y = √ρ·Φ·H·√p·s + √sn_coeff·b⊙(H·√p·s) + √n_sum·w,
 
     combined with c = a (MRC) or c = a(aᴴa)⁻¹ (ZF), a = Φ·H, and each
     user's statistic r = cᴴy split into desired signal (at the hardening
-    mean of the self-coupling cᴴa), leakage, interference, shot and AWGN."""
+    mean of the self-coupling cᴴa), leakage, interference, shot and AWGN.
+    ``phi_sn`` multiplies the shot term: 1 in the model, a unit-modulus
+    phase in the test that a common phase of Φ and Φ_sn is absorbed."""
     h, s, b, w = oracle_draws(scenario, 0, n)
     v = (h @ (np.sqrt(scenario.p) * s)[..., None])[..., 0]
     signal = math.sqrt(gains.rho) * gains.phi * v
-    shot = math.sqrt(budget.sn_coeff) * gains.phi_sn * b * v
+    shot = math.sqrt(budget.sn_coeff) * phi_sn * b * v
     noise = math.sqrt(budget.n_sum) * w
     y = signal + shot + noise
     a = gains.phi * h
@@ -259,7 +261,7 @@ class TestModel:
         pb_sum = float((sc.p * sc.beta).sum())
         expected = (
             gains.rho * abs(gains.phi) ** 2 * pb_sum
-            + budget.sn_coeff * abs(gains.phi_sn) ** 2 * pb_sum
+            + budget.sn_coeff * pb_sum
             + budget.n_sum
         )
         rx = oracle(sc, gains, budget, "MRC", 10_000)
@@ -331,6 +333,25 @@ class TestCombiner:
         for got, want in zip(stats(d[:, None] * h, w), stats(h, d.conj() * w)):
             assert _close(got, want)
 
+    @pytest.mark.parametrize("method", ["MRC", "ZF"])
+    def test_common_phase_of_the_gains_is_absorbed(self, gains, budget, method):
+        # one unit-modulus phase D on both demodulation gains, Φ and Φ_sn,
+        # cancels in cᴴa and in the shot term and leaves the AWGN statistic
+        # D*·cᴴw, of w's law and energy: the gain table keeps Φ real and no
+        # Φ_sn. Rotating Φ alone would turn the shot statistic by D*
+        sc = small_scenario()
+        d = cmath.exp(-1j * np.random.default_rng(9).uniform(-math.pi, math.pi))
+        rotated = SimpleNamespace(rho=gains.rho, phi=d * gains.phi)
+        got = oracle(sc, rotated, budget, method, 64, phi_sn=d)
+        want = oracle(sc, gains, budget, method, 64)
+        # ZF's leakage and interference are rounding errors of the signal's
+        signal = np.abs(want.ds).max()
+        for key in ("ds", "ls", "ui"):
+            assert np.all(np.abs(getattr(got, key) - getattr(want, key))
+                          <= 1e-12 * signal), key
+        assert _close(got.sn, want.sn)
+        assert _close(np.abs(got.n) ** 2, np.abs(want.n) ** 2)
+
     def test_zf_inverts(self):
         # combining the channel's own columns gives G⁻¹aᴴa, the identity,
         # beside the coupling that is the identity by construction
@@ -356,7 +377,7 @@ class TestCombiner:
         t, z = project(a[pick], method, cols[pick])
         c = np.conj(gains.phi) if method == "MRC" else 1.0 / gains.phi
         coupling = c * gains.phi * np.diagonal(t, axis1=-2, axis2=-1)
-        shot = c * math.sqrt(budget.sn_coeff) * gains.phi_sn * z[..., 0]
+        shot = c * math.sqrt(budget.sn_coeff) * z[..., 0]
         noise = c * math.sqrt(budget.n_sum) * z[..., 1]
         for got, want in ((coupling, det.coupling), (shot, det.sn), (noise, det.n)):
             assert got.shape == want[pick].shape
@@ -426,7 +447,7 @@ def published_mrc_sinr(sc, gains, budget):
     """The published closed-form MRC bound, written out term by term."""
     pb = sc.p * sc.beta
     phi2 = abs(gains.phi) ** 2
-    shot = budget.sn_coeff * abs(gains.phi_sn) ** 2
+    shot = budget.sn_coeff
     num = sc.n_sensors * gains.rho * phi2 * pb
     den = pb.sum() * (gains.rho * phi2 + shot) + shot * pb + budget.n_sum
     return _ratio(num, den)
@@ -437,7 +458,7 @@ def published_zf_sinr(sc, gains, budget):
     m, k = sc.n_sensors, sc.n_users
     pb = sc.p * sc.beta
     phi2 = abs(gains.phi) ** 2
-    shot = budget.sn_coeff * abs(gains.phi_sn) ** 2 / m
+    shot = budget.sn_coeff / m
     num = 4.0 * (m - k) * gains.rho * phi2 * pb
     den = shot * (pb * (m - k) + pb.sum() * (m - 1)) + budget.n_sum
     return _ratio(num, den)
@@ -445,13 +466,13 @@ def published_zf_sinr(sc, gains, budget):
 
 _MAG = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 _NONNEG = st.one_of(st.just(0.0), _MAG)
-_ANGLE = st.floats(-math.pi, math.pi)
+_SIGN = st.sampled_from([1.0, -1.0])
 
 
 @st.composite
 def bound_cases(draw, method):
-    """A physical gain table (|phi| <= 1, |phi_sn| = 1) and an array with
-    M > K; MRC also takes phi = 0 and silent users, which ZF refuses."""
+    """A physical gain table (real phi, |phi| <= 1) and an array with M > K;
+    MRC also takes phi = 0 and silent users, which ZF refuses."""
     m = draw(st.integers(2, 256))
     k = draw(st.integers(1, min(m - 1, 12)))
     fading = st.floats(-14.0, 0.0).map(lambda e: 10.0**e)
@@ -463,9 +484,7 @@ def bound_cases(draw, method):
         n_sensors=m, n_users=k,
         beta=draw(st.lists(fading, min_size=k, max_size=k)),
         p=draw(st.lists(power, min_size=k, max_size=k)))
-    gains = SimpleNamespace(
-        rho=draw(_NONNEG), phi=draw(magnitude) * cmath.exp(1j * draw(_ANGLE)),
-        phi_sn=cmath.exp(1j * draw(_ANGLE)))
+    gains = SimpleNamespace(rho=draw(_NONNEG), phi=draw(magnitude) * draw(_SIGN))
     budget = SimpleNamespace(sn_coeff=draw(_NONNEG), n_sum=draw(_NONNEG))
     return sc, gains, budget
 
@@ -519,7 +538,7 @@ class TestClosedFormBounds:
         # phi = 0 zeroes the effective channel, beta_k = 0 a column of it: the
         # engine and the closed form both refuse
         sc = small_scenario(n_realizations=256)
-        dark = dataclasses.replace(gains, phi=0j)
+        dark = dataclasses.replace(gains, phi=0.0)
         faded = small_scenario(n_realizations=256, beta=[1.0, 1.0, 1.0, 0.0])
         for call in (lambda: mimo.monte_carlo_rate(sc, dark, budget, "ZF"),
                      lambda: mimo.closed_form_moments(sc, dark, budget, "ZF"),
@@ -587,7 +606,7 @@ class TestClosedFormBounds:
         # exactly the RF baseline: the bound reads nothing else of the table
         sc = small_scenario()
         sigma = 4e-12
-        unit = dataclasses.replace(gains, rho=1.0, rho_sn=0.0, phi=1.0 + 0.0j)
+        unit = dataclasses.replace(gains, rho=1.0, rho_sn=0.0, phi=1.0)
         shot_free = dataclasses.replace(budget, n_cn=0.0, n_tn=2.0 * sigma,
                                         n_qpn=0.0, sn_coeff=0.0)
         rf = mimo.rf_gains(sigma)
@@ -756,7 +775,7 @@ class TestMonteCarlo:
         sc = defaults.default_scenario(100, 10, n_realizations=10_000, seed=7)
         res = mimo.monte_carlo_rate(sc, gains, budget, "ZF")
         printed = np.log2(1.0 + published_zf_sinr(sc, gains, budget))
-        assert mimo.bound_violation_alarm(res, printed)
+        assert mimo.bound_violation_alarm(dataclasses.replace(res, bound=printed))
 
     def test_noiseless_zf_is_capped(self, gains, budget):
         sc = small_scenario(n_realizations=200)
@@ -779,7 +798,7 @@ class TestMonteCarlo:
         moments: the sample mean and variance of the self-coupling in ds and
         ls, and the energies of ui, sn and n."""
         point = defaults.diod_point if scheme == "DIOD" else defaults.bcod_point
-        op = point(phi_l=0.7, theta_lo=-0.4)
+        op = point(phi_l=0.7)
         system, chain = defaults.cesium_system(), defaults.default_chain()
         gains = baseband_gains(op, chain, system)
         budget = noise_budget(op, chain, system, gains=gains)
@@ -794,7 +813,7 @@ class TestMonteCarlo:
             "sn": (np.abs(det.sn) ** 2).mean(axis=0),
             "n": (np.abs(det.n) ** 2).mean(axis=0),
         }
-        assert gains.phi.imag != 0.0 and engine["sn"].min() > 0.0
+        assert engine["sn"].min() > 0.0
         for key, got in engine.items():
             # ZF's coupling is exactly the identity in the engine, so its ls
             # and ui are 0; the oracle's solve leaves them a rounding error
@@ -948,20 +967,15 @@ class TestChunkWorkspace:
 
 @st.composite
 def gain_tables(draw):
-    # the engine reads five numbers from a gain table and its budget, so
-    # the draws cover the whole complex plane for phi and phi_sn, not only
-    # the box BasebandGains enforces for physical chains (|phi| <= 1,
-    # |phi_sn| = 1)
-    gains = SimpleNamespace(
-        rho=draw(_NONNEG),
-        phi=draw(_MAG) * cmath.exp(1j * draw(_ANGLE)),
-        phi_sn=draw(_NONNEG) * cmath.exp(1j * draw(_ANGLE)),
-    )
+    # the engine reads four numbers from a gain table and its budget, so
+    # the draws cover the whole real line for phi, not only the box
+    # BasebandGains enforces for physical chains (|phi| <= 1)
+    gains = SimpleNamespace(rho=draw(_NONNEG), phi=draw(_MAG) * draw(_SIGN))
     budget = SimpleNamespace(sn_coeff=draw(_NONNEG), n_sum=draw(_NONNEG))
     return gains, budget
 
 
-UNIT_TABLE = (SimpleNamespace(rho=1.0, phi=1.0 + 0j, phi_sn=1.0 + 0j),
+UNIT_TABLE = (SimpleNamespace(rho=1.0, phi=1.0),
               SimpleNamespace(sn_coeff=1.0, n_sum=1.0))
 # two chunks, so the batch-means standard error is exercised too
 TABLE_SCENARIO = defaults.default_scenario(8, 2, n_realizations=300, seed=11,
@@ -1012,7 +1026,7 @@ class TestGainTables:
         ref = mimo.monte_carlo_terms(TABLE_SCENARIO, *UNIT_TABLE, method)
         got = mimo.monte_carlo_terms(TABLE_SCENARIO, gains, budget, method)
         phi2 = abs(gains.phi) ** 2
-        shot = budget.sn_coeff * abs(gains.phi_sn) ** 2
+        shot = budget.sn_coeff
         if method == "MRC":
             signal = gains.rho * phi2**2
             scale = {"ds": signal, "ls": signal, "ui": signal,
@@ -1032,7 +1046,7 @@ class TestGainTables:
     def test_zero_signal_table_has_zero_rate(self, method):
         # no desired signal and a zero denominator: SINR 0, not inf or NaN,
         # on the sampled and the closed-form path alike
-        gains = SimpleNamespace(rho=0.0, phi=1.0 + 0j, phi_sn=1.0 + 0j)
+        gains = SimpleNamespace(rho=0.0, phi=1.0)
         budget = SimpleNamespace(sn_coeff=0.0, n_sum=0.0)
         res = mimo.monte_carlo_rate(TABLE_SCENARIO, gains, budget, method)
         assert not res.capped

@@ -351,7 +351,7 @@ def _reference_waveform(op, chain, user, system, n, sample_rate, seed, rho_solve
     u_lo = rf_field_amplitude(op.p_lo, op.a_e)
     u_x = user.u_x
     t = np.arange(n) / sample_rate
-    beta = 2.0 * math.pi * f_delta * t + (user.theta_x - op.theta_lo)
+    beta = 2.0 * math.pi * f_delta * t + user.theta_x
     cos_b = np.cos(beta)
     u_z = np.sqrt(u_lo**2 + 2.0 * u_lo * u_x * cos_b + u_x**2)
     omega_rf = system.mu34 * u_z / hbar
@@ -370,7 +370,7 @@ def _reference_waveform(op, chain, user, system, n, sample_rate, seed, rho_solve
         r21 = steady_state_numeric(system, solved).rho21
     chi = -2.0 * system.n0 * system.mu12**2 / (epsilon_0 * hbar * omega_p) * r21
     arg = math.pi * system.l_cell / system.lambda_p
-    p1_t, phase_t = op.p0 * np.exp(-2.0 * arg * chi.imag), op.phi0 + arg * chi.real
+    p1_t, phase_t = op.p0 * np.exp(-2.0 * arg * chi.imag), arg * chi.real
 
     def current(p1, phase):
         if op.scheme == "DIOD":
@@ -380,7 +380,7 @@ def _reference_waveform(op, chain, user, system, n, sample_rate, seed, rho_solve
     i_exact = current(p1_t, phase_t)
     p1_lo = p1_of_lo(op, system)
     (_, _, p_cn_lo), _, (e_g, _, _) = scheme_powers(op, p1_lo)
-    i_dc = current(p1_lo, op.phi0)
+    i_dc = current(p1_lo, 0.0)
     i_approx = i_dc * (1.0 - e_g * SmallSignal(op, system).kappa * u_x * cos_b)
     i_env = chain.alpha * scheme_powers(op, p1_t)[0][2]
 
@@ -431,7 +431,7 @@ class TestReferenceEquality:
         scheme=st.sampled_from(["DIOD", "BCOD"]),
         rho_solver=st.sampled_from(["closed-form", "liouvillian"]),
         parity=st.sampled_from([0, 1]),
-        phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+        phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 2),
         data=st.data(),
     )
     def test_equals_the_expression_chain(self, system, chain, seed, ratio_db, scheme,
@@ -439,10 +439,10 @@ class TestReferenceEquality:
         # n from 144 up: 8 beat periods for demodulation plus one settled one
         top = 999 if rho_solver == "liouvillian" else 20_000
         n = 2 * data.draw(st.integers(72, top), label="n // 2") + parity
-        theta_x, phi0, phi_l = phases
+        theta_x, phi_l = phases
         op = dataclasses.replace(
             defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point(),
-            phi0=phi0, phi_l=phi_l)
+            phi_l=phi_l)
         user = defaults.weak_user(ratio_db, op, theta_x=theta_x)
         self._check(op, chain, user, system, n, seed, rho_solver)
 
@@ -522,9 +522,9 @@ class TestAllocation:
         assert peak <= 4.5 * 8 * self.N
 
     def test_caches_retain_one_cosine_and_one_sine(self, system, chain, bcod):
-        # with the user and LO phases equal the simulator and the
-        # demodulator share one cosine; the taps add a few kilobytes. A
-        # short chain first imports what the chain imports lazily.
+        # with user phase 0 the simulator and the demodulator share one
+        # cosine; the taps add a few kilobytes. A short chain first imports
+        # what the chain imports lazily.
         user = defaults.weak_user(20.0, bcod)
         _demod_chain(bcod, chain, user, system, 1000, FS, seed=1)
         _clear_caches()
@@ -567,7 +567,7 @@ def _assert_same(got, want):
 @st.composite
 def chain_specs(draw):
     """(op, user, n, sample_rate, seed) over both schemes, beats of either
-    sign, 16-40 samples per beat period and user phases off the LO's."""
+    sign, 16-40 samples per beat period and user phases off 0."""
     scheme = draw(st.sampled_from(["DIOD", "BCOD"]))
     op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
     f_delta = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2e4, 2e5))
@@ -693,16 +693,14 @@ class TestEndToEnd:
             z = demodulate_iq(
                 down_convert(wf.v_exact, wf.v_dc), wf.f_delta, wf.sample_rate
             )
-            recovered = (
-                np.angle(baseband_estimate(z, wf.f_delta, wf.sample_rate))
-                + diod.theta_lo
-            ) % (2.0 * math.pi)
+            recovered = np.angle(
+                baseband_estimate(z, wf.f_delta, wf.sample_rate)) % (2.0 * math.pi)
             err = abs(recovered - theta)
             assert min(err, 2.0 * math.pi - err) <= math.radians(1.0)
 
     def test_balanced_projection_follows_local_phase(self, system, bcod, quiet):
         """Tilting the local-beam phase scales the recovered amplitude by
-        cos(phi_l - phi0)."""
+        cos(phi_l)."""
         user = defaults.weak_user(25.0, bcod)
 
         def amp(op):
