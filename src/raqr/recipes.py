@@ -1,5 +1,8 @@
 """Named experiments: each recipe turns a validated config into one
-figure-analogue (tidy CSV, manifest, JSON summary).
+figure-analogue (tidy CSV, manifest, JSON summary). A recipe plans, then
+executes: ``RECIPES[name](config)`` computes everything closed-form and
+returns ``execute(threads)``, which does the Monte-Carlo draws,
+steady-state solves and waveform simulation and builds the result.
 
 Artifacts are byte-reproducible for identical (config, seed): all
 randomness flows from the config seed through counter-based generators,
@@ -111,11 +114,12 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     return paths
 
 
-def check_recipe(config: ExperimentConfig) -> None:
+def check_recipe(config: ExperimentConfig):
     """Raise ValidationError unless ``config.recipe`` is a recipe that sweeps
     ``config.sweep.variable`` over values it can run at the configured
-    operating point and user power; ``raqr validate`` and ``run_recipe``
-    each call this once.
+    operating point and its plan builds; return the plan's
+    ``execute(threads)``. ``raqr validate`` and ``run_recipe`` each call
+    this once.
 
     Every sweep value must be finite, and so must a detuning once converted
     to rad/s: a linear span of two finite ends can still overflow. A sensor
@@ -123,27 +127,21 @@ def check_recipe(config: ExperimentConfig) -> None:
     ``rate-vs-M`` (zero forcing) above ``n_users``, and at most
     ``config.MAX_SENSORS``. A ratio sweep scales the LO field by
     10 ** (-ratio / 20) into the user field, a factor that must be finite
-    and nonzero; ``sn-vs-ratio`` divides by the closed-form shot variance
-    4 P_user sn_coeff at each of its two points, which must be finite and
-    nonzero too; where it fails at every end of the sweep, or a point's
-    budget is out of range, the error names sn_coeff rather than an end.
-    The sweep is monotone, so its ends bound every count, factor and
-    variance. The LO drives the RF transition and
-    the probe beam carries the readout; without either the reception gain
-    and the transduction slope vanish, so the LO and probe powers must be
-    positive wherever the recipe reads them: everywhere but
+    and nonzero. The sweep is monotone, so its ends bound every count and
+    factor. The LO drives the RF transition and the probe beam carries the
+    readout; without either the reception gain and the transduction slope
+    vanish, so the LO and probe powers must be positive wherever the
+    recipe reads them: everywhere but
     ``sn-vs-ratio``, which builds its own operating points, and a sweep of
     that power by ``rate-vs-parameter``, which sets it. Balanced detection
     has no gain without its local beam, so there the local beam power must
     be positive too, except for ``sn-vs-ratio`` and ``detuning-loss``,
-    which never read the configured point's gains. ``power-scaling``
-    reports its bound relative to the asymptotic rate, which is 0 without
-    user power, so there ``transmit_power`` must be positive, and so must
-    the configured point's asymptotic rate, finite too; a point whose
-    asymptote cannot be formed fails its run instead. ``siso-optima``
+    which never read the configured point's gains. ``siso-optima``
     minimizes a thermal-only objective, which is 0 everywhere at T = 0, so
     there the temperature must be positive. No divisor a recipe reads may
     be 0; each is formed with ``*``, as ``**`` would raise on overflow.
+    A plan names a key where it can (see each recipe); any other exception
+    while planning is a ValidationError on ``recipe``.
     """
     name, sweep, op = config.recipe, config.sweep, config.op
     if name is None:
@@ -172,32 +170,6 @@ def check_recipe(config: ExperimentConfig) -> None:
             if not 0.0 < factor < math.inf:
                 raise ValidationError(key, f"a ratio of {value:g} dB scales the "
                                       f"user field by {factor:g}")
-    if name == "sn-vs-ratio":
-        try:
-            points = _ratio_points(config)
-        except ArithmeticError:
-            points = []  # a point without a budget fails its run, not its sweep
-        for point, budget in points:
-            failed = []
-            for key, value in ends:
-                try:
-                    closed = _closed_sn(config, value, point, budget)[1]
-                except OverflowError:  # the user field squared
-                    closed = math.inf
-                if not 0.0 < closed < math.inf:
-                    failed.append((key, value, closed))
-            if len(failed) == len(ends):  # no ratio of the sweep can run
-                raise ValidationError(
-                    "sn_coeff", f"the {point.scheme} point's closed-form shot "
-                    f"variance is {' and '.join(f'{c:g}' for _, _, c in failed)} V^2 "
-                    f"at {' and '.join(f'{v:g}' for _, v, _ in failed)} dB (sn_coeff "
-                    f"{budget.sn_coeff:g}), so no ratio of the sweep can run")
-            if failed:
-                key, value, closed = failed[0]
-                raise ValidationError(
-                    key, f"at a ratio of {value:g} dB the {point.scheme} point's "
-                    f"closed-form shot variance is {closed:g} V^2 (sn_coeff "
-                    f"{budget.sn_coeff:g})")
     if RECIPE_SWEEPS[name] == ("n_sensors",):
         least = config.n_users + 1 if name == "rate-vs-M" else 1
         for key, value in ends:
@@ -237,37 +209,25 @@ def check_recipe(config: ExperimentConfig) -> None:
              "the coupling Rabi coefficient", mu23 * mu23 * 8.0 * LN2)):
         if reads and divisor == 0.0:
             raise ValidationError(key, f"{what} is 0, and recipe {name} divides by it")
-    if config.transmit_power <= 0.0 and name == "power-scaling":
-        raise ValidationError("array.transmit_power",
-                              f"must be > 0 for recipe {name}, which divides "
-                              "by the asymptotic rate")
-    if name == "power-scaling":
-        try:  # as power_scaling forms it
-            asym = mimo.asymptotic_rate(
-                *_gains_budget(config),
-                mimo.large_scale_fading(config.region_center_m, config.f_carrier),
-                energy=config.transmit_power)
-        except (ArithmeticError, ValueError):
-            pass  # a point without an asymptote fails its run
-        else:
-            if not 0.0 < asym < math.inf:
-                raise ValidationError(
-                    "asymptotic_rate", f"the configured point's asymptotic "
-                    f"rate is {asym:g} bps/Hz; recipe {name} divides by it")
+    try:
+        return RECIPES[name](config)
+    except ValidationError:
+        raise
+    except Exception as exc:
+        raise ValidationError("recipe", f"{name} cannot plan this config: "
+                              f"{type(exc).__name__}: {exc}") from exc
 
 
 def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
-    name = config.recipe
-    check_recipe(config)
+    """Check ``config`` and build its plan, execute it once and write its
+    artifacts; returns {kind: path}. A failure past the plan is a RecipeError."""
+    execute = check_recipe(config)
     try:
-        result = RECIPES[name](config, threads)
         # a NaN or infinity in the JSON artifacts fails the run here
-        return emit_plotdata(result, config.output_dir, fingerprint(config),
-                             seed=config.seed)
-    except (ValidationError, RecipeError):
-        raise
+        return emit_plotdata(execute(threads), config.output_dir,
+                             fingerprint(config), seed=config.seed)
     except Exception as exc:
-        raise RecipeError(name, exc) from exc
+        raise RecipeError(config.recipe, exc) from exc
 
 
 def list_recipes() -> list[str]:
@@ -319,78 +279,53 @@ def _mean_se(se: np.ndarray) -> float:
 # recipes
 
 
-def waveform_overlay(cfg: ExperimentConfig, threads: int) -> RecipeResult:
+def waveform_overlay(cfg: ExperimentConfig):
     """Exact vs linearized detector waveforms at a few LO-to-user ratios,
-    noise generators off so the deviation column is pure model error."""
+    noise generators off so the deviation column is pure model error. The
+    plan holds only constants: the waveform simulation is execution."""
     quiet = dataclasses.replace(cfg.chain, sigma_sq_sn=0.0)
     fs = MIN_SAMPLES_PER_BEAT * cfg.f_delta
     duration = 150.0 / cfg.f_delta  # 150 beat periods
-    rows, series, per_ratio = [], [], {}
-    for ratio in cfg.sweep.values():
-        user = defaults.weak_user(float(ratio), cfg.op, f_delta=cfg.f_delta)
-        with warnings.catch_warnings():
-            # sweeping through weak ratios is this figure's purpose
-            warnings.simplefilter("ignore", WeakLO)
-            wf = simulate_waveform(cfg.op, quiet, user, cfg.system,
-                                   duration, fs, seed=cfg.seed)
-        label = f"ratio_{float(ratio):.12g}db"
-        dev = float(
-            np.linalg.norm(wf.v_exact - wf.v_approx) / np.linalg.norm(wf.v_exact)
+
+    def execute(threads: int) -> RecipeResult:
+        rows, series, per_ratio = [], [], {}
+        for ratio in cfg.sweep.values():
+            user = defaults.weak_user(float(ratio), cfg.op, f_delta=cfg.f_delta)
+            with warnings.catch_warnings():
+                # sweeping through weak ratios is this figure's purpose
+                warnings.simplefilter("ignore", WeakLO)
+                wf = simulate_waveform(cfg.op, quiet, user, cfg.system,
+                                       duration, fs, seed=cfg.seed)
+            label = f"ratio_{float(ratio):.12g}db"
+            dev = float(
+                np.linalg.norm(wf.v_exact - wf.v_approx) / np.linalg.norm(wf.v_exact)
+            )
+            per_ratio[label] = dev
+            series.append({"label": label, "filter": {"series": label}})
+            rows.extend((label, t, ve, va, va - ve) for t, ve, va in zip(
+                wf.t.tolist(), wf.v_exact.tolist(), wf.v_approx.tolist()))
+        return RecipeResult(
+            name="waveform-overlay",
+            columns=["series", "time_s", "exact_v", "approx_v", "deviation_v"],
+            rows=rows,
+            axes={"x": {"label": "time", "unit": "s"},
+                  "y": {"label": "detector output", "unit": "V"}},
+            series=series,
+            summary={"rms_deviation": per_ratio},
         )
-        per_ratio[label] = dev
-        series.append({"label": label, "filter": {"series": label}})
-        for t, ve, va in zip(wf.t.tolist(), wf.v_exact.tolist(), wf.v_approx.tolist()):
-            rows.append((label, t, ve, va, va - ve))
-    return RecipeResult(
-        name="waveform-overlay",
-        columns=["series", "time_s", "exact_v", "approx_v", "deviation_v"],
-        rows=rows,
-        axes={"x": {"label": "time", "unit": "s"},
-              "y": {"label": "detector output", "unit": "V"}},
-        series=series,
-        summary={"rms_deviation": per_ratio},
-    )
+    return execute
 
 
-def sn_vs_ratio(cfg: ExperimentConfig, threads: int) -> RecipeResult:
+def sn_vs_ratio(cfg: ExperimentConfig):
     """Sampled variance of the signal-dependent shot component against its
-    closed form, swept over the LO-to-user ratio for both detector schemes."""
-    fs = MIN_SAMPLES_PER_BEAT * cfg.f_delta
-    n_samples = 40_000
-    rows, series = [], []
-    worst, worst_strong = 0.0, 0.0
-    for offset, (op, budget) in zip((0, 1000), _ratio_points(cfg)):
-        label = op.scheme.lower()
-        series.append({"label": label, "filter": {"series": label}})
-        for i, ratio in enumerate(cfg.sweep.values()):
-            user, closed = _closed_sn(cfg, float(ratio), op, budget)
-            wf = simulate_waveform(op, cfg.chain, user, cfg.system,
-                                   n_samples / fs, fs,
-                                   seed=cfg.seed + offset + i)
-            measured = float(np.var(wf.sn) * (2.0 * cfg.chain.bw / fs))
-            del wf  # the next point's simulation need not hold these arrays
-            dev = abs(measured - closed) / closed
-            worst = max(worst, dev)
-            if ratio >= 20.0:
-                worst_strong = max(worst_strong, dev)
-            rows.append((label, float(ratio), measured, closed))
-    return RecipeResult(
-        name="sn-vs-ratio",
-        columns=["series", "ratio_db", "mc_variance_v2", "closed_form_v2"],
-        rows=rows,
-        axes={"x": {"label": "LO-to-user field ratio", "unit": "dB"},
-              "y": {"label": "in-band shot variance", "unit": "V^2"}},
-        series=series,
-        summary={"max_rel_deviation": worst,
-                 "max_rel_deviation_20db_up": worst_strong,
-                 "samples_per_point": n_samples},
-    )
+    closed form, swept over the LO-to-user ratio for both detector schemes.
 
-
-def _ratio_points(cfg: ExperimentConfig) -> list:
-    """sn-vs-ratio's direct and balanced operating points at the configured
-    beam geometry, each with its noise budget; a budget out of range (NaN
-    at an extreme config) raises ValidationError on sn_coeff."""
+    The plan holds both schemes' points at the configured beam geometry,
+    their noise budgets, and per ratio the user and the closed-form
+    variance 4 P_user sn_coeff (the budget's own coefficient), which the
+    run divides by. Where that is 0 or not finite at an end of the
+    monotone sweep, the error names the end, or sn_coeff where it fails
+    at every end or a budget is out of range."""
     geometry = {k: getattr(cfg.op, k) for k in ("f_lo", "a_e", "fwhm_p", "fwhm_c")}
     points = []
     for op in (defaults.diod_point(**geometry), defaults.bcod_point(**geometry)):
@@ -399,21 +334,66 @@ def _ratio_points(cfg: ExperimentConfig) -> list:
         except ValueError as exc:
             raise ValidationError("sn_coeff", f"the {op.scheme} point's noise "
                                   f"budget is out of range ({exc})") from exc
-    return points
+    ratios = [float(r) for r in cfg.sweep.values()]
+    ends = (("sweep.start", 0), ("sweep.stop", len(ratios) - 1))[:len(ratios)]
+    plans = []
+    for op, budget in points:
+        users, closed = [], []
+        for ratio in ratios:
+            users.append(defaults.weak_user(ratio, op, f_delta=cfg.f_delta))
+            try:
+                closed.append(4.0 * users[-1].power(op.a_e) * budget.sn_coeff)
+            except OverflowError:  # the user field squared
+                closed.append(math.inf)
+        failed = [(key, i) for key, i in ends if not 0.0 < closed[i] < math.inf]
+        if failed:
+            every = len(failed) == len(ends)  # then no ratio of the sweep can run
+            key, i = failed[0]
+            raise ValidationError("sn_coeff" if every else key, (
+                f"the {op.scheme} point's closed-form shot variance is "
+                f"{closed[i]:g} V^2 at {ratios[i]:g} dB (sn_coeff "
+                f"{budget.sn_coeff:g})" + (" and at every end" if every else "")))
+        plans.append((op, users, closed))
+    fs = MIN_SAMPLES_PER_BEAT * cfg.f_delta
+    n_samples = 40_000
+
+    def execute(threads: int) -> RecipeResult:
+        rows, series = [], []
+        worst, worst_strong = 0.0, 0.0
+        for offset, (op, users, closed) in zip((0, 1000), plans):
+            label = op.scheme.lower()
+            if ratios:
+                series.append({"label": label, "filter": {"series": label}})
+            for i, (ratio, user, var) in enumerate(zip(ratios, users, closed)):
+                wf = simulate_waveform(op, cfg.chain, user, cfg.system, n_samples / fs,
+                                       fs, seed=cfg.seed + offset + i)
+                measured = float(np.var(wf.sn) * (2.0 * cfg.chain.bw / fs))
+                del wf  # the next point's simulation need not hold these arrays
+                dev = abs(measured - var) / var
+                worst = max(worst, dev)
+                if ratio >= 20.0:
+                    worst_strong = max(worst_strong, dev)
+                rows.append((label, ratio, measured, var))
+        return RecipeResult(
+            name="sn-vs-ratio",
+            columns=["series", "ratio_db", "mc_variance_v2", "closed_form_v2"],
+            rows=rows,
+            axes={"x": {"label": "LO-to-user field ratio", "unit": "dB"},
+                  "y": {"label": "in-band shot variance", "unit": "V^2"}},
+            series=series,
+            summary={"max_rel_deviation": worst,
+                     "max_rel_deviation_20db_up": worst_strong,
+                     "samples_per_point": n_samples},
+        )
+    return execute
 
 
-def _closed_sn(cfg: ExperimentConfig, ratio: float, op, budget):
-    """The user ``ratio`` dB below the LO field, and the closed-form variance
-    4 P_user sn_coeff of its in-band shot component: the budget's own
-    coefficient, not a copy of its formula."""
-    user = defaults.weak_user(ratio, op, f_delta=cfg.f_delta)
-    return user, 4.0 * user.power(op.a_e) * budget.sn_coeff
-
-
-def siso_optima(cfg: ExperimentConfig, threads: int) -> RecipeResult:
+def siso_optima(cfg: ExperimentConfig):
     """Single-cell objective sweeps over the coupling and LO powers in the
     dc-shot and thermal regimes, each annotated with its stationary-point
-    closed form and checked against the swept grid."""
+    closed form and checked against the swept grid. The plan holds the four
+    grids with W at each point, their stationary points with W at each, and
+    the local beam optimum; the run compares each grid with its optimum."""
     wts = NoiseWeights.from_chain(cfg.chain, cfg.system)
     regimes = {
         "dc_shot": NoiseWeights(0.0, wts.dc_shot, 0.0, 0.0),
@@ -423,23 +403,25 @@ def siso_optima(cfg: ExperimentConfig, threads: int) -> RecipeResult:
         "coupling_power_w": np.geomspace(1e-3, 1.0, 121),
         "lo_power_w": np.geomspace(1e-8, 1e-3, 121),
     }
-    rows, series, annotations, summary = [], [], [], {}
+    grids = []
     for sweep_name, grid in sweeps.items():
         attr = _SWEEP_TO_POWER[sweep_name]
         for regime, weights in regimes.items():
-            label = f"{sweep_name}:{regime}"
-            series.append({"label": label, "filter": {"series": label}})
-            values = np.array([
-                normalized_noise(with_powers(cfg.op, **{attr: float(x)}),
-                                 weights, cfg.system)
-                for x in grid
-            ])
-            for x, w in zip(grid, values):
-                rows.append((label, float(x), float(w)))
+            values = np.array([normalized_noise(
+                with_powers(cfg.op, **{attr: float(x)}), weights, cfg.system)
+                for x in grid])
             star = optimal_power(cfg.op, cfg.system, attr, regime)
             w_star = normalized_noise(
-                with_powers(cfg.op, **{attr: float(star)}), weights, cfg.system
-            )
+                with_powers(cfg.op, **{attr: float(star)}), weights, cfg.system)
+            grids.append((f"{sweep_name}:{regime}", grid, values, star, w_star))
+    pl = (optimal_pl(cfg.chain, p1_of_lo(cfg.op, cfg.system), pl_max=math.inf)
+          if cfg.op.scheme == "BCOD" else None)
+
+    def execute(threads: int) -> RecipeResult:
+        rows, series, annotations, summary = [], [], [], {}
+        for label, grid, values, star, w_star in grids:
+            series.append({"label": label, "filter": {"series": label}})
+            rows.extend((label, float(x), float(w)) for x, w in zip(grid, values))
             idx = int(np.argmin(values))
             if values[idx] == math.inf:
                 raise OpaqueGrid(f"series {label}: the normalized noise is "
@@ -453,28 +435,27 @@ def siso_optima(cfg: ExperimentConfig, threads: int) -> RecipeResult:
                 "grid_w": float(grid[idx]),
                 "gap_db": gap_db,
             }
-    if cfg.op.scheme == "BCOD":
-        pl = optimal_pl(cfg.chain, p1_of_lo(cfg.op, cfg.system),
-                        pl_max=math.inf)
-        summary["local_beam_w"] = float(pl)
-        annotations.append({"kind": "optimum", "series": "local_beam",
-                            "power_w": float(pl)})
-    return RecipeResult(
-        name="siso-optima",
-        columns=["series", "power_w", "objective"],
-        rows=rows,
-        axes={"x": {"label": "swept power", "unit": "W"},
-              "y": {"label": "normalized noise", "unit": "W"}},
-        series=series,
-        summary=summary,
-        annotations=annotations,
-    )
+        if pl is not None:
+            summary["local_beam_w"] = float(pl)
+            annotations.append({"kind": "optimum", "series": "local_beam",
+                                "power_w": float(pl)})
+        return RecipeResult(
+            name="siso-optima",
+            columns=["series", "power_w", "objective"],
+            rows=rows,
+            axes={"x": {"label": "swept power", "unit": "W"},
+                  "y": {"label": "normalized noise", "unit": "W"}},
+            series=series,
+            summary=summary,
+            annotations=annotations,
+        )
+    return execute
 
 
-def detuning_loss(cfg: ExperimentConfig, threads: int) -> RecipeResult:
+def detuning_loss(cfg: ExperimentConfig):
     """Numeric steady-state response versus RF detuning, normalized to the
     on-resonance coherence magnitude. Qualitative: peak location, symmetry,
-    and half width."""
+    and half width. The plan holds the drive stack, the run its solve."""
     detunings = cfg.sweep.values() * 1e3  # kHz -> Hz
     # with delta_p = delta_c = 0 the state at -delta_rf is U rho* U,
     # U = diag(1, -1, 1, -1), of the one at +delta_rf, so |rho21| is even:
@@ -483,76 +464,90 @@ def detuning_loss(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     distinct, inverse = np.unique(
         np.abs(np.append(0.0, 2.0 * math.pi * detunings)), return_inverse=True)
     drive = defaults.drive_for(cfg.op, cfg.system, delta_rf=distinct)
-    mag = np.abs(steady_state_numeric(cfg.system, drive).rho21)[inverse]
-    response = mag[1:] / mag[0]
-    rows = list(zip(detunings.tolist(), response.tolist()))
-    summary = {}
-    if len(response):
-        peak = int(np.argmax(response))
-        summary["peak_detuning_hz"] = float(detunings[peak])
-        summary["peak_response"] = float(response[peak])
-        below = response <= 0.5
-        summary["half_width_hz"] = (
-            float(np.ptp(detunings[~below])) / 2.0 if (~below).any() else 0.0
+
+    def execute(threads: int) -> RecipeResult:
+        mag = np.abs(steady_state_numeric(cfg.system, drive).rho21)[inverse]
+        response = mag[1:] / mag[0]
+        rows = list(zip(detunings.tolist(), response.tolist()))
+        summary = {}
+        if len(response):
+            peak = int(np.argmax(response))
+            summary["peak_detuning_hz"] = float(detunings[peak])
+            summary["peak_response"] = float(response[peak])
+            below = response <= 0.5
+            summary["half_width_hz"] = (
+                float(np.ptp(detunings[~below])) / 2.0 if (~below).any() else 0.0)
+        return RecipeResult(
+            name="detuning-loss",
+            columns=["detuning_hz", "response_norm"],
+            rows=rows,
+            axes={"x": {"label": "RF detuning", "unit": "Hz"},
+                  "y": {"label": "normalized coherence", "unit": "1"}},
+            series=[{"label": "numeric", "filter": {}}] if rows else [],
+            summary=summary,
         )
-    return RecipeResult(
-        name="detuning-loss",
-        columns=["detuning_hz", "response_norm"],
-        rows=rows,
-        axes={"x": {"label": "RF detuning", "unit": "Hz"},
-              "y": {"label": "normalized coherence", "unit": "1"}},
-        series=[{"label": "numeric", "filter": {}}] if rows else [],
-        summary=summary,
-    )
+    return execute
 
 
-def rate_vs_m(cfg: ExperimentConfig, threads: int) -> RecipeResult:
+def rate_vs_m(cfg: ExperimentConfig):
     """Monte-Carlo per-user rate and its lower bound against the sensor
-    count, for both combiners, with the conventional-array baseline."""
+    count, for both combiners, with the conventional-array baseline. The
+    plan holds everything but the Monte-Carlo draws: the users' fading,
+    the gain table and budget, the scenarios and the baseline bounds."""
     beta = place_users(cfg)
     gains, budget = _gains_budget(cfg)
     sizes = [int(round(m)) for m in cfg.sweep.values()]
-    rows, series = [], []
-    mc_minus_bound, within_3se = [], True
-    for method in ("MRC", "ZF"):
-        label = method.lower()
-        if sizes:
-            series.append({"label": label, "filter": {"series": label}})
-        for m in sizes:
-            sc = _scenario(cfg, m, beta)
-            res = mimo.monte_carlo_rate(sc, gains, budget, method,
-                                        threads=threads)
-            base = mimo.sinr_lb(sc, *mimo.rf_gains(cfg.rf_noise_w), method)
-            mc = float(res.rate.mean())
-            se = _mean_se(res.standard_error)
-            bound = float(res.bound.mean())
-            mc_minus_bound.append(mc - bound)
-            within_3se = within_3se and not mimo.bound_violation_alarm(res)
-            rows.append((label, m, mc, se, bound, float(base.rate.mean())))
-    return RecipeResult(
-        name="rate-vs-M",
-        columns=["series", "n_sensors", "mc_rate_bpshz", "mc_se_bpshz",
-                 "bound_bpshz", "baseline_bound_bpshz"],
-        rows=rows,
-        axes={"x": {"label": "sensors", "unit": "1"},
-              "y": {"label": "per-user rate", "unit": "bps/Hz"}},
-        series=series,
-        summary={
-            "mc_minus_bound_min": (min(mc_minus_bound) if mc_minus_bound
-                                   else None),
-            "bound_within_3se": within_3se,
-            "realizations": cfg.realizations,
-        },
-    )
+    scenarios = [_scenario(cfg, m, beta) for m in sizes]
+    rf = mimo.rf_gains(cfg.rf_noise_w)
+    baselines = {method: [float(mimo.sinr_lb(sc, *rf, method).rate.mean())
+                          for sc in scenarios]
+                 for method in ("MRC", "ZF")}
+
+    def execute(threads: int) -> RecipeResult:
+        rows, series = [], []
+        mc_minus_bound, within_3se = [], True
+        for method, bases in baselines.items():
+            label = method.lower()
+            if sizes:
+                series.append({"label": label, "filter": {"series": label}})
+            for m, sc, base in zip(sizes, scenarios, bases):
+                res = mimo.monte_carlo_rate(sc, gains, budget, method,
+                                            threads=threads)
+                mc = float(res.rate.mean())
+                se = _mean_se(res.standard_error)
+                bound = float(res.bound.mean())
+                mc_minus_bound.append(mc - bound)
+                within_3se = within_3se and not mimo.bound_violation_alarm(res)
+                rows.append((label, m, mc, se, bound, base))
+        return RecipeResult(
+            name="rate-vs-M",
+            columns=["series", "n_sensors", "mc_rate_bpshz", "mc_se_bpshz",
+                     "bound_bpshz", "baseline_bound_bpshz"],
+            rows=rows,
+            axes={"x": {"label": "sensors", "unit": "1"},
+                  "y": {"label": "per-user rate", "unit": "bps/Hz"}},
+            series=series,
+            summary={"mc_minus_bound_min": min(mc_minus_bound, default=None),
+                     "bound_within_3se": within_3se,
+                     "realizations": cfg.realizations},
+        )
+    return execute
 
 
-def power_scaling(cfg: ExperimentConfig, threads: int) -> RecipeResult:
+def power_scaling(cfg: ExperimentConfig):
     """Closed-form rate bound when the per-user power is cut as 1/M, against
-    the saturating large-array value."""
+    the saturating large-array value. All closed form, so the plan is the
+    whole result. It divides by the asymptotic rate, which must be finite
+    and > 0: the error names ``array.transmit_power`` where that is 0, and
+    ``asymptotic_rate`` otherwise."""
     beta = mimo.large_scale_fading(cfg.region_center_m, cfg.f_carrier)
     gains, budget = _gains_budget(cfg)
-    asym = mimo.asymptotic_rate(gains, budget, beta,
-                                energy=cfg.transmit_power)
+    asym = mimo.asymptotic_rate(gains, budget, beta, energy=cfg.transmit_power)
+    if not 0.0 < asym < math.inf:
+        raise ValidationError(
+            "array.transmit_power" if cfg.transmit_power <= 0.0 else
+            "asymptotic_rate", f"the configured point's asymptotic rate is "
+            f"{asym:g} bps/Hz; recipe power-scaling divides by it")
     rows = []
     for m in (int(round(x)) for x in cfg.sweep.values()):
         sc = _scenario(cfg, m, beta, p=cfg.transmit_power / m)
@@ -562,10 +557,8 @@ def power_scaling(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     summary = {"asymptotic_bpshz": asym}
     if bounds:
         summary["final_gap_rel"] = abs(bounds[-1] - asym) / asym
-        summary["monotone"] = bool(
-            all(a < b for a, b in zip(bounds, bounds[1:]))
-        )
-    return RecipeResult(
+        summary["monotone"] = all(a < b for a, b in zip(bounds, bounds[1:]))
+    result = RecipeResult(
         name="power-scaling",
         columns=["n_sensors", "bound_bpshz", "asymptotic_bpshz"],
         rows=rows,
@@ -575,6 +568,7 @@ def power_scaling(cfg: ExperimentConfig, threads: int) -> RecipeResult:
         summary=summary,
         annotations=[{"kind": "asymptote", "rate_bpshz": asym}],
     )
+    return lambda threads: result
 
 
 _SWEEP_TO_POWER = {
@@ -584,9 +578,11 @@ _SWEEP_TO_POWER = {
 }
 
 
-def rate_vs_parameter(cfg: ExperimentConfig, threads: int) -> RecipeResult:
+def rate_vs_parameter(cfg: ExperimentConfig):
     """Rate against one optical power, atomic receiver vs the conventional
-    baseline, with the noise-crossover threshold marked when it exists."""
+    baseline, with the noise-crossover threshold marked when it exists.
+    The plan holds everything but the Monte-Carlo draws: the users'
+    fading, the scenario, every gain table and budget, and the crossover."""
     attr = _SWEEP_TO_POWER[cfg.sweep.variable]
     beta = place_users(cfg)
     sc = _scenario(cfg, cfg.n_sensors, beta)
@@ -594,38 +590,40 @@ def rate_vs_parameter(cfg: ExperimentConfig, threads: int) -> RecipeResult:
     # the baseline and every sweep point share one set of channel draws
     tables = [mimo.rf_gains(cfg.rf_noise_w)] + [
         _gains_budget(cfg, with_powers(cfg.op, **{attr: x})) for x in xs]
-    base_mc, *results = mimo.monte_carlo_rates(sc, tables, "MRC", threads)
-    base_rate = float(base_mc.rate.mean())
-    base_bound = float(base_mc.bound.mean())
-    rows = [(x, float(res.rate.mean()), _mean_se(res.standard_error),
-             float(res.bound.mean()), base_rate, base_bound)
-            for x, res in zip(xs, results)]
-    annotations = []
-    summary = {"baseline_bound_bpshz": base_bound}
+    crossover, annotations = {}, []
     if attr in ("p_lo", "p0"):
         try:
-            root = mimo.crossover_threshold(
-                cfg.op, cfg.chain, cfg.system, cfg.rf_noise_w, sweep=attr
-            )
+            root = mimo.crossover_threshold(cfg.op, cfg.chain, cfg.system,
+                                            cfg.rf_noise_w, sweep=attr)
         except mimo.NoCrossing:
-            summary["crossover_w"] = None
+            crossover["crossover_w"] = None
         else:
-            summary["crossover_w"] = float(root)
+            crossover["crossover_w"] = float(root)
             annotations.append({"kind": "crossover", "variable":
                                 cfg.sweep.variable, "power_w": float(root)})
-    return RecipeResult(
-        name="rate-vs-parameter",
-        columns=[cfg.sweep.variable, "mc_rate_bpshz", "mc_se_bpshz",
-                 "bound_bpshz", "baseline_rate_bpshz", "baseline_bound_bpshz"],
-        rows=rows,
-        axes={"x": {"label": cfg.sweep.variable, "unit": "W"},
-              "y": {"label": "per-user rate", "unit": "bps/Hz"}},
-        series=([{"label": "atomic", "filter": {}}] if rows else []),
-        summary=summary,
-        annotations=annotations,
-    )
+
+    def execute(threads: int) -> RecipeResult:
+        base_mc, *results = mimo.monte_carlo_rates(sc, tables, "MRC", threads)
+        base_rate = float(base_mc.rate.mean())
+        base_bound = float(base_mc.bound.mean())
+        rows = [(x, float(res.rate.mean()), _mean_se(res.standard_error),
+                 float(res.bound.mean()), base_rate, base_bound)
+                for x, res in zip(xs, results)]
+        return RecipeResult(
+            name="rate-vs-parameter",
+            columns=[cfg.sweep.variable, "mc_rate_bpshz", "mc_se_bpshz",
+                     "bound_bpshz", "baseline_rate_bpshz", "baseline_bound_bpshz"],
+            rows=rows,
+            axes={"x": {"label": cfg.sweep.variable, "unit": "W"},
+                  "y": {"label": "per-user rate", "unit": "bps/Hz"}},
+            series=([{"label": "atomic", "filter": {}}] if rows else []),
+            summary={"baseline_bound_bpshz": base_bound, **crossover},
+            annotations=annotations,
+        )
+    return execute
 
 
+# name -> plan: plan(config) returns execute(threads) -> RecipeResult
 RECIPES = {
     "waveform-overlay": waveform_overlay,
     "sn-vs-ratio": sn_vs_ratio,

@@ -519,9 +519,9 @@ class TestRealCoordinates:
         routed = _spy_fallback(monkeypatch)
         monkeypatch.setattr(atomic, "_steady_vectors", solve)
         cfg = load_config(default_config_path("detuning-loss"))
-        recipes.detuning_loss(cfg, 1)
+        recipes.detuning_loss(cfg)(1)
         recipes.detuning_loss(dataclasses.replace(
-            cfg, sweep=dataclasses.replace(cfg.sweep, points=1001)), 1)
+            cfg, sweep=dataclasses.replace(cfg.sweep, points=1001)))(1)
         chain = defaults.default_chain()
         fs = MIN_SAMPLES_PER_BEAT * defaults.F_DELTA
         for op in (defaults.diod_point(), defaults.bcod_point()):

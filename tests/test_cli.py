@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from raqr import cli, config, defaults, mimo
 from raqr.config import (
@@ -71,6 +72,13 @@ ZERO_LO_SWEEPS = {
 ZERO_READOUT_KEYS = [("atomic", "rf_dipole_ea0"), ("atomic", "probe_dipole_ea0"),
                      ("atomic", "probe_linewidth_mhz"),
                      ("operating_point", "probe_power_w")]
+
+# every float key of the config schema, and a value for one: an extreme of
+# tools/config_fuzz.py or a log-uniform magnitude in between
+FLOAT_KEYS = [(section, key) for section, schema in config._SECTIONS.items()
+              for key, (kind, *_) in schema.items() if kind is float]
+FLOAT_VALUES = st.one_of(st.sampled_from([0.0, 1e-300, 1e300]),
+                         st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
 
 
 class TestParsing:
@@ -588,7 +596,7 @@ class TestRunRecipe:
             return solve(system, drive)
 
         monkeypatch.setattr(recipes, "steady_state_numeric", spy)
-        result = recipes.detuning_loss(cfg, 1)
+        result = recipes.detuning_loss(cfg)(1)
         assert solved == [n_solved]
         assert np.array_equal([r[1] for r in result.rows], mag[1:] / mag[0])
 
@@ -632,15 +640,23 @@ class TestRunRecipe:
             with pytest.raises(ValueError):
                 recipes.emit_plotdata(result, tmp_path / "out", "fp", seed=0)
             monkeypatch.setitem(recipes.RECIPES, "detuning-loss",
-                                lambda cfg, threads, result=result: result)
+                                lambda cfg, result=result: lambda threads: result)
             with pytest.raises(RecipeError, match="JSON"):
                 run_recipe(cfg)
         assert not (tmp_path / "out").exists()
 
-    def test_empty_sweep_manifest_without_csv(self, tmp_path):
+    @pytest.mark.parametrize("recipe", ["detuning-loss", "sn-vs-ratio",
+                                        "waveform-overlay", "rate-vs-M",
+                                        "power-scaling"])
+    def test_empty_sweep_manifest_without_csv(self, tmp_path, recipe):
         import dataclasses
 
-        text = SMALL_DETUNING.replace("points: 7", "points: 0")
+        if recipe == "detuning-loss":
+            text = SMALL_DETUNING.replace("points: 7", "points: 0")
+        else:
+            raw = yaml.safe_load(default_config_path(recipe).read_text())
+            raw["sweep"]["points"] = 0
+            text = yaml.safe_dump(raw)
         cfg = load_config(write_config(tmp_path, text))
         cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
         paths = run_recipe(cfg)
@@ -686,22 +702,16 @@ class TestRunRecipe:
         import dataclasses
 
         def refuse(*args, **kwargs):
-            raise ValueError("reception gain rho*|phi|^2 must be positive")
+            raise ValueError("steady state out of range")
 
-        monkeypatch.setattr(mimo, "asymptotic_rate", refuse)
-        cfg = load_config(
-            write_config(
-                tmp_path,
-                "recipe: power-scaling\n"
-                "sweep:\n  variable: n_sensors\n  start: 4\n  stop: 8\n"
-                "  points: 2\n  scale: log\n",
-            )
-        )
+        # the solve is execution: the plan (the drive stack) has passed
+        monkeypatch.setattr(recipes, "steady_state_numeric", refuse)
+        cfg = load_config(write_config(tmp_path, SMALL_DETUNING))
         cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
-        with pytest.raises(RecipeError, match="power-scaling") as err:
+        with pytest.raises(RecipeError, match="detuning-loss") as err:
             run_recipe(cfg)
         assert type(err.value.__cause__) is ValueError
-        assert "reception gain" in str(err.value.__cause__)
+        assert "steady state" in str(err.value.__cause__)
 
     @pytest.mark.parametrize("recipe, variable", [
         (recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
@@ -1010,16 +1020,49 @@ class TestCliEntry:
         assert not (tmp_path / "out").exists()
 
     def test_run_with_a_nan_gain_table_fails(self, tmp_path, capsys):
-        """An LO of 1e300 W makes the gain table NaN: the run fails (exit
-        1) instead of writing a rate of 0."""
+        """An LO of 1e300 W makes the gain table NaN: the recipe's plan
+        fails, so validate and run both exit 2 instead of writing a rate
+        of 0."""
         raw = yaml.safe_load(default_config_path("rate-vs-M").read_text())
         raw.setdefault("operating_point", {})["lo_power_w"] = 1.0e300
         raw.setdefault("array", {})["realizations"] = mimo.MIN_REALIZATIONS
         path = write_config(tmp_path, yaml.safe_dump(raw))
-        rc = cli.main(["run", "rate-vs-M", "--config", str(path),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: recipe rate-vs-M: ")
+        for argv in (["validate"], ["run", "rate-vs-M",
+                                    "--out", str(tmp_path / "out")]):
+            assert cli.main(argv + ["--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: recipe: rate-vs-M "), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("recipe, section, key, value, cause", [
+        # the users' fading underflows to 0: the zero-forcing baseline's
+        # closed form is rank deficient
+        ("rate-vs-M", "operating_point", "carrier_freq_ghz", 1e300,
+         "RankDeficient"),
+        ("detuning-loss", "atomic", "probe_dipole_ea0", 1e300, "OverflowError"),
+        ("siso-optima", "atomic", "probe_linewidth_mhz", 1e-300,
+         "DivergentNoise"),
+        # the gain table is NaN
+        ("power-scaling", "atomic", "density_per_m3", 1e300, "ValueError"),
+        ("rate-vs-parameter", "operating_point", "coupling_power_w", 1e300,
+         "ValueError"),
+    ], ids=["rate-vs-M", "detuning-loss", "siso-optima", "power-scaling",
+            "rate-vs-parameter"])
+    def test_config_the_plan_cannot_build_is_rejected(
+            self, tmp_path, capsys, recipe, section, key, value, cause):
+        """The packaged config with one key at an extreme: the recipe's
+        plan fails, so validate and run both exit 2 naming ``recipe`` and
+        the cause's type, and no artifact is written."""
+        raw = yaml.safe_load(default_config_path(recipe).read_text())
+        raw.setdefault(section, {})[key] = value
+        raw.setdefault("array", {})["realizations"] = mimo.MIN_REALIZATIONS
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        for argv in (["validate"], ["run", recipe,
+                                    "--out", str(tmp_path / "out")]):
+            assert cli.main(argv + ["--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: recipe: {recipe} "), err
+            assert f"cannot plan this config: {cause}: " in err, err
         assert not (tmp_path / "out").exists()
 
     def test_run_unknown_recipe(self, capsys):
@@ -1069,23 +1112,29 @@ class TestCliEntry:
 
     def test_check_recipe_runs_once_per_command(self, tmp_path, monkeypatch,
                                                 capsys):
-        calls = []
+        calls, plans = [], []
+        plan = recipes.RECIPES["detuning-loss"]
 
         def spy(cfg):
             calls.append(cfg.recipe)
-            check_recipe(cfg)
+            return check_recipe(cfg)
+
+        def plan_spy(cfg):
+            plans.append(cfg.recipe)
+            return plan(cfg)
 
         monkeypatch.setattr(recipes, "check_recipe", spy)
         monkeypatch.setattr(cli, "check_recipe", spy)
+        monkeypatch.setitem(recipes.RECIPES, "detuning-loss", plan_spy)
         path = write_config(tmp_path, SMALL_DETUNING)
         assert cli.main(["run", "detuning-loss", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 0
-        assert calls == ["detuning-loss"]
+        assert calls == plans == ["detuning-loss"]  # the run builds one plan
         assert cli.main(["validate", "--config", str(path)]) == 0
-        assert calls == ["detuning-loss"] * 2
+        assert calls == plans == ["detuning-loss"] * 2
         # the shipped default names no recipe
         assert cli.main(["validate", "--config", str(default_config_path())]) == 0
-        assert calls == ["detuning-loss"] * 2
+        assert calls == plans == ["detuning-loss"] * 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("section, key, value, named", [
@@ -1113,6 +1162,23 @@ class TestCliEntry:
         for path in sorted(_CONFIG_DIR.glob("*.yaml")):
             assert cli.main(["validate", "--config", str(path)]) == 0, path
         capsys.readouterr()
+
+    @settings(max_examples=100, deadline=None)
+    @given(recipe=st.sampled_from(sorted(RECIPE_SWEEPS)),
+           keys=st.lists(st.sampled_from(FLOAT_KEYS), min_size=2, max_size=2,
+                         unique=True),
+           values=st.tuples(FLOAT_VALUES, FLOAT_VALUES))
+    def test_validate_accepts_or_rejects_any_two_keys(
+            self, tmp_path_factory, recipe, keys, values):
+        """A packaged recipe config with two float keys set anywhere in
+        the float range: validation, the recipe's plan included, exits 0 or
+        2 and raises nothing. Validation only, so no run."""
+        raw = yaml.safe_load(default_config_path(recipe).read_text())
+        for (section, key), value in zip(keys, values):
+            raw.setdefault(section, {})[key] = value
+        path = tmp_path_factory.getbasetemp() / "two-keys.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert cli.main(["validate", "--config", str(path)]) in (0, 2)
 
 
 class TestRecipeSummaries:
@@ -1180,7 +1246,7 @@ class TestRecipeSummaries:
 
     def test_power_scaling_approaches_its_asymptote(self):
         cfg = load_config(default_config_path("power-scaling"))
-        result = recipes.power_scaling(cfg, 1)
+        result = recipes.power_scaling(cfg)(1)
         bounds = [row[1] for row in result.rows]
         asym = result.summary["asymptotic_bpshz"]
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
