@@ -42,11 +42,9 @@ class AtomicSystem:
 
     Dipole moments in C*m, rates in rad/s, density in m^-3, lengths in m.
     ``gamma`` is the transition (transit) relaxation applied to every level
-    with population-conserving repump to the ground state; ``gamma_c`` is
-    collisional dephasing on level 3 and is the only knob that breaks trace
-    conservation of the generator (population genuinely leaves the 4-level
-    manifold). ``T2`` and ``n_atoms`` only enter the quantum-projection-noise
-    floor downstream.
+    with population-conserving repump to the ground state, so every rate
+    conserves the generator's trace. ``T2`` and ``n_atoms`` only enter the
+    quantum-projection-noise floor downstream.
     """
 
     mu12: float
@@ -56,7 +54,6 @@ class AtomicSystem:
     gamma3: float = 0.0
     gamma4: float = 0.0
     gamma: float = 0.0
-    gamma_c: float = 0.0
     n0: float
     l_cell: float
     lambda_p: float
@@ -69,7 +66,7 @@ class AtomicSystem:
         for name in ("mu12", "mu34", "gamma2", "l_cell", "lambda_p", "t2"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("mu23", "gamma3", "gamma4", "gamma", "gamma_c", "n0"):
+        for name in ("mu23", "gamma3", "gamma4", "gamma", "n0"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 1 <= self.n_atoms < np.inf:
@@ -131,7 +128,6 @@ def _rhs(system: AtomicSystem, h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """d(rho)/dt = -j[H, rho] - 1/2 {G, rho} + repump(rho), as a linear map;
     ``h`` and ``rho`` are 4x4 matrices or stacks of them that broadcast."""
     g = system.gamma + np.array([0.0, system.gamma2, system.gamma3, system.gamma4])
-    g[2] += system.gamma_c
     out = -1j * (h @ rho - rho @ h) - 0.5 * (g[:, None] * rho + rho * g)
     # Population feedback: decayed/transit population re-enters the chain.
     # The transit term is gamma * tr(rho) (linear, conserves trace); see the
@@ -175,7 +171,7 @@ def _to_x(m: np.ndarray) -> np.ndarray:
 # 1 for the decay. Every entry is 0, +-1/2 or +-1, and each drive entry of R
 # sums at most two nonzero terms, so a stack member's R does not depend on
 # its stack.
-_RATES = ("gamma", "gamma2", "gamma3", "gamma4", "gamma_c")
+_RATES = ("gamma", "gamma2", "gamma3", "gamma4")
 _DRIVE_X = _to_x(_rhs(SimpleNamespace(**dict.fromkeys(_RATES, 0.0)),
                       np.eye(16).reshape(16, 1, 4, 4), _HERMITIAN))
 _DRIVE_X = _DRIVE_X.swapaxes(-1, -2).reshape(16, 256)
@@ -369,7 +365,7 @@ def rho21_resonant(omega_p: float, omega_c: float, omega_rf, gamma2: float):
     rho21 = -j * gamma2 * O_p * O_rf^2
             / [(2 O_p^2 + gamma2^2) O_rf^2 + 2 O_c^2 O_p^2 + 2 O_p^4]
 
-    Exact for gamma = gamma_c = gamma3 = gamma4 = 0. ``omega_rf`` may be an
+    Exact for gamma = gamma3 = gamma4 = 0. ``omega_rf`` may be an
     array; the result is then an array. Purely imaginary, non-positive
     imaginary part, |rho21| <= 1; ``rho21_resonant_imag`` is that imaginary
     part in real arithmetic.

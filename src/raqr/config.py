@@ -351,8 +351,7 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
         # atom count illuminated by the probe column, derived not configured
         n_atoms=n_atoms(atomic["n0"], opv["fwhm_p"], atomic["l_cell"]),
     )
-    op = _construct(OperatingPoint, "operating_point", **opv,
-                    f_lo=f_carrier - f_delta)
+    op = _construct(OperatingPoint, "operating_point", **opv)
     # a width whose square under- or overflows leaves its beam no finite,
     # nonzero Rabi coefficient; it is the width's fault only where a 1 mm
     # beam on the same dipole has one

@@ -56,7 +56,7 @@ def weak_user(ratio_db: float, op: OperatingPoint, *, theta_x: float = 0.0,
     u_lo = rf_field_amplitude(op.p_lo, op.a_e)
     return UserSignal(
         u_x=u_lo * 10.0 ** (-ratio_db / 20.0),
-        f_c=op.f_lo + f_delta,
+        f_delta=f_delta,
         theta_x=theta_x,
     )
 

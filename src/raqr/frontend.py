@@ -40,8 +40,7 @@ class OperatingPoint:
     Powers in W; ``pl`` is the local optical beam (balanced scheme only and
     must be 0 for the direct scheme), ``phi_l`` its phase from the probe's
     at cell entry. ``fwhm_p`` / ``fwhm_c`` are probe and coupling beam FWHM
-    diameters (m); ``a_e`` is the effective RF aperture (m^2); ``f_lo`` the
-    RF local-oscillator frequency (Hz).
+    diameters (m); ``a_e`` is the effective RF aperture (m^2).
     """
 
     p0: float
@@ -50,7 +49,6 @@ class OperatingPoint:
     pl: float = 0.0
     scheme: str = "DIOD"
     phi_l: float = 0.0
-    f_lo: float
     fwhm_p: float
     fwhm_c: float
     a_e: float
@@ -63,6 +61,8 @@ class OperatingPoint:
                 raise ValueError(f"{name} must be >= 0")
         if self.scheme == "DIOD" and self.pl != 0.0:
             raise ValueError("pl must be 0 for the direct detection scheme")
+        if not math.isfinite(self.phi_l):
+            raise ValueError("phi_l must be finite")
         for name in ("fwhm_p", "fwhm_c", "a_e"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -98,17 +98,21 @@ class DetectionChain:
 
 @dataclass(frozen=True, kw_only=True)
 class UserSignal:
-    """Weak plane-wave user field: amplitude (V/m), carrier (Hz), phase."""
+    """Weak plane-wave user field: amplitude (V/m), beat (Hz) and phase. The
+    beat ``f_delta`` is the user carrier minus the RF LO, of either sign:
+    of the two carriers, only it reaches complex baseband."""
 
     u_x: float
-    f_c: float
+    f_delta: float
     theta_x: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.u_x >= 0:
             raise ValueError("u_x must be >= 0")
-        if not self.f_c > 0:
-            raise ValueError("f_c must be > 0")
+        if not (math.isfinite(self.f_delta) and self.f_delta != 0.0):
+            raise ValueError("f_delta must be finite and nonzero")
+        if not math.isfinite(self.theta_x):
+            raise ValueError("theta_x must be finite")
 
     def power(self, a_e: float) -> float:
         """Received power through aperture a_e: 0.5 c eps0 A_e U_x^2."""

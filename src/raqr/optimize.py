@@ -111,7 +111,6 @@ class StationaryPower:
 @dataclass(frozen=True)
 class DesignResult:
     power: float
-    regime: str
     w_value: float
     iterations: int
     residual: float
@@ -244,8 +243,8 @@ def optimal_power(op: OperatingPoint, system: AtomicSystem, power: str,
                         lambda o, v: with_powers(o, **{power: v}))
 
 
-def optimal_pl(chain: DetectionChain, p1_at_lo: float, pl_max: float) -> float:
-    """Local-beam power at the detector saturation or box edge.
+def optimal_pl(chain: DetectionChain, p1_at_lo: float) -> float:
+    """Local-beam power at detector saturation: headroom i_sat / alpha - P1.
 
     The functional is strictly decreasing in the local beam power, so the
     optimum sits at the largest admissible value.
@@ -255,7 +254,7 @@ def optimal_pl(chain: DetectionChain, p1_at_lo: float, pl_max: float) -> float:
         raise SaturatedAtZero(
             f"transmitted probe {p1_at_lo:.3e} W already saturates the detector"
         )
-    return min(pl_max, headroom)
+    return headroom
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +284,6 @@ def newton_optimal_p0(
     op: OperatingPoint,
     weights: NoiseWeights,
     system: AtomicSystem,
-    chain: DetectionChain,
     *,
     p0_bounds: tuple[float, float] = (1e-6, 1e-1),
 ) -> DesignResult:
@@ -313,7 +311,6 @@ def newton_optimal_p0(
             power=small.op.p0,
             w_value=_noise_of(small, weights),
             residual=abs(_dw_dp0(small, weights)),
-            regime=classify_at(small.op, chain, system),
             iterations=iterations,
             boundary=boundary,
         )
@@ -394,7 +391,6 @@ def design_report(
     chain: DetectionChain,
     system: AtomicSystem,
     *,
-    pl_max: float = math.inf,
     p0_bounds: tuple[float, float] = (1e-6, 1e-1),
 ) -> dict:
     """JSON-ready summary: per-regime optima, classification, and a
@@ -403,7 +399,7 @@ def design_report(
     ``optima`` holds the four ``optimal_power`` pairs as ``pc_dc_shot``,
     ``plo_dc_shot``, ``pc_thermal`` and ``plo_thermal``, in that order (at a
     balanced point the thermal entries are the DC-shot optima), then the
-    local-beam power at a balanced point and the Newton probe power."""
+    local-beam power at a balanced point, ``optimal_pl``, and Newton's p0."""
     weights = NoiseWeights.from_chain(chain, system)
     optima = {}
     for regime in ("dc_shot", "thermal"):
@@ -413,10 +409,10 @@ def design_report(
                 "power_w": star.power, "clamped": star.clamped}
     if op.scheme == "BCOD":
         optima["pl"] = {
-            "power_w": optimal_pl(chain, p1_of_lo(op, system), pl_max),
+            "power_w": optimal_pl(chain, p1_of_lo(op, system)),
             "clamped": False,
         }
-    newton = newton_optimal_p0(op, weights, system, chain, p0_bounds=p0_bounds)
+    newton = newton_optimal_p0(op, weights, system, p0_bounds=p0_bounds)
     optima["p0_newton"] = {
         "power_w": newton.power,
         "w_value": newton.w_value,

@@ -326,7 +326,7 @@ def sn_vs_ratio(cfg: ExperimentConfig):
     run divides by. Where that is 0 or not finite at an end of the
     monotone sweep, the error names the end, or sn_coeff where it fails
     at every end or a budget is out of range."""
-    geometry = {k: getattr(cfg.op, k) for k in ("f_lo", "a_e", "fwhm_p", "fwhm_c")}
+    geometry = {k: getattr(cfg.op, k) for k in ("a_e", "fwhm_p", "fwhm_c")}
     points = []
     for op in (defaults.diod_point(**geometry), defaults.bcod_point(**geometry)):
         try:
@@ -414,7 +414,7 @@ def siso_optima(cfg: ExperimentConfig):
             w_star = normalized_noise(
                 with_powers(cfg.op, **{attr: float(star)}), weights, cfg.system)
             grids.append((f"{sweep_name}:{regime}", grid, values, star, w_star))
-    pl = (optimal_pl(cfg.chain, p1_of_lo(cfg.op, cfg.system), pl_max=math.inf)
+    pl = (optimal_pl(cfg.chain, p1_of_lo(cfg.op, cfg.system))
           if cfg.op.scheme == "BCOD" else None)
 
     def execute(threads: int) -> RecipeResult:

@@ -137,17 +137,17 @@ def simulate_waveform(
 ) -> Waveform:
     """Simulate the sampled detector voltage for both chains.
 
-    The RF input is the coherent sum of the local oscillator at f_lo and
-    the user tone at user.f_c; their beat at f_delta = f_c - f_lo is what
-    survives detection. Reproducible bit-for-bit for a fixed seed; the
-    noise generator is counter-based so chunked evaluation would commute.
+    The RF input is the coherent sum of the local oscillator and the user
+    tone; their beat, ``user.f_delta``, is what survives detection.
+    Reproducible bit-for-bit for a fixed seed; the noise generator is
+    counter-based so chunked evaluation would commute.
 
     Raises Saturation if the deterministic photocurrent (total over both
     detectors for the balanced scheme, matching the optimizer's saturation
     constraint) exceeds chain.i_sat. Warns WeakLO below 10 dB LO-to-user
     field ratio.
     """
-    f_delta = user.f_c - op.f_lo
+    f_delta = user.f_delta
     _check_beat(f_delta, sample_rate)
     if sample_rate < MIN_SAMPLES_PER_BEAT * abs(f_delta):
         raise ValueError(f"sample_rate must be at least {MIN_SAMPLES_PER_BEAT:g}x "

@@ -214,7 +214,7 @@ def test_criterion_05_stationary_points(chain, system, bcod):
     assert worst_bcod <= 0.5
 
     wts = NoiseWeights.from_chain(chain, system)
-    res = newton_optimal_p0(bcod, wts, system, chain, p0_bounds=(1e-3, 1e-1))
+    res = newton_optimal_p0(bcod, wts, system, p0_bounds=(1e-3, 1e-1))
     assert not res.boundary
 
     def w_of_p0(x):

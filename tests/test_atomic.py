@@ -48,7 +48,7 @@ DRIVE_BOX = st.tuples(
     st.floats(-1e8, 1e8),
     st.floats(-1e8, 1e8),
 )
-RATE_BOX = st.tuples(*[st.floats(0.0, 1e6)] * 4)  # gamma, gamma3, gamma4, gamma_c
+RATE_BOX = st.tuples(*[st.floats(0.0, 1e6)] * 3)  # gamma, gamma3, gamma4
 
 
 def generator(system, drive):
@@ -109,13 +109,14 @@ class TestLiouvillian:
         omega_rf=st.floats(0.0, 1e9),
         delta_p=st.floats(-1e8, 1e8),
         delta_rf=st.floats(-1e8, 1e8),
-        gamma=st.floats(0.0, 1e6),
+        rates=RATE_BOX,
     )
     def test_trace_preservation_property(
-        self, omega_p, omega_c, omega_rf, delta_p, delta_rf, gamma
+        self, omega_p, omega_c, omega_rf, delta_p, delta_rf, rates
     ):
-        # gamma_c = 0: the only trace-leaking knob. gamma itself must not leak.
-        sys_ = defaults.cesium_system(gamma=gamma, gamma3=1e4, gamma4=2e4)
+        # every relaxation the model has conserves trace, transit included
+        gamma, gamma3, gamma4 = rates
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3, gamma4=gamma4)
         drive = DriveConfig(
             omega_p=omega_p,
             omega_c=omega_c,
@@ -129,21 +130,11 @@ class TestLiouvillian:
         tr_map = atomic._TRACE_X @ gen
         assert np.linalg.norm(tr_map) <= 1e-12 * max(np.linalg.norm(gen), 1.0)
 
-    def test_collisional_dephasing_leaks_trace(self):
-        sys_ = defaults.cesium_system(gamma_c=1e5)
-        gen = generator(sys_, DriveConfig(omega_p=1e7, omega_c=1e6, omega_rf=1e6))
-        tr_map = atomic._TRACE_X @ gen
-        # only the rho33 column leaks, at exactly -gamma_c
-        expected = np.zeros(16)
-        expected[2] = -1e5
-        assert np.allclose(tr_map, expected, atol=1e-9)
-
     @settings(max_examples=60, deadline=None)
     @given(drives=st.lists(DRIVE_BOX, min_size=1, max_size=8), rates=RATE_BOX)
     def test_each_stack_member_is_its_own_build(self, drives, rates):
-        gamma, gamma3, gamma4, gamma_c = rates
-        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
-                                      gamma4=gamma4, gamma_c=gamma_c)
+        gamma, gamma3, gamma4 = rates
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3, gamma4=gamma4)
         stack = _stack(drives)
         gen = generator(sys_, stack)
         assert gen.shape == (len(drives), 16, 16)
@@ -209,8 +200,7 @@ class TestSteadyState:
         of R returns rho21 within 1e-12 of a 50-digit solve of the same R,
         without a warning. The detuning-negated drive gives -conj(rho21).
         At zero coupling the SVD of R finds a three-dimensional null space."""
-        sys_ = defaults.cesium_system(gamma=0.0, gamma3=0.0, gamma4=0.0,
-                                      gamma_c=0.0)
+        sys_ = defaults.cesium_system(gamma=0.0, gamma3=0.0, gamma4=0.0)
         ref = 5.057058811907896e-13 - 8.293128220000435e-6j  # 50-digit solve
         for omega_c in (2.0187283633607474e-49, 1e-30, 1e-20, 1e-10, 1e-8, 1e-6):
             drive = DriveConfig(omega_p=272.0, omega_c=omega_c, omega_rf=1.0,
@@ -430,9 +420,8 @@ class TestRealCoordinates:
         """R's complex view L = T R T^-1 equals the generator's definition,
         ``_rhs`` on each basis matrix E_ij, to within 2 ulp of ||L||: each
         entry is one rounded sum of two exact terms."""
-        gamma, gamma3, gamma4, gamma_c = rates
-        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
-                                      gamma4=gamma4, gamma_c=gamma_c)
+        gamma, gamma3, gamma4 = rates
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3, gamma4=gamma4)
         stack = _stack(drives)
         view = complex_view(generator(sys_, stack))
         for i, drive in enumerate(_members(stack, len(drives))):
@@ -447,9 +436,8 @@ class TestRealCoordinates:
         x=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
     )
     def test_real_generator_is_the_liouvillian_in_x(self, drive, rates, x):
-        gamma, gamma3, gamma4, gamma_c = rates
-        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
-                                      gamma4=gamma4, gamma_c=gamma_c)
+        gamma, gamma3, gamma4 = rates
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3, gamma4=gamma4)
         drive = _members(_stack([drive]), 1)[0]
         x = np.array(x)
         v = x @ atomic._VEC_OF_X
@@ -803,7 +791,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("name", [
         "mu12", "mu23", "mu34", "gamma2", "gamma3", "gamma4", "gamma",
-        "gamma_c", "n0", "l_cell", "lambda_p", "t2"])
+        "n0", "l_cell", "lambda_p", "t2"])
     def test_atomic_system_rejects_nan(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             defaults.cesium_system(**{name: math.nan})
@@ -835,12 +823,11 @@ class TestDetuningMirror:
             st.just(0.0) | st.floats(0.0, 1e9),
             *[st.floats(-1e8, 1e8).filter(bool)] * 3,
         ),
-        rates=st.tuples(*[st.just(0.0) | st.floats(1.0, 1e6)] * 4),
+        rates=st.tuples(*[st.just(0.0) | st.floats(1.0, 1e6)] * 3),
     )
     def test_negated_detunings_give_the_mirror_state(self, drive, rates):
-        gamma, gamma3, gamma4, gamma_c = rates
-        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3,
-                                      gamma4=gamma4, gamma_c=gamma_c)
+        gamma, gamma3, gamma4 = rates
+        sys_ = defaults.cesium_system(gamma=gamma, gamma3=gamma3, gamma4=gamma4)
         drive = _stack([drive])
         try:
             rho = steady_state_numeric(sys_, drive).matrix

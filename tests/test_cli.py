@@ -1065,6 +1065,31 @@ class TestCliEntry:
             assert f"cannot plan this config: {cause}: " in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("recipe", ["sn-vs-ratio", "waveform-overlay"])
+    @pytest.mark.parametrize("key, value", [("carrier_freq_ghz", 1.0e300),
+                                            ("beat_freq_khz", 1.0e-300)],
+                             ids=["huge-carrier", "tiny-beat"])
+    def test_extreme_carrier_or_beat_runs(self, tmp_path, capsys, recipe, key,
+                                          value):
+        """Only the user's beat against the RF LO reaches baseband: a beat
+        far below the carrier, or a carrier that is inf in SI, validates
+        and runs. Neither recipe reads the carrier, so at the huge carrier
+        the CSV rows are the packaged config's."""
+        raw = yaml.safe_load(default_config_path(recipe).read_text())
+        raw.setdefault("operating_point", {})[key] = value
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert cli.main(["run", recipe, "--config", str(path),
+                         "--out", str(out)]) == 0
+        if key == "carrier_freq_ghz":
+            assert cli.main(["run", recipe, "--out", str(ref)]) == 0
+            # the first line is the config's fingerprint
+            rows = [(d / f"{recipe}.csv").read_text().splitlines()[1:]
+                    for d in (out, ref)]
+            assert rows[0] and rows[0] == rows[1]
+        capsys.readouterr()
+
     def test_run_unknown_recipe(self, capsys):
         assert cli.main(["run", "make-coffee"]) == 2
         assert "recipe" in capsys.readouterr().err

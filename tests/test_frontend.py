@@ -335,7 +335,7 @@ class TestNoiseBudget:
 
 class TestUserSignal:
     def test_power_through_aperture(self):
-        u = UserSignal(u_x=2.0, f_c=6.9458e9)
+        u = UserSignal(u_x=2.0, f_delta=75e3)
         a_e = 1.5e-4
         expected = 0.5 * 2.99792458e8 * 8.8541878128e-12 * a_e * 4.0
         assert u.power(a_e) == pytest.approx(expected, rel=1e-6)
@@ -344,22 +344,23 @@ class TestUserSignal:
         p = 1.32e-6
         a_e = 1.5e-4
         u = rf_field_amplitude(p, a_e)
-        user = UserSignal(u_x=u, f_c=defaults.F_CARRIER)
+        user = UserSignal(u_x=u, f_delta=defaults.F_DELTA)
         assert user.power(a_e) == pytest.approx(p, rel=1e-12)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
-            UserSignal(u_x=-1.0, f_c=defaults.F_CARRIER)
+            UserSignal(u_x=-1.0, f_delta=defaults.F_DELTA)
 
 
 # every field that a model dataclass range-checks, by class
 _RANGE_CHECKED = {
     "AtomicSystem": ("mu12", "mu23", "mu34", "gamma2", "gamma3", "gamma4", "gamma",
-                     "gamma_c", "n0", "l_cell", "lambda_p", "t2", "n_atoms"),
-    "OperatingPoint": ("p0", "pc", "p_lo", "pl", "fwhm_p", "fwhm_c", "a_e"),
+                     "n0", "l_cell", "lambda_p", "t2", "n_atoms"),
+    "OperatingPoint": ("p0", "pc", "p_lo", "pl", "phi_l", "fwhm_p", "fwhm_c",
+                       "a_e"),
     "DetectionChain": ("g", "alpha", "z0", "bw", "temperature", "i_sat",
                        "sigma_sq_sn"),
-    "UserSignal": ("u_x", "f_c"),
+    "UserSignal": ("u_x", "f_delta", "theta_x"),
     "BasebandGains": ("rho", "rho_sn", "phi", "p_cn_bar"),
     "NoiseBudget": ("n_cn", "n_tn", "n_qpn", "sn_coeff"),
     "NoiseWeights": ("sig_shot", "dc_shot", "thermal", "projection"),
@@ -376,7 +377,7 @@ def _valid_models():
         "AtomicSystem": system,
         "OperatingPoint": bcod,
         "DetectionChain": chain,
-        "UserSignal": UserSignal(u_x=1.0, f_c=defaults.F_CARRIER),
+        "UserSignal": UserSignal(u_x=1.0, f_delta=defaults.F_DELTA),
         "BasebandGains": baseband_gains(bcod, chain, system),
         "NoiseBudget": noise_budget(bcod, chain, system),
         "NoiseWeights": NoiseWeights.from_chain(chain, system),
@@ -400,7 +401,7 @@ class TestNanRejected:
             dataclasses.replace(valid, **{name: math.nan})
 
     @pytest.mark.parametrize(
-        "name", ["p0", "pc", "p_lo", "pl", "fwhm_p", "fwhm_c", "a_e"])
+        "name", ["p0", "pc", "p_lo", "pl", "phi_l", "fwhm_p", "fwhm_c", "a_e"])
     def test_operating_point(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             defaults.bcod_point(**{name: math.nan})
@@ -411,9 +412,9 @@ class TestNanRejected:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             defaults.default_chain(**{name: math.nan})
 
-    @pytest.mark.parametrize("name", ["u_x", "f_c"])
+    @pytest.mark.parametrize("name", ["u_x", "f_delta", "theta_x"])
     def test_user_signal(self, name):
-        fields = {"u_x": 1.0, "f_c": defaults.F_CARRIER, name: math.nan}
+        fields = {"u_x": 1.0, "f_delta": defaults.F_DELTA, name: math.nan}
         with pytest.raises(ValueError, match=f"^{name} must be"):
             UserSignal(**fields)
 

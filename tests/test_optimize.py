@@ -361,29 +361,24 @@ class TestOneEvaluation:
     def test_newton_builds_once_per_probe_power(self, builds, bcod, chain, system):
         # the low end (its P1 test reads the same evaluation), the top end,
         # then each step's p0 and its two curvature points (the converged
-        # step's p0 alone), and the regime's gain table
+        # step's p0 alone)
         weights = NoiseWeights.from_chain(chain, system)
-        res = newton_optimal_p0(bcod, weights, system, chain,
-                                p0_bounds=(1e-3, 1e-1))
+        res = newton_optimal_p0(bcod, weights, system, p0_bounds=(1e-3, 1e-1))
         assert not res.boundary and res.iterations > 1
-        assert len(builds) == 2 + 3 * (res.iterations - 1) + 1 + 1
+        assert len(builds) == 2 + 3 * (res.iterations - 1) + 1
 
 
 class TestOptimalPl:
     def test_saturation_headroom(self, chain, diod, system):
         p1 = p1_of_lo(diod, system)
-        pl = optimal_pl(chain, p1, math.inf)
+        pl = optimal_pl(chain, p1)
         assert rel_err(pl, chain.i_sat / chain.alpha - p1) < 1e-12
-
-    def test_box_cap(self, chain, diod, system):
-        p1 = p1_of_lo(diod, system)
-        assert optimal_pl(chain, p1, 5e-3) == 5e-3
 
     def test_saturated_at_zero(self, chain, diod, system):
         p1 = p1_of_lo(diod, system)
         tight = dataclasses.replace(chain, i_sat=0.5 * chain.alpha * p1)
         with pytest.raises(SaturatedAtZero):
-            optimal_pl(tight, p1, math.inf)
+            optimal_pl(tight, p1)
 
     def test_noise_strictly_decreasing_in_local_beam(self, chain, system, rng):
         # the local beam only adds signal gain in the balanced scheme, so
@@ -437,7 +432,7 @@ class TestNewtonProbe:
 
     def test_balanced_matches_grid(self, bcod, chain, system):
         wts = NoiseWeights.from_chain(chain, system)
-        res = newton_optimal_p0(bcod, wts, system, chain, p0_bounds=self.BOUNDS)
+        res = newton_optimal_p0(bcod, wts, system, p0_bounds=self.BOUNDS)
         assert not res.boundary
 
         def objective(p0):
@@ -450,7 +445,7 @@ class TestNewtonProbe:
 
     def test_residual_tolerance(self, bcod, chain, system):
         wts = NoiseWeights.from_chain(chain, system)
-        res = newton_optimal_p0(bcod, wts, system, chain, p0_bounds=self.BOUNDS)
+        res = newton_optimal_p0(bcod, wts, system, p0_bounds=self.BOUNDS)
         assert res.residual <= 1e-8 * res.w_value / res.power
 
     def test_direct_thermal_interior(self, chain, system):
@@ -459,7 +454,7 @@ class TestNewtonProbe:
         op = defaults.diod_point(p_lo=1e-6)
         wts = NoiseWeights.from_chain(chain, system)
         thermal = NoiseWeights(0.0, 0.0, wts.thermal, wts.projection)
-        res = newton_optimal_p0(op, thermal, system, chain, p0_bounds=self.BOUNDS)
+        res = newton_optimal_p0(op, thermal, system, p0_bounds=self.BOUNDS)
         assert not res.boundary
 
         def objective(p0):
@@ -473,36 +468,36 @@ class TestNewtonProbe:
         # at the shipped direct-detection point the objective keeps falling
         # through the top of the box; the solver must say so, not invent a root
         wts = NoiseWeights.from_chain(chain, system)
-        res = newton_optimal_p0(diod, wts, system, chain, p0_bounds=self.BOUNDS)
+        res = newton_optimal_p0(diod, wts, system, p0_bounds=self.BOUNDS)
         assert res.boundary
         assert res.power == self.BOUNDS[1]
 
     def test_weight_scale_covariance(self, bcod, chain, system):
         wts = NoiseWeights.from_chain(chain, system)
         scaled = NoiseWeights(7.5 * wts.sig_shot, 7.5 * wts.dc_shot, 7.5 * wts.thermal, wts.projection)
-        r1 = newton_optimal_p0(bcod, wts, system, chain, p0_bounds=self.BOUNDS)
-        r2 = newton_optimal_p0(bcod, scaled, system, chain, p0_bounds=self.BOUNDS)
+        r1 = newton_optimal_p0(bcod, wts, system, p0_bounds=self.BOUNDS)
+        r2 = newton_optimal_p0(bcod, scaled, system, p0_bounds=self.BOUNDS)
         assert rel_err(r1.power, r2.power) < 1e-9
 
     def test_rejects_bad_bracket(self, diod, chain, system):
         wts = NoiseWeights.from_chain(chain, system)
         with pytest.raises(ValueError):
-            newton_optimal_p0(diod, wts, system, chain, p0_bounds=(1e-1, 1e-3))
+            newton_optimal_p0(diod, wts, system, p0_bounds=(1e-1, 1e-3))
 
     def test_shrinks_opaque_bracket_end(self, bcod, chain, system):
         # the cell absorbs the probe fully below ~1e-3 W: the low end moves
         # up to the first transmitting candidate instead of failing
         wts = NoiseWeights.from_chain(chain, system)
         assert p1_of_lo(with_powers(bcod, p0=1e-6), system) == 0.0
-        res = newton_optimal_p0(bcod, wts, system, chain, p0_bounds=(1e-6, 1e-1))
+        res = newton_optimal_p0(bcod, wts, system, p0_bounds=(1e-6, 1e-1))
         assert not res.boundary
-        ref = newton_optimal_p0(bcod, wts, system, chain, p0_bounds=self.BOUNDS)
+        ref = newton_optimal_p0(bcod, wts, system, p0_bounds=self.BOUNDS)
         assert rel_err(res.power, ref.power) < 1e-9
 
     def test_rejects_wholly_opaque_bracket(self, diod, chain, system):
         wts = NoiseWeights.from_chain(chain, system)
         with pytest.raises(ValueError, match="across the whole p0 bracket"):
-            newton_optimal_p0(diod, wts, system, chain, p0_bounds=(1e-6, 1e-4))
+            newton_optimal_p0(diod, wts, system, p0_bounds=(1e-6, 1e-4))
 
     @pytest.mark.parametrize("scheme", ["DIOD", "BCOD"])
     def test_matches_design_report(self, chain, system, scheme):
@@ -518,7 +513,7 @@ class TestNewtonProbe:
                 return type(exc), str(exc)
 
         direct = outcome(lambda: newton_optimal_p0(
-            op, wts, system, chain, p0_bounds=(1e-6, 1e-1)))
+            op, wts, system, p0_bounds=(1e-6, 1e-1)))
         report = outcome(lambda: design_report(
             op, chain, system, p0_bounds=(1e-6, 1e-1)))
         if isinstance(report, tuple):
@@ -568,7 +563,7 @@ class TestClassifyRegime:
 
 class TestDesignReport:
     def test_json_round_trip(self, bcod, chain, system):
-        rep = design_report(bcod, chain, system, pl_max=2e-2, p0_bounds=(1e-3, 1e-1))
+        rep = design_report(bcod, chain, system, p0_bounds=(1e-3, 1e-1))
         blob = json.loads(json.dumps(rep))
         assert blob["scheme"] == "BCOD"
         assert set(blob["optima"]) == {
@@ -599,7 +594,7 @@ class TestDesignReport:
         assert "pl" not in rep["sensitivity"]
 
     def test_sensitivity_entries_are_finite(self, bcod, chain, system):
-        rep = design_report(bcod, chain, system, pl_max=2e-2, p0_bounds=(1e-3, 1e-1))
+        rep = design_report(bcod, chain, system, p0_bounds=(1e-3, 1e-1))
         for entry in rep["sensitivity"].values():
             assert math.isfinite(entry["minus_10pct"])
             assert math.isfinite(entry["plus_10pct"])
@@ -607,5 +602,5 @@ class TestDesignReport:
     def test_bracket_autoshrink(self, bcod, chain, system):
         # the default bracket's low end is fully absorbed; the report must
         # shrink it rather than fail
-        rep = design_report(bcod, chain, system, pl_max=2e-2)
+        rep = design_report(bcod, chain, system)
         assert rep["optima"]["p0_newton"]["power_w"] > 0.0

@@ -48,7 +48,7 @@ def quiet(chain):
 
 class TestSimulate:
     def test_no_signal_no_noise_is_flat_dc(self, system, diod, quiet):
-        user = UserSignal(u_x=0.0, f_c=diod.f_lo + 75e3)
+        user = UserSignal(u_x=0.0, f_delta=75e3)
         wf = simulate_waveform(diod, quiet, user, system, 32 / FS, FS, seed=0)
         assert np.ptp(wf.v_exact) == 0.0
         assert wf.v_exact[0] == pytest.approx(wf.v_dc, rel=1e-12)
@@ -110,10 +110,11 @@ class TestSimulate:
                 diod, quiet, defaults.weak_user(20.0, diod), system, 1e-3, 8 * 75e3, 0
             )
 
-    def test_degenerate_beat_rejected(self, system, diod, quiet):
-        user = UserSignal(u_x=1e-3, f_c=diod.f_lo)
-        with pytest.raises(ValueError):
-            simulate_waveform(diod, quiet, user, system, 1e-3, FS, seed=0)
+    @pytest.mark.parametrize("f_delta", [0.0, math.inf, -math.inf, math.nan])
+    def test_degenerate_beat_rejected(self, f_delta):
+        # no beat, or none the receive chain can sample
+        with pytest.raises(ValueError, match="^f_delta must be"):
+            UserSignal(u_x=1e-3, f_delta=f_delta)
 
     def test_master_equation_solver_matches_closed_form(self, system, diod, quiet):
         user = defaults.weak_user(20.0, diod)
@@ -347,7 +348,7 @@ def _reference_waveform(op, chain, user, system, n, sample_rate, seed, rho_solve
     bit. The Liouvillian solve at sample k takes the envelope of sample
     k mod period; by default period is the whole number of samples per beat
     where that is below n, else n."""
-    f_delta = user.f_c - op.f_lo
+    f_delta = user.f_delta
     u_lo = rf_field_amplitude(op.p_lo, op.a_e)
     u_x = user.u_x
     t = np.arange(n) / sample_rate

@@ -4,15 +4,16 @@ and the run agree.
 For each packaged recipe config and each numeric key of the config schema
 but ``array.realizations``, writes the config with that key set to each of
 0, 1e-300 and 1e300 (a float key) or 0, 1 and 2 (an integer key): 7 recipes
-times 32 keys times 3 values, 672 configs. Each one is loaded and checked
-with ``check_recipe``, as ``raqr validate`` does; one that fails there is
-``rejected``. One that passes runs at ``MIN_REALIZATIONS`` realizations and
-one thread into a temporary directory, and is ``ok`` or the type name of
-the run failure's cause. The script prints the per-config lines ``<recipe>
-<key> <value> <outcome>`` in grid order, then a tally of the outcomes and
-the sha256 over those lines. The package is imported from the ``src`` directory next to this
-script, so running the script from two checkouts and diffing the outputs
-shows whether a change moved any outcome:
+times 32 keys times 3 values, 672 configs. Each one is loaded and run at
+``MIN_REALIZATIONS`` realizations and one thread into a temporary
+directory. ``run_recipe`` first checks the config and builds its plan, as
+``raqr validate`` does; a config that fails there is ``rejected``. One that
+passes is ``ok`` or the type name of the run failure's cause. The script
+prints the per-config lines ``<recipe> <key> <value> <outcome>`` in grid
+order, then a tally of the outcomes and the sha256 over those lines. The
+package is imported from the ``src`` directory next to this script, so
+running the script from two checkouts and diffing the outputs shows
+whether a change moved any outcome:
 
     python3 tools/config_fuzz.py > config_fuzz.txt
 
@@ -37,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from raqr import config  # noqa: E402
 from raqr.config import ValidationError, default_config_path, load_config  # noqa: E402
 from raqr.mimo import MIN_REALIZATIONS  # noqa: E402
-from raqr.recipes import RecipeError, check_recipe, list_recipes, run_recipe  # noqa: E402
+from raqr.recipes import RecipeError, list_recipes, run_recipe  # noqa: E402
 
 EXTREMES = {float: (0.0, 1e-300, 1e300), int: (0, 1, 2)}
 
@@ -55,11 +56,9 @@ def grid():
 def outcome(path: Path, out_dir: Path) -> str:
     try:
         cfg = load_config(path)
-        check_recipe(cfg)
+        run_recipe(dataclasses.replace(cfg, output_dir=str(out_dir)))
     except ValidationError:
         return "rejected"
-    try:
-        run_recipe(dataclasses.replace(cfg, output_dir=str(out_dir)))
     except RecipeError as exc:
         return type(exc.__cause__).__name__
     except Exception as exc:

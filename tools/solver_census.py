@@ -3,9 +3,9 @@
 The grid takes each Rabi rate (probe, coupling, RF) from {0, 1, 1e3, 1e6,
 2e6, 1e7, 1e9} rad/s and each detuning (probe, coupling, RF) from {0, 1e6,
 -1e6, 2e6} rad/s: 7**3 * 4**3 = 21,952 drives, solved on the default cesium
-system (no transit, Rydberg or collisional relaxation, so much of the grid
-has no unique steady state). Each drive's outcome is ``returned`` or the
-name of the exception it raised. The script prints one line per drive in
+system (no transit or Rydberg relaxation, so much of the grid has no unique
+steady state). Each drive's outcome is ``returned`` or the name of the
+exception it raised. The script prints one line per drive in
 grid order, ``<omega_p> <omega_c> <omega_rf> <delta_p> <delta_c> <delta_rf>
 <outcome>``. Two lines follow on how the solves went: ``fallback <n>``, the
 number of drives the real inverse could not vouch for, which the solver's
