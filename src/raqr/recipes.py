@@ -5,9 +5,10 @@ returns ``execute(threads)``, which does the Monte-Carlo draws,
 steady-state solves and waveform simulation and builds the result.
 
 Artifacts are byte-reproducible for identical (config, seed): all
-randomness flows from the config seed through counter-based generators,
-floats are formatted with a fixed precision, and no timestamps are
-written. The worker-thread count changes wall time only.
+randomness flows from the config seed, through Philox for the Monte-Carlo
+and waveform noise and PCG64 for user placement, floats are formatted
+with a fixed precision, and no timestamps are written. The worker-thread
+count changes wall time only.
 """
 
 from __future__ import annotations

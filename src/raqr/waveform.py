@@ -347,7 +347,8 @@ def demodulate_iq(
     Multiplies by cos and -sin at f_delta, low-pass filters each branch at
     f_delta/2 (a causal FIR, so the output is as long as the input), and
     combines as (I + jQ)/sqrt(2), so a unit-amplitude cosine beat maps to
-    1/(2 sqrt(2)).
+    G0/(2 sqrt(2)), G0 = sum(taps) the FIR's DC gain (0.999657 at 16
+    samples per beat, 0.999647 at 32), not 1.
     """
     _check_beat(f_delta, sample_rate)
     v = _series(v_samples, "v_samples", float)

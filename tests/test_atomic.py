@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from raqr import atomic, defaults, recipes
@@ -196,10 +197,10 @@ class TestSteadyState:
     @pytest.mark.filterwarnings("error")
     def test_vanishing_coupling_is_solved_in_real_coordinates(self):
         """No decay but the probe's, and a coupling Rabi rate from 2e-49 to
-        1e-6 rad/s: every member is flagged, and the fallback's LU solve
-        of R returns rho21 within 1e-12 of a 50-digit solve of the same R,
-        without a warning. The detuning-negated drive gives -conj(rho21).
-        At zero coupling the SVD of R finds a three-dimensional null space."""
+        1e-6 rad/s: the solve returns rho21 within 1e-12 of a 50-digit solve
+        of the same R, without a warning. The detuning-negated drive gives
+        -conj(rho21). At zero coupling the SVD of R finds a three-dimensional
+        null space."""
         sys_ = defaults.cesium_system(gamma=0.0, gamma3=0.0, gamma4=0.0)
         ref = 5.057058811907896e-13 - 8.293128220000435e-6j  # 50-digit solve
         for omega_c in (2.0187283633607474e-49, 1e-30, 1e-20, 1e-10, 1e-8, 1e-6):
@@ -386,6 +387,14 @@ def _spy_fallback(monkeypatch):
     return routed
 
 
+def _trace_replaced(gen):
+    """The solver's square systems for a stack of R: the first row of each
+    replaced by the trace row scaled to ||R||_F."""
+    a = gen.copy()
+    a[:, 0, :] = atomic._TRACE_X * atomic._norm(gen.reshape(-1, 256))[:, None]
+    return a
+
+
 def _members(drive, n):
     """The single drives of a 1-D stack of n drives."""
     return [
@@ -453,50 +462,93 @@ class TestRealCoordinates:
         assert np.max(np.abs(gen @ x - expected)) <= tol
 
     @pytest.mark.parametrize("delta_c", [1e6, -1e6])
-    def test_ill_conditioned_member_is_not_returned_unchecked(
+    def test_ill_conditioned_member_is_returned_from_the_inverse(
             self, delta_c, monkeypatch):
-        """ROADMAP item 8's drive: the real system's residual passes, but its
-        condition number is far above 1 / RESIDUAL_RTOL, so the member goes
-        to the fallback. Its populations are (1/3, 0, 1/3, 1/3) to 1e-12, as
-        a 50-digit solve of the same R gives them."""
+        """ROADMAP item 8's drive: the real system's condition number is far
+        above 1 / RESIDUAL_RTOL, but its residual passes, and a small
+        residual bounds the backward error whichever solve gave x, so no
+        member reaches the fallback. Its populations are (1/3, 0, 1/3, 1/3)
+        to 1e-12, as a 50-digit solve of the same R gives them."""
         system = defaults.cesium_system()
         routed = _spy_fallback(monkeypatch)
         rho = steady_state_numeric(system, DriveConfig(
             omega_p=1.0, omega_c=1.0, omega_rf=2e6, delta_c=delta_c))
-        assert [len(gen) for gen, *_ in routed] == [1]
+        assert routed == []
         assert np.allclose(np.diag(rho.matrix).real, [1 / 3, 0.0, 1 / 3, 1 / 3],
                            rtol=0.0, atol=1e-12)
 
-    def test_member_above_the_condition_threshold_takes_the_fallback(
-            self, system, monkeypatch):
-        """Rabi rates of 1 rad/s against a 3e7 rad/s linewidth: the real
-        residual passes, the 1-norm condition number exceeds 1 / RESIDUAL_RTOL,
-        and only that member is solved again by the fallback, on its own R;
-        the stack returns that solve bit for bit."""
-        drive = DriveConfig(omega_p=np.array([1e7, 1.0]),
-                            omega_c=np.array([1e6, 1.0]),
-                            omega_rf=np.array([1e6, 1.0]))
-        weak = _members(drive, 2)[1]
-        gen = generator(system, weak)
-        a = gen.copy()
-        a[0] = atomic._TRACE_X * np.linalg.norm(gen)
-        assert np.linalg.cond(a, 1) > 1.0 / atomic.RESIDUAL_RTOL
+    def test_member_whose_inverse_holds_nan_alone_takes_the_fallback(
+            self, system, diod, bcod, monkeypatch):
+        """The LO-only drives at both shipped points, with NaN written into
+        member 1's real inverse: its residual is NaN, which fails the test,
+        so the fallback solves member 1 alone, on its own R. Member 0 keeps
+        the inverse's answer bit for bit, and the fallback's LU solve of
+        member 1 is within 1e-12 of the inverse's."""
+        singles = [defaults.drive_for(op, system) for op in (diod, bcod)]
+        stack = DriveConfig(**{k: np.array([getattr(d, k) for d in singles])
+                               for k in vars(singles[0])})
+        clean = steady_state_numeric(system, stack).matrix
+        inv = np.linalg.inv
 
-        fallback = atomic._fallback
+        def poisoned(a):
+            out = inv(a)
+            out[1] = np.nan
+            return out
+
         routed = _spy_fallback(monkeypatch)
-        rho = steady_state_numeric(system, drive)
+        monkeypatch.setattr(np.linalg, "inv", poisoned)
+        rho = steady_state_numeric(system, stack).matrix
         [args] = routed
-        assert len(args[0]) == 1 and np.array_equal(args[0][0], gen)
-        own = atomic._finalize(fallback(*args)[0] @ atomic._VEC_OF_X)
-        assert np.array_equal(rho.matrix[1], own.matrix)
+        assert len(args[0]) == 1
+        assert np.array_equal(args[0][0], generator(system, singles[1]))
+        assert np.array_equal(rho[0], clean[0])
+        assert np.max(np.abs(rho[1] - clean[1])) <= 1e-12
+
+    def test_inverse_overflow_at_vanishing_linewidth_is_rescued_by_lu(
+            self, tmp_path, monkeypatch):
+        """detuning-loss at ``atomic.probe_linewidth_mhz: 1e-300`` (gamma2
+        near 6e-294 rad/s) plans and executes. The real inverse of 14 of its
+        49 distinct drives holds inf or NaN; exactly those members reach the
+        fallback, whose LU solve returns each with a passing residual."""
+        raw = yaml.safe_load(default_config_path("detuning-loss").read_text())
+        raw.setdefault("atomic", {})["probe_linewidth_mhz"] = 1e-300
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        solved, results = [], []
+        steady_vectors, fallback = atomic._steady_vectors, atomic._fallback
+
+        def solve(sys_, h):
+            solved.append((sys_, h))
+            return steady_vectors(sys_, h)
+
+        def spy(*args):
+            results.append((args, fallback(*args)))
+            return results[-1][1]
+
+        monkeypatch.setattr(atomic, "_steady_vectors", solve)
+        monkeypatch.setattr(atomic, "_fallback", spy)
+        result = recipes.check_recipe(load_config(path))(1)
+        assert len(result.rows) == 61
+        assert np.isfinite([row[1] for row in result.rows]).all()
+
+        [(sys_, h)] = solved
+        gen = atomic._real_liouvillian(sys_, h)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            inv = np.linalg.inv(_trace_replaced(gen))
+        overflowed = ~np.isfinite(inv).all(axis=(-2, -1))
+        assert (len(h), overflowed.sum()) == (49, 14)
+        [((routed, *_, scale), x)] = results
+        assert np.array_equal(routed, gen[overflowed])
+        assert (atomic._residual(routed, x, scale) <= atomic.RESIDUAL_RTOL).all()
 
     def test_no_recipe_or_workload_drive_takes_the_fallback(
             self, system, monkeypatch):
         """The packaged detuning-loss sweep, at its shipped points and at the
         benchmark's 1,001, the LO-only drives at both shipped points, and
         their 1,000-sample Liouvillian waveforms at 20 dB: no member is
-        routed to the fallback, and the largest condition number stays
-        within 1 / RESIDUAL_RTOL, so each value is the real inverse's."""
+        routed to the fallback, so every value is the real inverse's,
+        whatever its condition number; the largest stays within
+        1 / RESIDUAL_RTOL."""
         solved = []
         steady_vectors = atomic._steady_vectors
 
@@ -520,9 +572,7 @@ class TestRealCoordinates:
 
         worst = 0.0
         for sys_, h in solved:
-            gen = atomic._real_liouvillian(sys_, h)
-            a = gen.copy()
-            a[:, 0, :] = atomic._TRACE_X * atomic._norm(gen.reshape(-1, 256))[:, None]
+            a = _trace_replaced(atomic._real_liouvillian(sys_, h))
             worst = max(worst, np.linalg.cond(a, 1).max())
         # 573 distinct drives: 49 and 501 |delta_rf|, 2 LO-only, 11 + 10 envelopes
         assert sum(len(h) for _, h in solved) == 573

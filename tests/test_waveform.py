@@ -242,13 +242,13 @@ class TestNoiseStatistics:
 
 class TestDemodulation:
     def test_cosine_identity(self):
+        # the gain is the FIR's DC gain G0 = sum(taps), not 1
         fs, fd = 32 * 75e3, 75e3
         t = np.arange(int(fs * 2e-3)) / fs
         z = demodulate_iq(3.0 * np.cos(2 * math.pi * fd * t), fd, fs)
         est = baseband_estimate(z, fd, fs)
-        assert abs(est - 3.0 / (2.0 * math.sqrt(2.0))) <= 1e-3 * 3.0 / (
-            2.0 * math.sqrt(2.0)
-        )
+        ref = 3.0 * _lowpass_taps(fd, fs).sum() / (2.0 * math.sqrt(2.0))
+        assert abs(est - ref) <= 1e-12 * ref
 
     def test_dc_rejection(self):
         fs, fd = 32 * 75e3, 75e3
@@ -260,7 +260,8 @@ class TestDemodulation:
         fs, fd = 32 * 75e3, 75e3
         t = np.arange(int(fs * 2e-3)) / fs
         z = demodulate_iq(np.cos(2 * math.pi * fd * t + 0.8), fd, fs)
-        assert np.angle(baseband_estimate(z, fd, fs)) == pytest.approx(0.8, abs=1e-3)
+        ref = _lowpass_taps(fd, fs).sum() / (2.0 * math.sqrt(2.0)) * np.exp(0.8j)
+        assert abs(baseband_estimate(z, fd, fs) - ref) <= 1e-12 * abs(ref)
 
     def test_too_short_series(self):
         with pytest.raises(InsufficientLength):

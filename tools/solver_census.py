@@ -8,8 +8,9 @@ steady state). Each drive's outcome is ``returned`` or the name of the
 exception it raised. The script prints one line per drive in
 grid order, ``<omega_p> <omega_c> <omega_rf> <delta_p> <delta_c> <delta_rf>
 <outcome>``. Two lines follow on how the solves went: ``fallback <n>``, the
-number of drives the real inverse could not vouch for, which the solver's
-LU fallback solved again, and ``max_cond_returned <c>``, the largest 1-norm
+number of drives the solver's LU fallback solved again, those whose
+refined residual failed or whose block's real inverse raised (5,824, all
+from singular blocks), and ``max_cond_returned <c>``, the largest 1-norm
 condition number of the trace-replaced real system among returned drives.
 Then come a tally of the outcomes and the sha256 over the outcome names
 alone, one per line. The package is imported from the ``src`` directory next to this
