@@ -86,7 +86,11 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     and the scalar summary. Returns {kind: path}.
 
     Both JSON files are strict JSON: a NaN or infinity raises ValueError
-    before any file is written."""
+    before any file is touched. Each artifact is written as a new file:
+    the previous run's file at that path is removed first, so a hard link
+    or symlink there is replaced, not written through, and a run without
+    rows leaves no CSV behind. Rewriting a file in place truncates it,
+    which stalls tens of ms per file on ext4 (``auto_da_alloc``)."""
     out = Path(out_dir)
     csv_name = f"{result.name}.csv" if result.rows else None
     manifest = {
@@ -101,16 +105,20 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
     summary.update(result.summary)
     texts = {kind: json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
              for kind, doc in (("manifest", manifest), ("summary", summary))}
-
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {}
     if csv_name is not None:
         lines = [f"# fingerprint={fp}", ",".join(result.columns)]
         lines.extend(_csv_lines(result.rows))
-        paths["csv"] = out / csv_name
-        paths["csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    csv_path = out / f"{result.name}.csv"
+    csv_path.unlink(missing_ok=True)
+    if csv_name is not None:
+        paths["csv"] = csv_path
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for kind, text in texts.items():
         paths[kind] = out / f"{result.name}_{kind}.json"
+        paths[kind].unlink(missing_ok=True)
         paths[kind].write_text(text, encoding="utf-8")
     return paths
 

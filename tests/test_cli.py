@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -628,38 +629,54 @@ class TestRunRecipe:
 
     def test_json_artifacts_are_strict(self, tmp_path, monkeypatch):
         """A NaN or infinity in the manifest or summary fails the run before
-        any artifact is written."""
+        any artifact is written, or a previous run's removed."""
         import dataclasses
 
         cfg = load_config(write_config(tmp_path, SMALL_DETUNING))
-        cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
-        for bad in (math.nan, math.inf):
-            result = recipes.RecipeResult(name="detuning-loss", columns=["x"],
-                                          rows=[(1.0,)], axes={},
-                                          summary={"value": bad})
-            with pytest.raises(ValueError):
-                recipes.emit_plotdata(result, tmp_path / "out", "fp", seed=0)
-            monkeypatch.setitem(recipes.RECIPES, "detuning-loss",
-                                lambda cfg, result=result: lambda threads: result)
-            with pytest.raises(RecipeError, match="JSON"):
-                run_recipe(cfg)
-        assert not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        cfg = dataclasses.replace(cfg, output_dir=str(out))
+
+        def fail_each():
+            for bad in (math.nan, math.inf):
+                result = recipes.RecipeResult(name="detuning-loss",
+                                              columns=["x"], rows=[(1.0,)],
+                                              axes={}, summary={"value": bad})
+                with pytest.raises(ValueError):
+                    recipes.emit_plotdata(result, out, "fp", seed=0)
+                with monkeypatch.context() as m:
+                    m.setitem(recipes.RECIPES, "detuning-loss",
+                              lambda cfg: lambda threads: result)
+                    with pytest.raises(RecipeError, match="JSON"):
+                        run_recipe(cfg)
+
+        fail_each()
+        assert not out.exists()
+        run_recipe(cfg)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 3
+        fail_each()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("recipe", ["detuning-loss", "sn-vs-ratio",
                                         "waveform-overlay", "rate-vs-M",
                                         "power-scaling"])
     def test_empty_sweep_manifest_without_csv(self, tmp_path, recipe):
+        """A sweep of no points writes no CSV and removes the one a run
+        with rows left in the same directory."""
         import dataclasses
 
         if recipe == "detuning-loss":
-            text = SMALL_DETUNING.replace("points: 7", "points: 0")
+            raw = yaml.safe_load(SMALL_DETUNING)
         else:
             raw = yaml.safe_load(default_config_path(recipe).read_text())
-            raw["sweep"]["points"] = 0
-            text = yaml.safe_dump(raw)
-        cfg = load_config(write_config(tmp_path, text))
-        cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
-        paths = run_recipe(cfg)
+        csv = tmp_path / "out" / f"{recipe}.csv"
+        for points in (1, 0):
+            raw["sweep"]["points"] = points
+            path = write_config(tmp_path, yaml.safe_dump(raw), f"{points}.yaml")
+            cfg = dataclasses.replace(load_config(path),
+                                      output_dir=str(tmp_path / "out"))
+            paths = run_recipe(cfg)
+            assert csv.exists() == bool(points)
         assert "csv" not in paths
         manifest = json.loads(paths["manifest"].read_text())
         assert manifest["series"] == []
@@ -1126,6 +1143,30 @@ class TestCliEntry:
         assert "fingerprint=" in stdout
         assert str(out / "detuning-loss_summary.json") in stdout
 
+    def test_rerun_writes_each_artifact_as_a_new_file(self, tmp_path, capsys):
+        """A re-run into the same directory replaces each artifact with a
+        new file: a hard link to the previous run's artifact keeps that
+        run's bytes, and the path holds the new run's."""
+        path = write_config(tmp_path, SMALL_DETUNING)
+        out, kept = tmp_path / "out", tmp_path / "kept"
+
+        def run(seed, where):
+            assert cli.main(["run", "detuning-loss", "--config", str(path),
+                             "--out", str(where), "--seed", seed]) == 0
+            return {p.name: p.read_bytes() for p in where.iterdir()}
+
+        first = run("3", out)
+        assert len(first) == 3
+        kept.mkdir()
+        for name in first:
+            os.link(out / name, kept / name)
+        second = run("4", out)
+        assert second == run("4", tmp_path / "fresh")
+        for name, data in first.items():
+            assert data != second[name]  # the seed and the fingerprint differ
+            assert (kept / name).read_bytes() == data
+        capsys.readouterr()
+
     def test_seed_flag_changes_fingerprint(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_DETUNING)
         fps = []
@@ -1202,6 +1243,8 @@ class TestCliEntry:
         for (section, key), value in zip(keys, values):
             raw.setdefault(section, {})[key] = value
         path = tmp_path_factory.getbasetemp() / "two-keys.yaml"
+        # a new file each example: rewriting one in place stalls on ext4
+        path.unlink(missing_ok=True)
         path.write_text(yaml.safe_dump(raw), encoding="utf-8")
         assert cli.main(["validate", "--config", str(path)]) in (0, 2)
 

@@ -78,6 +78,8 @@ def main() -> int:
                 raw.setdefault("array", {})["realizations"] = MIN_REALIZATIONS
                 raw.setdefault(section, {})[key] = value
                 path = root / "config.yaml"
+                # a new file per config: rewriting one in place stalls on ext4
+                path.unlink(missing_ok=True)
                 path.write_text(yaml.safe_dump(raw), encoding="utf-8")
                 result = outcome(path, root / "out")
                 tally[result] += 1
