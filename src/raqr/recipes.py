@@ -1,8 +1,9 @@
 """Named experiments: each recipe turns a validated config into one
 figure-analogue (tidy CSV, manifest, JSON summary). A recipe plans, then
-executes: ``RECIPES[name](config)`` computes everything closed-form and
-returns ``execute(threads)``, which does the Monte-Carlo draws,
-steady-state solves and waveform simulation and builds the result.
+executes: ``RECIPES[name](config)`` applies the rules the recipe needs,
+computes everything closed-form and returns ``execute(threads)``, which
+does the Monte-Carlo draws, steady-state solves and noisy waveform
+simulation; the noiseless waveform-overlay plans its whole result.
 
 Artifacts are byte-reproducible for identical (config, seed): all
 randomness flows from the config seed, through Philox for the Monte-Carlo
@@ -125,34 +126,17 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
 
 def check_recipe(config: ExperimentConfig):
     """Raise ValidationError unless ``config.recipe`` is a recipe that sweeps
-    ``config.sweep.variable`` over values it can run at the configured
-    operating point and its plan builds; return the plan's
-    ``execute(threads)``. ``raqr validate`` and ``run_recipe`` each call
-    this once.
+    ``config.sweep.variable`` over finite values and its plan builds;
+    return the plan's ``execute(threads)``. ``raqr validate`` and
+    ``run_recipe`` each call this once.
 
-    Every sweep value must be finite, and so must a detuning once converted
-    to rad/s: a linear span of two finite ends can still overflow. A sensor
-    sweep rounds each value to a count, which must be >= 1, and for
-    ``rate-vs-M`` (zero forcing) above ``n_users``, and at most
-    ``config.MAX_SENSORS``. A ratio sweep scales the LO field by
-    10 ** (-ratio / 20) into the user field, a factor that must be finite
-    and nonzero. The sweep is monotone, so its ends bound every count and
-    factor. The LO drives the RF transition and the probe beam carries the
-    readout; without either the reception gain and the transduction slope
-    vanish, so the LO and probe powers must be positive wherever the
-    recipe reads them: everywhere but
-    ``sn-vs-ratio``, which builds its own operating points, and a sweep of
-    that power by ``rate-vs-parameter``, which sets it. Balanced detection
-    has no gain without its local beam, so there the local beam power must
-    be positive too, except for ``sn-vs-ratio`` and ``detuning-loss``,
-    which never read the configured point's gains. ``siso-optima``
-    minimizes a thermal-only objective, which is 0 everywhere at T = 0, so
-    there the temperature must be positive. No divisor a recipe reads may
-    be 0; each is formed with ``*``, as ``**`` would raise on overflow.
-    A plan names a key where it can (see each recipe); any other exception
-    while planning is a ValidationError on ``recipe``.
+    A detuning must stay finite in rad/s, a sensor count in [1,
+    ``MAX_SENSORS``] and a ratio's factor 10 ** (-ratio / 20) on the LO
+    field finite and nonzero; the sweep is monotone, so its ends bound them.
+    Each plan checks the rest of what it reads, naming a key where it can;
+    any other exception while planning is a ValidationError on ``recipe``.
     """
-    name, sweep, op = config.recipe, config.sweep, config.op
+    name, sweep = config.recipe, config.sweep
     if name is None:
         raise ValidationError("recipe", "no recipe selected")
     if name not in RECIPES:
@@ -170,54 +154,19 @@ def check_recipe(config: ExperimentConfig):
             "sweep.start" if not np.isfinite(values[0]) else "sweep.stop",
             f"the sweep from {sweep.start:g} to {sweep.stop:g} overflows")
     ends = (("sweep.start", sweep.start), ("sweep.stop", sweep.stop))[:sweep.points]
-    if RECIPE_SWEEPS[name] == ("ratio_db",):
-        for key, value in ends:
-            try:  # as defaults.weak_user scales the LO field
-                factor = 10.0 ** (-value / 20.0)
-            except OverflowError:
-                factor = math.inf
-            if not 0.0 < factor < math.inf:
-                raise ValidationError(key, f"a ratio of {value:g} dB scales the "
-                                      f"user field by {factor:g}")
-    if RECIPE_SWEEPS[name] == ("n_sensors",):
-        least = config.n_users + 1 if name == "rate-vs-M" else 1
-        for key, value in ends:
-            count = int(round(value))
-            if count < least:
-                raise ValidationError(key, f"rounds to {count} sensors; recipe "
-                                      f"{name} needs at least {least}")
-            if count > MAX_SENSORS:
-                raise ValidationError(key, f"rounds to {count} sensors, above "
-                                      f"the limit of {MAX_SENSORS}")
-    for key, need in (("lo_power_w", "an RF LO drive"),
-                      ("probe_power_w", "a probe beam")):
-        sets_it = name == "sn-vs-ratio" or (
-            name == "rate-vs-parameter" and sweep.variable == key)
-        if getattr(op, _SWEEP_TO_POWER[key]) <= 0.0 and not sets_it:
-            raise ValidationError(f"operating_point.{key}",
-                                  f"must be > 0 for recipe {name}, which needs "
-                                  f"{need}")
-    if (op.scheme == "BCOD" and op.pl <= 0.0
-            and name not in ("sn-vs-ratio", "detuning-loss")):
-        raise ValidationError("operating_point.local_beam_power_w",
-                              f"must be > 0 for recipe {name} with balanced "
-                              "detection, which needs a local beam")
-    if config.chain.temperature <= 0.0 and name == "siso-optima":
-        raise ValidationError("detection.temperature_k",
-                              f"must be > 0 for recipe {name}, whose thermal "
-                              "regime has no noise to minimize without it")
-    system, chain, mu23 = config.system, config.chain, config.system.mu23 / hbar
-    weights = name == "siso-optima" or (  # crossover_threshold builds them
-        name == "rate-vs-parameter" and sweep.variable in ("lo_power_w", "probe_power_w"))
-    for key, reads, what, divisor in (  # of the noise budget, weights and pc optimum
-            ("atomic.dephasing_time_us", name not in ("waveform-overlay", "detuning-loss"),
-             "N_atoms T2 mu34^2", system.n_atoms * system.t2 * (system.mu34 * system.mu34)),
-            ("detection.quantum_efficiency", weights, "z0 alpha^2",
-             2.0 * chain.z0 * (chain.alpha * chain.alpha)),
-            ("atomic.dressing_dipole_cm", name == "siso-optima",
-             "the coupling Rabi coefficient", mu23 * mu23 * 8.0 * LN2)):
-        if reads and divisor == 0.0:
-            raise ValidationError(key, f"{what} is 0, and recipe {name} divides by it")
+    for key, value in ends if sweep.variable == "ratio_db" else ():
+        try:  # as defaults.weak_user scales the LO field
+            factor = 10.0 ** (-value / 20.0)
+        except OverflowError:
+            factor = math.inf
+        if not 0.0 < factor < math.inf:
+            raise ValidationError(key, f"a ratio of {value:g} dB scales the "
+                                  f"user field by {factor:g}")
+    for key, value in ends if sweep.variable == "n_sensors" else ():
+        count = int(round(value))
+        if not 1 <= count <= MAX_SENSORS:
+            raise ValidationError(key, f"rounds to {count} sensors, outside "
+                                  f"[1, {MAX_SENSORS}]")
     try:
         return RECIPES[name](config)
     except ValidationError:
@@ -284,45 +233,80 @@ def _mean_se(se: np.ndarray) -> float:
     return float(np.sqrt((se**2).sum()) / len(se))
 
 
+# the configured point's powers, which a recipe that reads its gains needs
+_POINT = ("operating_point.lo_power_w", "operating_point.probe_power_w",
+          "operating_point.local_beam_power_w")
+
+
+def _require(cfg: ExperimentConfig, *keys: str) -> None:
+    """Raise ValidationError on the first rule below, of those ``keys``
+    name, that the config fails; each message says why the recipe needs
+    it. A divisor is formed with ``*``, as ``**`` would raise on overflow."""
+    op, system, chain, name = cfg.op, cfg.system, cfg.chain, cfg.recipe
+    mu23 = system.mu23 / hbar
+    for key, fails, message in (
+            ("operating_point.lo_power_w", op.p_lo <= 0.0,
+             f"must be > 0 for recipe {name}, which needs an RF LO drive"),
+            ("operating_point.probe_power_w", op.p0 <= 0.0,
+             f"must be > 0 for recipe {name}, which needs a probe beam"),
+            ("operating_point.local_beam_power_w", op.scheme == "BCOD" and op.pl <= 0.0,
+             f"must be > 0 for recipe {name} with balanced detection, which "
+             "needs a local beam"),
+            ("detection.temperature_k", chain.temperature <= 0.0,
+             f"must be > 0 for recipe {name}, whose thermal regime has no "
+             "noise to minimize without it"),
+            ("atomic.dephasing_time_us",
+             system.n_atoms * system.t2 * (system.mu34 * system.mu34) == 0.0,
+             f"N_atoms T2 mu34^2 is 0, and recipe {name} divides by it"),
+            ("detection.quantum_efficiency",
+             2.0 * chain.z0 * (chain.alpha * chain.alpha) == 0.0,
+             f"z0 alpha^2 is 0, and recipe {name} divides by it"),
+            ("atomic.dressing_dipole_cm", mu23 * mu23 * 8.0 * LN2 == 0.0,
+             f"the coupling Rabi coefficient is 0, and recipe {name} divides by it")):
+        if fails and key in keys:
+            raise ValidationError(key, message)
+
+
 # --------------------------------------------------------------------------
 # recipes
 
 
 def waveform_overlay(cfg: ExperimentConfig):
     """Exact vs linearized detector waveforms at a few LO-to-user ratios,
-    noise generators off so the deviation column is pure model error. The
-    plan holds only constants: the waveform simulation is execution."""
+    noise generators off so the deviation column is pure model error and
+    the plan, closed form, is the whole result. It fails where a relative
+    deviation is not finite, which strict JSON cannot hold."""
+    _require(cfg, *_POINT)
     quiet = dataclasses.replace(cfg.chain, sigma_sq_sn=0.0)
     fs = MIN_SAMPLES_PER_BEAT * cfg.f_delta
     duration = 150.0 / cfg.f_delta  # 150 beat periods
-
-    def execute(threads: int) -> RecipeResult:
-        rows, series, per_ratio = [], [], {}
-        for ratio in cfg.sweep.values():
-            user = defaults.weak_user(float(ratio), cfg.op, f_delta=cfg.f_delta)
-            with warnings.catch_warnings():
-                # sweeping through weak ratios is this figure's purpose
-                warnings.simplefilter("ignore", WeakLO)
-                wf = simulate_waveform(cfg.op, quiet, user, cfg.system,
-                                       duration, fs, seed=cfg.seed)
-            label = f"ratio_{float(ratio):.12g}db"
-            dev = float(
-                np.linalg.norm(wf.v_exact - wf.v_approx) / np.linalg.norm(wf.v_exact)
-            )
-            per_ratio[label] = dev
-            series.append({"label": label, "filter": {"series": label}})
-            rows.extend((label, t, ve, va, va - ve) for t, ve, va in zip(
-                wf.t.tolist(), wf.v_exact.tolist(), wf.v_approx.tolist()))
-        return RecipeResult(
-            name="waveform-overlay",
-            columns=["series", "time_s", "exact_v", "approx_v", "deviation_v"],
-            rows=rows,
-            axes={"x": {"label": "time", "unit": "s"},
-                  "y": {"label": "detector output", "unit": "V"}},
-            series=series,
-            summary={"rms_deviation": per_ratio},
-        )
-    return execute
+    rows, series, per_ratio = [], [], {}
+    for ratio in map(float, cfg.sweep.values()):
+        user = defaults.weak_user(ratio, cfg.op, f_delta=cfg.f_delta)
+        with warnings.catch_warnings():
+            # sweeping through weak ratios is this figure's purpose
+            warnings.simplefilter("ignore", WeakLO)
+            wf = simulate_waveform(cfg.op, quiet, user, cfg.system,
+                                   duration, fs, seed=cfg.seed)
+        label = f"ratio_{ratio:.12g}db"
+        dev = float(np.linalg.norm(wf.v_exact - wf.v_approx)
+                    / np.linalg.norm(wf.v_exact))
+        if not math.isfinite(dev):
+            raise ValueError(f"the relative deviation at {ratio:g} dB is {dev:g}")
+        per_ratio[label] = dev
+        series.append({"label": label, "filter": {"series": label}})
+        rows.extend((label, t, ve, va, va - ve) for t, ve, va in zip(
+            wf.t.tolist(), wf.v_exact.tolist(), wf.v_approx.tolist()))
+    result = RecipeResult(
+        name="waveform-overlay",
+        columns=["series", "time_s", "exact_v", "approx_v", "deviation_v"],
+        rows=rows,
+        axes={"x": {"label": "time", "unit": "s"},
+              "y": {"label": "detector output", "unit": "V"}},
+        series=series,
+        summary={"rms_deviation": per_ratio},
+    )
+    return lambda threads: result
 
 
 def sn_vs_ratio(cfg: ExperimentConfig):
@@ -335,6 +319,7 @@ def sn_vs_ratio(cfg: ExperimentConfig):
     run divides by. Where that is 0 or not finite at an end of the
     monotone sweep, the error names the end, or sn_coeff where it fails
     at every end or a budget is out of range."""
+    _require(cfg, "atomic.dephasing_time_us")
     geometry = {k: getattr(cfg.op, k) for k in ("a_e", "fwhm_p", "fwhm_c")}
     points = []
     for op in (defaults.diod_point(**geometry), defaults.bcod_point(**geometry)):
@@ -403,6 +388,8 @@ def siso_optima(cfg: ExperimentConfig):
     closed form and checked against the swept grid. The plan holds the four
     grids with W at each point, their stationary points with W at each, and
     the local beam optimum; the run compares each grid with its optimum."""
+    _require(cfg, *_POINT, "detection.temperature_k", "atomic.dephasing_time_us",
+             "detection.quantum_efficiency", "atomic.dressing_dipole_cm")
     wts = NoiseWeights.from_chain(cfg.chain, cfg.system)
     regimes = {
         "dc_shot": NoiseWeights(0.0, wts.dc_shot, 0.0, 0.0),
@@ -465,6 +452,7 @@ def detuning_loss(cfg: ExperimentConfig):
     """Numeric steady-state response versus RF detuning, normalized to the
     on-resonance coherence magnitude. Qualitative: peak location, symmetry,
     and half width. The plan holds the drive stack, the run its solve."""
+    _require(cfg, *_POINT[:2])  # it reads no gains, so needs no local beam
     detunings = cfg.sweep.values() * 1e3  # kHz -> Hz
     # with delta_p = delta_c = 0 the state at -delta_rf is U rho* U,
     # U = diag(1, -1, 1, -1), of the one at +delta_rf, so |rho21| is even:
@@ -503,9 +491,14 @@ def rate_vs_m(cfg: ExperimentConfig):
     count, for both combiners, with the conventional-array baseline. The
     plan holds everything but the Monte-Carlo draws: the users' fading,
     the gain table and budget, the scenarios and the baseline bounds."""
+    sizes = [int(round(m)) for m in cfg.sweep.values()]
+    for key, m in zip(("sweep.start", "sweep.stop"), sizes[:1] + sizes[-1:]):
+        if m <= cfg.n_users:  # zero forcing needs more sensors than users
+            raise ValidationError(key, f"rounds to {m} sensors; recipe rate-vs-M "
+                                  f"needs at least {cfg.n_users + 1}")
+    _require(cfg, *_POINT, "atomic.dephasing_time_us")
     beta = place_users(cfg)
     gains, budget = _gains_budget(cfg)
-    sizes = [int(round(m)) for m in cfg.sweep.values()]
     scenarios = [_scenario(cfg, m, beta) for m in sizes]
     rf = mimo.rf_gains(cfg.rf_noise_w)
     baselines = {method: [float(mimo.sinr_lb(sc, *rf, method).rate.mean())
@@ -549,6 +542,7 @@ def power_scaling(cfg: ExperimentConfig):
     whole result. It divides by the asymptotic rate, which must be finite
     and > 0: the error names ``array.transmit_power`` where that is 0, and
     ``asymptotic_rate`` otherwise."""
+    _require(cfg, *_POINT, "atomic.dephasing_time_us")
     beta = mimo.large_scale_fading(cfg.region_center_m, cfg.f_carrier)
     gains, budget = _gains_budget(cfg)
     asym = mimo.asymptotic_rate(gains, budget, beta, energy=cfg.transmit_power)
@@ -593,6 +587,8 @@ def rate_vs_parameter(cfg: ExperimentConfig):
     The plan holds everything but the Monte-Carlo draws: the users'
     fading, the scenario, every gain table and budget, and the crossover."""
     attr = _SWEEP_TO_POWER[cfg.sweep.variable]
+    swept = f"operating_point.{cfg.sweep.variable}"  # each point sets it
+    _require(cfg, *(key for key in _POINT if key != swept), "atomic.dephasing_time_us")
     beta = place_users(cfg)
     sc = _scenario(cfg, cfg.n_sensors, beta)
     xs = [float(x) for x in cfg.sweep.values()]
@@ -601,6 +597,7 @@ def rate_vs_parameter(cfg: ExperimentConfig):
         _gains_budget(cfg, with_powers(cfg.op, **{attr: x})) for x in xs]
     crossover, annotations = {}, []
     if attr in ("p_lo", "p0"):
+        _require(cfg, "detection.quantum_efficiency")  # it builds noise weights
         try:
             root = mimo.crossover_threshold(cfg.op, cfg.chain, cfg.system,
                                             cfg.rf_noise_w, sweep=attr)

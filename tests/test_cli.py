@@ -554,6 +554,31 @@ UNDERFLOWING_DIVISORS = [
 ] + [("siso-optima", "atomic", "dressing_dipole_cm", value)
      for value in (0.0, 1e-300)]
 
+# (section, key, value, the cause's opening) where the packaged
+# waveform-overlay config's noiseless simulation fails, or its relative
+# deviation is not finite: the 16 such configs of tools/config_fuzz.py
+WAVEFORM_PLAN_FAILURES = [
+    ("atomic", "probe_dipole_ea0", 1e300, "OverflowError: "),
+    ("atomic", "dressing_dipole_cm", 1e300, "ValueError: omega_c "),
+    ("atomic", "rf_dipole_ea0", 1e300, "OverflowError: "),
+    ("atomic", "probe_linewidth_mhz", 1e300, "OverflowError: "),
+    ("atomic", "density_per_m3", 1e300, "ValueError: the relative deviation "),
+    ("atomic", "probe_wavelength_nm", 1e300, "Saturation: "),
+    ("operating_point", "probe_power_w", 1e-300,
+     "ValueError: the relative deviation "),
+    ("operating_point", "probe_power_w", 1e300, "ValueError: omega_p "),
+    ("operating_point", "coupling_power_w", 1e300, "ValueError: omega_c "),
+    ("operating_point", "lo_power_w", 1e300, "ValueError: the relative deviation "),
+    ("operating_point", "local_beam_power_w", 1e300, "Saturation: "),
+    ("operating_point", "effective_area_cm2", 1e-300,
+     "ValueError: the relative deviation "),
+    ("detection", "gain", 1e300, "ValueError: the relative deviation "),
+    ("detection", "quantum_efficiency", 1e-300,
+     "ValueError: the relative deviation "),
+    ("detection", "impedance_ohm", 1e300, "ValueError: the relative deviation "),
+    ("detection", "saturation_current_ma", 1e-300, "Saturation: "),
+]
+
 
 class TestRunRecipe:
     def test_artifact_set(self, tmp_path):
@@ -1080,6 +1105,29 @@ class TestCliEntry:
             err = capsys.readouterr().err
             assert err.startswith(f"error: recipe: {recipe} "), err
             assert f"cannot plan this config: {cause}: " in err, err
+        assert not (tmp_path / "out").exists()
+
+    # as outside pytest: validation reports the plan's failure, whatever
+    # warnings the non-finite intermediates raise on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("section, key, value, cause", WAVEFORM_PLAN_FAILURES,
+                             ids=[f"{key}-{value:g}" for _, key, value, _
+                                  in WAVEFORM_PLAN_FAILURES])
+    def test_waveform_overlay_plan_simulates_its_result(
+            self, tmp_path, capsys, section, key, value, cause):
+        """The noiseless waveforms are simulated in waveform-overlay's plan,
+        so a config whose simulation fails, or whose relative deviation is
+        not finite (strict JSON could not hold it), fails validate and run
+        alike with exit 2 naming ``recipe``, and no artifact is written."""
+        raw = yaml.safe_load(default_config_path("waveform-overlay").read_text())
+        raw.setdefault(section, {})[key] = value
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        for argv in (["validate"], ["run", "waveform-overlay",
+                                    "--out", str(tmp_path / "out")]):
+            assert cli.main(argv + ["--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: recipe: waveform-overlay cannot plan "
+                                  f"this config: {cause}"), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("recipe", ["sn-vs-ratio", "waveform-overlay"])

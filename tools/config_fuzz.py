@@ -10,7 +10,8 @@ directory. ``run_recipe`` first checks the config and builds its plan, as
 ``raqr validate`` does; a config that fails there is ``rejected``. One that
 passes is ``ok`` or the type name of the run failure's cause. The script
 prints the per-config lines ``<recipe> <key> <value> <outcome>`` in grid
-order, then a tally of the outcomes and the sha256 over those lines. The
+order, a ``rejected`` line with the ``ValidationError.key`` as a fifth
+field, then a tally of the outcomes and the sha256 over those lines. The
 package is imported from the ``src`` directory next to this script, so
 running the script from two checkouts and diffing the outputs shows
 whether a change moved any outcome:
@@ -54,11 +55,12 @@ def grid():
 
 
 def outcome(path: Path, out_dir: Path) -> str:
+    """``ok``, ``rejected <key>`` or the run failure's type name."""
     try:
         cfg = load_config(path)
         run_recipe(dataclasses.replace(cfg, output_dir=str(out_dir)))
-    except ValidationError:
-        return "rejected"
+    except ValidationError as exc:
+        return f"rejected {exc.key}"
     except RecipeError as exc:
         return type(exc.__cause__).__name__
     except Exception as exc:
@@ -82,7 +84,7 @@ def main() -> int:
                 path.unlink(missing_ok=True)
                 path.write_text(yaml.safe_dump(raw), encoding="utf-8")
                 result = outcome(path, root / "out")
-                tally[result] += 1
+                tally[result.split()[0]] += 1
                 lines.append(f"{recipe} {section}.{key} {value!r} {result}\n")
     print("".join(lines), end="")
     for kind, count in sorted(tally.items()):
