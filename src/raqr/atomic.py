@@ -198,17 +198,14 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
 
     Solves in the real coordinates x of a Hermitian rho, where the generator
     is a real 16x16 map R: one row of R is replaced with the trace
-    constraint, and one real inverse of that square system gives the
-    solution and two iterative-refinement passes as products (deterministic,
-    no iteration to convergence). A member whose relative residual
-    ||R x|| / ||R||_F exceeds ``RESIDUAL_RTOL`` (NaN included, where the
-    inverse overflows) is solved again by ``_fallback``: an LU solve of the
-    same real system with two refinement passes, accepted on the same
-    residual test, and otherwise an SVD of R that decides between a
-    genuinely degenerate null space and plain failure. A small residual
-    bounds the backward error whichever solve produced x, so a member that
-    passes keeps the inverse's answer. Every decision is made on R; no
-    complex generator is built.
+    constraint, and one LU solve of that square system gives x, with no
+    refinement (a backward-stable solve that passes the residual test has
+    nothing for refinement in working precision to recover). A member whose
+    relative residual ||R x|| / ||R||_F exceeds ``RESIDUAL_RTOL`` (NaN
+    included, where the solve overflows), and every member of a block with
+    an exactly singular member, goes to ``_fallback``: an SVD of R that
+    decides between a genuinely degenerate null space and a unique null
+    vector. Every decision is made on R; no complex generator is built.
 
     A stack of drives is solved in blocks of at most ``BLOCK`` and gives a
     stack of density matrices, each bit-identical to its own single-drive
@@ -246,16 +243,6 @@ def _residual(gen: np.ndarray, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return _norm((gen @ x[..., None])[..., 0]) / scale
 
 
-def _refined(solve, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x of a x = b for a stack, from ``solve`` (r -> a^-1 r) and two
-    refinement passes: cheap, and they recover ~3 digits when the slow
-    population-exchange mode makes the system ill-conditioned."""
-    x = solve(b)
-    for _ in range(2):
-        x = x + solve(b - a @ x)
-    return x[..., 0]
-
-
 def _steady_vectors(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
     """vec(rho) of the trace-one steady states of an (n, 4, 4) stack of
     Hamiltonians."""
@@ -266,48 +253,29 @@ def _steady_vectors(system: AtomicSystem, h: np.ndarray) -> np.ndarray:
     a[:, 0, :] = _TRACE_X * scale[:, None]
     b = np.zeros((len(a), 16, 1))
     b[:, 0, 0] = scale
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        # A member is exactly singular and the inverse does not say which;
-        # the fallback takes the whole block.
-        return _fallback(gen, a, b, scale) @ _VEC_OF_X
-    # A near-singular member's inverse can hold inf or NaN; its residual is
-    # then NaN, which fails the test and routes the member to the fallback,
-    # so the products stay quiet.
+    # A near-singular member's solve can hold inf or NaN without raising; its
+    # residual is then NaN, which fails the test and routes the member to
+    # the fallback, so the products stay quiet.
     with np.errstate(invalid="ignore", over="ignore"):
-        x = _refined(lambda r: inv @ r, a, b)
+        try:
+            x = np.linalg.solve(a, b)[..., 0]
+        except np.linalg.LinAlgError:
+            # A member is exactly singular and the solve does not say which;
+            # the whole block goes to the fallback.
+            x = np.full(b.shape[:-1], np.nan)
         flagged = ~(_residual(gen, x, scale) <= RESIDUAL_RTOL)
     if flagged.any():
-        x[flagged] = _fallback(gen[flagged], a[flagged], b[flagged], scale[flagged])
+        x[flagged] = _fallback(gen[flagged], scale[flagged])
     return x @ _VEC_OF_X
 
 
-def _fallback(gen: np.ndarray, a: np.ndarray, b: np.ndarray,
-              scale: np.ndarray) -> np.ndarray:
-    """x of the steady states of members the real inverse could not vouch
-    for. ``a`` and ``b`` are their trace-replaced systems, solved again by
-    LU and accepted on the residual test; a member that fails it takes R's
-    SVD null vector where R's null space is one-dimensional, and raises
-    ``DegenerateNullSpace`` otherwise."""
+def _fallback(gen: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """x of the steady states of members the LU solve could not vouch for:
+    R's SVD null vector where R's null space is one-dimensional, normalized
+    to unit trace and accepted on the residual test; ``DegenerateNullSpace``
+    otherwise."""
     if np.any(scale == 0.0):
         raise DegenerateNullSpace("zero generator: every state is steady")
-    # A near-singular member's solve can overflow; the residual of inf or
-    # NaN fails the comparison and sends it to the diagnostic, so the
-    # products stay quiet.
-    with np.errstate(invalid="ignore", over="ignore"):
-        try:
-            x = _refined(lambda r: np.linalg.solve(a, r), a, b)
-        except np.linalg.LinAlgError:
-            # A member is exactly singular and the solve does not say which;
-            # every member goes to the diagnostic.
-            x = np.full(b.shape[:-1], np.nan)
-        failed = ~(_residual(gen, x, scale) <= RESIDUAL_RTOL)
-    if not failed.any():
-        return x
-
-    # Diagnostic path: inspect the spectrum of each failed member's R.
-    gen, scale = gen[failed], scale[failed]
     _, svals, vh = np.linalg.svd(gen)
     nullity = np.sum(svals < RESIDUAL_RTOL * svals[:, :1], axis=-1)
     if np.any(nullity != 1):
@@ -326,8 +294,7 @@ def _fallback(gen: np.ndarray, a: np.ndarray, b: np.ndarray,
         raise DegenerateNullSpace(
             f"steady-state residual {residual.max():.3e} exceeds {RESIDUAL_RTOL:g}"
         )
-    x[failed] = null
-    return x
+    return null
 
 
 def _finalize(v: np.ndarray) -> DensityMatrix:

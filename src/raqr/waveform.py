@@ -140,7 +140,9 @@ def simulate_waveform(
     The RF input is the coherent sum of the local oscillator and the user
     tone; their beat, ``user.f_delta``, is what survives detection.
     Reproducible bit-for-bit for a fixed seed; the noise generator is
-    counter-based so chunked evaluation would commute.
+    counter-based so chunked evaluation would commute. With shot noise off
+    (``chain.sigma_sq_sn == 0``) nothing is drawn, and ``cn`` and ``sn``
+    are zero.
 
     Raises Saturation if the deterministic photocurrent (total over both
     detectors for the balanced scheme, matching the optimizer's saturation
@@ -208,19 +210,21 @@ def simulate_waveform(
         raise Saturation(f"photocurrent {i_max:.3e} A exceeds i_sat {chain.i_sat:.3e} A")
 
     g_eff = effective_gain(op, chain)
-    sigma_xi = math.sqrt(chain.sigma_sq_sn * sample_rate / (2.0 * chain.bw))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    xi = rng.normal(0.0, sigma_xi, n)
-    if op.scheme == "BCOD":  # the second detector's noise, drawn after the first
-        xi -= rng.normal(0.0, sigma_xi, n)
-        xi /= math.sqrt(2.0)
-
-    cn = xi * math.sqrt(g_eff * (chain.alpha * p_cn_lo))
-    sn = i_env
-    sn *= g_eff
-    np.sqrt(sn, out=sn)
-    sn *= xi
-    sn -= cn
+    if chain.sigma_sq_sn == 0.0:  # shot noise off: nothing to draw or scale
+        cn, sn = np.zeros(n), np.zeros(n)
+    else:
+        sigma_xi = math.sqrt(chain.sigma_sq_sn * sample_rate / (2.0 * chain.bw))
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        xi = rng.normal(0.0, sigma_xi, n)
+        if op.scheme == "BCOD":  # the second detector's noise, drawn after the first
+            xi -= rng.normal(0.0, sigma_xi, n)
+            xi /= math.sqrt(2.0)
+        cn = xi * math.sqrt(g_eff * (chain.alpha * p_cn_lo))
+        sn = i_env
+        sn *= g_eff
+        np.sqrt(sn, out=sn)
+        sn *= xi
+        sn -= cn
 
     sqrt_g = math.sqrt(g_eff)
     for i in (i_exact, i_approx):  # the voltages sqrt_g * i + cn + sn

@@ -4,6 +4,7 @@ summary line on success; a failure carries the offending numbers."""
 
 import dataclasses
 import math
+import os
 import warnings
 from time import perf_counter
 
@@ -254,7 +255,8 @@ def test_criterion_07_array_term_moments(chain, system, bcod):
     for m, k in ((32, 4), (100, 10)):
         sc = defaults.default_scenario(m, k, n_realizations=100_000, seed=3)
         for method in ("MRC", "ZF"):
-            mc = mimo.monte_carlo_terms(sc, gains, budget, method)
+            mc = mimo.monte_carlo_terms(sc, gains, budget, method,
+                                        threads=os.cpu_count())
             cf = mimo.closed_form_moments(sc, gains, budget, method)
             for key in cf:
                 tol = 0.05 if (method == "ZF" and key == "sn") else 0.03
@@ -279,7 +281,8 @@ def test_criterion_08_rate_bounds(chain, system, bcod):
         for m in (16, 32, 64, 128, 256, 100):
             sc = defaults.default_scenario(m, 10, n_realizations=10_000,
                                            seed=7)
-            res = mimo.monte_carlo_rate(sc, gains, budget, method)
+            res = mimo.monte_carlo_rate(sc, gains, budget, method,
+                                        threads=os.cpu_count())
             # the sampled estimate fluctuates around the bound when the
             # bound is tight; three standard errors is the decision band
             assert np.all(res.rate + 3.0 * res.standard_error >= res.bound), (

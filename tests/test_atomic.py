@@ -185,8 +185,8 @@ class TestSteadyState:
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_real_solve_is_routed_without_a_warning(self, system):
-        # a subnormal RF Rabi rate against a 1e8 rad/s detuning: the real
-        # inverse holds NaN, and the flag that NaN raises sends the member to
+        # a subnormal RF Rabi rate against a 1e8 rad/s detuning: the LU
+        # solve holds NaN, and the flag that NaN raises sends the member to
         # the fallback, which names the outcome
         drive = DriveConfig(omega_p=1.0, omega_c=1.5,
                             omega_rf=2.2250738585072014e-308,
@@ -462,7 +462,7 @@ class TestRealCoordinates:
         assert np.max(np.abs(gen @ x - expected)) <= tol
 
     @pytest.mark.parametrize("delta_c", [1e6, -1e6])
-    def test_ill_conditioned_member_is_returned_from_the_inverse(
+    def test_ill_conditioned_member_is_returned_from_the_lu_solve(
             self, delta_c, monkeypatch):
         """ROADMAP item 8's drive: the real system's condition number is far
         above 1 / RESIDUAL_RTOL, but its residual passes, and a small
@@ -477,76 +477,78 @@ class TestRealCoordinates:
         assert np.allclose(np.diag(rho.matrix).real, [1 / 3, 0.0, 1 / 3, 1 / 3],
                            rtol=0.0, atol=1e-12)
 
-    def test_member_whose_inverse_holds_nan_alone_takes_the_fallback(
+    def test_member_whose_solve_holds_nan_alone_takes_the_fallback(
             self, system, diod, bcod, monkeypatch):
         """The LO-only drives at both shipped points, with NaN written into
-        member 1's real inverse: its residual is NaN, which fails the test,
-        so the fallback solves member 1 alone, on its own R. Member 0 keeps
-        the inverse's answer bit for bit, and the fallback's LU solve of
-        member 1 is within 1e-12 of the inverse's."""
+        member 1 of the LU solve's output: its residual is NaN, which fails
+        the test, so the fallback takes member 1 alone, on its own R. Member
+        0 keeps the LU answer bit for bit, and member 1's SVD null vector is
+        within 1e-10 of the clean LU state (the two routes differ by 6.4e-12
+        in rho at DIOD and 6.1e-13 at BCOD)."""
         singles = [defaults.drive_for(op, system) for op in (diod, bcod)]
         stack = DriveConfig(**{k: np.array([getattr(d, k) for d in singles])
                                for k in vars(singles[0])})
         clean = steady_state_numeric(system, stack).matrix
-        inv = np.linalg.inv
+        solve = np.linalg.solve
 
-        def poisoned(a):
-            out = inv(a)
+        def poisoned(a, b):
+            out = solve(a, b)
             out[1] = np.nan
             return out
 
         routed = _spy_fallback(monkeypatch)
-        monkeypatch.setattr(np.linalg, "inv", poisoned)
+        monkeypatch.setattr(np.linalg, "solve", poisoned)
         rho = steady_state_numeric(system, stack).matrix
-        [args] = routed
-        assert len(args[0]) == 1
-        assert np.array_equal(args[0][0], generator(system, singles[1]))
+        [(gen, _)] = routed
+        assert len(gen) == 1
+        assert np.array_equal(gen[0], generator(system, singles[1]))
         assert np.array_equal(rho[0], clean[0])
-        assert np.max(np.abs(rho[1] - clean[1])) <= 1e-12
+        assert np.max(np.abs(rho[1] - clean[1])) <= 1e-10
 
-    def test_inverse_overflow_at_vanishing_linewidth_is_rescued_by_lu(
-            self, tmp_path, monkeypatch):
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_linewidth_is_solved_by_lu_alone(self, tmp_path, monkeypatch):
         """detuning-loss at ``atomic.probe_linewidth_mhz: 1e-300`` (gamma2
-        near 6e-294 rad/s) plans and executes. The real inverse of 14 of its
-        49 distinct drives holds inf or NaN; exactly those members reach the
-        fallback, whose LU solve returns each with a passing residual."""
+        near 6e-294 rad/s) plans and executes. An explicit inverse of 14 of
+        its 49 distinct drives' systems overflows; the LU solve returns all
+        49 with a passing residual, so none reaches the fallback, and
+        nothing warns."""
         raw = yaml.safe_load(default_config_path("detuning-loss").read_text())
         raw.setdefault("atomic", {})["probe_linewidth_mhz"] = 1e-300
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(raw))
-        solved, results = [], []
-        steady_vectors, fallback = atomic._steady_vectors, atomic._fallback
+        solved = []
+        steady_vectors = atomic._steady_vectors
 
         def solve(sys_, h):
             solved.append((sys_, h))
             return steady_vectors(sys_, h)
 
-        def spy(*args):
-            results.append((args, fallback(*args)))
-            return results[-1][1]
-
+        routed = _spy_fallback(monkeypatch)
         monkeypatch.setattr(atomic, "_steady_vectors", solve)
-        monkeypatch.setattr(atomic, "_fallback", spy)
         result = recipes.check_recipe(load_config(path))(1)
         assert len(result.rows) == 61
         assert np.isfinite([row[1] for row in result.rows]).all()
+        assert routed == []
 
         [(sys_, h)] = solved
         gen = atomic._real_liouvillian(sys_, h)
+        a = _trace_replaced(gen)
+        scale = atomic._norm(gen.reshape(-1, 256))
+        b = np.zeros((len(a), 16, 1))
+        b[:, 0, 0] = scale
+        x = np.linalg.solve(a, b)[..., 0]
+        assert len(h) == 49
+        assert (atomic._residual(gen, x, scale) <= atomic.RESIDUAL_RTOL).all()
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            inv = np.linalg.inv(_trace_replaced(gen))
-        overflowed = ~np.isfinite(inv).all(axis=(-2, -1))
-        assert (len(h), overflowed.sum()) == (49, 14)
-        [((routed, *_, scale), x)] = results
-        assert np.array_equal(routed, gen[overflowed])
-        assert (atomic._residual(routed, x, scale) <= atomic.RESIDUAL_RTOL).all()
+            overflowed = ~np.isfinite(np.linalg.inv(a)).all(axis=(-2, -1))
+        assert overflowed.sum() == 14
 
     def test_no_recipe_or_workload_drive_takes_the_fallback(
             self, system, monkeypatch):
         """The packaged detuning-loss sweep, at its shipped points and at the
         benchmark's 1,001, the LO-only drives at both shipped points, and
         their 1,000-sample Liouvillian waveforms at 20 dB: no member is
-        routed to the fallback, so every value is the real inverse's,
+        routed to the fallback, so every value is the LU solve's,
         whatever its condition number; the largest stays within
         1 / RESIDUAL_RTOL."""
         solved = []
@@ -690,29 +692,26 @@ class TestDriveStack:
             (np.zeros(0), 0.0),
         ],
     )
-    def test_one_inverse_per_member(self, system, monkeypatch, omega_rf, delta_rf):
-        """One real inverse per member, repeated ones included, in blocks of
-        at most BLOCK, and no member falls back to the LU solve."""
-        inverted, solved = [], []
-        inv, solve = np.linalg.inv, np.linalg.solve
-
-        def spy_inv(a):
-            inverted.append(len(a))
-            return inv(a)
+    def test_one_solve_per_member(self, system, monkeypatch, omega_rf, delta_rf):
+        """One LU solve per member, repeated ones included, in blocks of at
+        most BLOCK; no explicit inverse, and no member reaches the SVD."""
+        solved, inverted, diagnosed = [], [], []
+        solve = np.linalg.solve
 
         def spy_solve(a, b):
             solved.append(len(a))
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "inv", spy_inv)
         monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        monkeypatch.setattr(np.linalg, "inv", inverted.append)
+        monkeypatch.setattr(np.linalg, "svd", diagnosed.append)
         drive = DriveConfig(
             omega_p=1e7, omega_c=1e6, omega_rf=np.asarray(omega_rf), delta_rf=delta_rf
         )
         steady_state_numeric(system, drive)
-        assert sum(inverted) == np.broadcast(*vars(drive).values()).size
-        assert max(inverted, default=0) <= atomic.BLOCK
-        assert solved == []
+        assert sum(solved) == np.broadcast(*vars(drive).values()).size
+        assert max(solved, default=0) <= atomic.BLOCK
+        assert inverted == diagnosed == []
 
     def test_solve_constructs_no_drive(self, system, diod, monkeypatch):
         """The caller's DriveConfig is the only check of its fields: the
@@ -728,8 +727,8 @@ class TestDriveStack:
         assert constructed == []
 
     def test_diagnostic_path_recovers_each_member(self, diod, monkeypatch):
-        """With the real inverse and the LU solve both failing, every
-        member goes to the SVD diagnostic, which must still give each member
+        """With the LU solve failing, every member goes to the SVD
+        diagnostic, which must still give each member
         its own single-drive result and the direct solve's state. Transit and
         Rydberg decay keep R well conditioned, so the two routes can be held
         to 1e-9."""
@@ -752,7 +751,6 @@ class TestDriveStack:
             diagnosed.append(len(a))
             return svd(a)
 
-        monkeypatch.setattr(np.linalg, "inv", singular)
         monkeypatch.setattr(np.linalg, "solve", singular)
         monkeypatch.setattr(np.linalg, "svd", spy_svd)
         rho = steady_state_numeric(system, drive)

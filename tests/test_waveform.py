@@ -77,6 +77,21 @@ class TestSimulate:
         det = simulate_waveform(bcod, quiet_chain, user, system, 256 / FS, FS, seed=9)
         assert np.allclose(wf.v_exact - wf.cn - wf.sn, det.v_exact, rtol=0, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z0", [None, 1e300])
+    def test_noise_off_draws_nothing(self, system, diod, bcod, quiet, monkeypatch, z0):
+        """With shot noise off no generator is built and cn = sn = 0, also
+        where the noise scale sqrt(G_eff * I) overflows (a 1e300 ohm load)."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("noise drawn with shot noise off")
+
+        monkeypatch.setattr(np.random, "Philox", no_draw)
+        chain = quiet if z0 is None else dataclasses.replace(quiet, z0=z0)
+        for op in (diod, bcod):
+            wf = simulate_waveform(op, chain, defaults.weak_user(20.0, op), system,
+                                   64 / FS, FS, seed=0)
+            assert not wf.cn.any() and not wf.sn.any()
+
     def test_weak_lo_warns_but_computes(self, system, diod, quiet):
         with pytest.warns(WeakLO):
             wf = simulate_waveform(
@@ -133,17 +148,12 @@ class TestSimulate:
     def test_liouvillian_solves_each_envelope_once(
         self, system, quiet, monkeypatch, scheme, n, distinct
     ):
-        """At 16 samples per beat the envelope is read as periodic: one real
-        inverse per distinct envelope of the first beat period, however
-        long the waveform, in blocks of at most BLOCK, and no complex
-        fallback solve."""
+        """At 16 samples per beat the envelope is read as periodic: one LU
+        solve per distinct envelope of the first beat period, however long
+        the waveform, in blocks of at most BLOCK, and no explicit inverse."""
         op = defaults.diod_point() if scheme == "DIOD" else defaults.bcod_point()
-        inverted, solved, drives = [], [], []
-        inv, solve = np.linalg.inv, np.linalg.solve
-
-        def spy_inv(a):
-            inverted.append(len(a))
-            return inv(a)
+        solved, inverted, drives = [], [], []
+        solve = np.linalg.solve
 
         def spy_solve(a, b):
             solved.append(len(a))
@@ -153,16 +163,16 @@ class TestSimulate:
             drives.append(drive)
             return steady_state_numeric(system, drive)
 
-        monkeypatch.setattr(np.linalg, "inv", spy_inv)
         monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        monkeypatch.setattr(np.linalg, "inv", inverted.append)
         monkeypatch.setattr(waveform, "steady_state_numeric", steady_state)
         simulate_waveform(op, quiet, defaults.weak_user(20.0, op), system,
                           n / FS, FS, seed=0, rho_solver="liouvillian")
         [drive] = drives
         assert len(np.unique(drive.omega_rf)) == len(drive.omega_rf) == distinct
-        assert sum(inverted) == distinct <= 16  # at most one per sample of a period
-        assert max(inverted) <= atomic.BLOCK
-        assert solved == []
+        assert sum(solved) == distinct <= 16  # at most one per sample of a period
+        assert max(solved) <= atomic.BLOCK
+        assert inverted == []
 
     def test_overlay_rms_small_and_monotone(self, system, diod, bcod, quiet):
         """Linearized chain tracks the exact one to 1% at a 20 dB ratio and
