@@ -199,8 +199,8 @@ def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMat
     Solves in the real coordinates x of a Hermitian rho, where the generator
     is a real 16x16 map R: one row of R is replaced with the trace
     constraint, and one LU solve of that square system gives x, with no
-    refinement (a backward-stable solve that passes the residual test has
-    nothing for refinement in working precision to recover). A member whose
+    refinement: a member that passes the residual test has a small backward
+    error, and its forward error stays within about cond * eps. A member whose
     relative residual ||R x|| / ||R||_F exceeds ``RESIDUAL_RTOL`` (NaN
     included, where the solve overflows), and every member of a block with
     an exactly singular member, goes to ``_fallback``: an SVD of R that
