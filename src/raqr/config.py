@@ -4,7 +4,9 @@ Every physical key carries its unit in its name (``lo_power_w``,
 ``carrier_freq_ghz``); conversion to SI happens once, at load time. A user
 file only needs the keys it changes: each section is block-merged onto the
 packaged ``configs/default.yaml``. Unknown keys are rejected by name so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default. The sweep's keys are checked
+for type only: a recipe that reads the sweep judges the rest, through
+``SweepSpec.values`` and ``recipes.check_recipe``.
 
 The fingerprint is a 64-bit blake2b of the canonical (sorted, merged,
 pre-conversion) key set, excluding ``output_dir`` so relocating artifacts
@@ -163,16 +165,6 @@ _TOP_SCALARS = {
     "output_dir": (str, None),
 }
 
-SWEEP_VARIABLES = (
-    "lo_power_w",
-    "probe_power_w",
-    "coupling_power_w",
-    "n_sensors",
-    "ratio_db",
-    "detuning_khz",
-)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -182,6 +174,17 @@ class SweepSpec:
     scale: str
 
     def values(self) -> np.ndarray:
+        """The sweep's points. Raises ValidationError, before any array is
+        built, on a bad scale, point count or log bound; only a recipe that
+        reads the sweep calls this."""
+        if self.scale not in ("linear", "log"):
+            raise ValidationError("sweep.scale", "must be 'linear' or 'log'")
+        if not 0 <= self.points <= MAX_SWEEP_POINTS:
+            raise ValidationError("sweep.points",
+                                  f"must be >= 0 and <= {MAX_SWEEP_POINTS}")
+        if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
+            key = "sweep.start" if self.start <= 0 else "sweep.stop"
+            raise ValidationError(key, "log sweeps need positive bounds")
         if self.points == 0:
             return np.empty(0)
         if self.points == 1:
@@ -384,18 +387,6 @@ def _build(si: dict, raw: dict) -> ExperimentConfig:
 
     if baseline["rf_noise_w"] <= 0:
         raise ValidationError("baseline.rf_noise_w", "must be > 0")
-
-    if sw["variable"] not in SWEEP_VARIABLES:
-        raise ValidationError(
-            "sweep.variable", f"must be one of {', '.join(SWEEP_VARIABLES)}"
-        )
-    if sw["scale"] not in ("linear", "log"):
-        raise ValidationError("sweep.scale", "must be 'linear' or 'log'")
-    if not 0 <= sw["points"] <= MAX_SWEEP_POINTS:
-        raise ValidationError("sweep.points", f"must be >= 0 and <= {MAX_SWEEP_POINTS}")
-    if sw["scale"] == "log" and (sw["start"] <= 0 or sw["stop"] <= 0):
-        key = "sweep.start" if sw["start"] <= 0 else "sweep.stop"
-        raise ValidationError(key, "log sweeps need positive bounds")
 
     # Philox keys [seed, chunk] pass through float64 from 2**63 on, where
     # neighbouring seeds would share a stream

@@ -1,9 +1,9 @@
 """Named experiments: each recipe turns a validated config into one
 figure-analogue (tidy CSV, manifest, JSON summary). A recipe plans, then
 executes: ``RECIPES[name](config)`` applies the rules the recipe needs,
-computes everything closed-form and returns ``execute(threads)``, which
-does the Monte-Carlo draws, steady-state solves and noisy waveform
-simulation; the noiseless waveform-overlay plans its whole result.
+computes everything deterministic and returns ``execute(threads)``, which
+does only the random draws (Monte Carlo, noisy waveforms); a recipe that
+draws nothing plans its whole result.
 
 Artifacts are byte-reproducible for identical (config, seed): all
 randomness flows from the config seed, through Philox for the Monte-Carlo
@@ -25,13 +25,7 @@ import numpy as np
 
 from . import defaults, mimo
 from .atomic import steady_state_numeric
-from .config import (
-    MAX_SENSORS,
-    SWEEP_VARIABLES,
-    ExperimentConfig,
-    ValidationError,
-    fingerprint,
-)
+from .config import MAX_SENSORS, ExperimentConfig, ValidationError, fingerprint
 from .constants import hbar
 from .frontend import LN2, baseband_gains, noise_budget, p1_of_lo, with_powers
 from .optimize import (
@@ -41,7 +35,7 @@ from .optimize import (
     optimal_pl,
     optimal_power,
 )
-from .waveform import MIN_SAMPLES_PER_BEAT, WeakLO, simulate_waveform
+from .waveform import MIN_SAMPLES_PER_BEAT, WeakLO, trough_current, simulate_waveform
 
 
 class RecipeError(Exception):
@@ -125,35 +119,35 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
 
 
 def check_recipe(config: ExperimentConfig):
-    """Raise ValidationError unless ``config.recipe`` is a recipe that sweeps
-    ``config.sweep.variable`` over finite values and its plan builds;
-    return the plan's ``execute(threads)``. ``raqr validate`` and
-    ``run_recipe`` each call this once.
-
-    A detuning must stay finite in rad/s, a sensor count in [1,
-    ``MAX_SENSORS``] and a ratio's factor 10 ** (-ratio / 20) on the LO
-    field finite and nonzero; the sweep is monotone, so its ends bound them.
-    Each plan checks the rest of what it reads, naming a key where it can;
-    any other exception while planning is a ValidationError on ``recipe``.
-    """
+    """Raise ValidationError unless ``config.recipe`` is a recipe whose plan
+    builds; return the plan's ``execute(threads)``. ``raqr validate`` and
+    ``run_recipe`` each call this once. Only a recipe that reads a sweep
+    judges it: over a variable ``RECIPE_SWEEPS`` lists for it, accepted by
+    ``SweepSpec.values``, and finite. A detuning must stay finite in rad/s,
+    a sensor count in [1, ``MAX_SENSORS``] and a ratio's factor
+    10 ** (-ratio / 20) on the LO field finite and nonzero; the sweep is
+    monotone, so its ends bound them. Each plan checks the rest of what it
+    reads, naming a key where it can; any other exception while planning is
+    a ValidationError on ``recipe``."""
     name, sweep = config.recipe, config.sweep
     if name is None:
         raise ValidationError("recipe", "no recipe selected")
     if name not in RECIPES:
         raise ValidationError(
             "recipe", f"unknown recipe {name!r}; see `raqr list-recipes`")
-    if sweep.variable not in RECIPE_SWEEPS[name]:
+    reads = RECIPE_SWEEPS[name]
+    if reads and sweep.variable not in reads:
         raise ValidationError("sweep.variable", f"recipe {name} sweeps "
-                              f"{' or '.join(RECIPE_SWEEPS[name])}")
+                              f"{' or '.join(reads)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = sweep.values()
+        values = sweep.values() if reads else np.empty(0)  # no sweep read, none judged
         if sweep.variable == "detuning_khz":  # in rad/s, as detuning_loss drives
             values = 2.0 * math.pi * (values * 1e3)
     if not np.isfinite(values).all():
         raise ValidationError(
             "sweep.start" if not np.isfinite(values[0]) else "sweep.stop",
             f"the sweep from {sweep.start:g} to {sweep.stop:g} overflows")
-    ends = (("sweep.start", sweep.start), ("sweep.stop", sweep.stop))[:sweep.points]
+    ends = (("sweep.start", sweep.start), ("sweep.stop", sweep.stop))[:len(values)]
     for key, value in ends if sweep.variable == "ratio_db" else ():
         try:  # as defaults.weak_user scales the LO field
             factor = 10.0 ** (-value / 20.0)
@@ -318,7 +312,8 @@ def sn_vs_ratio(cfg: ExperimentConfig):
     variance 4 P_user sn_coeff (the budget's own coefficient), which the
     run divides by. Where that is 0 or not finite at an end of the
     monotone sweep, the error names the end, or sn_coeff where it fails
-    at every end or a budget is out of range."""
+    at every end or a budget is out of range. It rejects a saturation
+    current the run's current reaches at a beat's trough."""
     _require(cfg, "atomic.dephasing_time_us")
     geometry = {k: getattr(cfg.op, k) for k in ("a_e", "fwhm_p", "fwhm_c")}
     points = []
@@ -348,6 +343,12 @@ def sn_vs_ratio(cfg: ExperimentConfig):
                 f"{closed[i]:g} V^2 at {ratios[i]:g} dB (sn_coeff "
                 f"{budget.sn_coeff:g})" + (" and at every end" if every else "")))
         plans.append((op, users, closed))
+    for op, users, _ in plans:  # sample 8 of each 16-sample beat is a trough
+        peak = trough_current(op, cfg.chain, cfg.system, [u.u_x for u in users])
+        if (peak > cfg.chain.i_sat).any():
+            raise ValidationError("detection.saturation_current_ma", (
+                f"the {op.scheme} point's photocurrent reaches {peak.max():.3e} A, "
+                f"above i_sat {cfg.chain.i_sat:.3e} A"))
     fs = MIN_SAMPLES_PER_BEAT * cfg.f_delta
     n_samples = 40_000
 
@@ -385,9 +386,9 @@ def sn_vs_ratio(cfg: ExperimentConfig):
 def siso_optima(cfg: ExperimentConfig):
     """Single-cell objective sweeps over the coupling and LO powers in the
     dc-shot and thermal regimes, each annotated with its stationary-point
-    closed form and checked against the swept grid. The plan holds the four
-    grids with W at each point, their stationary points with W at each, and
-    the local beam optimum; the run compares each grid with its optimum."""
+    closed form and checked against the swept grid. It draws nothing, so
+    the plan is the whole result. It reads no configured sweep, and fails
+    where the normalized noise is infinite over a whole grid."""
     _require(cfg, *_POINT, "detection.temperature_k", "atomic.dephasing_time_us",
              "detection.quantum_efficiency", "atomic.dressing_dipole_cm")
     wts = NoiseWeights.from_chain(cfg.chain, cfg.system)
@@ -399,23 +400,17 @@ def siso_optima(cfg: ExperimentConfig):
         "coupling_power_w": np.geomspace(1e-3, 1.0, 121),
         "lo_power_w": np.geomspace(1e-8, 1e-3, 121),
     }
-    grids = []
+    rows, series, annotations, summary = [], [], [], {}
     for sweep_name, grid in sweeps.items():
         attr = _SWEEP_TO_POWER[sweep_name]
         for regime, weights in regimes.items():
+            label = f"{sweep_name}:{regime}"
             values = np.array([normalized_noise(
                 with_powers(cfg.op, **{attr: float(x)}), weights, cfg.system)
                 for x in grid])
             star = optimal_power(cfg.op, cfg.system, attr, regime)
             w_star = normalized_noise(
                 with_powers(cfg.op, **{attr: float(star)}), weights, cfg.system)
-            grids.append((f"{sweep_name}:{regime}", grid, values, star, w_star))
-    pl = (optimal_pl(cfg.chain, p1_of_lo(cfg.op, cfg.system))
-          if cfg.op.scheme == "BCOD" else None)
-
-    def execute(threads: int) -> RecipeResult:
-        rows, series, annotations, summary = [], [], [], {}
-        for label, grid, values, star, w_star in grids:
             series.append({"label": label, "filter": {"series": label}})
             rows.extend((label, float(x), float(w)) for x, w in zip(grid, values))
             idx = int(np.argmin(values))
@@ -431,27 +426,28 @@ def siso_optima(cfg: ExperimentConfig):
                 "grid_w": float(grid[idx]),
                 "gap_db": gap_db,
             }
-        if pl is not None:
-            summary["local_beam_w"] = float(pl)
-            annotations.append({"kind": "optimum", "series": "local_beam",
-                                "power_w": float(pl)})
-        return RecipeResult(
-            name="siso-optima",
-            columns=["series", "power_w", "objective"],
-            rows=rows,
-            axes={"x": {"label": "swept power", "unit": "W"},
-                  "y": {"label": "normalized noise", "unit": "W"}},
-            series=series,
-            summary=summary,
-            annotations=annotations,
-        )
-    return execute
+    if cfg.op.scheme == "BCOD":
+        pl = optimal_pl(cfg.chain, p1_of_lo(cfg.op, cfg.system))
+        summary["local_beam_w"] = float(pl)
+        annotations.append({"kind": "optimum", "series": "local_beam",
+                            "power_w": float(pl)})
+    result = RecipeResult(
+        name="siso-optima",
+        columns=["series", "power_w", "objective"],
+        rows=rows,
+        axes={"x": {"label": "swept power", "unit": "W"},
+              "y": {"label": "normalized noise", "unit": "W"}},
+        series=series,
+        summary=summary,
+        annotations=annotations,
+    )
+    return lambda threads: result
 
 
 def detuning_loss(cfg: ExperimentConfig):
     """Numeric steady-state response versus RF detuning, normalized to the
     on-resonance coherence magnitude. Qualitative: peak location, symmetry,
-    and half width. The plan holds the drive stack, the run its solve."""
+    and half width. It draws nothing: the plan, its solve too, is the result."""
     _require(cfg, *_POINT[:2])  # it reads no gains, so needs no local beam
     detunings = cfg.sweep.values() * 1e3  # kHz -> Hz
     # with delta_p = delta_c = 0 the state at -delta_rf is U rho* U,
@@ -461,29 +457,27 @@ def detuning_loss(cfg: ExperimentConfig):
     distinct, inverse = np.unique(
         np.abs(np.append(0.0, 2.0 * math.pi * detunings)), return_inverse=True)
     drive = defaults.drive_for(cfg.op, cfg.system, delta_rf=distinct)
-
-    def execute(threads: int) -> RecipeResult:
-        mag = np.abs(steady_state_numeric(cfg.system, drive).rho21)[inverse]
-        response = mag[1:] / mag[0]
-        rows = list(zip(detunings.tolist(), response.tolist()))
-        summary = {}
-        if len(response):
-            peak = int(np.argmax(response))
-            summary["peak_detuning_hz"] = float(detunings[peak])
-            summary["peak_response"] = float(response[peak])
-            below = response <= 0.5
-            summary["half_width_hz"] = (
-                float(np.ptp(detunings[~below])) / 2.0 if (~below).any() else 0.0)
-        return RecipeResult(
-            name="detuning-loss",
-            columns=["detuning_hz", "response_norm"],
-            rows=rows,
-            axes={"x": {"label": "RF detuning", "unit": "Hz"},
-                  "y": {"label": "normalized coherence", "unit": "1"}},
-            series=[{"label": "numeric", "filter": {}}] if rows else [],
-            summary=summary,
-        )
-    return execute
+    mag = np.abs(steady_state_numeric(cfg.system, drive).rho21)[inverse]
+    response = mag[1:] / mag[0]
+    rows = list(zip(detunings.tolist(), response.tolist()))
+    summary = {}
+    if len(response):
+        peak = int(np.argmax(response))
+        summary["peak_detuning_hz"] = float(detunings[peak])
+        summary["peak_response"] = float(response[peak])
+        below = response <= 0.5
+        summary["half_width_hz"] = (
+            float(np.ptp(detunings[~below])) / 2.0 if (~below).any() else 0.0)
+    result = RecipeResult(
+        name="detuning-loss",
+        columns=["detuning_hz", "response_norm"],
+        rows=rows,
+        axes={"x": {"label": "RF detuning", "unit": "Hz"},
+              "y": {"label": "normalized coherence", "unit": "1"}},
+        series=[{"label": "numeric", "filter": {}}] if rows else [],
+        summary=summary,
+    )
+    return lambda threads: result
 
 
 def rate_vs_m(cfg: ExperimentConfig):
@@ -640,11 +634,11 @@ RECIPES = {
     "rate-vs-parameter": rate_vs_parameter,
 }
 
-# sweep variables each recipe accepts; ``check_recipe`` reads this table
+# the one list of sweep variables: those each recipe's plan reads
 RECIPE_SWEEPS = {
     "waveform-overlay": ("ratio_db",),
     "sn-vs-ratio": ("ratio_db",),
-    "siso-optima": SWEEP_VARIABLES,  # sweeps its own fixed power grids
+    "siso-optima": (),  # sweeps its own fixed power grids
     "detuning-loss": ("detuning_khz",),
     "rate-vs-M": ("n_sensors",),
     "power-scaling": ("n_sensors",),

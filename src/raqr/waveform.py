@@ -243,6 +243,18 @@ def simulate_waveform(
     )
 
 
+def trough_current(op: OperatingPoint, chain: DetectionChain,
+                   system: AtomicSystem, u_x) -> np.ndarray:
+    """The current ``simulate_waveform`` holds under ``chain.i_sat`` with the
+    closed-form solver, at the beat's envelope trough, cos(beta) = -1, per
+    user amplitude in ``u_x``. Taken in that function's operation order, it
+    equals bit for bit each sample that falls on a trough."""
+    u_lo, u_x = rf_field_amplitude(op.p_lo, op.a_e), np.asarray(u_x, dtype=float)
+    trough = np.sqrt(-(2.0 * u_lo * u_x) + u_lo**2 + u_x**2) * system.mu34 / hbar
+    p1, _ = _exact_transmission(trough, op, system, "closed-form", len(u_x))
+    return dc_shot_power(op, p1) * chain.alpha
+
+
 def down_convert(v: np.ndarray, v_dc: float) -> np.ndarray:
     """Subtract the modeled DC pedestal, flipping the beat upright.
 

@@ -1,6 +1,7 @@
 """Config ingestion, recipe orchestration, artifact emission, CLI."""
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -67,6 +68,11 @@ ZERO_LO_SWEEPS = {
     "ratio_db": "  start: 10.0\n  stop: 30.0\n  points: 2\n  scale: linear\n",
     "detuning_khz": "  start: -100.0\n  stop: 100.0\n  points: 3\n  scale: linear\n",
 }
+
+# (recipe, sweep variable) for each variable a recipe's plan reads, and one
+# case for siso-optima, whose plan reads no sweep
+SWEEP_CASES = [(recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
+               for variable in variables or ("lo_power_w",)]
 
 # keys whose zero leaves no readout: the probe and RF dipoles, the probe
 # linewidth and the probe power
@@ -173,12 +179,24 @@ class TestValidation:
         with pytest.raises(ValidationError, match="scheme"):
             load_config(path)
 
-    def test_log_sweep_negative_lower_bound(self, tmp_path):
-        path = write_config(
-            tmp_path, "sweep:\n  start: -1.0e-06\n  scale: log\n"
-        )
-        with pytest.raises(ValidationError, match="sweep.start"):
-            load_config(path)
+    @staticmethod
+    def assert_sweep_rejected(tmp_path, capsys, text, key):
+        """A config with the sweep in ``text`` loads: only a recipe that reads
+        the sweep judges it. rate-vs-parameter reads it, so its recipe check
+        and ``raqr validate`` name ``key``."""
+        path = write_config(tmp_path, "recipe: rate-vs-parameter\n" + text)
+        cfg = load_config(path)
+        with pytest.raises(ValidationError) as err:
+            check_recipe(cfg)
+        assert err.value.key == key
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        return cfg
+
+    def test_log_sweep_negative_lower_bound(self, tmp_path, capsys):
+        self.assert_sweep_rejected(
+            tmp_path, capsys, "sweep:\n  start: -1.0e-06\n  scale: log\n",
+            "sweep.start")
 
     def test_linear_sweep_may_go_negative(self, tmp_path):
         path = write_config(
@@ -189,10 +207,9 @@ class TestValidation:
         cfg = load_config(path)
         assert cfg.sweep.start == -5.0
 
-    def test_negative_points(self, tmp_path):
-        path = write_config(tmp_path, "sweep:\n  points: -3\n")
-        with pytest.raises(ValidationError, match="sweep.points"):
-            load_config(path)
+    def test_negative_points(self, tmp_path, capsys):
+        self.assert_sweep_rejected(tmp_path, capsys, "sweep:\n  points: -3\n",
+                                   "sweep.points")
 
     @pytest.mark.parametrize("points", [config.MAX_SWEEP_POINTS + 1, 10**15])
     def test_too_many_points_fail_before_the_sweep_is_built(
@@ -200,14 +217,11 @@ class TestValidation:
         # 10**15 points would ask numpy for petabytes
         at_cap = write_config(
             tmp_path, f"sweep:\n  points: {config.MAX_SWEEP_POINTS}\n", "a.yaml")
-        assert load_config(at_cap).sweep.points == config.MAX_SWEEP_POINTS
-        path = write_config(
-            tmp_path, f"recipe: rate-vs-parameter\nsweep:\n  points: {points}\n")
-        with pytest.raises(ValidationError, match="sweep.points") as err:
-            load_config(path)
-        assert err.value.key == "sweep.points"
-        assert cli.main(["validate", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: sweep.points: ")
+        assert load_config(at_cap).sweep.values().size == config.MAX_SWEEP_POINTS
+        cfg = self.assert_sweep_rejected(
+            tmp_path, capsys, f"sweep:\n  points: {points}\n", "sweep.points")
+        with pytest.raises(ValidationError, match="sweep.points"):
+            cfg.sweep.values()
 
     @pytest.mark.parametrize("key, limit, huge", [
         ("n_sensors", config.MAX_SENSORS, 10**6),
@@ -247,15 +261,14 @@ class TestValidation:
             assert cli.main(["validate", "--config", str(path)]) == 2
             assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
-    def test_unknown_sweep_variable(self, tmp_path):
-        path = write_config(tmp_path, "sweep:\n  variable: phase_of_moon\n")
-        with pytest.raises(ValidationError, match="sweep.variable"):
-            load_config(path)
+    def test_unknown_sweep_variable(self, tmp_path, capsys):
+        self.assert_sweep_rejected(
+            tmp_path, capsys, "sweep:\n  variable: phase_of_moon\n",
+            "sweep.variable")
 
-    def test_unknown_scale(self, tmp_path):
-        path = write_config(tmp_path, "sweep:\n  scale: cubic\n")
-        with pytest.raises(ValidationError, match="sweep.scale"):
-            load_config(path)
+    def test_unknown_scale(self, tmp_path, capsys):
+        self.assert_sweep_rejected(tmp_path, capsys, "sweep:\n  scale: cubic\n",
+                                   "sweep.scale")
 
     def test_unknown_recipe(self, tmp_path):
         path = write_config(tmp_path, "recipe: make-coffee\n")
@@ -744,20 +757,20 @@ class TestRunRecipe:
         import dataclasses
 
         def refuse(*args, **kwargs):
-            raise ValueError("steady state out of range")
+            raise ValueError("waveform out of range")
 
-        # the solve is execution: the plan (the drive stack) has passed
-        monkeypatch.setattr(recipes, "steady_state_numeric", refuse)
-        cfg = load_config(write_config(tmp_path, SMALL_DETUNING))
+        # the noisy simulation draws, so it is execution: the plan passes
+        monkeypatch.setattr(recipes, "simulate_waveform", refuse)
+        cfg = load_config(default_config_path("sn-vs-ratio"))
+        check_recipe(cfg)
         cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
-        with pytest.raises(RecipeError, match="detuning-loss") as err:
+        with pytest.raises(RecipeError, match="sn-vs-ratio") as err:
             run_recipe(cfg)
         assert type(err.value.__cause__) is ValueError
-        assert "steady state" in str(err.value.__cause__)
+        assert "waveform out of range" in str(err.value.__cause__)
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("recipe, variable", [
-        (recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
-        for variable in variables])
+    @pytest.mark.parametrize("recipe, variable", SWEEP_CASES)
     def test_zero_lo_power_is_rejected_or_runs(self, tmp_path, capsys, recipe,
                                                variable):
         path = write_config(
@@ -778,9 +791,7 @@ class TestRunRecipe:
 
     # a null key falls back to the absent default, no local beam
     @pytest.mark.parametrize("pl", ["0.0", "null"])
-    @pytest.mark.parametrize("recipe, variable", [
-        (recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
-        for variable in variables])
+    @pytest.mark.parametrize("recipe, variable", SWEEP_CASES)
     def test_balanced_point_without_local_beam_is_rejected_or_runs(
             self, tmp_path, capsys, recipe, variable, pl):
         path = write_config(
@@ -802,9 +813,7 @@ class TestRunRecipe:
         summary = (tmp_path / "out" / f"{recipe}_summary.json").read_text()
         assert "NaN" not in summary
 
-    @pytest.mark.parametrize("recipe, variable", [
-        (recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
-        for variable in variables])
+    @pytest.mark.parametrize("recipe, variable", SWEEP_CASES)
     def test_zero_transmit_power_is_rejected_or_runs(self, tmp_path, capsys,
                                                      recipe, variable):
         path = write_config(
@@ -910,22 +919,38 @@ class TestRunRecipe:
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
-    def test_opaque_grid_is_a_named_error(self, tmp_path, capsys):
-        # a 1e-30 W probe leaves the cell opaque over the whole coupling grid
-        import dataclasses
-
+    def test_opaque_grid_is_a_named_error(self, tmp_path):
+        # a 1e-30 W probe leaves the cell opaque over the whole coupling grid;
+        # siso-optima's plan compares each grid with its optimum, so the
+        # recipe check refuses the config, naming the grid
         from raqr.optimize import OpaqueGrid
 
         path = write_config(tmp_path, "recipe: siso-optima\noperating_point:\n"
                                       "  probe_power_w: 1.0e-30\n")
-        assert cli.main(["validate", "--config", str(path)]) == 0
-        assert cli.main(["run", "siso-optima", "--config", str(path),
-                         "--out", str(tmp_path / "out")]) == 1
-        assert "series coupling_power_w:dc_shot" in capsys.readouterr().err
-        cfg = dataclasses.replace(load_config(path), output_dir=str(tmp_path))
-        with pytest.raises(RecipeError) as err:
-            run_recipe(cfg)
+        with pytest.raises(ValidationError) as err:
+            check_recipe(load_config(path))
+        assert err.value.key == "recipe"
         assert isinstance(err.value.__cause__, OpaqueGrid)
+        assert "series coupling_power_w:dc_shot" in str(err.value)
+
+    def test_siso_optima_does_not_judge_the_sweep_it_never_reads(
+            self, tmp_path, capsys):
+        # a log sweep with an end at 0 is no sweep at all, but siso-optima
+        # sweeps its own power grids: it validates and writes the packaged rows
+        ref = tmp_path / "ref"
+        assert cli.main(["run", "siso-optima", "--out", str(ref)]) == 0
+        for end in ("start", "stop"):
+            raw = yaml.safe_load(default_config_path("siso-optima").read_text())
+            raw.setdefault("sweep", {}).update({end: 0.0, "scale": "log"})
+            path = write_config(tmp_path, yaml.safe_dump(raw), f"{end}.yaml")
+            assert cli.main(["validate", "--config", str(path)]) == 0
+            assert cli.main(["run", "siso-optima", "--config", str(path),
+                             "--out", str(tmp_path / end)]) == 0
+            # the first line is the config's fingerprint
+            rows = [(d / "siso-optima.csv").read_text().splitlines()[1:]
+                    for d in (tmp_path / end, ref)]
+            assert rows[0] and rows[0] == rows[1]
+        capsys.readouterr()
 
     def test_sweep_variable_mismatch(self, tmp_path):
         # the recipe check reads the sweep of the loaded config
@@ -945,12 +970,32 @@ class TestRunRecipe:
             run_recipe(cfg)
         assert not (tmp_path / "out").exists()
 
-    def test_every_recipe_declares_its_sweeps(self):
-        from raqr.recipes import RECIPE_SWEEPS, RECIPES
+    def test_each_recipe_lists_only_the_sweeps_its_plan_reads(
+            self, tmp_path, monkeypatch):
+        """Each recipe's plan, on a sweep of each variable its
+        ``RECIPE_SWEEPS`` entry lists, reads that sweep's values; a plan
+        whose entry is empty builds with no sweep at all."""
+        import dataclasses
 
-        assert set(RECIPE_SWEEPS) == set(RECIPES)
-        for allowed in RECIPE_SWEEPS.values():
-            assert allowed and set(allowed) <= set(config.SWEEP_VARIABLES)
+        assert set(RECIPE_SWEEPS) == set(recipes.RECIPES)
+        read, values = [], config.SweepSpec.values
+
+        def spy(sweep):
+            read.append(sweep.variable)
+            return values(sweep)
+
+        monkeypatch.setattr(config.SweepSpec, "values", spy)
+        for recipe, variables in RECIPE_SWEEPS.items():
+            plan = recipes.RECIPES[recipe]
+            cfg = load_config(default_config_path(recipe))
+            if not variables:
+                plan(dataclasses.replace(cfg, sweep=None))
+            for variable in variables:
+                path = write_config(tmp_path, f"sweep:\n  variable: {variable}\n"
+                                    + ZERO_LO_SWEEPS[variable], f"{variable}.yaml")
+                read.clear()
+                plan(dataclasses.replace(cfg, sweep=load_config(path).sweep))
+                assert read and set(read) == {variable}, (recipe, variable)
 
     def test_no_recipe_selected(self, tmp_path):
         import dataclasses
@@ -1088,8 +1133,25 @@ class TestCliEntry:
         ("power-scaling", "atomic", "density_per_m3", 1e300, "ValueError"),
         ("rate-vs-parameter", "operating_point", "coupling_power_w", 1e300,
          "ValueError"),
+        # no unique steady state: the steady-state solve is planned
+        ("detuning-loss", "atomic", "dressing_dipole_cm", 0.0,
+         "DegenerateNullSpace"),
+        ("detuning-loss", "atomic", "dressing_dipole_cm", 1e-300,
+         "DegenerateNullSpace"),
+        ("detuning-loss", "operating_point", "coupling_power_w", 0.0,
+         "DegenerateNullSpace"),
+        # as outside pytest: at 1e300 kHz the solve overflows on its way to
+        # the named error
+        *(pytest.param("detuning-loss", "sweep", end, 1e300, "DegenerateNullSpace",
+                       marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+          for end in ("start", "stop")),
+        # the cell is opaque over a whole grid: the comparison is planned
+        ("siso-optima", "operating_point", "probe_power_w", 1e-30, "OpaqueGrid"),
     ], ids=["rate-vs-M", "detuning-loss", "siso-optima", "power-scaling",
-            "rate-vs-parameter"])
+            "rate-vs-parameter", "detuning-loss-no-dressing",
+            "detuning-loss-tiny-dressing", "detuning-loss-no-coupling",
+            "detuning-loss-huge-start", "detuning-loss-huge-stop",
+            "siso-optima-opaque-grid"])
     def test_config_the_plan_cannot_build_is_rejected(
             self, tmp_path, capsys, recipe, section, key, value, cause):
         """The packaged config with one key at an extreme: the recipe's
@@ -1270,12 +1332,62 @@ class TestCliEntry:
         assert err.startswith(f"error: {named}: "), err
         assert "the DIOD point's" in err and "sn_coeff" in err, err
 
+    def test_sn_vs_ratio_plan_rejects_exactly_the_saturating_currents(
+            self, tmp_path, monkeypatch):
+        """The plan's trough current is the run's peak current bit for bit:
+        at that i_sat the packaged config runs, and one ulp below it the
+        plan refuses it, naming the saturation current, where the run
+        would raise Saturation."""
+        import dataclasses
+
+        from raqr.waveform import Saturation
+
+        cfg = dataclasses.replace(load_config(default_config_path("sn-vs-ratio")),
+                                  output_dir=str(tmp_path))
+        troughs, trough = [], recipes.trough_current
+
+        def spy(*args):
+            troughs.append(trough(*args))
+            return troughs[-1]
+
+        monkeypatch.setattr(recipes, "trough_current", spy)
+        check_recipe(cfg)
+        peak = max(float(t.max()) for t in troughs)
+
+        def at(i_sat):
+            return dataclasses.replace(
+                cfg, chain=dataclasses.replace(cfg.chain, i_sat=i_sat))
+
+        run_recipe(at(peak))
+        below = at(np.nextafter(peak, 0.0))
+        with pytest.raises(ValidationError) as err:
+            check_recipe(below)
+        assert err.value.key == "detection.saturation_current_ma"
+        monkeypatch.setattr(recipes, "trough_current", lambda *args: np.zeros(1))
+        with pytest.raises(RecipeError) as err:
+            run_recipe(below)
+        assert type(err.value.__cause__) is Saturation
+
     def test_packaged_recipe_configs_all_validate(self, capsys):
         from raqr.config import _CONFIG_DIR
 
         for path in sorted(_CONFIG_DIR.glob("*.yaml")):
             assert cli.main(["validate", "--config", str(path)]) == 0, path
         capsys.readouterr()
+
+    def test_every_fuzz_config_is_rejected_by_name_or_runs(self, tmp_path):
+        """tools/config_fuzz.py's 672 configs, each a packaged recipe config
+        with one key at an extreme: each fails validation naming a key (exit
+        2) or runs (exit 0). None validates and then fails its run."""
+        spec = importlib.util.spec_from_file_location(
+            "config_fuzz", ROOT / "tools" / "config_fuzz.py")
+        fuzz = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fuzz)
+        found = fuzz.outcomes(tmp_path)
+        assert len(found) == 672
+        failed = [line for line in found
+                  if not re.fullmatch(r"ok|rejected \S+", line[-1])]
+        assert failed == []
 
     @settings(max_examples=100, deadline=None)
     @given(recipe=st.sampled_from(sorted(RECIPE_SWEEPS)),

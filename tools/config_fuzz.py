@@ -19,7 +19,8 @@ whether a change moved any outcome:
     python3 tools/config_fuzz.py > config_fuzz.txt
 
 A config where validation passes and the run fails is a bad input that
-``raqr validate`` does not yet catch.
+``raqr validate`` does not catch; the tier-1 suite runs ``outcomes`` and
+fails on any.
 """
 
 from __future__ import annotations
@@ -68,11 +69,13 @@ def outcome(path: Path, out_dir: Path) -> str:
     return "ok"
 
 
-def main() -> int:
-    lines, tally = [], Counter()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+def outcomes(root: Path) -> list[tuple]:
+    """(recipe, dotted key, value, outcome) per config of the grid, in grid
+    order for each recipe; the configs and runs go under ``root``, and
+    warnings are ignored."""
+    found = []
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        root = Path(tmp)
         for recipe in list_recipes():
             text = default_config_path(recipe).read_text(encoding="utf-8")
             for section, key, value in grid():
@@ -83,9 +86,17 @@ def main() -> int:
                 # a new file per config: rewriting one in place stalls on ext4
                 path.unlink(missing_ok=True)
                 path.write_text(yaml.safe_dump(raw), encoding="utf-8")
-                result = outcome(path, root / "out")
-                tally[result.split()[0]] += 1
-                lines.append(f"{recipe} {section}.{key} {value!r} {result}\n")
+                found.append((recipe, f"{section}.{key}", value,
+                              outcome(path, root / "out")))
+    return found
+
+
+def main() -> int:
+    lines, tally = [], Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for recipe, key, value, result in outcomes(Path(tmp)):
+            tally[result.split()[0]] += 1
+            lines.append(f"{recipe} {key} {value!r} {result}\n")
     print("".join(lines), end="")
     for kind, count in sorted(tally.items()):
         print(f"tally {kind} {count}")
