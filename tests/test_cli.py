@@ -69,10 +69,10 @@ ZERO_LO_SWEEPS = {
     "detuning_khz": "  start: -100.0\n  stop: 100.0\n  points: 3\n  scale: linear\n",
 }
 
-# (recipe, sweep variable) for each variable a recipe's plan reads, and one
-# case for siso-optima, whose plan reads no sweep
+# (recipe, sweep variable) for each variable a recipe's plan reads, and for
+# siso-optima, whose plan reads no sweep, each variable a sweep may name
 SWEEP_CASES = [(recipe, variable) for recipe, variables in RECIPE_SWEEPS.items()
-               for variable in variables or ("lo_power_w",)]
+               for variable in variables or ZERO_LO_SWEEPS]
 
 # keys whose zero leaves no readout: the probe and RF dipoles, the probe
 # linewidth and the probe power
@@ -970,6 +970,14 @@ class TestRunRecipe:
             run_recipe(cfg)
         assert not (tmp_path / "out").exists()
 
+    def test_every_recipe_declares_its_sweeps(self):
+        # only siso-optima, which sweeps its own power grids, reads no sweep
+        assert set(RECIPE_SWEEPS) == set(recipes.RECIPES)
+        assert [recipe for recipe, variables in RECIPE_SWEEPS.items()
+                if not variables] == ["siso-optima"]
+        for variables in RECIPE_SWEEPS.values():
+            assert set(variables) <= set(ZERO_LO_SWEEPS)
+
     def test_each_recipe_lists_only_the_sweeps_its_plan_reads(
             self, tmp_path, monkeypatch):
         """Each recipe's plan, on a sweep of each variable its
@@ -977,7 +985,6 @@ class TestRunRecipe:
         whose entry is empty builds with no sweep at all."""
         import dataclasses
 
-        assert set(RECIPE_SWEEPS) == set(recipes.RECIPES)
         read, values = [], config.SweepSpec.values
 
         def spy(sweep):
