@@ -130,8 +130,8 @@ def _rhs(system: AtomicSystem, h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     g = system.gamma + np.array([0.0, system.gamma2, system.gamma3, system.gamma4])
     out = -1j * (h @ rho - rho @ h) - 0.5 * (g[:, None] * rho + rho * g)
     # Population feedback: decayed/transit population re-enters the chain.
-    # The transit term is gamma * tr(rho) (linear, conserves trace); see the
-    # module docstring for why this beats carrying an affine offset.
+    # The transit term is gamma * tr(rho), linear rather than an affine
+    # offset, so every rate conserves the trace (see ``AtomicSystem``).
     out[..., 0, 0] += (
         system.gamma * np.trace(rho, axis1=-2, axis2=-1)
         + system.gamma2 * rho[..., 1, 1]
@@ -188,9 +188,16 @@ RESIDUAL_RTOL = 1e-10
 def _norm(x: np.ndarray) -> np.ndarray:
     """Norm over the last axis of a real array, summed as np.linalg.norm
     sums one vector, so each member of a stack gets its single-vector value
-    bit for bit."""
+    bit for bit; a member whose squares overflow is first divided by its
+    largest |entry|, so both ||R||_F and ||R x|| stay finite where R is."""
     row = x[..., None, :]
-    return np.sqrt(row @ row.swapaxes(-1, -2))[..., 0, 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.sqrt(row @ row.swapaxes(-1, -2))[..., 0, 0]
+        if np.isinf(out).any():
+            peak = np.abs(x).max(axis=-1)  # finite where every entry is
+            out = np.where(np.isinf(out) & np.isfinite(peak),
+                           peak * _norm(x / peak[..., None]), out)
+    return out
 
 
 def steady_state_numeric(system: AtomicSystem, drive: DriveConfig) -> DensityMatrix:

@@ -3,7 +3,8 @@ figure-analogue (tidy CSV, manifest, JSON summary). A recipe plans, then
 executes: ``RECIPES[name](config)`` applies the rules the recipe needs,
 computes everything deterministic and returns ``execute(threads)``, which
 does only the random draws (Monte Carlo, noisy waveforms); a recipe that
-draws nothing plans its whole result.
+draws nothing plans its whole result. A result holds only what the recipe
+computed: ``emit_plotdata`` alone names the artifacts and lists the curves.
 
 Artifacts are byte-reproducible for identical (config, seed): all
 randomness flows from the config seed, through Philox for the Monte-Carlo
@@ -48,11 +49,11 @@ class RecipeError(Exception):
 
 @dataclass
 class RecipeResult:
-    name: str
+    """What a recipe computed; ``emit_plotdata`` lays it out as artifacts."""
     columns: list[str]
     rows: list[tuple]
     axes: dict
-    series: list[dict] = field(default_factory=list)
+    label: str | None = None  # the one curve of a CSV with no series column
     summary: dict = field(default_factory=dict)
     annotations: list[dict] = field(default_factory=list)
 
@@ -76,27 +77,36 @@ def _csv_lines(rows) -> list[str]:
     return lines
 
 
-def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
-    """Write the CSV (skipped when there are no rows), the plot manifest,
-    and the scalar summary. Returns {kind: path}.
+def emit_plotdata(result: RecipeResult, config: ExperimentConfig) -> dict:
+    """Write ``config.recipe``'s CSV (none without rows), plot manifest and
+    scalar summary into ``config.output_dir``; returns {kind: path}.
 
-    Both JSON files are strict JSON: a NaN or infinity raises ValueError
-    before any file is touched. Each artifact is written as a new file:
-    the previous run's file at that path is removed first, so a hard link
-    or symlink there is replaced, not written through, and a run without
-    rows leaves no CSV behind. Rewriting a file in place truncates it,
+    The manifest lists one curve per label of the CSV's ``series`` column,
+    in the order the rows first give it, each filtering on its label; a
+    CSV without that column is the one curve ``result.label``. No rows, no
+    curve. Both JSON files are strict JSON: a NaN or infinity raises
+    ValueError before any file is touched. Each artifact is written as a
+    new file: the previous run's file at that path is removed first, so a
+    hard link or symlink there is replaced, not written through, and a run
+    without rows leaves no CSV behind. Rewriting a file in place truncates it,
     which stalls tens of ms per file on ext4 (``auto_da_alloc``)."""
-    out = Path(out_dir)
-    csv_name = f"{result.name}.csv" if result.rows else None
+    name, fp, out = config.recipe, fingerprint(config), Path(config.output_dir)
+    csv_name = f"{name}.csv" if result.rows else None
+    if "series" in result.columns:
+        col = result.columns.index("series")
+        series = [{"label": label, "filter": {"series": label}}
+                  for label in dict.fromkeys(row[col] for row in result.rows)]
+    else:
+        series = [{"label": result.label, "filter": {}}] if result.rows else []
     manifest = {
-        "figure": result.name,
+        "figure": name,
         "fingerprint": fp,
         "csv": csv_name,
         "axes": result.axes,
-        "series": result.series,
+        "series": series,
         "annotations": result.annotations,
     }
-    summary = {"recipe": result.name, "fingerprint": fp, "seed": seed}
+    summary = {"recipe": name, "fingerprint": fp, "seed": config.seed}
     summary.update(result.summary)
     texts = {kind: json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
              for kind, doc in (("manifest", manifest), ("summary", summary))}
@@ -106,13 +116,13 @@ def emit_plotdata(result: RecipeResult, out_dir, fp: str, seed: int) -> dict:
 
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
-    csv_path = out / f"{result.name}.csv"
+    csv_path = out / f"{name}.csv"
     csv_path.unlink(missing_ok=True)
     if csv_name is not None:
         paths["csv"] = csv_path
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for kind, text in texts.items():
-        paths[kind] = out / f"{result.name}_{kind}.json"
+        paths[kind] = out / f"{name}_{kind}.json"
         paths[kind].unlink(missing_ok=True)
         paths[kind].write_text(text, encoding="utf-8")
     return paths
@@ -172,12 +182,12 @@ def check_recipe(config: ExperimentConfig):
 
 def run_recipe(config: ExperimentConfig, threads: int = 1) -> dict:
     """Check ``config`` and build its plan, execute it once and write its
-    artifacts; returns {kind: path}. A failure past the plan is a RecipeError."""
+    artifacts with ``emit_plotdata``; returns {kind: path}. A failure past
+    the plan is a RecipeError."""
     execute = check_recipe(config)
     try:
         # a NaN or infinity in the JSON artifacts fails the run here
-        return emit_plotdata(execute(threads), config.output_dir,
-                             fingerprint(config), seed=config.seed)
+        return emit_plotdata(execute(threads), config)
     except Exception as exc:
         raise RecipeError(config.recipe, exc) from exc
 
@@ -274,7 +284,7 @@ def waveform_overlay(cfg: ExperimentConfig):
     quiet = dataclasses.replace(cfg.chain, sigma_sq_sn=0.0)
     fs = MIN_SAMPLES_PER_BEAT * cfg.f_delta
     duration = 150.0 / cfg.f_delta  # 150 beat periods
-    rows, series, per_ratio = [], [], {}
+    rows, per_ratio = [], {}
     for ratio in map(float, cfg.sweep.values()):
         user = defaults.weak_user(ratio, cfg.op, f_delta=cfg.f_delta)
         with warnings.catch_warnings():
@@ -288,16 +298,13 @@ def waveform_overlay(cfg: ExperimentConfig):
         if not math.isfinite(dev):
             raise ValueError(f"the relative deviation at {ratio:g} dB is {dev:g}")
         per_ratio[label] = dev
-        series.append({"label": label, "filter": {"series": label}})
         rows.extend((label, t, ve, va, va - ve) for t, ve, va in zip(
             wf.t.tolist(), wf.v_exact.tolist(), wf.v_approx.tolist()))
     result = RecipeResult(
-        name="waveform-overlay",
         columns=["series", "time_s", "exact_v", "approx_v", "deviation_v"],
         rows=rows,
         axes={"x": {"label": "time", "unit": "s"},
               "y": {"label": "detector output", "unit": "V"}},
-        series=series,
         summary={"rms_deviation": per_ratio},
     )
     return lambda threads: result
@@ -353,12 +360,9 @@ def sn_vs_ratio(cfg: ExperimentConfig):
     n_samples = 40_000
 
     def execute(threads: int) -> RecipeResult:
-        rows, series = [], []
-        worst, worst_strong = 0.0, 0.0
+        rows, worst, worst_strong = [], 0.0, 0.0
         for offset, (op, users, closed) in zip((0, 1000), plans):
             label = op.scheme.lower()
-            if ratios:
-                series.append({"label": label, "filter": {"series": label}})
             for i, (ratio, user, var) in enumerate(zip(ratios, users, closed)):
                 wf = simulate_waveform(op, cfg.chain, user, cfg.system, n_samples / fs,
                                        fs, seed=cfg.seed + offset + i)
@@ -370,12 +374,10 @@ def sn_vs_ratio(cfg: ExperimentConfig):
                     worst_strong = max(worst_strong, dev)
                 rows.append((label, ratio, measured, var))
         return RecipeResult(
-            name="sn-vs-ratio",
             columns=["series", "ratio_db", "mc_variance_v2", "closed_form_v2"],
             rows=rows,
             axes={"x": {"label": "LO-to-user field ratio", "unit": "dB"},
                   "y": {"label": "in-band shot variance", "unit": "V^2"}},
-            series=series,
             summary={"max_rel_deviation": worst,
                      "max_rel_deviation_20db_up": worst_strong,
                      "samples_per_point": n_samples},
@@ -400,7 +402,7 @@ def siso_optima(cfg: ExperimentConfig):
         "coupling_power_w": np.geomspace(1e-3, 1.0, 121),
         "lo_power_w": np.geomspace(1e-8, 1e-3, 121),
     }
-    rows, series, annotations, summary = [], [], [], {}
+    rows, annotations, summary = [], [], {}
     for sweep_name, grid in sweeps.items():
         attr = _SWEEP_TO_POWER[sweep_name]
         for regime, weights in regimes.items():
@@ -411,7 +413,6 @@ def siso_optima(cfg: ExperimentConfig):
             star = optimal_power(cfg.op, cfg.system, attr, regime)
             w_star = normalized_noise(
                 with_powers(cfg.op, **{attr: float(star)}), weights, cfg.system)
-            series.append({"label": label, "filter": {"series": label}})
             rows.extend((label, float(x), float(w)) for x, w in zip(grid, values))
             idx = int(np.argmin(values))
             if values[idx] == math.inf:
@@ -432,12 +433,10 @@ def siso_optima(cfg: ExperimentConfig):
         annotations.append({"kind": "optimum", "series": "local_beam",
                             "power_w": float(pl)})
     result = RecipeResult(
-        name="siso-optima",
         columns=["series", "power_w", "objective"],
         rows=rows,
         axes={"x": {"label": "swept power", "unit": "W"},
               "y": {"label": "normalized noise", "unit": "W"}},
-        series=series,
         summary=summary,
         annotations=annotations,
     )
@@ -469,12 +468,11 @@ def detuning_loss(cfg: ExperimentConfig):
         summary["half_width_hz"] = (
             float(np.ptp(detunings[~below])) / 2.0 if (~below).any() else 0.0)
     result = RecipeResult(
-        name="detuning-loss",
         columns=["detuning_hz", "response_norm"],
         rows=rows,
         axes={"x": {"label": "RF detuning", "unit": "Hz"},
               "y": {"label": "normalized coherence", "unit": "1"}},
-        series=[{"label": "numeric", "filter": {}}] if rows else [],
+        label="numeric",
         summary=summary,
     )
     return lambda threads: result
@@ -500,12 +498,9 @@ def rate_vs_m(cfg: ExperimentConfig):
                  for method in ("MRC", "ZF")}
 
     def execute(threads: int) -> RecipeResult:
-        rows, series = [], []
-        mc_minus_bound, within_3se = [], True
+        rows, mc_minus_bound, within_3se = [], [], True
         for method, bases in baselines.items():
             label = method.lower()
-            if sizes:
-                series.append({"label": label, "filter": {"series": label}})
             for m, sc, base in zip(sizes, scenarios, bases):
                 res = mimo.monte_carlo_rate(sc, gains, budget, method,
                                             threads=threads)
@@ -516,13 +511,11 @@ def rate_vs_m(cfg: ExperimentConfig):
                 within_3se = within_3se and not mimo.bound_violation_alarm(res)
                 rows.append((label, m, mc, se, bound, base))
         return RecipeResult(
-            name="rate-vs-M",
             columns=["series", "n_sensors", "mc_rate_bpshz", "mc_se_bpshz",
                      "bound_bpshz", "baseline_bound_bpshz"],
             rows=rows,
             axes={"x": {"label": "sensors", "unit": "1"},
                   "y": {"label": "per-user rate", "unit": "bps/Hz"}},
-            series=series,
             summary={"mc_minus_bound_min": min(mc_minus_bound, default=None),
                      "bound_within_3se": within_3se,
                      "realizations": cfg.realizations},
@@ -556,12 +549,11 @@ def power_scaling(cfg: ExperimentConfig):
         summary["final_gap_rel"] = abs(bounds[-1] - asym) / asym
         summary["monotone"] = all(a < b for a, b in zip(bounds, bounds[1:]))
     result = RecipeResult(
-        name="power-scaling",
         columns=["n_sensors", "bound_bpshz", "asymptotic_bpshz"],
         rows=rows,
         axes={"x": {"label": "sensors", "unit": "1"},
               "y": {"label": "per-user rate", "unit": "bps/Hz"}},
-        series=[{"label": "scaled-power bound", "filter": {}}] if rows else [],
+        label="scaled-power bound",
         summary=summary,
         annotations=[{"kind": "asymptote", "rate_bpshz": asym}],
     )
@@ -610,13 +602,12 @@ def rate_vs_parameter(cfg: ExperimentConfig):
                  float(res.bound.mean()), base_rate, base_bound)
                 for x, res in zip(xs, results)]
         return RecipeResult(
-            name="rate-vs-parameter",
             columns=[cfg.sweep.variable, "mc_rate_bpshz", "mc_se_bpshz",
                      "bound_bpshz", "baseline_rate_bpshz", "baseline_bound_bpshz"],
             rows=rows,
             axes={"x": {"label": cfg.sweep.variable, "unit": "W"},
                   "y": {"label": "per-user rate", "unit": "bps/Hz"}},
-            series=([{"label": "atomic", "filter": {}}] if rows else []),
+            label="atomic",
             summary={"baseline_bound_bpshz": base_bound, **crossover},
             annotations=annotations,
         )

@@ -195,6 +195,40 @@ class TestSteadyState:
             steady_state_numeric(system, drive)
 
     @pytest.mark.filterwarnings("error")
+    def test_norm_is_the_plain_sum_unless_it_overflows(self):
+        """On finite stacks ``_norm`` is sqrt(x . x) bit for bit, also beside
+        a member whose squares overflow; such a member, of entries near
+        1e160 or 1e300, comes within 1e-15 of its true norm, and a member
+        with an infinite entry is still inf."""
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((64, 256)) * 10.0 ** rng.uniform(-150, 150, (64, 1))
+        row = x[..., None, :]
+        plain = np.sqrt(row @ row.swapaxes(-1, -2))[..., 0, 0]
+        assert np.array_equal(atomic._norm(x), plain)
+        huge = rng.standard_normal((6, 256)) * np.repeat([1e160, 1e300], 3)[:, None]
+        stack = np.concatenate([huge, x[:4], np.full((1, 256), np.inf)])
+        got = atomic._norm(stack)
+        assert np.array_equal(got[6:10], plain[:4])
+        for norm, member in zip(got[:6], huge):
+            true = math.hypot(*member)
+            assert abs(norm - true) <= 1e-15 * true
+        assert got[-1] == np.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_detuned_drive_is_solved(self):
+        """The packaged detuning-loss drive at |delta_rf| from 1e160 rad/s,
+        where R's squared entries overflow, to 6.3e303, where R x does too:
+        each has a unique steady state, returned without a warning. The
+        coherence falls as 1 / delta_rf from 1e150 to 1e160, and no further
+        drive's is larger."""
+        cfg = load_config(default_config_path("detuning-loss"))
+        delta_rf = np.array([1e150, 1e160, 1e200, 6.3e303])
+        drive = defaults.drive_for(cfg.op, cfg.system, delta_rf=delta_rf)
+        mag = np.abs(steady_state_numeric(cfg.system, drive).rho21)
+        assert mag[1] == pytest.approx(mag[0] * 1e-10, rel=1e-9)
+        assert (mag[2:] <= mag[1]).all()
+
+    @pytest.mark.filterwarnings("error")
     def test_vanishing_coupling_is_solved_in_real_coordinates(self):
         """No decay but the probe's, and a coupling Rabi rate from 2e-49 to
         1e-6 rad/s: the solve returns rho21 within 1e-12 of a 50-digit solve

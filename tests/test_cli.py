@@ -676,11 +676,10 @@ class TestRunRecipe:
 
         def fail_each():
             for bad in (math.nan, math.inf):
-                result = recipes.RecipeResult(name="detuning-loss",
-                                              columns=["x"], rows=[(1.0,)],
+                result = recipes.RecipeResult(columns=["x"], rows=[(1.0,)],
                                               axes={}, summary={"value": bad})
                 with pytest.raises(ValueError):
-                    recipes.emit_plotdata(result, out, "fp", seed=0)
+                    recipes.emit_plotdata(result, cfg)
                 with monkeypatch.context() as m:
                     m.setitem(recipes.RECIPES, "detuning-loss",
                               lambda cfg: lambda threads: result)
@@ -697,7 +696,7 @@ class TestRunRecipe:
 
     @pytest.mark.parametrize("recipe", ["detuning-loss", "sn-vs-ratio",
                                         "waveform-overlay", "rate-vs-M",
-                                        "power-scaling"])
+                                        "power-scaling", "rate-vs-parameter"])
     def test_empty_sweep_manifest_without_csv(self, tmp_path, recipe):
         """A sweep of no points writes no CSV and removes the one a run
         with rows left in the same directory."""
@@ -709,7 +708,7 @@ class TestRunRecipe:
             raw = yaml.safe_load(default_config_path(recipe).read_text())
         csv = tmp_path / "out" / f"{recipe}.csv"
         for points in (1, 0):
-            raw["sweep"]["points"] = points
+            raw.setdefault("sweep", {})["points"] = points
             path = write_config(tmp_path, yaml.safe_dump(raw), f"{points}.yaml")
             cfg = dataclasses.replace(load_config(path),
                                       output_dir=str(tmp_path / "out"))
@@ -719,6 +718,39 @@ class TestRunRecipe:
         manifest = json.loads(paths["manifest"].read_text())
         assert manifest["series"] == []
         assert manifest["csv"] is None
+
+    # the one curve of each packaged recipe whose CSV has no series column
+    ONE_CURVE = {"detuning-loss": "numeric", "power-scaling": "scaled-power bound",
+                 "rate-vs-parameter": "atomic"}
+
+    @pytest.mark.parametrize("recipe, sweep", [
+        *((recipe, {}) for recipe in list_recipes()),
+        # two equal ratios: both points' rows carry one label, one curve
+        ("waveform-overlay", {"start": 20.0, "stop": 20.0, "points": 2}),
+    ], ids=[*list_recipes(), "waveform-overlay-repeated-ratio"])
+    def test_manifest_lists_the_curves_of_its_csv(self, tmp_path, recipe, sweep):
+        """Each packaged config, and waveform-overlay at one ratio twice:
+        the manifest lists one curve per label of the CSV's series column,
+        in the order the rows first give it, each filtering on its label; a
+        CSV without that column is one unfiltered curve."""
+        import dataclasses
+
+        raw = yaml.safe_load(default_config_path(recipe).read_text())
+        raw.setdefault("array", {})["realizations"] = mimo.MIN_REALIZATIONS
+        raw.setdefault("sweep", {}).update(sweep)
+        cfg = load_config(write_config(tmp_path, yaml.safe_dump(raw)))
+        paths = run_recipe(dataclasses.replace(cfg, output_dir=str(tmp_path / "out")))
+        header, *rows = paths["csv"].read_text().splitlines()[1:]
+        manifest = json.loads(paths["manifest"].read_text())
+        if header.startswith("series,"):
+            labels = list(dict.fromkeys(row.split(",")[0] for row in rows))
+            expected = [{"label": label, "filter": {"series": label}}
+                        for label in labels]
+            assert recipe not in self.ONE_CURVE
+        else:
+            expected = [{"label": self.ONE_CURVE[recipe], "filter": {}}]
+        assert manifest["series"] == expected
+        assert manifest["figure"] == recipe and manifest["csv"] == f"{recipe}.csv"
 
     def test_two_detector_series(self, tmp_path):
         import dataclasses
@@ -1147,17 +1179,11 @@ class TestCliEntry:
          "DegenerateNullSpace"),
         ("detuning-loss", "operating_point", "coupling_power_w", 0.0,
          "DegenerateNullSpace"),
-        # as outside pytest: at 1e300 kHz the solve overflows on its way to
-        # the named error
-        *(pytest.param("detuning-loss", "sweep", end, 1e300, "DegenerateNullSpace",
-                       marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
-          for end in ("start", "stop")),
         # the cell is opaque over a whole grid: the comparison is planned
         ("siso-optima", "operating_point", "probe_power_w", 1e-30, "OpaqueGrid"),
     ], ids=["rate-vs-M", "detuning-loss", "siso-optima", "power-scaling",
             "rate-vs-parameter", "detuning-loss-no-dressing",
             "detuning-loss-tiny-dressing", "detuning-loss-no-coupling",
-            "detuning-loss-huge-start", "detuning-loss-huge-stop",
             "siso-optima-opaque-grid"])
     def test_config_the_plan_cannot_build_is_rejected(
             self, tmp_path, capsys, recipe, section, key, value, cause):
@@ -1175,6 +1201,23 @@ class TestCliEntry:
             assert err.startswith(f"error: recipe: {recipe} "), err
             assert f"cannot plan this config: {cause}: " in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    def test_far_detuned_sweep_end_runs(self, tmp_path, capsys, end):
+        """The packaged detuning-loss config with a sweep end at 1e300 kHz:
+        the drive there has a unique steady state, and its generator's
+        squared entries overflow, not its norm, so validate and run both
+        exit 0, without a warning, and every CSV value is finite."""
+        raw = yaml.safe_load(default_config_path("detuning-loss").read_text())
+        raw["sweep"][end] = 1e300
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert cli.main(["run", "detuning-loss", "--config", str(path),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = np.loadtxt(out / "detuning-loss.csv", delimiter=",", skiprows=2)
+        assert len(rows) == 61 and np.isfinite(rows).all()
 
     # as outside pytest: validation reports the plan's failure, whatever
     # warnings the non-finite intermediates raise on the way

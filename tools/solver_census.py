@@ -53,7 +53,7 @@ def condition(system, drive: DriveConfig) -> float:
     replaced by the trace row scaled to ||R||_F, as the solver builds it."""
     gen = atomic._real_liouvillian(system, atomic._hamiltonian(vars(drive)))
     a = gen.copy()
-    a[0] = atomic._TRACE_X * np.linalg.norm(gen)
+    a[0] = atomic._TRACE_X * atomic._norm(gen.reshape(256))
     return float(np.linalg.cond(a, 1))
 
 
