@@ -255,20 +255,10 @@ def rf_field_amplitude(power: float, a_e: float) -> float:
 # probe propagation
 
 
-def probe_output(p0: float, chi, system: AtomicSystem):
-    """Probe power and phase after the cell, for a scalar or array chi.
-
-    P_p = ``probe_power(p0, chi.imag, system)``, phi_p = (pi d / lambda_p)
-    Re chi from the entry phase (thin-medium convention, chi at cell entry).
-    """
-    power = probe_power(p0, chi.imag, system)
-    return power, math.pi * system.l_cell / system.lambda_p * chi.real
-
-
 def probe_power(p0: float, chi_imag, system: AtomicSystem):
-    """Probe power after the cell from Im chi alone, for a scalar or array:
+    """Thin-medium probe power after the cell, for a scalar or array Im chi:
     P_p = P0 exp(-(2 pi d / lambda_p) Im chi). At resonance chi is purely
-    imaginary, so this is the whole transmission."""
+    imaginary, so this is the whole transmission, with probe phase 0."""
     if p0 < 0:
         raise ValueError("p0 must be >= 0")
     arg = math.pi * system.l_cell / system.lambda_p

@@ -361,7 +361,8 @@ def sn_vs_ratio(cfg: ExperimentConfig):
 
     def execute(threads: int) -> RecipeResult:
         rows, worst, worst_strong = [], 0.0, 0.0
-        for offset, (op, users, closed) in zip((0, 1000), plans):
+        # DIOD point i draws seed + i, and BCOD's seeds start past them all
+        for offset, (op, users, closed) in zip((0, max(1000, len(ratios))), plans):
             label = op.scheme.lower()
             for i, (ratio, user, var) in enumerate(zip(ratios, users, closed)):
                 wf = simulate_waveform(op, cfg.chain, user, cfg.system, n_samples / fs,
@@ -446,7 +447,8 @@ def siso_optima(cfg: ExperimentConfig):
 def detuning_loss(cfg: ExperimentConfig):
     """Numeric steady-state response versus RF detuning, normalized to the
     on-resonance coherence magnitude. Qualitative: peak location, symmetry,
-    and half width. It draws nothing: the plan, its solve too, is the result."""
+    and half width. It draws nothing: the plan, its solve too, is the result.
+    It fails where a response is not finite, which strict JSON cannot hold."""
     _require(cfg, *_POINT[:2])  # it reads no gains, so needs no local beam
     detunings = cfg.sweep.values() * 1e3  # kHz -> Hz
     # with delta_p = delta_c = 0 the state at -delta_rf is U rho* U,
@@ -457,7 +459,10 @@ def detuning_loss(cfg: ExperimentConfig):
         np.abs(np.append(0.0, 2.0 * math.pi * detunings)), return_inverse=True)
     drive = defaults.drive_for(cfg.op, cfg.system, delta_rf=distinct)
     mag = np.abs(steady_state_numeric(cfg.system, drive).rho21)[inverse]
-    response = mag[1:] / mag[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        response = mag[1:] / mag[0]
+    if not np.isfinite(response).all():
+        raise ValueError(f"the on-resonance |rho21| is {mag[0]:g}; a response is not finite")
     rows = list(zip(detunings.tolist(), response.tolist()))
     summary = {}
     if len(response):
@@ -528,7 +533,7 @@ def power_scaling(cfg: ExperimentConfig):
     the saturating large-array value. All closed form, so the plan is the
     whole result. It divides by the asymptotic rate, which must be finite
     and > 0: the error names ``array.transmit_power`` where that is 0, and
-    ``asymptotic_rate`` otherwise."""
+    ``asymptotic_rate`` otherwise. It fails where its last bound is not finite."""
     _require(cfg, *_POINT, "atomic.dephasing_time_us")
     beta = mimo.large_scale_fading(cfg.region_center_m, cfg.f_carrier)
     gains, budget = _gains_budget(cfg)
@@ -544,6 +549,8 @@ def power_scaling(cfg: ExperimentConfig):
         bound = float(mimo.sinr_lb(sc, gains, budget, "MRC").rate[0])
         rows.append((m, bound, asym))
     bounds = [r[1] for r in rows]
+    if bounds and not math.isfinite(bounds[-1]):
+        raise ValueError(f"the bound at {rows[-1][0]} sensors is {bounds[-1]:g} bps/Hz")
     summary = {"asymptotic_bpshz": asym}
     if bounds:
         summary["final_gap_rel"] = abs(bounds[-1] - asym) / asym

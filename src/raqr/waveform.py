@@ -35,7 +35,6 @@ from .frontend import (
     UserSignal,
     dc_shot_power,
     drive_for,
-    probe_output,
     probe_power,
     rf_field_amplitude,
     scheme_powers,
@@ -84,11 +83,10 @@ class Waveform:
     sample_rate: float
 
 
-def _exact_transmission(omega_rf, op, system, rho_solver, period):
-    """Instantaneous probe transmission: power P1 and accumulated phase.
-
-    At resonance chi is purely imaginary, so the closed form needs only
-    Im chi, in real arithmetic, and its phase is 0 for every sample.
+def _exact_transmission(cos_b, u_lo, u_x, op, system, rho_solver, period):
+    """Transmitted probe power P1 on the RF envelope |U_z| = sqrt(u_lo^2 +
+    2 u_lo u_x cos(beta) + u_x^2) per entry of ``cos_b``. At resonance chi
+    is purely imaginary, so P1 is the whole response: the probe phase is 0.
 
     The Liouvillian branch takes the envelope as periodic in ``period``
     samples: it solves each distinct envelope of the first period once and
@@ -100,28 +98,34 @@ def _exact_transmission(omega_rf, op, system, rho_solver, period):
     solve's value. The closed form costs little per sample and keeps the
     per-sample values: the pinned demodulation estimates rest on them.
     """
+    omega_rf = np.multiply(cos_b, 2.0 * u_lo * u_x)
+    omega_rf += u_lo**2
+    omega_rf += u_x**2
+    np.sqrt(omega_rf, out=omega_rf)  # the envelope |U_z|
+    omega_rf *= system.mu34
+    omega_rf /= hbar
     if rho_solver == "closed-form":
         drive = drive_for(op, system, omega_rf=omega_rf)
         chi_im = rho21_resonant_imag(drive.omega_p, drive.omega_c, omega_rf, system.gamma2)
         chi_im *= susceptibility(1.0, system, drive.omega_p)  # chi is linear in rho21
-        return probe_power(op.p0, chi_im, system), 0.0
+        return probe_power(op.p0, chi_im, system)
     if rho_solver == "liouvillian":
         # one solve per distinct envelope; a sqrt is never -0.0, so equal means same bytes
         distinct, inverse = np.unique(omega_rf[:period], return_inverse=True)
         drive = drive_for(op, system, omega_rf=distinct)
         chi = susceptibility(steady_state_numeric(system, drive).rho21, system, drive.omega_p)
-        p1, phase = probe_output(op.p0, chi, system)
         n = len(omega_rf)
         inverse = np.tile(inverse, -(-n // period))[:n]  # sample k reads k mod period
-        return p1[inverse], phase[inverse]
+        return probe_power(op.p0, chi.imag, system)[inverse]
     raise ValueError(f"unknown rho_solver {rho_solver!r}")
 
 
-def _detector_current(p1_t, phase_t, op, chain):
-    """Deterministic photocurrent entering the voltage stage."""
+def _detector_current(p1, op, chain):
+    """Deterministic photocurrent at transmitted probe power p1; with probe
+    phase 0 the balanced beat takes cos(phi_l), the gain table's Phi."""
     if op.scheme == "DIOD":
-        return chain.alpha * p1_t
-    return 2.0 * chain.alpha * np.sqrt(op.pl * p1_t) * np.cos(op.phi_l - phase_t)
+        return chain.alpha * p1
+    return 2.0 * chain.alpha * np.sqrt(op.pl * p1) * np.cos(op.phi_l)
 
 
 def simulate_waveform(
@@ -181,29 +185,22 @@ def simulate_waveform(
     t /= sample_rate
 
     # exact chain: instantaneous envelope -> per-sample atomic response
-    omega_rf = np.multiply(cos_b, 2.0 * u_lo * u_x)
-    omega_rf += u_lo**2
-    omega_rf += u_x**2
-    np.sqrt(omega_rf, out=omega_rf)  # the envelope |U_z|
-    omega_rf *= system.mu34
-    omega_rf /= hbar
     spp = sample_rate / abs(f_delta)  # the envelope's period where whole and below n
     period = int(spp) if spp.is_integer() and spp < n else n
-    p1_t, phase_t = _exact_transmission(omega_rf, op, system, rho_solver, period)
-    del omega_rf
-    i_exact = _detector_current(p1_t, phase_t, op, chain)
+    p1_t = _exact_transmission(cos_b, u_lo, u_x, op, system, rho_solver, period)
+    i_exact = _detector_current(p1_t, op, chain)
 
     # linearized chain around the LO-only level; e_g: d ln p_g^2 / d ln p1
     small = SmallSignal(op, system)
     p1_lo = small.p1
     (_, _, p_cn_lo), _, (e_g, _, _) = scheme_powers(op, p1_lo)
-    i_dc = _detector_current(p1_lo, 0.0, op, chain)
+    i_dc = _detector_current(p1_lo, op, chain)
     i_approx = np.multiply(cos_b, e_g * small.kappa * u_x)
     np.subtract(1.0, i_approx, out=i_approx)
     i_approx *= i_dc
 
     i_env = dc_shot_power(op, p1_t)  # p1_t itself for the direct scheme
-    del p1_t, phase_t
+    del p1_t
     i_env *= chain.alpha  # shot-noise current
     i_max = np.max(i_env)
     if i_max > chain.i_sat:
@@ -247,11 +244,11 @@ def trough_current(op: OperatingPoint, chain: DetectionChain,
                    system: AtomicSystem, u_x) -> np.ndarray:
     """The current ``simulate_waveform`` holds under ``chain.i_sat`` with the
     closed-form solver, at the beat's envelope trough, cos(beta) = -1, per
-    user amplitude in ``u_x``. Taken in that function's operation order, it
-    equals bit for bit each sample that falls on a trough."""
-    u_lo, u_x = rf_field_amplitude(op.p_lo, op.a_e), np.asarray(u_x, dtype=float)
-    trough = np.sqrt(-(2.0 * u_lo * u_x) + u_lo**2 + u_x**2) * system.mu34 / hbar
-    p1, _ = _exact_transmission(trough, op, system, "closed-form", len(u_x))
+    user amplitude in ``u_x``: the run's own exact chain at that cos(beta),
+    so it equals bit for bit each sample that falls on a trough."""
+    u_x = np.asarray(u_x, dtype=float)
+    p1 = _exact_transmission(np.full(len(u_x), -1.0), rf_field_amplitude(op.p_lo, op.a_e),
+                             u_x, op, system, "closed-form", len(u_x))
     return dc_shot_power(op, p1) * chain.alpha
 
 

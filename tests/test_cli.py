@@ -1202,6 +1202,38 @@ class TestCliEntry:
             assert f"cannot plan this config: {cause}: " in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("recipe, first, second", [
+        # the probe Rabi rate rounds to 0: the on-resonance |rho21| is 0
+        ("detuning-loss", ("atomic", "probe_dipole_ea0", 1.94e-202),
+         ("operating_point", "lo_power_w", 1.34e124)),
+        ("detuning-loss", ("operating_point", "effective_area_cm2", 1e300),
+         ("atomic", "probe_linewidth_mhz", 3.46e-104)),
+        # every scaled-power bound is NaN; its closed form overflows on the
+        # way, so warnings are ignored as outside pytest
+        pytest.param("power-scaling", ("baseline", "rf_noise_w", 3.30e-69),
+                     ("array", "region_center_m", 3.48e-85),
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ], ids=["detuning-loss-no-probe", "detuning-loss-wide-aperture",
+            "power-scaling-nan-bound"])
+    def test_two_key_config_whose_summary_is_not_finite_is_rejected(
+            self, tmp_path, capsys, recipe, first, second):
+        """The packaged config with two keys set: the plan's summary would
+        not be finite, which strict JSON cannot hold, so the plan fails and
+        validate and run both exit 2 naming ``recipe`` and ValueError, with
+        no artifact."""
+        raw = yaml.safe_load(default_config_path(recipe).read_text())
+        for section, key, value in (first, second):
+            raw.setdefault(section, {})[key] = value
+        raw.setdefault("array", {})["realizations"] = mimo.MIN_REALIZATIONS
+        path = write_config(tmp_path, yaml.safe_dump(raw))
+        for argv in (["validate"], ["run", recipe,
+                                    "--out", str(tmp_path / "out")]):
+            assert cli.main(argv + ["--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: recipe: {recipe} "), err
+            assert "cannot plan this config: ValueError: " in err, err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("end", ["start", "stop"])
     def test_far_detuned_sweep_end_runs(self, tmp_path, capsys, end):
         """The packaged detuning-loss config with a sweep end at 1e300 kHz:
@@ -1509,6 +1541,26 @@ class TestRecipeSummaries:
         summary = json.loads(run_recipe(cfg)["summary"].read_text())
         assert summary["mc_minus_bound_min"] > 0.0
         assert summary["bound_within_3se"] is False
+
+    def test_sn_vs_ratio_schemes_draw_disjoint_seeds(self, tmp_path, monkeypatch):
+        """Past 1000 ratios the BCOD seeds start after the DIOD ones, so no
+        two of the 2,002 waveforms of a 1001-point sweep share a noise
+        stream."""
+        from types import SimpleNamespace
+
+        seeds = []
+
+        def simulated(*args, seed, **kwargs):
+            seeds.append(seed)
+            return SimpleNamespace(sn=np.zeros(2))
+
+        monkeypatch.setattr(recipes, "simulate_waveform", simulated)
+        cfg = load_config(write_config(
+            tmp_path, "recipe: sn-vs-ratio\nsweep:\n  variable: ratio_db\n"
+            "  start: 10.0\n  stop: 30.0\n  points: 1001\n  scale: linear\n"))
+        recipes.sn_vs_ratio(cfg)(1)
+        assert len(seeds) == 2002
+        assert len(set(seeds)) == 2002
 
     def test_siso_optima_gaps(self, tmp_path):
         import dataclasses
